@@ -47,7 +47,8 @@ use mosaic_edgecolor::SwapSchedule;
 use mosaic_gateway::{Fleet, GatewayConfig};
 use mosaic_gpu::{DeviceSpec, GpuSim};
 use mosaic_grid::{
-    build_error_matrix, build_error_matrix_threaded, ErrorMatrix, TileLayout, TileMetric,
+    build_error_matrix, build_error_matrix_threaded_bounded_in, Deadline, ErrorMatrix, TileLayout,
+    TileMetric,
 };
 use mosaic_service::server::{Server, ServiceConfig};
 use mosaic_service::{run_load, Client};
@@ -57,7 +58,7 @@ use photomosaic::json::Json;
 use photomosaic::local_search::local_search;
 use photomosaic::optimal::optimal_rearrangement;
 use photomosaic::parallel_search::{
-    parallel_search_gpu, parallel_search_reference, parallel_search_threads,
+    parallel_search_gpu, parallel_search_reference, parallel_search_threads_bounded_in,
 };
 use photomosaic::preprocess::preprocess_gray;
 use photomosaic::{generate, Algorithm, Backend, MosaicBuilder, Preprocess};
@@ -212,8 +213,16 @@ fn suite_error_matrix(options: &Options, cases: &mut Vec<Case>) {
             format!("threads/{grid}"),
             options.samples,
             || {
-                build_error_matrix_threaded(&input, &target, layout, TileMetric::Sad, workers)
-                    .unwrap()
+                build_error_matrix_threaded_bounded_in(
+                    mosaic_pool::global(),
+                    &input,
+                    &target,
+                    layout,
+                    TileMetric::Sad,
+                    workers,
+                    &Deadline::NONE,
+                )
+                .unwrap()
             },
         ));
         cases.push(run_case(
@@ -399,8 +408,8 @@ fn suite_ablations(options: &Options, cases: &mut Vec<Case>) {
     }
 }
 
-/// The scoped-thread Algorithm-2 dispatch `parallel_search_threads`
-/// shipped with before the `mosaic-pool` rewiring, kept verbatim as the
+/// The scoped-thread Algorithm-2 dispatch the threaded search shipped
+/// with before the `mosaic-pool` rewiring, kept verbatim as the
 /// measured baseline: every occupied group of every sweep spawns `threads`
 /// OS threads, so a full search costs O(groups × sweeps × threads)
 /// spawns. Returns the sweep count so callers can derive per-sweep cost.
@@ -479,7 +488,16 @@ fn suite_search(options: &Options, cases: &mut Vec<Case>) {
             "search",
             format!("pool/s{s}/t{threads}"),
             options.samples,
-            || parallel_search_threads(&matrix, &schedule, threads),
+            || {
+                parallel_search_threads_bounded_in(
+                    mosaic_pool::global(),
+                    &matrix,
+                    &schedule,
+                    threads,
+                    &Deadline::NONE,
+                )
+                .unwrap()
+            },
         );
         cases.push(per_sweep_case(&scoped, "scoped", s, threads, sweeps));
         cases.push(per_sweep_case(&pooled, "pool", s, threads, sweeps));

@@ -53,60 +53,19 @@ pub fn step2_profile<P: Pixel>(layout: TileLayout, launches: usize) -> WorkProfi
     }
 }
 
-/// Compute the Step-2 matrix on the configured backend.
-///
-/// # Errors
-/// Returns [`LayoutError`] when either image does not match `layout`.
-pub fn compute_error_matrix<P: Pixel>(
-    input: &Image<P>,
-    target: &Image<P>,
-    layout: TileLayout,
-    metric: TileMetric,
-    backend: Backend,
-) -> Result<(ErrorMatrix, StepTrace), LayoutError> {
-    match compute_error_matrix_bounded(input, target, layout, metric, backend, &Deadline::NONE) {
-        Ok(out) => Ok(out),
-        Err(BuildError::Layout(e)) => Err(e),
-        // lint:allow(panic) Deadline::NONE can never be exceeded
-        Err(BuildError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
-    }
-}
-
-/// [`compute_error_matrix`] with cooperative cancellation.
+/// Compute the Step-2 matrix on the configured backend, dispatching the
+/// parallel backends on `pool`.
 ///
 /// The threaded backend polls `deadline` at row boundaries; the serial
 /// and simulated-GPU backends are not internally interruptible, so for
 /// those the deadline is only checked on entry (the overshoot is then one
 /// whole build — per-job deadlines in the service should pair with the
-/// threaded backend when tight bounds matter).
+/// threaded backend when tight bounds matter). Unbounded callers pass
+/// [`Deadline::NONE`] and `mosaic_pool::global()`.
 ///
 /// # Errors
 /// Returns [`BuildError::Layout`] when either image does not match
 /// `layout`, and [`BuildError::DeadlineExceeded`] when `deadline` expires.
-pub fn compute_error_matrix_bounded<P: Pixel>(
-    input: &Image<P>,
-    target: &Image<P>,
-    layout: TileLayout,
-    metric: TileMetric,
-    backend: Backend,
-    deadline: &Deadline,
-) -> Result<(ErrorMatrix, StepTrace), BuildError> {
-    compute_error_matrix_bounded_in(
-        mosaic_pool::global(),
-        input,
-        target,
-        layout,
-        metric,
-        backend,
-        deadline,
-    )
-}
-
-/// [`compute_error_matrix_bounded`] with the parallel backends dispatched
-/// on an explicit [`ThreadPool`] instead of the process-wide one.
-///
-/// # Errors
-/// See [`compute_error_matrix_bounded`].
 pub fn compute_error_matrix_bounded_in<P: Pixel>(
     pool: &Arc<ThreadPool>,
     input: &Image<P>,
@@ -133,8 +92,7 @@ pub fn compute_error_matrix_bounded_in<P: Pixel>(
             0,
         ),
         Backend::GpuSim { workers } => {
-            let lanes = workers.unwrap_or_else(|| pool.threads());
-            let sim = GpuSim::with_pool(DeviceSpec::tesla_k40(), Arc::clone(pool), lanes);
+            let sim = simulated_device(pool, workers);
             (gpu_error_matrix(&sim, input, target, layout, metric)?, 1)
         }
     };
@@ -143,6 +101,13 @@ pub fn compute_error_matrix_bounded_in<P: Pixel>(
         profile: step2_profile::<P>(layout, launches),
     };
     Ok((matrix, trace))
+}
+
+/// The simulated Tesla K40 behind [`Backend::GpuSim`], its lanes drawn
+/// from `pool` (`workers` defaults to the pool's thread count).
+pub(crate) fn simulated_device(pool: &Arc<ThreadPool>, workers: Option<usize>) -> GpuSim {
+    let lanes = workers.unwrap_or_else(|| pool.threads());
+    GpuSim::with_pool(DeviceSpec::tesla_k40(), Arc::clone(pool), lanes)
 }
 
 /// §V Step-2 kernel on an existing simulator instance.
@@ -283,25 +248,21 @@ mod tests {
         let input = synth::plasma(32, 2, 3);
         let target = synth::checker(32, 8, 7);
         let layout = TileLayout::new(32, 8).unwrap();
-        let (serial, _) =
-            compute_error_matrix(&input, &target, layout, TileMetric::Sad, Backend::Serial)
-                .unwrap();
-        let (threads, _) = compute_error_matrix(
-            &input,
-            &target,
-            layout,
-            TileMetric::Sad,
-            Backend::Threads(3),
-        )
-        .unwrap();
-        let (gpu, trace) = compute_error_matrix(
-            &input,
-            &target,
-            layout,
-            TileMetric::Sad,
-            Backend::GpuSim { workers: Some(2) },
-        )
-        .unwrap();
+        let compute = |backend| {
+            compute_error_matrix_bounded_in(
+                mosaic_pool::global(),
+                &input,
+                &target,
+                layout,
+                TileMetric::Sad,
+                backend,
+                &Deadline::NONE,
+            )
+            .unwrap()
+        };
+        let (serial, _) = compute(Backend::Serial);
+        let (threads, _) = compute(Backend::Threads(3));
+        let (gpu, trace) = compute(Backend::GpuSim { workers: Some(2) });
         assert_eq!(serial, threads);
         assert_eq!(serial, gpu);
         assert_eq!(trace.profile.launches, 1);
@@ -339,10 +300,16 @@ mod tests {
         let input = synth::gradient(32);
         let target = synth::gradient(16);
         let layout = TileLayout::new(32, 8).unwrap();
-        assert!(
-            compute_error_matrix(&input, &target, layout, TileMetric::Sad, Backend::Serial)
-                .is_err()
-        );
+        assert!(compute_error_matrix_bounded_in(
+            mosaic_pool::global(),
+            &input,
+            &target,
+            layout,
+            TileMetric::Sad,
+            Backend::Serial,
+            &Deadline::NONE,
+        )
+        .is_err());
         let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 1);
         assert!(gpu_error_matrix(&sim, &input, &target, layout, TileMetric::Sad).is_err());
     }

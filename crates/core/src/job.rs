@@ -5,8 +5,8 @@
 //! two images (either synthetic scene recipes or literal pixels), plus the
 //! [`MosaicConfig`]. [`JobSpec::cache_key`] content-addresses the part of
 //! the job that determines the Step-2 error matrix, so executors can reuse
-//! matrices across identical submissions via
-//! [`generate_with_matrix`](crate::pipeline::generate_with_matrix).
+//! matrices across identical submissions by handing a cached matrix to
+//! [`generate_bounded_in`](crate::pipeline::generate_bounded_in).
 
 use crate::config::MosaicConfig;
 use crate::json::Json;

@@ -21,9 +21,12 @@
 //!      an edge coloring of K_S, run on CPU threads or as per-group kernel
 //!      launches on the simulated device (§IV-B, §V).
 //!
-//! [`pipeline`] ties the steps together behind [`MosaicBuilder`];
-//! [`report`] captures timings, totals and work profiles for the
-//! experiment harness. [`database`], [`video`] and [`anneal`] implement
+//! [`pipeline`] ties the steps together: [`generate`] takes any
+//! [`MosaicPixel`] image pair (grayscale, or RGB for the §II color
+//! extension) and a [`MosaicBuilder`] config, and [`generate_bounded_in`]
+//! is the same run on an explicit pool with a [`Deadline`] and Step-2
+//! matrix reuse. [`report`] captures timings, totals and work profiles
+//! for the experiment harness. [`database`], [`video`] and [`anneal`] implement
 //! the extensions called out in DESIGN.md §7.
 //!
 //! # Example
@@ -67,7 +70,6 @@ pub mod optimal;
 pub mod oriented;
 pub mod parallel_search;
 pub mod pipeline;
-pub mod pipeline_rgb;
 pub mod preprocess;
 pub mod report;
 pub mod video;
@@ -77,10 +79,6 @@ pub use job::{ImageSource, JobResult, JobSpec};
 pub use json::Json;
 pub use library::assemble_from_tiles;
 pub use mosaic_grid::{Deadline, DeadlineExceeded};
-pub use pipeline::{
-    generate, generate_bounded, generate_bounded_in, generate_returning_matrix,
-    generate_returning_matrix_bounded, generate_returning_matrix_bounded_in, generate_with_matrix,
-    generate_with_matrix_bounded, generate_with_matrix_bounded_in, GenerateError, MosaicResult,
-};
-pub use pipeline_rgb::{generate_rgb, RgbMosaicResult};
+pub use pipeline::{generate, generate_bounded_in, GenerateError, MosaicResult};
+pub use preprocess::MosaicPixel;
 pub use report::GenerationReport;

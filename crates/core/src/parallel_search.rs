@@ -7,20 +7,22 @@
 //! the execution is synchronized whenever the computation of each
 //! iteration is finished").
 //!
-//! Three execution strategies share identical semantics (and are tested
-//! for bit-equality of results):
+//! Three execution strategies share one sweep loop (deadline poll,
+//! sweep span, sweep/launch/swap counts, convergence test) and differ
+//! only in how they run one color group; they are tested for
+//! bit-equality of results:
 //!
 //! * [`parallel_search_reference`] — groups executed on one thread, the
 //!   specification;
-//! * [`parallel_search_threads`] — each group's pairs split across the
-//!   persistent `mosaic-pool` workers (one batch per group, no per-group
-//!   thread spawns);
+//! * [`parallel_search_threads_bounded_in`] — each group's pairs split
+//!   across the persistent `mosaic-pool` workers (one batch per group, no
+//!   per-group thread spawns);
 //! * [`parallel_search_gpu`] — one simulated kernel launch per group, the
 //!   paper's GPU implementation.
 
 use crate::local_search::SearchOutcome;
 use mosaic_edgecolor::SwapSchedule;
-use mosaic_gpu::{BlockContext, GlobalBuffer, GlobalFlag, GpuSim, LaunchConfig, WorkProfile};
+use mosaic_gpu::{BlockContext, GlobalBuffer, GpuSim, LaunchConfig, WorkProfile};
 use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 use mosaic_pool::ThreadPool;
 
@@ -63,6 +65,62 @@ pub fn step3_parallel_profile(s: usize, sweeps: usize, launches: usize) -> WorkP
     }
 }
 
+/// What the shared sweep loop counted.
+#[derive(Default)]
+struct Sweeps {
+    sweeps: usize,
+    swaps: usize,
+    launches: usize,
+}
+
+impl Sweeps {
+    fn outcome(self, matrix: &ErrorMatrix, assignment: Vec<usize>) -> ParallelOutcome {
+        let total = matrix.assignment_total(&assignment);
+        ParallelOutcome {
+            outcome: SearchOutcome {
+                assignment,
+                total,
+                sweeps: self.sweeps,
+                swaps: self.swaps,
+            },
+            launches: self.launches,
+        }
+    }
+}
+
+/// The sweep loop of Algorithm 2, shared by every backend: sweep the
+/// occupied color groups in order until a whole sweep swaps nothing.
+/// `group_step` runs one group against the backend's assignment and
+/// returns how many swaps it made. The deadline is polled before every
+/// sweep, so overshoot past an expiry is at most one sweep.
+fn run_sweeps_bounded(
+    matrix: &ErrorMatrix,
+    schedule: &SwapSchedule,
+    deadline: &Deadline,
+    mut group_step: impl FnMut(&[(usize, usize)]) -> usize,
+) -> Result<Sweeps, DeadlineExceeded> {
+    assert_eq!(
+        schedule.tiles(),
+        matrix.size(),
+        "schedule must be built for S = matrix size"
+    );
+    let mut counts = Sweeps::default();
+    loop {
+        deadline.check()?;
+        let _sweep = mosaic_telemetry::tracer().span("parallel_search_sweep");
+        counts.sweeps += 1;
+        let mut swapped = 0;
+        for group in schedule.occupied_groups() {
+            counts.launches += 1;
+            swapped += group_step(group);
+        }
+        counts.swaps += swapped;
+        if swapped == 0 {
+            return Ok(counts);
+        }
+    }
+}
+
 /// Reference execution: groups in order, pairs in order, single thread.
 pub fn parallel_search_reference(matrix: &ErrorMatrix, schedule: &SwapSchedule) -> ParallelOutcome {
     never_exceeded(parallel_search_reference_bounded(
@@ -84,87 +142,35 @@ pub fn parallel_search_reference_bounded(
     schedule: &SwapSchedule,
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
-    assert_eq!(
-        schedule.tiles(),
-        matrix.size(),
-        "schedule must be built for S = matrix size"
-    );
-    let s = matrix.size();
-    let mut assignment: Vec<usize> = (0..s).collect();
-    let mut sweeps = 0usize;
-    let mut swaps = 0usize;
-    let mut launches = 0usize;
-    loop {
-        deadline.check()?;
-        let _sweep = mosaic_telemetry::tracer().span("parallel_search_sweep");
-        sweeps += 1;
-        let mut swapped = false;
-        for group in schedule.occupied_groups() {
-            launches += 1;
-            for &(p, q) in group {
-                if matrix.swap_gain(&assignment, p, q) > 0 {
-                    assignment.swap(p, q);
-                    swapped = true;
-                    swaps += 1;
-                }
-            }
-        }
-        if !swapped {
-            break;
+    let mut assignment: Vec<usize> = (0..matrix.size()).collect();
+    let counts = run_sweeps_bounded(matrix, schedule, deadline, |group| {
+        reference_group(matrix, &mut assignment, group)
+    })?;
+    Ok(counts.outcome(matrix, assignment))
+}
+
+/// One group of the reference execution: test and apply each pair's swap
+/// in order.
+fn reference_group(
+    matrix: &ErrorMatrix,
+    assignment: &mut [usize],
+    group: &[(usize, usize)],
+) -> usize {
+    let mut swaps = 0;
+    for &(p, q) in group {
+        if matrix.swap_gain(assignment, p, q) > 0 {
+            assignment.swap(p, q);
+            swaps += 1;
         }
     }
-    let total = matrix.assignment_total(&assignment);
-    Ok(ParallelOutcome {
-        outcome: SearchOutcome {
-            assignment,
-            total,
-            sweeps,
-            swaps,
-        },
-        launches,
-    })
+    swaps
 }
 
-/// Multi-core CPU execution: within each group, pair decisions are
-/// computed by `threads` workers, then the (vertex-disjoint) swaps are
-/// applied. Produces exactly the reference result.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn parallel_search_threads(
-    matrix: &ErrorMatrix,
-    schedule: &SwapSchedule,
-    threads: usize,
-) -> ParallelOutcome {
-    never_exceeded(parallel_search_threads_bounded(
-        matrix,
-        schedule,
-        threads,
-        &Deadline::NONE,
-    ))
-}
-
-/// [`parallel_search_threads`] with cooperative cancellation (deadline
-/// polled before every sweep, like the reference path).
-///
-/// # Errors
-/// Returns [`DeadlineExceeded`] when `deadline` expires before convergence.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn parallel_search_threads_bounded(
-    matrix: &ErrorMatrix,
-    schedule: &SwapSchedule,
-    threads: usize,
-    deadline: &Deadline,
-) -> Result<ParallelOutcome, DeadlineExceeded> {
-    parallel_search_threads_bounded_in(mosaic_pool::global(), matrix, schedule, threads, deadline)
-}
-
-/// [`parallel_search_threads_bounded`] dispatching on an explicit
-/// [`ThreadPool`] instead of the process-wide one. One pool batch per
-/// color group replaces the old per-group `thread::scope`, which cost
-/// O(groups × sweeps × threads) OS thread spawns per search.
+/// Multi-core CPU execution on `pool`: within each group, pair decisions
+/// are computed by `threads` workers (one pool batch per color group),
+/// then the vertex-disjoint swaps are applied. Produces exactly the
+/// reference result. Unbounded callers pass `mosaic_pool::global()` and
+/// [`Deadline::NONE`].
 ///
 /// # Errors
 /// Returns [`DeadlineExceeded`] when `deadline` expires before convergence.
@@ -179,58 +185,48 @@ pub fn parallel_search_threads_bounded_in(
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
     assert!(threads > 0, "at least one worker thread is required");
-    assert_eq!(
-        schedule.tiles(),
-        matrix.size(),
-        "schedule must be built for S = matrix size"
-    );
-    let s = matrix.size();
-    let mut assignment: Vec<usize> = (0..s).collect();
-    let mut sweeps = 0usize;
-    let mut swaps = 0usize;
-    let mut launches = 0usize;
+    let mut assignment: Vec<usize> = (0..matrix.size()).collect();
     let mut decisions: Vec<bool> = Vec::new();
-    loop {
-        deadline.check()?;
-        let _sweep = mosaic_telemetry::tracer().span("parallel_search_sweep");
-        sweeps += 1;
-        let mut swapped = false;
-        for group in schedule.occupied_groups() {
-            launches += 1;
-            decisions.clear();
-            decisions.resize(group.len(), false);
-            let chunk = group.len().div_ceil(threads);
-            {
-                let assignment = &assignment;
-                pool.parallel_for_mut(&mut decisions, chunk, |index, flags| {
-                    let pairs = &group[index * chunk..][..flags.len()];
-                    for (&(p, q), flag) in pairs.iter().zip(flags.iter_mut()) {
-                        *flag = matrix.swap_gain(assignment, p, q) > 0;
-                    }
-                });
-            }
-            for (&(p, q), &doit) in group.iter().zip(&decisions) {
-                if doit {
-                    assignment.swap(p, q);
-                    swapped = true;
-                    swaps += 1;
-                }
-            }
-        }
-        if !swapped {
-            break;
+    let counts = run_sweeps_bounded(matrix, schedule, deadline, |group| {
+        decisions.clear();
+        decisions.resize(group.len(), false);
+        let chunk = group.len().div_ceil(threads);
+        let current = &assignment;
+        pool.parallel_for_mut(&mut decisions, chunk, |index, flags| {
+            decide_swaps(
+                matrix,
+                current,
+                &group[index * chunk..][..flags.len()],
+                flags,
+            );
+        });
+        apply_swaps(&mut assignment, group, &decisions)
+    })?;
+    Ok(counts.outcome(matrix, assignment))
+}
+
+/// Decide, for one pool chunk of a group, which pairs' swaps gain.
+fn decide_swaps(
+    matrix: &ErrorMatrix,
+    assignment: &[usize],
+    pairs: &[(usize, usize)],
+    flags: &mut [bool],
+) {
+    for (&(p, q), flag) in pairs.iter().zip(flags) {
+        *flag = matrix.swap_gain(assignment, p, q) > 0;
+    }
+}
+
+/// Apply a group's decided (vertex-disjoint) swaps; returns how many.
+fn apply_swaps(assignment: &mut [usize], group: &[(usize, usize)], decisions: &[bool]) -> usize {
+    let mut swaps = 0;
+    for (&(p, q), &doit) in group.iter().zip(decisions) {
+        if doit {
+            assignment.swap(p, q);
+            swaps += 1;
         }
     }
-    let total = matrix.assignment_total(&assignment);
-    Ok(ParallelOutcome {
-        outcome: SearchOutcome {
-            assignment,
-            total,
-            sweeps,
-            swaps,
-        },
-        launches,
-    })
+    swaps
 }
 
 /// Pairs each simulated block processes in the GPU path.
@@ -265,69 +261,49 @@ pub fn parallel_search_gpu_bounded(
     schedule: &SwapSchedule,
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
-    assert_eq!(
-        schedule.tiles(),
-        matrix.size(),
-        "schedule must be built for S = matrix size"
-    );
+    let assignment = GlobalBuffer::from_vec((0..matrix.size()).collect());
+    let counts = run_sweeps_bounded(matrix, schedule, deadline, |group| {
+        gpu_group(sim, matrix, &assignment, group)
+    })?;
+    Ok(counts.outcome(matrix, assignment.into_vec()))
+}
+
+/// One group of the §V execution: a single kernel launch whose blocks
+/// each test and apply `PAIRS_PER_BLOCK` pairs against the assignment in
+/// device global memory.
+fn gpu_group(
+    sim: &GpuSim,
+    matrix: &ErrorMatrix,
+    assignment: &GlobalBuffer<usize>,
+    group: &[(usize, usize)],
+) -> usize {
     let s = matrix.size();
-    let assignment = GlobalBuffer::from_vec((0..s).collect());
-    let flag = GlobalFlag::new();
     let errors = matrix.as_slice();
-    let mut sweeps = 0usize;
-    let mut swaps = 0usize;
-    let mut launches = 0usize;
-
-    loop {
-        deadline.check()?;
-        let _sweep = mosaic_telemetry::tracer().span("parallel_search_sweep");
-        sweeps += 1;
-        flag.clear();
-        for group in schedule.occupied_groups() {
-            launches += 1;
-            let blocks = group.len().div_ceil(PAIRS_PER_BLOCK);
-            let swap_counts = GlobalBuffer::filled(blocks, 0usize);
-            let kernel = |ctx: &mut BlockContext<'_>| {
-                let b = ctx.block_id();
-                let start = b * PAIRS_PER_BLOCK;
-                let end = (start + PAIRS_PER_BLOCK).min(group.len());
-                let mut local_swaps = 0usize;
-                for &(p, q) in &group[start..end] {
-                    let u = assignment.load(p);
-                    let v = assignment.load(q);
-                    let before = i64::from(errors[u * s + p]) + i64::from(errors[v * s + q]);
-                    let after = i64::from(errors[v * s + p]) + i64::from(errors[u * s + q]);
-                    if before > after {
-                        assignment.store(p, v);
-                        assignment.store(q, u);
-                        flag.raise();
-                        local_swaps += 1;
-                    }
-                }
-                swap_counts.store(b, local_swaps);
-            };
-            sim.launch(
-                LaunchConfig::linear(blocks, PAIRS_PER_BLOCK.min(group.len())),
-                &kernel,
-            );
-            swaps += swap_counts.to_vec().iter().sum::<usize>();
+    let blocks = group.len().div_ceil(PAIRS_PER_BLOCK);
+    let swap_counts = GlobalBuffer::filled(blocks, 0usize);
+    let kernel = |ctx: &mut BlockContext<'_>| {
+        let b = ctx.block_id();
+        let start = b * PAIRS_PER_BLOCK;
+        let end = (start + PAIRS_PER_BLOCK).min(group.len());
+        let mut local_swaps = 0usize;
+        for &(p, q) in &group[start..end] {
+            let u = assignment.load(p);
+            let v = assignment.load(q);
+            let before = i64::from(errors[u * s + p]) + i64::from(errors[v * s + q]);
+            let after = i64::from(errors[v * s + p]) + i64::from(errors[u * s + q]);
+            if before > after {
+                assignment.store(p, v);
+                assignment.store(q, u);
+                local_swaps += 1;
+            }
         }
-        if !flag.is_raised() {
-            break;
-        }
-    }
-
-    let assignment = assignment.into_vec();
-    let total = matrix.assignment_total(&assignment);
-    Ok(ParallelOutcome {
-        outcome: SearchOutcome {
-            assignment,
-            total,
-            sweeps,
-            swaps,
-        },
-        launches,
-    })
+        swap_counts.store(b, local_swaps);
+    };
+    sim.launch(
+        LaunchConfig::linear(blocks, PAIRS_PER_BLOCK.min(group.len())),
+        &kernel,
+    );
+    swap_counts.into_vec().iter().sum()
 }
 
 #[cfg(test)]
@@ -335,6 +311,22 @@ mod tests {
     use super::*;
     use crate::local_search::{is_swap_optimal, local_search};
     use mosaic_gpu::DeviceSpec;
+
+    /// Algorithm 2 on the process-wide pool with no deadline.
+    fn threads_search(
+        matrix: &ErrorMatrix,
+        schedule: &SwapSchedule,
+        threads: usize,
+    ) -> ParallelOutcome {
+        parallel_search_threads_bounded_in(
+            mosaic_pool::global(),
+            matrix,
+            schedule,
+            threads,
+            &Deadline::NONE,
+        )
+        .unwrap()
+    }
 
     fn random_matrix(n: usize, seed: u64, max: u64) -> ErrorMatrix {
         let mut state = seed | 1;
@@ -354,7 +346,7 @@ mod tests {
             let m = random_matrix(n, n as u64, 10_000);
             let sched = SwapSchedule::for_tiles(n);
             let reference = parallel_search_reference(&m, &sched);
-            let threads = parallel_search_threads(&m, &sched, 3);
+            let threads = threads_search(&m, &sched, 3);
             let gpu = parallel_search_gpu(&sim, &m, &sched);
             assert_eq!(reference, threads, "threads diverged at n={n}");
             assert_eq!(reference, gpu, "gpu diverged at n={n}");
@@ -423,7 +415,7 @@ mod tests {
         let sched = SwapSchedule::for_tiles(40);
         for threads in [1usize, 2, 3, 7, 16] {
             let scoped = scoped_thread_search(&m, &sched, threads);
-            let pooled = parallel_search_threads(&m, &sched, threads);
+            let pooled = threads_search(&m, &sched, threads);
             assert_eq!(pooled, scoped, "diverged at threads={threads}");
             let own_pool = mosaic_pool::ThreadPool::new(2);
             let explicit =
@@ -537,7 +529,8 @@ mod tests {
             reference
         );
         assert_eq!(
-            parallel_search_threads_bounded(&m, &sched, 3, &deadline).unwrap(),
+            parallel_search_threads_bounded_in(mosaic_pool::global(), &m, &sched, 3, &deadline)
+                .unwrap(),
             reference
         );
         assert_eq!(
@@ -557,7 +550,7 @@ mod tests {
             Err(DeadlineExceeded)
         );
         assert_eq!(
-            parallel_search_threads_bounded(&m, &sched, 3, &expired),
+            parallel_search_threads_bounded_in(mosaic_pool::global(), &m, &sched, 3, &expired),
             Err(DeadlineExceeded)
         );
         assert_eq!(

@@ -1,25 +1,30 @@
 //! The end-to-end generation pipeline.
 //!
-//! [`generate`] runs the paper's three steps on a grayscale image pair:
+//! [`generate`] runs the paper's three steps on an image pair of any
+//! [`MosaicPixel`] type (grayscale, or RGB for the §II color extension):
 //! preprocessing + tiling (Step 1), the error matrix (Step 2, on the
 //! configured backend), rearrangement (Step 3, with the configured
 //! algorithm) and final assembly of the rearranged image `R`.
+//! [`generate_bounded_in`] is the same run with an explicit pool, a
+//! deadline and Step-2 matrix reuse.
 
 use crate::anneal::anneal_search;
 use crate::config::{Algorithm, Backend, MosaicConfig};
-use crate::errors::{compute_error_matrix_bounded_in, StepTrace};
+use crate::errors::{compute_error_matrix_bounded_in, simulated_device, StepTrace};
 use crate::local_search::{local_search_bounded, SearchOutcome};
 use crate::optimal::{optimal_rearrangement, sparse_rearrangement};
 use crate::parallel_search::{
     parallel_search_gpu_bounded, parallel_search_reference_bounded,
     parallel_search_threads_bounded_in, step3_parallel_profile,
 };
-use crate::preprocess::preprocess_gray;
+use crate::preprocess::MosaicPixel;
 use crate::report::GenerationReport;
 use mosaic_edgecolor::SwapSchedule;
-use mosaic_gpu::{DeviceSpec, GpuSim, WorkProfile};
-use mosaic_grid::{assemble, BuildError, Deadline, DeadlineExceeded, LayoutError, TileLayout};
-use mosaic_image::GrayImage;
+use mosaic_gpu::WorkProfile;
+use mosaic_grid::{
+    assemble, BuildError, Deadline, DeadlineExceeded, ErrorMatrix, LayoutError, TileLayout,
+};
+use mosaic_image::{Gray, Image, Pixel};
 use mosaic_pool::ThreadPool;
 use mosaic_telemetry as telemetry;
 use std::sync::Arc;
@@ -29,7 +34,7 @@ use std::time::Instant;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GenerateError {
     /// The images do not fit the configured layout (the unbounded
-    /// entry points surface exactly this case).
+    /// entry point surfaces exactly this case).
     Layout(LayoutError),
     /// The caller's [`Deadline`] expired mid-pipeline.
     DeadlineExceeded(DeadlineExceeded),
@@ -67,212 +72,80 @@ impl std::fmt::Display for GenerateError {
 
 impl std::error::Error for GenerateError {}
 
-/// Unwrap a bounded-generation result produced under [`Deadline::NONE`].
-fn never_exceeded<T>(result: Result<T, GenerateError>) -> Result<T, LayoutError> {
-    match result {
-        Ok(value) => Ok(value),
-        Err(GenerateError::Layout(e)) => Err(e),
-        // lint:allow(panic) callers pass Deadline::NONE, which never expires
-        Err(GenerateError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
-    }
-}
-
 /// Rearranged image plus full accounting.
 #[derive(Clone, Debug)]
-pub struct MosaicResult {
+pub struct MosaicResult<P: Pixel = Gray> {
     /// The rearranged image `R`.
-    pub image: GrayImage,
+    pub image: Image<P>,
     /// The assignment (`assignment[v] = u`).
     pub assignment: Vec<usize>,
-    /// Timings and totals.
+    /// Timings and totals (error values are channel-summed for RGB).
     pub report: GenerationReport,
 }
 
 /// Generate a photomosaic: rearrange `input`'s tiles to reproduce
-/// `target`.
+/// `target`, on the process-wide pool with no deadline.
 ///
 /// # Errors
 /// Returns [`LayoutError`] when the images are not square, not equal in
 /// size, or not divisible into `config.grid × config.grid` tiles.
-pub fn generate(
-    input: &GrayImage,
-    target: &GrayImage,
+pub fn generate<P: MosaicPixel>(
+    input: &Image<P>,
+    target: &Image<P>,
     config: &MosaicConfig,
-) -> Result<MosaicResult, LayoutError> {
-    never_exceeded(generate_bounded(input, target, config, &Deadline::NONE))
+) -> Result<MosaicResult<P>, LayoutError> {
+    let run = generate_bounded_in(
+        mosaic_pool::global(),
+        input,
+        target,
+        config,
+        None,
+        &Deadline::NONE,
+    );
+    match run {
+        Ok((result, _)) => Ok(result),
+        Err(GenerateError::Layout(e)) => Err(e),
+        // lint:allow(panic) Deadline::NONE never expires
+        Err(GenerateError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
+    }
 }
 
-/// [`generate`] with cooperative cancellation: `deadline` is polled at
-/// sweep boundaries of the Step-3 searches and at row boundaries of the
-/// threaded Step-2 build, so a pathological job stops within one sweep
-/// (or one row per worker) of the deadline. Step 1 and the
-/// non-interruptible Step-3 solvers (optimal/greedy/sparse/anneal) only
-/// check the deadline before they start.
+/// [`generate`] on an explicit [`ThreadPool`] (the service hands every
+/// job its per-server pool, sized by `--workers`), with cooperative
+/// cancellation and Step-2 matrix reuse.
+///
+/// `deadline` is polled at sweep boundaries of the Step-3 searches and
+/// at row boundaries of the threaded Step-2 build, so a pathological job
+/// stops within one sweep (or one row per worker) of the deadline. Step 1
+/// and the non-interruptible Step-3 solvers (optimal/greedy/sparse/anneal)
+/// only check the deadline before they start.
+///
+/// With `cached_matrix` set, Step 2 is skipped and that matrix is used:
+/// the report's `step2_wall` is zero and its `step2_profile` empty. The
+/// caller must supply a matrix computed from the *same* `(input, target,
+/// grid, preprocess, metric)` tuple — the cache invariant
+/// `mosaic-service` maintains via `JobSpec::cache_key`. Without one, the
+/// matrix this run built is returned beside the result so the caller can
+/// cache it; on deadline expiry nothing is returned, so a partially built
+/// matrix is never exposed.
+///
+/// # Panics
+/// Panics if `cached_matrix` is not `grid² × grid²` — a matrix of the
+/// right size but wrong content cannot be detected, so a size mismatch is
+/// treated as a caller bug rather than a recoverable error.
 ///
 /// # Errors
 /// Returns [`GenerateError::Layout`] for the geometry errors of
 /// [`generate`] and [`GenerateError::DeadlineExceeded`] when the deadline
 /// expires mid-run.
-pub fn generate_bounded(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_bounded_in(mosaic_pool::global(), input, target, config, deadline)
-}
-
-/// [`generate_bounded`] with the parallel stages dispatched on an explicit
-/// [`ThreadPool`] instead of the process-wide one (the service hands every
-/// job its per-server pool, sized by `--workers`).
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_bounded_in(
+pub fn generate_bounded_in<P: MosaicPixel>(
     pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
+    input: &Image<P>,
+    target: &Image<P>,
     config: &MosaicConfig,
+    cached_matrix: Option<&ErrorMatrix>,
     deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_impl(pool, input, target, config, None, deadline).map(|(result, _)| result)
-}
-
-/// Like [`generate`], but also return the Step-2 error matrix so callers
-/// can cache and reuse it for identical inputs (see `mosaic-service`).
-///
-/// # Errors
-/// Same conditions as [`generate`].
-pub fn generate_returning_matrix(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-) -> Result<(MosaicResult, mosaic_grid::ErrorMatrix), LayoutError> {
-    never_exceeded(generate_returning_matrix_bounded(
-        input,
-        target,
-        config,
-        &Deadline::NONE,
-    ))
-}
-
-/// [`generate_returning_matrix`] with cooperative cancellation (see
-/// [`generate_bounded`] for the polling granularity). On deadline expiry
-/// no matrix is returned — a partially built matrix is never exposed.
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_returning_matrix_bounded(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<(MosaicResult, mosaic_grid::ErrorMatrix), GenerateError> {
-    generate_returning_matrix_bounded_in(mosaic_pool::global(), input, target, config, deadline)
-}
-
-/// [`generate_returning_matrix_bounded`] on an explicit [`ThreadPool`].
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_returning_matrix_bounded_in(
-    pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<(MosaicResult, mosaic_grid::ErrorMatrix), GenerateError> {
-    let (result, matrix) = generate_impl(pool, input, target, config, None, deadline)?;
-    Ok((
-        result,
-        // lint:allow(panic) generate_impl returns Some(matrix) whenever its matrix argument is None
-        matrix.expect("the matrix is always computed when none is supplied"),
-    ))
-}
-
-/// Like [`generate`], but reuse a previously computed Step-2 error matrix
-/// instead of recomputing it. Step 1 (preprocessing) still runs because
-/// the prepared image is needed for assembly; the report's `step2_wall`
-/// is zero and its `step2_profile` is empty since no Step-2 work was
-/// performed.
-///
-/// The caller is responsible for supplying a matrix computed from the
-/// *same* `(input, target, grid, preprocess, metric)` tuple — that is the
-/// cache invariant `mosaic-service` maintains via `JobSpec::cache_key`.
-///
-/// # Panics
-/// Panics if `matrix` is not `grid² × grid²` — a matrix of the right size
-/// but wrong content cannot be detected, so a size mismatch is treated as
-/// a caller bug rather than a recoverable error.
-///
-/// # Errors
-/// Same conditions as [`generate`].
-pub fn generate_with_matrix(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    matrix: &mosaic_grid::ErrorMatrix,
-) -> Result<MosaicResult, LayoutError> {
-    never_exceeded(generate_with_matrix_bounded(
-        input,
-        target,
-        config,
-        matrix,
-        &Deadline::NONE,
-    ))
-}
-
-/// [`generate_with_matrix`] with cooperative cancellation (see
-/// [`generate_bounded`] for the polling granularity).
-///
-/// # Panics
-/// Same condition as [`generate_with_matrix`].
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_with_matrix_bounded(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    matrix: &mosaic_grid::ErrorMatrix,
-    deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_with_matrix_bounded_in(
-        mosaic_pool::global(),
-        input,
-        target,
-        config,
-        matrix,
-        deadline,
-    )
-}
-
-/// [`generate_with_matrix_bounded`] on an explicit [`ThreadPool`].
-///
-/// # Panics
-/// Same condition as [`generate_with_matrix`].
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_with_matrix_bounded_in(
-    pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    matrix: &mosaic_grid::ErrorMatrix,
-    deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_impl(pool, input, target, config, Some(matrix), deadline).map(|(result, _)| result)
-}
-
-fn generate_impl(
-    pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    cached_matrix: Option<&mosaic_grid::ErrorMatrix>,
-    deadline: &Deadline,
-) -> Result<(MosaicResult, Option<mosaic_grid::ErrorMatrix>), GenerateError> {
+) -> Result<(MosaicResult<P>, Option<ErrorMatrix>), GenerateError> {
     let (w, h) = target.dimensions();
     if w != h {
         return Err(GenerateError::Layout(LayoutError::NotSquare {
@@ -291,7 +164,7 @@ fn generate_impl(
     let t1 = Instant::now();
     let prepared = {
         let _span = telemetry::tracer().span("step1");
-        preprocess_gray(input, target, config.preprocess)
+        P::preprocess(input, target, config.preprocess)
     };
     let step1_wall = t1.elapsed();
 
@@ -299,7 +172,7 @@ fn generate_impl(
     // supplied).
     let step2_span = telemetry::tracer().span("step2");
     let mut computed = None;
-    let (matrix, step2_trace): (&mosaic_grid::ErrorMatrix, StepTrace) = match cached_matrix {
+    let (matrix, step2_trace): (&ErrorMatrix, StepTrace) = match cached_matrix {
         Some(m) => {
             assert_eq!(
                 m.size(),
@@ -329,7 +202,7 @@ fn generate_impl(
     let t3 = Instant::now();
     let (outcome, step3_profile) = {
         let _span = telemetry::tracer().span("step3");
-        run_step3(pool, matrix, config, deadline)?
+        run_step3_bounded(pool, matrix, config, deadline)?
     };
     let step3_wall = t3.elapsed();
 
@@ -376,9 +249,9 @@ fn generate_impl(
     ))
 }
 
-fn run_step3(
+fn run_step3_bounded(
     pool: &Arc<ThreadPool>,
-    matrix: &mosaic_grid::ErrorMatrix,
+    matrix: &ErrorMatrix,
     config: &MosaicConfig,
     deadline: &Deadline,
 ) -> Result<(SearchOutcome, WorkProfile), DeadlineExceeded> {
@@ -420,11 +293,12 @@ fn run_step3(
                 Backend::Threads(t) => {
                     parallel_search_threads_bounded_in(pool, matrix, &schedule, t.max(1), deadline)?
                 }
-                Backend::GpuSim { workers } => {
-                    let lanes = workers.unwrap_or_else(|| pool.threads());
-                    let sim = GpuSim::with_pool(DeviceSpec::tesla_k40(), Arc::clone(pool), lanes);
-                    parallel_search_gpu_bounded(&sim, matrix, &schedule, deadline)?
-                }
+                Backend::GpuSim { workers } => parallel_search_gpu_bounded(
+                    &simulated_device(pool, workers),
+                    matrix,
+                    &schedule,
+                    deadline,
+                )?,
             };
             let profile = step3_parallel_profile(s, result.outcome.sweeps, result.launches);
             (result.outcome, profile)
@@ -445,11 +319,29 @@ fn run_step3(
 mod tests {
     use super::*;
     use crate::config::{MosaicBuilder, Preprocess};
+    use crate::parallel_search::parallel_search_reference;
     use mosaic_assign::SolverKind;
-    use mosaic_image::{metrics, synth};
+    use mosaic_grid::build_error_matrix;
+    use mosaic_image::synth::{tint, Scene};
+    use mosaic_image::{metrics, synth, GrayImage, Rgb, RgbImage};
 
     fn pair(n: usize) -> (GrayImage, GrayImage) {
         (synth::portrait(n, 1), synth::regatta(n, 2))
+    }
+
+    /// The color pair: a warm portrait input, a cool regatta target.
+    fn rgb_pair(n: usize) -> (RgbImage, RgbImage) {
+        let input = tint(
+            &Scene::Portrait.render(n, 1),
+            Rgb::new(40, 16, 8),
+            Rgb::new(255, 214, 170),
+        );
+        let target = tint(
+            &Scene::Regatta.render(n, 2),
+            Rgb::new(8, 24, 48),
+            Rgb::new(200, 230, 255),
+        );
+        (input, target)
     }
 
     fn base_config(grid: usize) -> MosaicConfig {
@@ -459,43 +351,72 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn generates_with_every_algorithm() {
-        let (input, target) = pair(64);
-        for algorithm in [
-            Algorithm::Optimal(SolverKind::JonkerVolgenant),
-            Algorithm::LocalSearch,
-            Algorithm::ParallelSearch,
-            Algorithm::Greedy,
-            Algorithm::Anneal { seed: 7, sweeps: 4 },
-            Algorithm::SparseMatch { k: 12 },
-        ] {
-            let config = MosaicBuilder::new()
-                .grid(8)
-                .algorithm(algorithm)
-                .backend(Backend::Serial)
-                .build();
-            let result = generate(&input, &target, &config).unwrap();
-            assert_eq!(result.image.dimensions(), (64, 64));
-            assert_eq!(result.assignment.len(), 64);
-            assert_eq!(result.report.total_error, {
+    fn config_for(grid: usize, algorithm: Algorithm) -> MosaicConfig {
+        MosaicBuilder::new()
+            .grid(grid)
+            .algorithm(algorithm)
+            .backend(Backend::Serial)
+            .build()
+    }
+
+    /// [`generate_bounded_in`] on the process-wide pool.
+    fn bounded<P: MosaicPixel>(
+        input: &Image<P>,
+        target: &Image<P>,
+        config: &MosaicConfig,
+        cached_matrix: Option<&ErrorMatrix>,
+        deadline: &Deadline,
+    ) -> Result<(MosaicResult<P>, Option<ErrorMatrix>), GenerateError> {
+        generate_bounded_in(
+            mosaic_pool::global(),
+            input,
+            target,
+            config,
+            cached_matrix,
+            deadline,
+        )
+    }
+
+    const EVERY_ALGORITHM: [Algorithm; 6] = [
+        Algorithm::Optimal(SolverKind::JonkerVolgenant),
+        Algorithm::LocalSearch,
+        Algorithm::ParallelSearch,
+        Algorithm::Greedy,
+        Algorithm::Anneal { seed: 7, sweeps: 4 },
+        Algorithm::SparseMatch { k: 12 },
+    ];
+
+    fn generates_with_every_algorithm_on<P: MosaicPixel>(
+        input: &Image<P>,
+        target: &Image<P>,
+        grid: usize,
+    ) {
+        for algorithm in EVERY_ALGORITHM {
+            let config = config_for(grid, algorithm);
+            let result = generate(input, target, &config).unwrap();
+            assert_eq!(result.image.dimensions(), target.dimensions());
+            assert_eq!(result.assignment.len(), grid * grid);
+            assert_eq!(
+                result.report.total_error,
                 // The reported total must equal the SAD between the
                 // rearranged image and the target (Eq. 2 == assembled SAD).
-                metrics::sad(&result.image, &target)
-            });
+                metrics::sad(&result.image, target),
+                "{algorithm:?}"
+            );
         }
     }
 
     #[test]
-    fn optimal_is_never_worse_than_approximations() {
+    fn generates_with_every_algorithm() {
         let (input, target) = pair(64);
+        generates_with_every_algorithm_on(&input, &target, 8);
+        let (input, target) = rgb_pair(48);
+        generates_with_every_algorithm_on(&input, &target, 6);
+    }
+
+    fn optimal_is_never_worse_on<P: MosaicPixel>(input: &Image<P>, target: &Image<P>) {
         let run = |algorithm| {
-            let config = MosaicBuilder::new()
-                .grid(8)
-                .algorithm(algorithm)
-                .backend(Backend::Serial)
-                .build();
-            generate(&input, &target, &config)
+            generate(input, target, &config_for(8, algorithm))
                 .unwrap()
                 .report
                 .total_error
@@ -510,32 +431,76 @@ mod tests {
     }
 
     #[test]
+    fn optimal_is_never_worse_than_approximations() {
+        let (input, target) = pair(64);
+        optimal_is_never_worse_on(&input, &target);
+        let (input, target) = rgb_pair(48);
+        optimal_is_never_worse_on(&input, &target);
+    }
+
+    fn rearrangement_improves_on<P: MosaicPixel>(
+        input: &Image<P>,
+        target: &Image<P>,
+        config: &MosaicConfig,
+    ) {
+        let result = generate(input, target, config).unwrap();
+        // Identity arrangement of the preprocessed input.
+        let prepared = P::preprocess(input, target, config.preprocess);
+        let identity_error = metrics::sad(&prepared, target);
+        assert!(result.report.total_error <= identity_error);
+    }
+
+    #[test]
     fn rearrangement_improves_over_not_rearranging() {
         let (input, target) = pair(64);
-        let config = base_config(8);
-        let result = generate(&input, &target, &config).unwrap();
-        // Identity arrangement of the preprocessed input.
-        let prepared = preprocess_gray(&input, &target, config.preprocess);
-        let identity_error = metrics::sad(&prepared, &target);
-        assert!(result.report.total_error <= identity_error);
+        rearrangement_improves_on(&input, &target, &base_config(8));
+        let (input, target) = rgb_pair(64);
+        let optimal = config_for(8, Algorithm::Optimal(SolverKind::JonkerVolgenant));
+        rearrangement_improves_on(&input, &target, &optimal);
+    }
+
+    fn backends_agree_on<P: MosaicPixel>(input: &Image<P>, target: &Image<P>, grid: usize) {
+        let mk = |backend| {
+            MosaicBuilder::new()
+                .grid(grid)
+                .algorithm(Algorithm::ParallelSearch)
+                .backend(backend)
+                .build()
+        };
+        let serial = generate(input, target, &mk(Backend::Serial)).unwrap();
+        let threads = generate(input, target, &mk(Backend::Threads(3))).unwrap();
+        let gpu = generate(input, target, &mk(Backend::GpuSim { workers: Some(2) })).unwrap();
+        assert_eq!(serial.image, threads.image);
+        assert_eq!(serial.image, gpu.image);
+        assert_eq!(serial.report.total_error, gpu.report.total_error);
     }
 
     #[test]
     fn backends_agree_end_to_end() {
         let (input, target) = pair(48);
-        let mk = |backend| {
-            MosaicBuilder::new()
-                .grid(6)
-                .algorithm(Algorithm::ParallelSearch)
-                .backend(backend)
-                .build()
-        };
-        let serial = generate(&input, &target, &mk(Backend::Serial)).unwrap();
-        let threads = generate(&input, &target, &mk(Backend::Threads(3))).unwrap();
-        let gpu = generate(&input, &target, &mk(Backend::GpuSim { workers: Some(2) })).unwrap();
-        assert_eq!(serial.image, threads.image);
-        assert_eq!(serial.image, gpu.image);
-        assert_eq!(serial.report.total_error, gpu.report.total_error);
+        backends_agree_on(&input, &target, 6);
+        let (input, target) = rgb_pair(32);
+        backends_agree_on(&input, &target, 4);
+    }
+
+    /// Step 3 of a color job is profiled like a gray one: Algorithm 2's
+    /// launches and pair work, not an empty profile.
+    #[test]
+    fn rgb_parallel_search_reports_its_step3_profile() {
+        let (input, target) = rgb_pair(64);
+        let config = config_for(8, Algorithm::ParallelSearch);
+        let result = generate(&input, &target, &config).unwrap();
+        let prepared = Rgb::preprocess(&input, &target, config.preprocess);
+        let layout = TileLayout::with_grid(64, 8).unwrap();
+        let matrix = build_error_matrix(&prepared, &target, layout, config.metric).unwrap();
+        let s = matrix.size();
+        let expected = parallel_search_reference(&matrix, &SwapSchedule::for_tiles(s));
+        assert!(expected.launches > 0);
+        assert_eq!(result.report.sweeps, expected.outcome.sweeps);
+        assert_eq!(
+            result.report.step3_profile,
+            step3_parallel_profile(s, expected.outcome.sweeps, expected.launches)
+        );
     }
 
     #[test]
@@ -565,6 +530,9 @@ mod tests {
         assert!(generate(&tall, &square, &config).is_err());
         let bigger = synth::gradient(64);
         assert!(generate(&square, &bigger, &config).is_err());
+        let (rgb_input, _) = rgb_pair(32);
+        let (_, rgb_bigger) = rgb_pair(64);
+        assert!(generate(&rgb_input, &rgb_bigger, &config).is_err());
         // Grid that does not divide the image.
         let config = base_config(5);
         assert!(generate(&square, &square, &config).is_err());
@@ -583,20 +551,17 @@ mod tests {
         assert!(!r.summary().is_empty());
     }
 
-    #[test]
-    fn cached_matrix_reproduces_the_uncached_result() {
-        let (input, target) = pair(64);
+    fn cached_matrix_reproduces_on<P: MosaicPixel>(input: &Image<P>, target: &Image<P>) {
         for algorithm in [
             Algorithm::Optimal(SolverKind::JonkerVolgenant),
             Algorithm::ParallelSearch,
         ] {
-            let config = MosaicBuilder::new()
-                .grid(8)
-                .algorithm(algorithm)
-                .backend(Backend::Serial)
-                .build();
-            let (fresh, matrix) = generate_returning_matrix(&input, &target, &config).unwrap();
-            let cached = generate_with_matrix(&input, &target, &config, &matrix).unwrap();
+            let config = config_for(8, algorithm);
+            let (fresh, matrix) = bounded(input, target, &config, None, &Deadline::NONE).unwrap();
+            let matrix = matrix.expect("a fresh run returns the matrix it built");
+            let (cached, rebuilt) =
+                bounded(input, target, &config, Some(&matrix), &Deadline::NONE).unwrap();
+            assert!(rebuilt.is_none(), "a cached run builds no matrix");
             assert_eq!(cached.image, fresh.image);
             assert_eq!(cached.assignment, fresh.assignment);
             assert_eq!(cached.report.total_error, fresh.report.total_error);
@@ -607,12 +572,20 @@ mod tests {
     }
 
     #[test]
+    fn cached_matrix_reproduces_the_uncached_result() {
+        let (input, target) = pair(64);
+        cached_matrix_reproduces_on(&input, &target);
+        let (input, target) = rgb_pair(64);
+        cached_matrix_reproduces_on(&input, &target);
+    }
+
+    #[test]
     #[should_panic(expected = "cached error matrix")]
     fn wrong_sized_cached_matrix_panics() {
         let (input, target) = pair(64);
         let config = base_config(8);
         let small = mosaic_grid::ErrorMatrix::from_vec(4, vec![0; 16]);
-        let _ = generate_with_matrix(&input, &target, &config, &small);
+        let _ = bounded(&input, &target, &config, Some(&small), &Deadline::NONE);
     }
 
     #[test]
@@ -625,35 +598,30 @@ mod tests {
             .build();
         let deadline = Deadline::after(std::time::Duration::from_secs(3600));
         let plain = generate(&input, &target, &config).unwrap();
-        let bounded = generate_bounded(&input, &target, &config, &deadline).unwrap();
+        let (bounded, _) = bounded(&input, &target, &config, None, &deadline).unwrap();
         assert_eq!(plain.image, bounded.image);
         assert_eq!(plain.assignment, bounded.assignment);
     }
 
-    #[test]
-    fn expired_deadline_cancels_every_algorithm() {
-        let (input, target) = pair(64);
+    fn expired_deadline_cancels_on<P: MosaicPixel>(input: &Image<P>, target: &Image<P>) {
         let expired = Deadline::after(std::time::Duration::ZERO);
-        for algorithm in [
-            Algorithm::Optimal(SolverKind::JonkerVolgenant),
-            Algorithm::LocalSearch,
-            Algorithm::ParallelSearch,
-            Algorithm::Greedy,
-            Algorithm::Anneal { seed: 7, sweeps: 4 },
-            Algorithm::SparseMatch { k: 12 },
-        ] {
-            let config = MosaicBuilder::new()
-                .grid(8)
-                .algorithm(algorithm)
-                .backend(Backend::Serial)
-                .build();
-            let result = generate_bounded(&input, &target, &config, &expired);
+        for algorithm in EVERY_ALGORITHM {
+            let config = config_for(8, algorithm);
+            let result = bounded(input, target, &config, None, &expired);
             assert!(
                 matches!(result, Err(GenerateError::DeadlineExceeded(_))),
                 "algorithm {:?} ignored the deadline",
                 config.algorithm
             );
         }
+    }
+
+    #[test]
+    fn expired_deadline_cancels_every_algorithm() {
+        let (input, target) = pair(64);
+        expired_deadline_cancels_on(&input, &target);
+        let (input, target) = rgb_pair(64);
+        expired_deadline_cancels_on(&input, &target);
     }
 
     #[test]
@@ -664,7 +632,7 @@ mod tests {
         let bigger = synth::gradient(64);
         let expired = Deadline::after(std::time::Duration::ZERO);
         let config = base_config(4);
-        let result = generate_bounded(&square, &bigger, &config, &expired);
+        let result = bounded(&square, &bigger, &config, None, &expired);
         assert!(matches!(result, Err(GenerateError::Layout(_))));
     }
 
@@ -673,7 +641,7 @@ mod tests {
         let (input, target) = pair(64);
         let config = base_config(8);
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let result = generate_returning_matrix_bounded(&input, &target, &config, &expired);
+        let result = bounded(&input, &target, &config, None, &expired);
         assert!(matches!(result, Err(GenerateError::DeadlineExceeded(_))));
     }
 

@@ -11,7 +11,28 @@
 
 use crate::config::Preprocess;
 use mosaic_image::histogram::{equalize, match_histogram, match_histogram_rgb};
-use mosaic_image::{GrayImage, RgbImage};
+use mosaic_image::{Gray, GrayImage, Image, Pixel, Rgb, RgbImage};
+
+/// A pixel type the pipeline generates mosaics for. Step 1 is the only
+/// per-type step (§II: color needs "only changing the error function in
+/// Eq. (1)"); the error matrix, the searches and assembly are generic
+/// over [`Pixel`].
+pub trait MosaicPixel: Pixel {
+    /// Apply the configured pre-processing to `input`.
+    fn preprocess(input: &Image<Self>, target: &Image<Self>, mode: Preprocess) -> Image<Self>;
+}
+
+impl MosaicPixel for Gray {
+    fn preprocess(input: &GrayImage, target: &GrayImage, mode: Preprocess) -> GrayImage {
+        preprocess_gray(input, target, mode)
+    }
+}
+
+impl MosaicPixel for Rgb {
+    fn preprocess(input: &RgbImage, target: &RgbImage, mode: Preprocess) -> RgbImage {
+        preprocess_rgb(input, target, mode)
+    }
+}
 
 /// Apply the configured pre-processing to a grayscale input image.
 pub fn preprocess_gray(input: &GrayImage, target: &GrayImage, mode: Preprocess) -> GrayImage {

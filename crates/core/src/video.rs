@@ -13,11 +13,11 @@
 //!   from the identity arrangement.
 
 use crate::config::{Backend, Preprocess};
-use crate::errors::compute_error_matrix;
+use crate::errors::compute_error_matrix_bounded_in;
 use crate::local_search::{local_search_from, SearchOutcome};
 use crate::preprocess::preprocess_gray;
 use mosaic_edgecolor::SwapSchedule;
-use mosaic_grid::{assemble, LayoutError, TileLayout, TileMetric};
+use mosaic_grid::{assemble, BuildError, Deadline, LayoutError, TileLayout, TileMetric};
 use mosaic_image::GrayImage;
 use std::time::{Duration, Instant};
 
@@ -116,8 +116,20 @@ impl VideoMosaicSession {
         self.layout.check_image(target)?;
         let start = Instant::now();
         let prepared = preprocess_gray(&self.input, target, self.preprocess);
-        let (matrix, _) =
-            compute_error_matrix(&prepared, target, self.layout, self.metric, self.backend)?;
+        let (matrix, _) = compute_error_matrix_bounded_in(
+            mosaic_pool::global(),
+            &prepared,
+            target,
+            self.layout,
+            self.metric,
+            self.backend,
+            &Deadline::NONE,
+        )
+        .map_err(|e| match e {
+            BuildError::Layout(e) => e,
+            // lint:allow(panic) Deadline::NONE never expires
+            BuildError::DeadlineExceeded(_) => unreachable!("unbounded deadline expired"),
+        })?;
         let warm = self
             .previous
             .clone()

@@ -9,7 +9,8 @@ use mosaic_image::testutil::XorShift;
 use photomosaic::anneal::anneal_search;
 use photomosaic::local_search::{is_swap_optimal, local_search, local_search_from};
 use photomosaic::optimal::optimal_rearrangement;
-use photomosaic::parallel_search::{parallel_search_reference, parallel_search_threads};
+use photomosaic::parallel_search::{parallel_search_reference, parallel_search_threads_bounded_in};
+use photomosaic::Deadline;
 
 fn arb_matrix(rng: &mut XorShift, max_n: usize, max_cost: u32) -> ErrorMatrix {
     let n = rng.range(2, max_n);
@@ -53,7 +54,14 @@ fn threads_match_reference() {
         let threads = rng.range(1, 5);
         let sched = SwapSchedule::for_tiles(m.size());
         assert_eq!(
-            parallel_search_threads(&m, &sched, threads),
+            parallel_search_threads_bounded_in(
+                mosaic_pool::global(),
+                &m,
+                &sched,
+                threads,
+                &Deadline::NONE
+            )
+            .unwrap(),
             parallel_search_reference(&m, &sched),
             "seed {seed}"
         );

@@ -1,11 +1,11 @@
 //! Error-matrix builders (Step 2 of the paper).
 //!
 //! [`build_error_matrix`] is the paper's sequential CPU reference.
-//! [`build_error_matrix_threaded`] is the multi-core CPU baseline, splitting
-//! rows across scoped worker threads — each row of the matrix belongs to
-//! one input tile, mirroring the paper's GPU decomposition where "each CUDA
-//! block is responsible for computing S error values
-//! E(I_u, T_1) … E(I_u, T_S)".
+//! [`build_error_matrix_threaded_bounded_in`] is the multi-core CPU
+//! baseline, splitting rows across the workers of a `mosaic-pool` — each
+//! row of the matrix belongs to one input tile, mirroring the paper's GPU
+//! decomposition where "each CUDA block is responsible for computing S
+//! error values E(I_u, T_1) … E(I_u, T_S)".
 //!
 //! The CUDA-model builder, which additionally stages the input tile in
 //! simulated shared memory, lives in the `photomosaic` crate on top of
@@ -145,77 +145,22 @@ pub fn build_error_matrix_scalar<P: Pixel>(
     Ok(matrix)
 }
 
-/// Multi-threaded error-matrix computation using `threads` workers.
+/// Multi-threaded error-matrix computation using `threads` workers on
+/// `pool`, with cooperative cancellation.
 ///
-/// Rows are distributed in contiguous chunks; every worker writes disjoint
-/// rows so no synchronization is needed beyond the scope join.
-///
-/// # Errors
-/// Returns [`LayoutError`] when either image does not match `layout`.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn build_error_matrix_threaded<P: Pixel>(
-    input: &Image<P>,
-    target: &Image<P>,
-    layout: TileLayout,
-    metric: TileMetric,
-    threads: usize,
-) -> Result<ErrorMatrix, LayoutError> {
-    match build_error_matrix_threaded_bounded(
-        input,
-        target,
-        layout,
-        metric,
-        threads,
-        &Deadline::NONE,
-    ) {
-        Ok(matrix) => Ok(matrix),
-        Err(BuildError::Layout(e)) => Err(e),
-        // lint:allow(panic) Deadline::NONE can never be exceeded
-        Err(BuildError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
-    }
-}
-
-/// [`build_error_matrix_threaded`] with cooperative cancellation.
-///
-/// Workers poll `deadline` at every row boundary and stop early once it
-/// expires; the partially filled matrix is discarded and
+/// Rows are distributed in contiguous chunks, one pool chunk per
+/// worker's row range; every worker writes disjoint rows so no
+/// synchronization is needed beyond the batch join. Workers poll
+/// `deadline` at every row boundary and stop early once it expires; the
+/// partially filled matrix is discarded and
 /// [`BuildError::DeadlineExceeded`] is returned. Worst-case overshoot is
-/// therefore one matrix row per worker.
+/// therefore one matrix row per worker. Unbounded callers pass
+/// `mosaic_pool::global()` and [`Deadline::NONE`].
 ///
 /// # Errors
 /// Returns [`BuildError::Layout`] when either image does not match
 /// `layout`, and [`BuildError::DeadlineExceeded`] when `deadline` expires
 /// mid-build.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn build_error_matrix_threaded_bounded<P: Pixel>(
-    input: &Image<P>,
-    target: &Image<P>,
-    layout: TileLayout,
-    metric: TileMetric,
-    threads: usize,
-    deadline: &Deadline,
-) -> Result<ErrorMatrix, BuildError> {
-    build_error_matrix_threaded_bounded_in(
-        mosaic_pool::global(),
-        input,
-        target,
-        layout,
-        metric,
-        threads,
-        deadline,
-    )
-}
-
-/// [`build_error_matrix_threaded_bounded`] dispatching on an explicit
-/// [`ThreadPool`] instead of the process-wide one (the service hands
-/// every job its per-server pool).
-///
-/// # Errors
-/// See [`build_error_matrix_threaded_bounded`].
 ///
 /// # Panics
 /// Panics when `threads == 0`.
@@ -301,6 +246,26 @@ mod tests {
     use super::*;
     use mosaic_image::synth;
 
+    /// The threaded builder on the process-wide pool.
+    fn threaded<P: Pixel>(
+        input: &Image<P>,
+        target: &Image<P>,
+        layout: TileLayout,
+        metric: TileMetric,
+        threads: usize,
+        deadline: &Deadline,
+    ) -> Result<ErrorMatrix, BuildError> {
+        build_error_matrix_threaded_bounded_in(
+            mosaic_pool::global(),
+            input,
+            target,
+            layout,
+            metric,
+            threads,
+            deadline,
+        )
+    }
+
     #[test]
     fn serial_matrix_matches_direct_tile_errors() {
         let input = synth::plasma(32, 1, 3);
@@ -339,7 +304,7 @@ mod tests {
             let serial = build_error_matrix(&input, &target, layout, metric).unwrap();
             for threads in [1, 2, 3, 7, 16, 64] {
                 let par =
-                    build_error_matrix_threaded(&input, &target, layout, metric, threads).unwrap();
+                    threaded(&input, &target, layout, metric, threads, &Deadline::NONE).unwrap();
                 assert_eq!(par, serial, "metric {metric:?} threads {threads}");
             }
         }
@@ -380,7 +345,7 @@ mod tests {
         let target = synth::gradient(64);
         let layout = TileLayout::new(32, 8).unwrap();
         assert!(build_error_matrix(&input, &target, layout, TileMetric::Sad).is_err());
-        assert!(build_error_matrix_threaded(&input, &target, layout, TileMetric::Sad, 4).is_err());
+        assert!(threaded(&input, &target, layout, TileMetric::Sad, 4, &Deadline::NONE).is_err());
     }
 
     #[test]
@@ -388,7 +353,7 @@ mod tests {
     fn zero_threads_panics() {
         let img = synth::gradient(16);
         let layout = TileLayout::new(16, 8).unwrap();
-        let _ = build_error_matrix_threaded(&img, &img, layout, TileMetric::Sad, 0);
+        let _ = threaded(&img, &img, layout, TileMetric::Sad, 0, &Deadline::NONE);
     }
 
     #[test]
@@ -398,15 +363,7 @@ mod tests {
         let layout = TileLayout::new(48, 8).unwrap();
         let serial = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
         let deadline = Deadline::after(std::time::Duration::from_secs(3600));
-        let bounded = build_error_matrix_threaded_bounded(
-            &input,
-            &target,
-            layout,
-            TileMetric::Sad,
-            4,
-            &deadline,
-        )
-        .unwrap();
+        let bounded = threaded(&input, &target, layout, TileMetric::Sad, 4, &deadline).unwrap();
         assert_eq!(bounded, serial);
     }
 
@@ -416,14 +373,7 @@ mod tests {
         let target = synth::drapery(48, 9);
         let layout = TileLayout::new(48, 8).unwrap();
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let result = build_error_matrix_threaded_bounded(
-            &input,
-            &target,
-            layout,
-            TileMetric::Sad,
-            4,
-            &expired,
-        );
+        let result = threaded(&input, &target, layout, TileMetric::Sad, 4, &expired);
         assert_eq!(
             result,
             Err(BuildError::DeadlineExceeded(
@@ -438,14 +388,7 @@ mod tests {
         let target = synth::gradient(64);
         let layout = TileLayout::new(32, 8).unwrap();
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let result = build_error_matrix_threaded_bounded(
-            &input,
-            &target,
-            layout,
-            TileMetric::Sad,
-            4,
-            &expired,
-        );
+        let result = threaded(&input, &target, layout, TileMetric::Sad, 4, &expired);
         assert!(matches!(result, Err(BuildError::Layout(_))));
     }
 
@@ -526,7 +469,7 @@ mod tests {
     fn more_threads_than_rows_is_fine() {
         let img = synth::gradient(16);
         let layout = TileLayout::new(16, 8).unwrap(); // S = 4
-        let m = build_error_matrix_threaded(&img, &img, layout, TileMetric::Sad, 32).unwrap();
+        let m = threaded(&img, &img, layout, TileMetric::Sad, 32, &Deadline::NONE).unwrap();
         assert_eq!(m.size(), 4);
         for u in 0..4 {
             assert_eq!(m.get(u, u), 0);

@@ -11,9 +11,10 @@
 //!   and a cheap mean-intensity metric for the ablation benches;
 //! * [`matrix`] — the dense [`ErrorMatrix`] with `u32` entries and `u64`
 //!   assignment totals;
-//! * [`compute`] — serial and multi-threaded matrix builders (the threaded
-//!   builder is the CPU-parallel baseline; the CUDA-model builder lives in
-//!   the `photomosaic` crate on top of `mosaic-gpu`);
+//! * [`compute`] — the serial matrix builder, its scalar-kernel oracle and
+//!   the pool-backed threaded builder (the CPU-parallel baseline; the
+//!   CUDA-model builder lives in the `photomosaic` crate on top of
+//!   `mosaic-gpu`);
 //! * [`assemble`] — rebuilding the rearranged image R from an assignment;
 //! * [`deadline`] — the cooperative [`Deadline`] token the bounded builders
 //!   and the search loops above this crate poll to cap worst-case work.
@@ -50,9 +51,8 @@ pub mod metric;
 
 pub use assemble::assemble;
 pub use compute::{
-    build_error_matrix, build_error_matrix_scalar, build_error_matrix_threaded,
-    build_error_matrix_threaded_bounded, build_error_matrix_threaded_bounded_in, init_simd_kernels,
-    BuildError,
+    build_error_matrix, build_error_matrix_scalar, build_error_matrix_threaded_bounded_in,
+    init_simd_kernels, BuildError,
 };
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use layout::{LayoutError, TileLayout};

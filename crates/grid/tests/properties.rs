@@ -3,8 +3,8 @@
 //! `proptest` suite; every case reproduces from the printed seed).
 
 use mosaic_grid::{
-    assemble, build_error_matrix, build_error_matrix_threaded, tile_error, ErrorMatrix, TileLayout,
-    TileMetric,
+    assemble, build_error_matrix, build_error_matrix_threaded_bounded_in, tile_error, Deadline,
+    ErrorMatrix, TileLayout, TileMetric,
 };
 use mosaic_image::testutil::{gray_image, XorShift};
 use mosaic_image::{metrics, Gray, Image};
@@ -104,8 +104,16 @@ fn threaded_builder_matches_serial() {
         let threads = rng.range(1, 7);
         for metric in TileMetric::ALL {
             let serial = build_error_matrix(&input, &target, layout, metric).unwrap();
-            let par =
-                build_error_matrix_threaded(&input, &target, layout, metric, threads).unwrap();
+            let par = build_error_matrix_threaded_bounded_in(
+                mosaic_pool::global(),
+                &input,
+                &target,
+                layout,
+                metric,
+                threads,
+                &Deadline::NONE,
+            )
+            .unwrap();
             assert_eq!(serial, par, "seed {seed} metric {metric:?}");
         }
     }

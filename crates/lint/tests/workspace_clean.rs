@@ -74,8 +74,8 @@ fn the_semantic_model_sees_the_real_workspace() {
         model
             .fns
             .iter()
-            .any(|f| f.name == "generate_bounded" && f.deadline_param.is_some()),
-        "generate_bounded's Deadline parameter should be modeled"
+            .any(|f| f.name == "generate_bounded_in" && f.deadline_param.is_some()),
+        "generate_bounded_in's Deadline parameter should be modeled"
     );
 }
 

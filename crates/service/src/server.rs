@@ -39,10 +39,7 @@ use crate::protocol::{read_message, write_message, ReadError, Request, Response}
 use crate::queue::{JobQueue, PushError};
 use mosaic_pool::ThreadPool;
 use mosaic_tilelib::{execute_library, LibraryJobSpec, TilelibError};
-use photomosaic::{
-    generate_returning_matrix_bounded_in, generate_with_matrix_bounded_in, Deadline, GenerateError,
-    JobResult, JobSpec, Json,
-};
+use photomosaic::{generate_bounded_in, Deadline, GenerateError, JobResult, JobSpec, Json};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -696,35 +693,26 @@ fn execute(
     // Single-flight lookup: if an identical job is computing its matrix
     // on another worker right now, this blocks until that matrix lands
     // and then hits, instead of duplicating the Step-2 work.
-    let (result, cache_hit) = match shared.cache.begin(key) {
-        crate::cache::Lookup::Hit(matrix) => {
-            let result = generate_with_matrix_bounded_in(
-                &shared.compute_pool,
-                &input,
-                &target,
-                &spec.config,
-                &matrix,
-                deadline,
-            )
-            .map_err(generate_failure)?;
-            (result, true)
-        }
-        crate::cache::Lookup::Miss(guard) => {
-            // On deadline expiry no matrix is cached: a partial build must
-            // not poison future hits (the guard's drop releases the key
-            // for whoever retries).
-            let (result, matrix) = generate_returning_matrix_bounded_in(
-                &shared.compute_pool,
-                &input,
-                &target,
-                &spec.config,
-                deadline,
-            )
-            .map_err(generate_failure)?;
-            guard.fulfil(Arc::new(matrix));
-            (result, false)
-        }
+    let (cached, guard) = match shared.cache.begin(key) {
+        crate::cache::Lookup::Hit(matrix) => (Some(matrix), None),
+        crate::cache::Lookup::Miss(guard) => (None, Some(guard)),
     };
+    // On failure or deadline expiry no matrix is cached: a partial build
+    // must not poison future hits (the guard's drop releases the key for
+    // whoever retries).
+    let (result, built) = generate_bounded_in(
+        &shared.compute_pool,
+        &input,
+        &target,
+        &spec.config,
+        cached.as_deref(),
+        deadline,
+    )
+    .map_err(generate_failure)?;
+    if let (Some(guard), Some(matrix)) = (guard, built) {
+        guard.fulfil(Arc::new(matrix));
+    }
+    let cache_hit = cached.is_some();
     shared.metrics.cache_lookup(cache_hit);
     shared.metrics.job_completed(&result.report);
 

@@ -6,21 +6,20 @@
 //! cargo run --release --example color_mosaic
 //! ```
 //!
-//! Demonstrates the lower-level generic API: every substrate (tiling,
-//! error matrix, assignment, assembly) is generic over the pixel type, so
-//! the color pipeline is the same few calls with `Rgb` images. Writes
+//! The pipeline is generic over the pixel type, so the color mosaic is
+//! one [`photomosaic::generate`] call on `Rgb` images: per-channel
+//! histogram matching (Step 1), the channel-summed SAD error matrix
+//! (Step 2) and the exact rearrangement (Step 3). Writes
 //! `out/color_{input,target,mosaic}.ppm`.
 
 #![forbid(unsafe_code)]
 
 use mosaic_assign::SolverKind;
-use mosaic_grid::{assemble, build_error_matrix_threaded, TileLayout, TileMetric};
+use mosaic_grid::TileMetric;
 use mosaic_image::io::save_ppm;
 use mosaic_image::synth::{tint, Scene};
 use mosaic_image::Rgb;
-use photomosaic::config::Preprocess;
-use photomosaic::optimal::optimal_rearrangement;
-use photomosaic::preprocess::preprocess_rgb;
+use photomosaic::{generate, Algorithm, Backend, MosaicBuilder, Preprocess};
 use photomosaic_suite::out_dir;
 
 fn main() {
@@ -38,28 +37,24 @@ fn main() {
         Rgb::new(200, 230, 255),
     );
 
-    // Step 1: per-channel histogram matching, then tiling.
-    let prepared = preprocess_rgb(&input, &target, Preprocess::MatchTarget);
-    let layout = TileLayout::with_grid(size, 16).expect("divisible grid");
-
-    // Step 2: the S x S error matrix with the RGB SAD metric.
-    let matrix = build_error_matrix_threaded(&prepared, &target, layout, TileMetric::Sad, 4)
-        .expect("valid geometry");
-
-    // Step 3: exact rearrangement.
-    let outcome = optimal_rearrangement(&matrix, SolverKind::JonkerVolgenant);
-    let mosaic = assemble(&prepared, layout, &outcome.assignment).expect("valid assignment");
+    let grid = 16;
+    let config = MosaicBuilder::new()
+        .grid(grid)
+        .preprocess(Preprocess::MatchTarget)
+        .metric(TileMetric::Sad)
+        .backend(Backend::Threads(4))
+        .algorithm(Algorithm::Optimal(SolverKind::JonkerVolgenant))
+        .build();
+    let result = generate(&input, &target, &config).expect("valid geometry");
 
     println!(
-        "color mosaic: S={}x{}, total RGB-SAD error = {}",
-        layout.tiles_per_side(),
-        layout.tiles_per_side(),
-        outcome.total
+        "color mosaic: S={grid}x{grid}, total RGB-SAD error = {}",
+        result.report.total_error
     );
 
     let dir = out_dir();
     save_ppm(dir.join("color_input.ppm"), &input).expect("write input");
     save_ppm(dir.join("color_target.ppm"), &target).expect("write target");
-    save_ppm(dir.join("color_mosaic.ppm"), &mosaic).expect("write mosaic");
+    save_ppm(dir.join("color_mosaic.ppm"), &result.image).expect("write mosaic");
     println!("images written to {}", dir.display());
 }

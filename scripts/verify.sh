@@ -12,6 +12,10 @@ run() {
 }
 
 run cargo build --release --offline
+# perfbench/ is its own Cargo package, so the workspace build never
+# compiles it; build it here so a core or grid API change cannot break
+# the benchmark unseen.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test -q --offline
 run cargo fmt --check
 run cargo clippy --offline --all-targets -- -D warnings
