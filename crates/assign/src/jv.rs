@@ -2,14 +2,22 @@
 //!
 //! The classical three-phase dense LAP solver:
 //!
-//! 1. **Column reduction** — scan columns right-to-left, set `v[j]` to the
-//!    column minimum and match the minimizing row when still free;
+//! 1. **Column reduction** — set `v[j]` to the column minimum and match
+//!    the minimizing row (lowest index on ties) while it is still free,
+//!    columns right to left. The minima are gathered in one row-major
+//!    pass over the matrix, so the reads are contiguous;
 //! 2. **Reduction transfer + augmenting row reduction** — two sweeps over
 //!    the free rows that either match them on a cheapest column (displacing
 //!    the current owner) or tighten the column potentials;
-//! 3. **Augmentation** — for each remaining free row, a dense Dijkstra
-//!    shortest augmenting path over reduced costs, followed by the dual
-//!    update `v[j] += d[j] − μ` on scanned columns.
+//! 3. **Augmentation** — for each remaining free row, LAPJV's column-list
+//!    Dijkstra over reduced costs. A permutation of the columns is split
+//!    into READY (distance final), SCAN (at the current minimum distance,
+//!    not yet scanned) and TODO. When SCAN is empty, one pass moves every
+//!    TODO column at the new minimum into SCAN, and the search ends if one
+//!    of them is unassigned. Scanning a column relaxes only the TODO
+//!    columns; one that drops to the minimum joins SCAN, or ends the search
+//!    at once if it is unassigned. The dual update `v[j] += d[j] − μ`
+//!    touches only READY columns.
 //!
 //! Exact: returns the same optimum as [`crate::hungarian`] (tested against
 //! it and the brute-force oracle), typically with far fewer augmentation
@@ -76,24 +84,27 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     let n = cost.size();
     let mut x = vec![UNASSIGNED; n]; // row -> col
     let mut y = vec![UNASSIGNED; n]; // col -> row
-    let mut v = vec![0i64; n];
+    let mut v = vec![i64::MAX; n];
 
-    // Phase 1: column reduction (right to left, matching first-minimum rows
-    // that are still free).
-    for j in (0..n).rev() {
-        let mut imin = 0usize;
-        let mut cmin = i64::from(cost.get(0, j));
-        for i in 1..n {
-            let c = i64::from(cost.get(i, j));
-            if c < cmin {
-                cmin = c;
-                imin = i;
+    // Phase 1: column reduction. The column minima are gathered row by
+    // row (contiguous reads); a strict `<` keeps the lowest row index on
+    // ties. Columns are then matched right to left to their minimizing
+    // row while that row is still free.
+    let mut imin = vec![0usize; n];
+    for i in 0..n {
+        for (j, &c) in cost.row(i).iter().enumerate() {
+            let c = i64::from(c);
+            if c < v[j] {
+                v[j] = c;
+                imin[j] = i;
             }
         }
-        v[j] = cmin;
-        if x[imin] == UNASSIGNED {
-            x[imin] = j;
-            y[j] = imin;
+    }
+    for j in (0..n).rev() {
+        let i = imin[j];
+        if x[i] == UNASSIGNED {
+            x[i] = j;
+            y[j] = i;
         }
     }
 
@@ -162,53 +173,71 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     }
 
     // Phase 3: shortest augmenting path for each remaining free row.
+    // `cols` is a permutation of the columns split into READY `[..lo]`
+    // (scanned, distance final), SCAN `[lo..hi]` (distance == the current
+    // minimum `mu`, not yet scanned) and TODO `[hi..]`. A swap into SCAN
+    // only ever moves a TODO column that this pass has already visited.
     let mut d = vec![0i64; n];
     let mut pred = vec![0usize; n];
-    let mut scanned = vec![false; n];
+    let mut cols: Vec<usize> = (0..n).collect();
     for &f in &free {
+        let row = cost.row(f);
         for j in 0..n {
-            d[j] = i64::from(cost.get(f, j)) - v[j];
+            d[j] = i64::from(row[j]) - v[j];
             pred[j] = f;
-            scanned[j] = false;
         }
-        let mut mu;
-        let end_j;
-        loop {
-            // Dense extract-min over unscanned columns.
-            let mut jmin = UNASSIGNED;
-            let mut dmin = i64::MAX;
-            for j in 0..n {
-                if !scanned[j] && d[j] < dmin {
-                    dmin = d[j];
-                    jmin = j;
+        let (mut lo, mut hi) = (0usize, 0usize);
+        let mut mu = 0i64;
+        let end_j = 'search: loop {
+            if lo == hi {
+                // SCAN is empty: move every TODO column at the new minimum
+                // into SCAN in one pass.
+                mu = d[cols[lo]];
+                hi = lo + 1;
+                for k in lo + 1..n {
+                    let j = cols[k];
+                    let h = d[j];
+                    if h <= mu {
+                        if h < mu {
+                            hi = lo;
+                            mu = h;
+                        }
+                        cols.swap(k, hi);
+                        hi += 1;
+                    }
+                }
+                if let Some(&j) = cols[lo..hi].iter().find(|&&j| y[j] == UNASSIGNED) {
+                    break 'search j;
                 }
             }
-            debug_assert_ne!(jmin, UNASSIGNED, "complete graph always has a path");
-            scanned[jmin] = true;
-            mu = dmin;
-            if y[jmin] == UNASSIGNED {
-                end_j = jmin;
-                break;
-            }
-            let i = y[jmin];
+            // Scan one SCAN column: relax the TODO columns through its row.
+            let j1 = cols[lo];
+            lo += 1;
+            let i = y[j1];
             // Implicit row dual of i at this point in the search.
-            let u1 = i64::from(cost.get(i, jmin)) - v[jmin] - mu;
+            let u1 = i64::from(cost.get(i, j1)) - v[j1] - mu;
             let row = cost.row(i);
-            for j in 0..n {
-                if !scanned[j] {
-                    let h = i64::from(row[j]) - v[j] - u1;
-                    if h < d[j] {
-                        d[j] = h;
-                        pred[j] = i;
+            let first_todo = hi;
+            for k in first_todo..n {
+                let j = cols[k];
+                let h = i64::from(row[j]) - v[j] - u1;
+                if h < d[j] {
+                    pred[j] = i;
+                    d[j] = h;
+                    if h == mu {
+                        if y[j] == UNASSIGNED {
+                            break 'search j;
+                        }
+                        cols.swap(k, hi);
+                        hi += 1;
                     }
                 }
             }
-        }
-        // Dual update on scanned columns.
-        for j in 0..n {
-            if scanned[j] {
-                v[j] += d[j] - mu;
-            }
+        };
+        // Dual update on READY columns (SCAN columns have d == mu, so
+        // theirs would be zero).
+        for &j in &cols[..lo] {
+            v[j] += d[j] - mu;
         }
         // Augment along the predecessor chain.
         let mut j = end_j;

@@ -183,3 +183,68 @@ fn blossom_general_matches_dp_oracle() {
         }
     }
 }
+
+/// JV on `cost`: a permutation, the Hungarian optimum, and the same
+/// assignment on a second call.
+fn assert_jv_exact_and_deterministic(cost: &CostMatrix, label: &str) {
+    let first = mosaic_assign::jv::solve_jv(cost);
+    let mut sorted = first.clone();
+    sorted.sort_unstable();
+    assert!(
+        sorted.iter().copied().eq(0..cost.size()),
+        "{label}: not a permutation"
+    );
+    assert_eq!(
+        cost.total(&first),
+        HungarianSolver.solve(cost).total(),
+        "{label}"
+    );
+    assert_eq!(
+        mosaic_assign::jv::solve_jv(cost),
+        first,
+        "{label}: nondeterministic"
+    );
+}
+
+#[test]
+fn jv_is_exact_on_duplicated_columns() {
+    // Every distinct column copied k times: whole blocks of columns tie
+    // at each distance level, so the augmentation moves many columns
+    // into its scan list at once and can end on a tied free column.
+    // (n, k, largest cost + 1)
+    let cases = [
+        (60usize, 2usize, 1_000u32),
+        (60, 3, 1_000),
+        (60, 5, 1_000),
+        (60, 12, 1_000),
+        (60, 60, 1_000),
+        (96, 8, 1_000),
+        (128, 4, 100_000),
+    ];
+    for seed in 0..6 {
+        for (n, k, max) in cases {
+            let mut rng = XorShift::new(seed);
+            let distinct = n / k;
+            let base: Vec<u32> = (0..n * distinct).map(|_| rng.next_u32() % max).collect();
+            let cost = CostMatrix::from_fn(n, |r, c| base[r * distinct + c % distinct]);
+            assert_jv_exact_and_deterministic(&cost, &format!("seed {seed} n={n} k={k}"));
+        }
+    }
+}
+
+#[test]
+fn jv_is_exact_on_duplicated_rows_and_columns() {
+    // Copied rows as well: rows tie on every column, so most of them
+    // stay free after column reduction and reach the augmentation.
+    for seed in 0..6 {
+        let n = 64;
+        let k = 4;
+        let distinct = n / k;
+        let mut rng = XorShift::new(seed);
+        let base: Vec<u32> = (0..distinct * distinct)
+            .map(|_| rng.next_u32() % 50)
+            .collect();
+        let cost = CostMatrix::from_fn(n, |r, c| base[(r % distinct) * distinct + c % distinct]);
+        assert_jv_exact_and_deterministic(&cost, &format!("seed {seed}"));
+    }
+}

@@ -40,6 +40,10 @@ pub fn complete_graph_coloring(n: usize) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Circle method for even `n`.
+///
+/// Each group comes out sorted without a sort: for `a < b` the pairs
+/// appear in ascending `a`, and the hub pair `(f, n−1)` is inserted when
+/// `a` reaches the fixed point `f` (which pairs with no circle vertex).
 fn even_coloring(n: usize) -> Vec<Vec<(usize, usize)>> {
     debug_assert!(n >= 2 && n.is_multiple_of(2));
     let m = n - 1; // circle size
@@ -49,26 +53,20 @@ fn even_coloring(n: usize) -> Vec<Vec<(usize, usize)>> {
         // Fixed point f with 2f ≡ r (mod m); m is odd so 2 is invertible:
         // f = r * (m+1)/2 mod m.
         let f = (r * m.div_ceil(2)) % m;
-        group.push(order(f, n - 1));
+        // b ≡ r − a (mod m), stepping down as `a` steps up.
+        let mut b = r;
         for a in 0..m {
-            let b = (r + m - a % m) % m; // b ≡ r − a (mod m)
+            if a == f {
+                group.push((f, n - 1));
+            }
             if a < b {
                 group.push((a, b));
             }
+            b = if b == 0 { m - 1 } else { b - 1 };
         }
-        group.sort_unstable();
         groups.push(group);
     }
     groups
-}
-
-#[inline]
-fn order(a: usize, b: usize) -> (usize, usize) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 /// The paper's Figure 5 / §IV-B group table for `K_16`, in the paper's
@@ -213,6 +211,50 @@ mod tests {
             v
         };
         assert_eq!(p1, &expected);
+    }
+
+    fn order(a: usize, b: usize) -> (usize, usize) {
+        if a < b {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
+
+    /// The circle method as first written: hub pair pushed first, each
+    /// group sorted afterwards. The oracle for the sort-free construction.
+    fn sorted_even_coloring(n: usize) -> Vec<Vec<(usize, usize)>> {
+        let m = n - 1;
+        let mut groups = Vec::with_capacity(m);
+        for r in 0..m {
+            let mut group = Vec::with_capacity(n / 2);
+            let f = (r * m.div_ceil(2)) % m;
+            group.push(order(f, n - 1));
+            for a in 0..m {
+                let b = (r + m - a % m) % m;
+                if a < b {
+                    group.push((a, b));
+                }
+            }
+            group.sort_unstable();
+            groups.push(group);
+        }
+        groups
+    }
+
+    #[test]
+    fn sort_free_groups_match_the_sorted_oracle() {
+        for n in (0..=70).chain([1023, 1024]) {
+            let expected: Vec<Vec<(usize, usize)>> = match n {
+                0 | 1 => Vec::new(),
+                _ if n % 2 == 0 => sorted_even_coloring(n),
+                _ => sorted_even_coloring(n + 1)
+                    .into_iter()
+                    .map(|g| g.into_iter().filter(|&(a, b)| a != n && b != n).collect())
+                    .collect(),
+            };
+            assert_eq!(complete_graph_coloring(n), expected, "K_{n}");
+        }
     }
 
     #[test]

@@ -149,6 +149,39 @@ if [ "${library_passed:-0}" -lt 1 ]; then
     exit 1
 fi
 
+# Assignment-solver suite: every exact solver (JV above all, which
+# serves `Optimal` jobs) is checked against the Hungarian and
+# brute-force oracles, including the tie-heavy instances that reach
+# JV's batched shortest-path search. Passed-count floor, summed over the
+# crate's unit, integration and doc tests, against vacuous green runs.
+echo "==> cargo test -q --offline -p mosaic-assign"
+assign_out=$(cargo test -q --offline -p mosaic-assign 2>&1) || {
+    echo "$assign_out"
+    exit 1
+}
+echo "$assign_out" | grep '^test result:'
+assign_passed=$(echo "$assign_out" | grep '^test result:' |
+    sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
+if [ "${assign_passed:-0}" -lt 90 ]; then
+    echo "error: expected at least 90 mosaic-assign tests, ran ${assign_passed:-0}" >&2
+    exit 1
+fi
+
+# The sort-free swap schedule must stay bit-identical to the sorted
+# circle-method oracle (every Algorithm-2 decision depends on it).
+echo "==> cargo test -q --offline -p mosaic-edgecolor sort_free_groups_match_the_sorted_oracle"
+oracle_out=$(cargo test -q --offline -p mosaic-edgecolor sort_free_groups_match_the_sorted_oracle 2>&1) || {
+    echo "$oracle_out"
+    exit 1
+}
+oracle_passed=$(echo "$oracle_out" | grep '^test result:' |
+    sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
+echo "schedule oracle tests passed: ${oracle_passed:-0}"
+if [ "${oracle_passed:-0}" -lt 1 ]; then
+    echo "error: the swap-schedule oracle test did not run" >&2
+    exit 1
+fi
+
 # SIMD differential suite: the dispatched SAD/SSD kernels must stay
 # bit-identical to the scalar oracle on every tile-edge length. A hard
 # gate with a passed count so a renamed or filtered-out suite cannot

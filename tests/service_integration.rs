@@ -302,8 +302,11 @@ fn fault_connection_flood_beyond_the_cap_is_rejected_then_recovers() {
     // Free both slots; handlers notice EOF and release their permits.
     drop(first);
     drop(second);
-    let mut client = connect_with_retry(addr);
-    assert_eq!(hardening_counter(&mut client, "connections_rejected"), 1);
+    let (mut client, refused) = connect_with_retry(addr);
+    assert_eq!(
+        hardening_counter(&mut client, "connections_rejected"),
+        1 + refused
+    );
     decode_result(client.submit(&spec(Scene::Fur, 33, 4)).unwrap());
     client.shutdown().unwrap();
     server.join();
@@ -342,20 +345,30 @@ fn fault_reject_sockopt_failure_drops_socket_without_wedging_accept() {
 
     // Both over-capacity sockets count as rejected, answered or not.
     drop(first);
-    let mut client = connect_with_retry(addr);
-    assert_eq!(hardening_counter(&mut client, "connections_rejected"), 2);
+    let (mut client, refused) = connect_with_retry(addr);
+    assert_eq!(
+        hardening_counter(&mut client, "connections_rejected"),
+        2 + refused
+    );
     client.shutdown().unwrap();
     server.join();
 }
 
 /// Keep connecting until a connection survives a ping — used after
 /// freeing connection slots, where permit release races the reconnect.
-fn connect_with_retry(addr: std::net::SocketAddr) -> Client {
+/// Also returns how many accepted attempts were not answered `pong`:
+/// each one landed while the server was still at its cap, so the server
+/// counted it as one more rejected connection.
+fn connect_with_retry(addr: std::net::SocketAddr) -> (Client, u64) {
+    let mut refused = 0;
     for _ in 0..200 {
         if let Ok(mut client) = Client::connect(addr) {
             match client.ping() {
-                Ok(Response::Pong) => return client,
-                _ => std::thread::sleep(Duration::from_millis(5)),
+                Ok(Response::Pong) => return (client, refused),
+                _ => {
+                    refused += 1;
+                    std::thread::sleep(Duration::from_millis(5));
+                }
             }
         }
     }
