@@ -14,6 +14,11 @@ use crate::pipeline::MosaicResult;
 use mosaic_image::synth::Scene;
 use mosaic_image::{Gray, GrayImage};
 
+/// Largest synth edge a decoded source may ask for: 8192² gray pixels
+/// is 64 MiB. Rendering allocates `size²` bytes up front, so without a
+/// bound one tiny request could ask for terabytes and abort the process.
+pub const MAX_SYNTH_SIZE: usize = 8192;
+
 /// Where a job's image comes from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ImageSource {
@@ -78,7 +83,8 @@ impl ImageSource {
     /// Parse the shape produced by [`to_json`](Self::to_json).
     ///
     /// # Errors
-    /// Returns a description of the first malformed or unknown field.
+    /// Returns a description of the first malformed or unknown field,
+    /// including a synth `size` of 0 or above [`MAX_SYNTH_SIZE`].
     pub fn from_json(value: &Json) -> Result<ImageSource, String> {
         let kind = value
             .get("kind")
@@ -97,8 +103,11 @@ impl ImageSource {
                 let size = value
                     .get("size")
                     .and_then(Json::as_u64)
-                    .ok_or("synth source needs an integer \"size\"")?
-                    as usize;
+                    .ok_or("synth source needs an integer \"size\"")?;
+                let size = usize::try_from(size)
+                    .ok()
+                    .filter(|size| (1..=MAX_SYNTH_SIZE).contains(size))
+                    .ok_or_else(|| format!("synth size {size} is outside 1..={MAX_SYNTH_SIZE}"))?;
                 let seed = match value.get("seed") {
                     None => 0,
                     Some(Json::Str(s)) => s
@@ -331,22 +340,86 @@ impl Fnv1a {
     }
 }
 
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`HEX_VALUES`].
+const NOT_HEX: u8 = 0xFF;
+
+/// The value of every byte as a hex digit (either case), [`NOT_HEX`]
+/// for the rest.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Encode bytes as lowercase hex.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0xF)] as char);
+    let mut out = vec![0; bytes.len() * 2];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0xF)];
     }
-    out
+    // lint:allow(panic) every byte is an ASCII digit from HEX_DIGITS
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decode lowercase/uppercase hex into bytes.
 ///
 /// # Errors
-/// Returns a description on odd length or non-hex characters.
+/// Returns a description on odd length or non-hex characters, naming
+/// the first bad byte.
 pub fn hex_decode(hex: &str) -> Result<Vec<u8>, String> {
+    let bytes = hex.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
+        return Err("hex string has odd length".to_string());
+    }
+    // Valid digits are at most 0x0F, so `bad` is NOT_HEX exactly when
+    // some byte is not a digit.
+    let mut bad = 0;
+    let out: Vec<u8> = bytes
+        .chunks_exact(2)
+        .map(|pair| {
+            let (high, low) = (
+                HEX_VALUES[usize::from(pair[0])],
+                HEX_VALUES[usize::from(pair[1])],
+            );
+            bad |= high | low;
+            high << 4 | low
+        })
+        .collect();
+    if bad == NOT_HEX {
+        let first = bytes
+            .iter()
+            .find(|&&b| HEX_VALUES[usize::from(b)] == NOT_HEX)
+            .map_or('?', |&b| char::from(b));
+        return Err(format!("invalid hex byte {first:?}"));
+    }
+    Ok(out)
+}
+
+/// The per-character encoder [`hex_encode`] replaced, kept as its test
+/// oracle.
+#[cfg(test)]
+fn hex_encode_per_char(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+        out.push(HEX_DIGITS[usize::from(b & 0xF)] as char);
+    }
+    out
+}
+
+/// The `to_digit` decoder [`hex_decode`] replaced, kept as its test
+/// oracle.
+#[cfg(test)]
+fn hex_decode_per_char(hex: &str) -> Result<Vec<u8>, String> {
     let bytes = hex.as_bytes();
     if !bytes.len().is_multiple_of(2) {
         return Err("hex string has odd length".to_string());
@@ -368,6 +441,7 @@ mod tests {
     use super::*;
     use crate::config::{Algorithm, Backend, MosaicBuilder};
     use mosaic_grid::TileMetric;
+    use mosaic_image::testutil::XorShift;
 
     fn sample_spec() -> JobSpec {
         JobSpec {
@@ -395,6 +469,75 @@ mod tests {
         assert_eq!(hex_encode(&[0x0f, 0xa0]), "0fa0");
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());
+    }
+
+    #[test]
+    fn codec_oracle_hex_matches_the_per_char_codec() {
+        let mut rng = XorShift::new(0x4E);
+        let mut inputs: Vec<Vec<u8>> = (0..=70)
+            .flat_map(|len| (0..8).map(move |_| len))
+            .map(|len| rng.bytes(len))
+            .collect();
+        inputs.push(rng.bytes(1 << 19)); // a 1 MiB hex string
+        for bytes in inputs {
+            let hex = hex_encode(&bytes);
+            assert_eq!(hex, hex_encode_per_char(&bytes));
+            assert_eq!(hex_decode(&hex), Ok(bytes.clone()));
+            assert_eq!(hex_decode(&hex), hex_decode_per_char(&hex));
+            let upper = hex.to_ascii_uppercase();
+            assert_eq!(hex_decode(&upper), Ok(bytes));
+        }
+    }
+
+    #[test]
+    fn codec_oracle_hex_errors_match_the_per_char_codec_at_every_position() {
+        let mut rng = XorShift::new(0x4F);
+        let valid = hex_encode(&rng.bytes(35));
+        for len in 0..=valid.len() {
+            let prefix = &valid[..len];
+            assert_eq!(hex_decode(prefix), hex_decode_per_char(prefix), "len {len}");
+        }
+        for at in 0..valid.len() {
+            for bad in ["g", "G", " ", "\"", "\u{0}", "\u{7F}", "x", "é"] {
+                let mut text = valid.clone();
+                text.replace_range(at..(at + bad.len()).min(valid.len()), bad);
+                let got = hex_decode(&text);
+                assert_eq!(got, hex_decode_per_char(&text), "{bad:?} at {at}");
+                assert!(got.is_err(), "{bad:?} at {at}");
+            }
+            // A second bad byte later on must not change which is named.
+            let mut text = valid.clone();
+            text.replace_range(at..at + 1, "z");
+            text.replace_range(valid.len() - 1.., "q");
+            assert_eq!(hex_decode(&text), hex_decode_per_char(&text), "z at {at}");
+        }
+    }
+
+    #[test]
+    fn synth_size_bound_rejects_zero_and_oversized_sizes_at_decode() {
+        let source = |size: u64| {
+            Json::parse(&format!(
+                r#"{{"kind":"synth","scene":"plasma","size":{size}}}"#
+            ))
+            .unwrap()
+        };
+        for size in [0, MAX_SYNTH_SIZE as u64 + 1, 1 << 20, 1 << 53] {
+            let err = ImageSource::from_json(&source(size)).unwrap_err();
+            assert!(err.contains("outside 1..=8192"), "{size}: {err}");
+        }
+        for size in [1, 16, MAX_SYNTH_SIZE as u64] {
+            assert_eq!(
+                ImageSource::from_json(&source(size)),
+                Ok(ImageSource::Synth {
+                    scene: Scene::Plasma,
+                    size: size as usize,
+                    seed: 0,
+                })
+            );
+        }
+        // A whole job carrying the source is refused too.
+        let job = Json::obj([("input", source(1 << 20)), ("target", source(16))]);
+        assert!(JobSpec::from_json(&job).unwrap_err().contains("outside"));
     }
 
     #[test]

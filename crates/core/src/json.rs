@@ -17,8 +17,14 @@
 //! assert_eq!(text, r#"{"total":42,"ok":true}"#);
 //! assert_eq!(Json::parse(&text).unwrap().get("total").unwrap().as_u64(), Some(42));
 //! ```
+//!
+//! Strings are encoded and parsed a run at a time: a 32-byte block scan
+//! finds the next byte that needs escaping (`"`, `\` or a control
+//! byte) and the plain run before it is copied in one step. Wire
+//! messages carry images as hex strings of up to megabytes, so string
+//! runs are most of the codec's work.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Clone, Debug, PartialEq)]
@@ -185,34 +191,95 @@ impl Json {
     /// Returns [`JsonError`] with a byte offset on malformed input,
     /// including trailing garbage after the first value.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser {
-            bytes,
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
     }
 }
 
+/// Width of the run scans' blocks: wide enough for the compiler to
+/// vectorize the per-block test, narrow enough that a hit early in a
+/// short string costs little.
+const BLOCK: usize = 32;
+
+/// Index of the first byte of `bytes` for which `hit` holds.
+///
+/// Whole blocks are tested branch-free (the fold vectorizes); only the
+/// block that contains a hit, and the short tail, are searched byte by
+/// byte.
+#[inline(always)]
+fn scan(bytes: &[u8], hit: impl Fn(u8) -> bool + Copy) -> Option<usize> {
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    let mut start = 0;
+    for block in &mut blocks {
+        if block.iter().fold(false, |any, &b| any | hit(b)) {
+            return block.iter().position(|&b| hit(b)).map(|i| start + i);
+        }
+        start += BLOCK;
+    }
+    let tail = blocks.remainder();
+    tail.iter().position(|&b| hit(b)).map(|i| start + i)
+}
+
+/// Bytes a JSON string cannot hold verbatim: the quote, the backslash
+/// and the control bytes. All are ASCII, so a run that stops at one
+/// ends on a UTF-8 character boundary.
+#[inline(always)]
+fn needs_escape(b: u8) -> bool {
+    (b == b'"') | (b == b'\\') | (b < 0x20)
+}
+
+/// Index of the first `\n` in `bytes`, by the same block scan the
+/// string codec uses. Line framing uses it to find frame ends.
+pub fn find_newline(bytes: &[u8]) -> Option<usize> {
+    scan(bytes, |b| b == b'\n')
+}
+
 fn write_number(n: f64, out: &mut String) {
+    // Writing to a String cannot fail, so the fmt::Result is ignored.
     if !n.is_finite() {
         // JSON has no Inf/NaN; encode as null like JavaScript's JSON.stringify.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
 fn write_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = scan(rest.as_bytes(), needs_escape) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// The per-character encoder the run-based [`write_string`] replaced,
+/// kept as its test oracle.
+#[cfg(test)]
+fn write_string_per_char(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -237,12 +304,22 @@ fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -360,62 +437,94 @@ impl Parser<'_> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            let end = scan(&self.bytes[self.pos..], needs_escape)
+                .map_or(self.bytes.len(), |at| self.pos + at);
+            // The run starts after an ASCII byte and ends before one (or
+            // at the end of the text), so both ends are char boundaries.
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let code = 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(code)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                char::from_u32(first)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue; // hex4 already advanced past digits
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("control character in string")),
+            }
+        }
+    }
+
+    /// Decode the escape sequence at `pos` (which holds the backslash)
+    /// onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{08}'),
+            Some(b'f') => out.push('\u{0C}'),
+            Some(b'u') => {
+                self.pos += 1;
+                let first = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&first) {
+                    // Surrogate pair: expect \uXXXX low half.
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(self.err("invalid low surrogate"));
                         }
-                        _ => return Err(self.err("invalid escape")),
+                        let code = 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00);
+                        char::from_u32(code)
+                    } else {
+                        return Err(self.err("unpaired surrogate"));
                     }
+                } else {
+                    char::from_u32(first)
+                };
+                return match c {
+                    Some(c) => {
+                        out.push(c);
+                        Ok(()) // hex4 already advanced past the digits
+                    }
+                    None => Err(self.err("invalid unicode escape")),
+                };
+            }
+            _ => return Err(self.err("invalid escape")),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The per-character string parser the run-based [`string`] replaced,
+    /// kept as its test oracle.
+    ///
+    /// [`string`]: Parser::string
+    #[cfg(test)]
+    fn string_per_char(&mut self) -> Result<String, JsonError> {
+        self.expect_byte(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
+                    return Ok(out);
                 }
+                Some(b'\\') => self.escape(&mut out)?,
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // boundary arithmetic is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("pos is a char boundary");
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -455,26 +564,17 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_image::testutil::XorShift;
 
     #[test]
     fn scalars_roundtrip() {
@@ -554,5 +654,155 @@ mod tests {
     fn numbers_with_exponents_parse() {
         assert_eq!(Json::parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(Json::parse("-2.5E-1").unwrap().as_f64(), Some(-0.25));
+    }
+
+    /// Longest generated string, in chars: runs then start, end and
+    /// break on every side of the 32-byte block edges at 32 and 64.
+    const MAX_FUZZ_LEN: usize = 70;
+
+    /// A string of `len` chars mixing printable ASCII (`"` and `\`
+    /// included), every escaped character, other control bytes, and 2-,
+    /// 3- and 4-byte UTF-8.
+    fn random_string(rng: &mut XorShift, len: usize) -> String {
+        const ESCAPED: [char; 8] = ['"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0C}', '/'];
+        let pick = |rng: &mut XorShift, lo: usize, hi: usize| {
+            char::from_u32(rng.range(lo, hi) as u32).expect("range holds no surrogates")
+        };
+        (0..len)
+            .map(|_| match rng.below(8) {
+                0..=2 => pick(rng, 0x20, 0x7F),
+                3 => ESCAPED[rng.below(ESCAPED.len())],
+                4 => pick(rng, 0x00, 0x1F),
+                5 => pick(rng, 0x80, 0x7FF),
+                6 => pick(rng, 0x800, 0xD7FF),
+                _ => pick(rng, 0x1_0000, 0x10_FFFF),
+            })
+            .collect()
+    }
+
+    /// Every generated string: random mixes of each length, plus plain
+    /// ASCII with a single escaped byte at every position.
+    fn fuzz_strings() -> Vec<String> {
+        let mut rng = XorShift::new(0x15);
+        let mut strings = Vec::new();
+        for len in 0..=MAX_FUZZ_LEN {
+            for _ in 0..16 {
+                strings.push(random_string(&mut rng, len));
+            }
+            for at in 0..len {
+                for special in ['"', '\\', '\u{1F}'] {
+                    let mut plain: Vec<char> = "x".repeat(len).chars().collect();
+                    plain[at] = special;
+                    strings.push(plain.into_iter().collect());
+                }
+            }
+        }
+        strings
+    }
+
+    fn encode_per_char(s: &str) -> String {
+        let mut out = String::new();
+        write_string_per_char(s, &mut out);
+        out
+    }
+
+    /// Parse one string literal at the start of `text` with both
+    /// parsers; the result and the end position must agree.
+    fn assert_parsers_agree(text: &str) {
+        let mut fast = Parser::new(text);
+        let mut oracle = Parser::new(text);
+        assert_eq!(fast.string(), oracle.string_per_char(), "{text:?}");
+        assert_eq!(fast.pos, oracle.pos, "{text:?}");
+    }
+
+    #[test]
+    fn codec_oracle_encoder_matches_the_per_char_encoder_and_roundtrips() {
+        for s in fuzz_strings() {
+            let encoded = Json::Str(s.clone()).encode();
+            assert_eq!(encoded, encode_per_char(&s), "{s:?}");
+            assert_eq!(Json::parse(&encoded), Ok(Json::Str(s.clone())), "{s:?}");
+            assert_parsers_agree(&encoded);
+        }
+    }
+
+    #[test]
+    fn codec_oracle_mutated_strings_parse_like_the_per_char_parser() {
+        let mut rng = XorShift::new(0x1F);
+        for s in fuzz_strings() {
+            let encoded = encode_per_char(&s);
+            let boundaries: Vec<usize> = encoded.char_indices().map(|(i, _)| i).collect();
+            for &cut in &boundaries {
+                assert_parsers_agree(&encoded[..cut]);
+            }
+            for _ in 0..4 {
+                let at = boundaries[rng.below(boundaries.len())];
+                let width = encoded[at..].chars().next().map_or(0, char::len_utf8);
+                for flip in ["\"", "\\", "\u{1F}"] {
+                    let mutated = format!("{}{flip}{}", &encoded[..at], &encoded[at + width..]);
+                    assert_parsers_agree(&mutated);
+                }
+            }
+        }
+        for escape in [
+            r#""😀""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""é\/\b\f""#,
+            r#""\u12""#,
+            r#""\uzzzz""#,
+            r#""\q""#,
+            "\"\\",
+            "\"abc",
+            "x",
+        ] {
+            assert_parsers_agree(escape);
+        }
+    }
+
+    #[test]
+    fn codec_oracle_mebibyte_hex_string_matches_the_per_char_codec() {
+        let mut rng = XorShift::new(0x4D);
+        let hex: String = (0..1 << 20)
+            .map(|_| char::from(b"0123456789abcdef"[rng.below(16)]))
+            .collect();
+        let encoded = Json::Str(hex.clone()).encode();
+        assert_eq!(encoded, encode_per_char(&hex));
+        assert_eq!(Json::parse(&encoded), Ok(Json::Str(hex)));
+        assert_parsers_agree(&encoded);
+    }
+
+    #[test]
+    fn codec_oracle_newline_scan_matches_a_byte_search() {
+        for len in 0..=MAX_FUZZ_LEN {
+            let mut bytes = vec![b'a'; len];
+            assert_eq!(find_newline(&bytes), None);
+            for at in (0..len).rev() {
+                bytes[at] = b'\n';
+                assert_eq!(find_newline(&bytes), Some(at), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn codec_oracle_numbers_encode_like_the_format_encoder() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -17.0,
+            2.5,
+            1e300,
+            -1e-7,
+            9007199254740991.0,
+            2f64.powi(53),
+        ] {
+            let expected = if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            };
+            assert_eq!(Json::Num(n).encode(), expected);
+        }
     }
 }

@@ -14,10 +14,13 @@
 //! ```
 //!
 //! The client side reuses the service crate's hardening primitives
-//! verbatim: bounded framing ([`read_message`]), socket deadlines, and
-//! the [`ConnectionGate`] admission cap. The backend side opens one
-//! connection per attempt — jobs are pure functions of their spec, so
-//! replaying a job on the next rendezvous choice after a mid-job
+//! verbatim: bounded framing ([`read_frame`]), socket deadlines, and
+//! the [`ConnectionGate`] admission cap. Every request is parsed and
+//! validated (routing needs its cache key), but a job is forwarded as
+//! the client's own frame bytes, and the backend's reply frame goes back
+//! unchanged: the gateway re-encodes neither. The backend side opens
+//! one connection per attempt — jobs are pure functions of their spec,
+//! so replaying a job on the next rendezvous choice after a mid-job
 //! backend death is always safe.
 //!
 //! Failover semantics per job, up to `max_hops` distinct backends:
@@ -41,10 +44,13 @@ use crate::health::{BackendState, HealthCell, HealthPolicy};
 use crate::metrics::GatewayMetrics;
 use crate::routing::{backend_seed, rendezvous_order};
 use mosaic_service::gate::ConnectionGate;
-use mosaic_service::protocol::{kinds, read_message, write_message, ReadError, Request, Response};
+use mosaic_service::protocol::{
+    encode_line, kinds, parse_frame, read_frame, read_message, write_message, ReadError, Request,
+    Response,
+};
 use mosaic_telemetry::lock_unpoisoned;
 use photomosaic::Json;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -378,8 +384,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(stream);
     loop {
-        let message = match read_message(&mut reader, shared.frame_limit()) {
-            Ok(Some(m)) => m,
+        let read = read_frame(&mut reader, shared.frame_limit()).and_then(|frame| {
+            frame
+                .map(|frame| parse_frame(&frame).map(|message| (frame, message)))
+                .transpose()
+        });
+        let (frame, message) = match read {
+            Ok(Some(read)) => read,
             Ok(None) => return,
             Err(ReadError::FrameTooLarge { limit }) => {
                 shared.metrics.frame_too_large();
@@ -398,64 +409,59 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(ReadError::Io(_)) => return,
         };
+        let line = |response: Response| encode_line(&response.to_json());
         let reply = match Request::from_json(&message) {
-            Err(problem) => Response::Error { message: problem }.to_json(),
-            Ok(Request::Ping) => Response::Pong.to_json(),
-            Ok(Request::Stats) => Response::Stats {
+            Err(problem) => line(Response::Error { message: problem }),
+            Ok(Request::Ping) => line(Response::Pong),
+            Ok(Request::Stats) => line(Response::Stats {
                 stats: shared
                     .metrics
                     .snapshot(shared.routable_count(), shared.backends.len()),
-            }
-            .to_json(),
-            Ok(Request::Metrics) => Response::Metrics {
+            }),
+            Ok(Request::Metrics) => line(Response::Metrics {
                 text: shared
                     .metrics
                     .prometheus(shared.routable_count(), shared.backends.len()),
-            }
-            .to_json(),
-            Ok(Request::GatewayInfo) => Response::Gateway {
+            }),
+            Ok(Request::GatewayInfo) => line(Response::Gateway {
                 gateway: shared.info_json(),
-            }
-            .to_json(),
+            }),
             Ok(Request::Shutdown) => {
                 shared.begin_shutdown();
-                Response::ShuttingDown.to_json()
+                line(Response::ShuttingDown)
             }
-            Ok(Request::Submit(spec)) => {
-                let key = spec.cache_key();
-                route_submit(shared, &Request::Submit(spec), key)
-            }
-            Ok(Request::Library(spec)) => {
-                let key = spec.cache_key();
-                route_submit(shared, &Request::Library(spec), key)
-            }
+            Ok(Request::Submit(spec)) => route_submit(shared, frame, spec.cache_key()),
+            Ok(Request::Library(spec)) => route_submit(shared, frame, spec.cache_key()),
         };
-        if write_message(&mut writer, &reply).is_err() {
+        if writer.write_all(&reply).is_err() {
             return;
         }
     }
 }
 
-/// What one forwarding attempt produced.
+/// What one forwarding attempt produced. Replies are the backend's
+/// frame bytes plus `\n`.
 enum Attempt {
     /// A definitive response to proxy verbatim.
-    Proxy(Json),
+    Proxy(Vec<u8>),
     /// The backend is alive but saturated (`rejected`).
     Saturated,
     /// The backend answered `error`; maybe local, retry elsewhere.
-    Errored(Json),
+    Errored(Vec<u8>),
     /// Connect or mid-connection I/O death.
     Dead,
 }
 
-/// Route one job request — generation or library — by its routing key:
-/// walk the candidate list, forward, classify. For generation jobs the
+/// Route one job request — generation or library, as the client's frame
+/// bytes — by its routing key: walk the candidate list, forward,
+/// classify, and return the reply line. For generation jobs the
 /// key is the spec's cache key (backend `MatrixCache` affinity); for
 /// library jobs it is the spec's routing key (store/target affinity —
 /// backends never cache library results, but stable routing keeps one
 /// backend's page cache warm for a given store).
-fn route_submit(shared: &Arc<Shared>, request: &Request, key: u64) -> Json {
+fn route_submit(shared: &Arc<Shared>, mut request: Vec<u8>, key: u64) -> Vec<u8> {
     let started = Instant::now();
+    request.push(b'\n');
     let order = shared.route_order(key);
     let routable: Vec<usize> = order
         .iter()
@@ -472,7 +478,7 @@ fn route_submit(shared: &Arc<Shared>, request: &Request, key: u64) -> Json {
     };
 
     let mut saturated = false;
-    let mut last_error: Option<Json> = None;
+    let mut last_error: Option<Vec<u8>> = None;
     let mut last_dead: Option<&str> = None;
     for (hop, &index) in candidates
         .iter()
@@ -483,20 +489,20 @@ fn route_submit(shared: &Arc<Shared>, request: &Request, key: u64) -> Json {
             shared.metrics.failover();
         }
         let backend = &shared.backends[index];
-        match forward(shared, backend, request) {
-            Attempt::Proxy(json) => {
+        match forward(shared, backend, &request) {
+            Attempt::Proxy(reply) => {
                 lock_unpoisoned(&backend.health).on_success();
                 backend.routed.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.job_routed(started.elapsed());
-                return json;
+                return reply;
             }
             Attempt::Saturated => {
                 lock_unpoisoned(&backend.health).on_success();
                 saturated = true;
             }
-            Attempt::Errored(json) => {
+            Attempt::Errored(reply) => {
                 lock_unpoisoned(&backend.health).on_success();
-                last_error = Some(json);
+                last_error = Some(reply);
             }
             Attempt::Dead => {
                 lock_unpoisoned(&backend.health).on_failure();
@@ -507,42 +513,52 @@ fn route_submit(shared: &Arc<Shared>, request: &Request, key: u64) -> Json {
 
     shared.metrics.job_refused();
     let retry_after_ms = shared.config.retry_after_ms;
-    if saturated {
+    let refusal = if saturated {
         // At least one backend is alive and will free up: the standard
         // backpressure shape keeps existing client back-off working.
-        Response::Rejected { retry_after_ms }.to_json()
-    } else if let Some(json) = last_error {
-        json
+        Response::Rejected { retry_after_ms }
+    } else if let Some(reply) = last_error {
+        return reply;
     } else if last_resort {
-        Response::NoBackendAvailable { retry_after_ms }.to_json()
+        Response::NoBackendAvailable { retry_after_ms }
     } else if let Some(backend) = last_dead {
         Response::BackendDown {
             backend: backend.to_string(),
             retry_after_ms,
         }
-        .to_json()
     } else {
         // Unreachable in practice (candidates is never empty), but the
         // typed shape beats a panic if it ever is.
-        Response::NoBackendAvailable { retry_after_ms }.to_json()
-    }
+        Response::NoBackendAvailable { retry_after_ms }
+    };
+    encode_line(&refusal.to_json())
 }
 
-/// Forward one job request to one backend over a fresh connection and
-/// classify the outcome. The response JSON is kept raw so a proxied
-/// result is byte-identical to a direct submission.
-fn forward(shared: &Arc<Shared>, backend: &Backend, request: &Request) -> Attempt {
+/// Forward one request line to one backend over a fresh connection and
+/// classify the outcome. The reply is parsed only to read its `kind`;
+/// its bytes are what the client gets, so a proxied result is
+/// byte-identical to a direct submission.
+fn forward(shared: &Arc<Shared>, backend: &Backend, request: &[u8]) -> Attempt {
     match forward_io(shared, backend, request) {
-        Ok(json) => match json.get("kind").and_then(Json::as_str) {
-            Some(kinds::REJECTED) => Attempt::Saturated,
-            Some(kinds::ERROR) => Attempt::Errored(json),
-            _ => Attempt::Proxy(json),
-        },
+        Ok((mut reply, message)) => {
+            reply.push(b'\n');
+            match message.get("kind").and_then(Json::as_str) {
+                Some(kinds::REJECTED) => Attempt::Saturated,
+                Some(kinds::ERROR) => Attempt::Errored(reply),
+                _ => Attempt::Proxy(reply),
+            }
+        }
         Err(_) => Attempt::Dead,
     }
 }
 
-fn forward_io(shared: &Arc<Shared>, backend: &Backend, request: &Request) -> std::io::Result<Json> {
+/// One exchange with a backend: the reply frame and its parse. A reply
+/// that does not parse counts as a dead backend, like a cut connection.
+fn forward_io(
+    shared: &Arc<Shared>,
+    backend: &Backend,
+    request: &[u8],
+) -> std::io::Result<(Vec<u8>, Json)> {
     let addr = resolve(&backend.addr)?;
     let stream = match shared.backend_timeout() {
         Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
@@ -550,14 +566,13 @@ fn forward_io(shared: &Arc<Shared>, backend: &Backend, request: &Request) -> std
     };
     stream.set_read_timeout(shared.backend_timeout())?;
     stream.set_write_timeout(shared.backend_timeout())?;
-    let mut writer = stream.try_clone()?;
-    write_message(&mut writer, &request.to_json())?;
-    let mut reader = BufReader::new(stream);
-    read_message(&mut reader, MAX_BACKEND_RESPONSE_BYTES)
-        .map_err(std::io::Error::from)?
-        .ok_or_else(|| {
+    (&stream).write_all(request)?;
+    let reply =
+        read_frame(&mut BufReader::new(stream), MAX_BACKEND_RESPONSE_BYTES)?.ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "backend closed mid-job")
-        })
+        })?;
+    let message = parse_frame(&reply)?;
+    Ok((reply, message))
 }
 
 fn resolve(addr: &str) -> std::io::Result<SocketAddr> {

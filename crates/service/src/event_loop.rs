@@ -24,7 +24,7 @@
 
 use crate::epoll::{EventWaker, Poller, Readiness};
 use crate::gate::ConnectionPermit;
-use crate::protocol::{FrameAccumulator, ReadError, Request, Response};
+use crate::protocol::{encode_line, FrameAccumulator, ReadError, Request, Response};
 use crate::queue::PushError;
 use crate::server::{dispatch_request, Dispatch, Job, JobPayload, ReplyTo, Shared, WorkerReply};
 use mosaic_telemetry::lock_unpoisoned;
@@ -597,9 +597,8 @@ fn enqueue(
 
 /// Encode one response line into the connection's outbound buffer.
 fn push_response(conn: &mut Conn, response: &Response) {
-    let mut line = response.to_json().encode();
-    line.push('\n');
-    conn.out.extend_from_slice(line.as_bytes());
+    conn.out
+        .extend_from_slice(&encode_line(&response.to_json()));
 }
 
 /// Write as much buffered output as the kernel will take. `Err` means

@@ -47,6 +47,7 @@
 //! the Step-2 matrix came from the cache).
 
 use mosaic_tilelib::LibraryJobSpec;
+use photomosaic::json::find_newline;
 use photomosaic::{JobSpec, Json};
 use std::io::{BufRead, Write};
 
@@ -414,14 +415,19 @@ impl Response {
     }
 }
 
+/// Encode one message as a wire line: JSON + `\n`.
+pub fn encode_line(message: &Json) -> Vec<u8> {
+    let mut line = message.encode().into_bytes();
+    line.push(b'\n');
+    line
+}
+
 /// Write one message (JSON + `\n`) and flush.
 ///
 /// # Errors
 /// Propagates I/O failures.
 pub fn write_message(writer: &mut impl Write, message: &Json) -> std::io::Result<()> {
-    let mut line = message.encode();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
+    writer.write_all(&encode_line(message))?;
     writer.flush()
 }
 
@@ -467,8 +473,24 @@ impl From<ReadError> for std::io::Error {
 }
 
 /// Read one message of at most `max_frame_bytes` payload bytes
-/// (excluding the terminating newline). Returns `Ok(None)` on clean EOF
-/// before any bytes.
+/// (excluding the terminating newline): [`read_frame`], then
+/// [`parse_frame`]. Returns `Ok(None)` on clean EOF before any bytes.
+///
+/// # Errors
+/// As [`read_frame`], plus [`ReadError::Malformed`] for non-JSON
+/// payloads.
+pub fn read_message(
+    reader: &mut impl BufRead,
+    max_frame_bytes: usize,
+) -> Result<Option<Json>, ReadError> {
+    read_frame(reader, max_frame_bytes)?
+        .map(|frame| parse_frame(&frame))
+        .transpose()
+}
+
+/// Read the raw bytes of one frame of at most `max_frame_bytes` bytes,
+/// without its terminating newline. Returns `Ok(None)` on clean EOF
+/// before any bytes; a frame cut short by EOF is returned as it stands.
 ///
 /// The line is accumulated through [`BufRead::fill_buf`] in transport-
 /// sized chunks and the limit is enforced *before* each chunk is copied,
@@ -477,12 +499,11 @@ impl From<ReadError> for std::io::Error {
 ///
 /// # Errors
 /// [`ReadError::FrameTooLarge`] once the accumulated line would exceed
-/// the limit, [`ReadError::Malformed`] for non-JSON payloads, and
-/// [`ReadError::Io`] for transport failures.
-pub fn read_message(
+/// the limit, and [`ReadError::Io`] for transport failures.
+pub fn read_frame(
     reader: &mut impl BufRead,
     max_frame_bytes: usize,
-) -> Result<Option<Json>, ReadError> {
+) -> Result<Option<Vec<u8>>, ReadError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let chunk = match reader.fill_buf() {
@@ -494,38 +515,33 @@ pub fn read_message(
             if line.is_empty() {
                 return Ok(None); // clean EOF between messages
             }
-            break; // EOF mid-line: try to parse what arrived
+            return Ok(Some(line)); // EOF mid-line: hand over what arrived
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(newline_at) => {
-                if line.len() + newline_at > max_frame_bytes {
-                    return Err(ReadError::FrameTooLarge {
-                        limit: max_frame_bytes,
-                    });
-                }
-                line.extend_from_slice(&chunk[..newline_at]);
-                reader.consume(newline_at + 1);
-                break;
-            }
-            None => {
-                let len = chunk.len();
-                if line.len() + len > max_frame_bytes {
-                    return Err(ReadError::FrameTooLarge {
-                        limit: max_frame_bytes,
-                    });
-                }
-                line.extend_from_slice(chunk);
-                reader.consume(len);
-            }
+        let (take, consume) = match find_newline(chunk) {
+            Some(newline_at) => (newline_at, newline_at + 1),
+            None => (chunk.len(), chunk.len()),
+        };
+        if line.len() + take > max_frame_bytes {
+            return Err(ReadError::FrameTooLarge {
+                limit: max_frame_bytes,
+            });
+        }
+        line.extend_from_slice(&chunk[..take]);
+        reader.consume(consume);
+        if take < consume {
+            return Ok(Some(line));
         }
     }
-    let text = match std::str::from_utf8(&line) {
-        Ok(text) => text,
-        Err(e) => return Err(ReadError::Malformed(e.to_string())),
-    };
-    Json::parse(text.trim_end_matches('\r'))
-        .map(Some)
-        .map_err(|e| ReadError::Malformed(e.to_string()))
+}
+
+/// Parse one frame (a line without its `\n`; a trailing `\r` is
+/// ignored) as JSON.
+///
+/// # Errors
+/// [`ReadError::Malformed`] when the frame is not UTF-8 JSON.
+pub fn parse_frame(frame: &[u8]) -> Result<Json, ReadError> {
+    let text = std::str::from_utf8(frame).map_err(|e| ReadError::Malformed(e.to_string()))?;
+    Json::parse(text.trim_end_matches('\r')).map_err(|e| ReadError::Malformed(e.to_string()))
 }
 
 /// Incremental, bounded line framing for nonblocking sockets.
@@ -533,7 +549,7 @@ pub fn read_message(
 /// The event-driven front-end cannot park a thread in [`read_message`],
 /// so it feeds whatever bytes the socket had into an accumulator and
 /// pops complete frames as they form. The frame cap is enforced with the
-/// same discipline as [`read_message`]: each chunk is checked against
+/// same discipline as [`read_frame`]: each chunk is checked against
 /// `max_frame_bytes` *before* it is copied, so peak buffering per
 /// connection stays bounded no matter how many bytes a hostile peer
 /// streams without a newline.
@@ -570,7 +586,7 @@ impl FrameAccumulator {
     /// Framing is lost at that point; the caller must stop feeding and
     /// drop the connection after (optionally) answering.
     pub fn extend(&mut self, mut chunk: &[u8]) -> Result<(), ReadError> {
-        while let Some(newline_at) = chunk.iter().position(|&b| b == b'\n') {
+        while let Some(newline_at) = find_newline(chunk) {
             let segment = &chunk[..newline_at];
             if self.tail.len() + segment.len() > self.limit {
                 return Err(ReadError::FrameTooLarge { limit: self.limit });
@@ -595,16 +611,10 @@ impl FrameAccumulator {
     /// JSON; the line is consumed (the caller decides whether framing
     /// trust is lost, mirroring [`read_message`]'s contract).
     pub fn next_message(&mut self) -> Result<Option<Json>, ReadError> {
-        let Some(line) = self.complete.pop_front() else {
-            return Ok(None);
-        };
-        let text = match std::str::from_utf8(&line) {
-            Ok(text) => text,
-            Err(e) => return Err(ReadError::Malformed(e.to_string())),
-        };
-        Json::parse(text.trim_end_matches('\r'))
-            .map(Some)
-            .map_err(|e| ReadError::Malformed(e.to_string()))
+        self.complete
+            .pop_front()
+            .map(|line| parse_frame(&line))
+            .transpose()
     }
 
     /// Bytes of the in-progress (incomplete) frame — what a mid-frame

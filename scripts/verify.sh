@@ -102,6 +102,41 @@ if [ "${fleet_passed:-0}" -lt 3 ]; then
     exit 1
 fi
 
+# passed_gate MIN WHAT CARGO_TEST_ARGS... — run one test selection and
+# fail unless at least MIN tests passed, summed over every test binary
+# it ran, so a renamed or filtered-out suite cannot pass vacuously.
+passed_gate() {
+    gate_min=$1
+    gate_what=$2
+    shift 2
+    echo "==> cargo test -q --offline $*"
+    gate_out=$(cargo test -q --offline "$@" 2>&1) || {
+        echo "$gate_out"
+        exit 1
+    }
+    echo "$gate_out" | grep '^test result:'
+    gate_passed=$(echo "$gate_out" | grep '^test result:' |
+        sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
+    if [ "${gate_passed:-0}" -lt "$gate_min" ]; then
+        echo "error: expected at least $gate_min $gate_what, ran ${gate_passed:-0}" >&2
+        exit 1
+    fi
+}
+
+# Wire codec: the run-based JSON string codec, the table hex codec and
+# the block newline scan must match their per-character test oracles
+# on the deterministic fuzz inputs.
+passed_gate 7 "codec oracle tests" -p photomosaic --lib codec_oracle
+
+# The gateway forwards a job's request bytes and proxies the backend's
+# reply bytes verbatim, and answers malformed requests itself.
+passed_gate 2 "gateway verbatim-forwarding tests" --test gateway_fleet verbatim_
+
+# A synth source's size is bounded at decode time, so one tiny request
+# cannot make a backend allocate terabytes and abort.
+passed_gate 1 "synth size-bound decode tests" -p photomosaic --lib synth_size_bound
+passed_gate 1 "synth size-bound fleet tests" --test gateway_fleet synth_size_bound
+
 # Pool stress suite: the persistent worker pool underpins every
 # parallel stage, so its shutdown/panic/raggedness invariants get the
 # same vacuous-pass protection as the fault suite — a passed count, not

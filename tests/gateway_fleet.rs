@@ -10,6 +10,8 @@ use mosaic_service::protocol::Response;
 use mosaic_service::server::ServiceConfig;
 use mosaic_service::{run_load, Client, FaultPlan};
 use photomosaic::{Backend, ImageSource, JobResult, JobSpec, Json, MosaicBuilder};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 fn spec(scene: Scene, seed: u64, grid: usize) -> JobSpec {
@@ -336,4 +338,130 @@ fn rendezvous_routing_beats_round_robin_on_cache_affinity() {
         rendezvous.hits > round_robin.hits,
         "affinity advantage vanished: {rendezvous:?} vs {round_robin:?}"
     );
+}
+
+/// A synth source asking for a 2^20-pixel edge would make the backend
+/// allocate 2^40 bytes and abort, and failover would carry it to the
+/// next backend too. The decode-time bound stops it at the gateway: the
+/// client gets `error`, both backends keep answering, and no hop is
+/// spent.
+#[test]
+fn synth_size_bound_oversized_synth_is_refused_without_killing_backends() {
+    let backend = || ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let fleet = Fleet::start(vec![backend(), backend()], GatewayConfig::default()).unwrap();
+    let mut job = spec(Scene::Plasma, 1, 4);
+    job.input = ImageSource::Synth {
+        scene: Scene::Plasma,
+        size: 1 << 20,
+        seed: 0,
+    };
+    let mut client = Client::connect(fleet.gateway_addr()).unwrap();
+    match client.submit(&job).unwrap() {
+        Response::Error { message } => assert!(message.contains("outside 1..=8192"), "{message}"),
+        other => panic!("expected an error, got {other:?}"),
+    }
+    // A backend reached directly refuses it the same way.
+    let mut direct = Client::connect(fleet.backend_addr(0)).unwrap();
+    assert!(matches!(
+        direct.submit(&job).unwrap(),
+        Response::Error { .. }
+    ));
+    for index in 0..fleet.backend_count() {
+        let mut backend = Client::connect(fleet.backend_addr(index)).unwrap();
+        assert_eq!(backend.ping().unwrap(), Response::Pong, "backend {index}");
+    }
+    let Response::Stats { stats } = client.stats().unwrap() else {
+        panic!("expected gateway stats");
+    };
+    let failovers = stats.get("jobs").and_then(|jobs| jobs.get("failovers"));
+    assert_eq!(failovers.and_then(Json::as_u64), Some(0), "{stats:?}");
+    // The fleet still serves ordinary work.
+    decode_result(client.submit(&spec(Scene::Plasma, 1, 4)).unwrap());
+    fleet.join();
+}
+
+/// A gateway whose only backend is a plain listener the test scripts.
+/// Probes are off, so every backend connection is one the gateway made
+/// to forward a job.
+fn scripted_gateway() -> (Gateway, TcpListener) {
+    let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![backend.local_addr().unwrap().to_string()],
+        probe_interval_ms: 0,
+        ..GatewayConfig::default()
+    })
+    .unwrap();
+    (gateway, backend)
+}
+
+/// Send one raw line and read one raw reply line.
+fn exchange(addr: std::net::SocketAddr, line: &str) -> String {
+    let stream = TcpStream::connect(addr).unwrap();
+    (&stream).write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    reply
+}
+
+/// The gateway parses a job to route it, but the backend receives the
+/// client's exact bytes (odd spacing, an unknown field and all), and the
+/// client receives the backend's exact reply bytes, however they are
+/// laid out.
+#[test]
+fn verbatim_gateway_forwards_request_and_reply_bytes_unchanged() {
+    let (gateway, backend) = scripted_gateway();
+    let job = spec(Scene::Portrait, 5, 4).to_json().encode();
+    let request = format!(" {{ \"note\" : [1, 2.50] ,\"op\":  \"submit\",\"job\" :{job}}} \n");
+    let reply =
+        "{ \"result\" : {\"report\":{\"b\":1,\"a\":0}, \"image\" :null}, \"kind\":\"result\" }\n";
+    let script = std::thread::spawn(move || {
+        let (stream, _) = backend.accept().unwrap();
+        let mut received = String::new();
+        BufReader::new(&stream).read_line(&mut received).unwrap();
+        (&stream).write_all(reply.as_bytes()).unwrap();
+        received
+    });
+    assert_eq!(exchange(gateway.local_addr(), &request), reply);
+    assert_eq!(script.join().unwrap(), request);
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A request the gateway cannot parse or validate is answered by the
+/// gateway itself; the backend never sees a connection.
+#[test]
+fn verbatim_gateway_answers_malformed_requests_without_a_backend() {
+    let (gateway, backend) = scripted_gateway();
+    let mut oversized = spec(Scene::Portrait, 5, 4);
+    oversized.target = ImageSource::Synth {
+        scene: Scene::Plasma,
+        size: 1 << 20,
+        seed: 0,
+    };
+    let oversized = format!(
+        "{{\"op\":\"submit\",\"job\":{}}}\n",
+        oversized.to_json().encode()
+    );
+    for line in [
+        "{\"op\":\"submit\"\n",
+        "{\"op\":\"submit\",\"job\":{}}\n",
+        "{\"op\":\"dance\"}\n",
+        oversized.as_str(),
+    ] {
+        let reply = Json::parse(exchange(gateway.local_addr(), line).trim_end()).unwrap();
+        assert!(
+            matches!(Response::from_json(&reply), Ok(Response::Error { .. })),
+            "{line:?} drew {reply:?}"
+        );
+    }
+    backend.set_nonblocking(true).unwrap();
+    match backend.accept() {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+        Ok((_, peer)) => panic!("the gateway opened a backend connection from {peer}"),
+    }
+    gateway.shutdown();
+    gateway.join();
 }
