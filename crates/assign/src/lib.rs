@@ -16,8 +16,8 @@
 //!   once ε < 1/n (achieved by scaling costs by n+1);
 //! * [`greedy`] — global greedy matching, the quality baseline;
 //! * [`brute`] — O(n·n!) exhaustive search, the test oracle for small n;
-//! * [`sparse`] — candidate-pruned (top-k) auction for large instances,
-//!   the scalability trick practical mosaic engines use;
+//! * [`sparse`] — exact rectangular matching over pruned candidate lists,
+//!   the tile-library solve (`S` cells drawn from `T ≥ S` library tiles);
 //! * [`blossom`] — Edmonds' blossom algorithm for **general** graphs, the
 //!   algorithm family the paper actually ran (Blossom V); used here both
 //!   directly and through the paper's 2S-vertex bipartite embedding.
@@ -60,4 +60,4 @@ pub use greedy::GreedySolver;
 pub use hungarian::HungarianSolver;
 pub use jv::JonkerVolgenantSolver;
 pub use solver::{Assignment, Solver, SolverKind};
-pub use sparse::{solve_sparse_rect, SparseAuctionSolver, SparseCostMatrix, SparseInstanceError};
+pub use sparse::{solve_sparse_rect, SparseCostMatrix, SparseInstanceError};

@@ -1,15 +1,14 @@
-//! Sparse (candidate-pruned) assignment.
+//! Sparse (candidate-pruned) assignment for the tile-library workload.
 //!
-//! Dense exact solvers are O(n³); for large tile counts practical mosaic
-//! engines prune each input tile to its k best target positions and solve
-//! on the sparse graph. [`SparseCostMatrix`] stores such an instance in
-//! CSR form. Two solve paths run over the candidate lists only:
+//! A library mosaic has `T` library tiles competing for `S` target cells
+//! (`S ≤ T`). Pruning keeps each cell's best candidate tiles;
+//! [`SparseCostMatrix`] stores that instance in CSR form and
+//! [`solve_sparse_rect`] solves it exactly with successive shortest
+//! augmenting paths over the candidate lists only.
 //!
-//! * [`SparseAuctionSolver`] / [`solve_sparse_auction`] — ε-scaling
-//!   auction for square instances (the paper's rearrangement workload);
-//! * [`solve_sparse_rect`] — exact successive-shortest-path matching for
-//!   rectangular instances (rows ≤ columns), the tile-library workload
-//!   where `T` library tiles compete for `S` target cells.
+//! Top-k pruning is not used for the paper's square rearrangement: a
+//! bijection needs many candidates per tile, and pruned Step-3 solves
+//! land far above the dense optimum (EXPERIMENTS.md, Ablations).
 //!
 //! Feasibility: an arbitrary top-k pruning may have no perfect matching.
 //! [`SparseCostMatrix::from_candidates_rect`] repairs this with a
@@ -25,9 +24,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
 
 /// A pruned instance that cannot be repaired into one with a perfect
 /// matching on the rows, or that is malformed.
@@ -86,38 +82,6 @@ pub struct SparseCostMatrix {
 }
 
 impl SparseCostMatrix {
-    /// Build a **square** instance from per-row candidate lists of
-    /// `(column, cost)` pairs.
-    ///
-    /// # Panics
-    /// Panics when a row is empty or a column index is out of range.
-    pub fn from_rows(n: usize, rows: &[Vec<(usize, u32)>]) -> Self {
-        assert_eq!(rows.len(), n, "one candidate list per row required");
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_ids = Vec::new();
-        let mut costs = Vec::new();
-        let mut max_cost = 0u32;
-        row_ptr.push(0);
-        for (r, list) in rows.iter().enumerate() {
-            assert!(!list.is_empty(), "row {r} has no candidates");
-            for &(c, cost) in list {
-                assert!(c < n, "row {r}: column {c} out of range");
-                col_ids.push(c);
-                costs.push(cost);
-                max_cost = max_cost.max(cost);
-            }
-            row_ptr.push(col_ids.len());
-        }
-        SparseCostMatrix {
-            rows: n,
-            cols: n,
-            row_ptr,
-            col_ids,
-            costs,
-            max_cost,
-        }
-    }
-
     /// Build a **rectangular** instance (`rows ≤ cols`) from per-row
     /// candidate lists, repairing feasibility when the pruned graph has
     /// no row-perfect matching.
@@ -198,59 +162,6 @@ impl SparseCostMatrix {
             costs,
             max_cost,
         })
-    }
-
-    /// Prune a dense matrix to a sparse candidate graph: the union of each
-    /// **row's** `k` cheapest columns and each **column's** `k` cheapest
-    /// rows, plus a matching-preserving feasibility injection (see
-    /// [`SparseCostMatrix::from_candidates_rect`]).
-    ///
-    /// Row-only pruning leaves contested positions with no alternatives;
-    /// keeping each column's best rows as well guarantees every position
-    /// offers candidates too. Even so, bijective rearrangement needs
-    /// *many* candidates per tile: the scalability ablation measures a
-    /// large quality gap at small k on real mosaic matrices (unlike
-    /// repetition-allowed database mosaics, where top-k pruning is
-    /// standard). Kept as a documented negative result; prefer
-    /// `photomosaic::multires` for scale.
-    ///
-    /// # Panics
-    /// Panics when `k == 0`.
-    pub fn from_dense_top_k(dense: &CostMatrix, k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        let n = dense.size();
-        let keep = k.min(n);
-        let mut keep_sets: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        // Row direction: r keeps its `keep` cheapest columns. (Index loop:
-        // `order` is re-sorted per row, so enumerate forms don't apply.)
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..n {
-            let row = dense.row(r);
-            order.clear();
-            order.extend(0..n);
-            order.select_nth_unstable_by_key(keep - 1, |&c| (row[c], c));
-            keep_sets[r].extend_from_slice(&order[..keep]);
-        }
-        // Column direction: c keeps its `keep` cheapest rows.
-        for c in 0..n {
-            order.clear();
-            order.extend(0..n);
-            order.select_nth_unstable_by_key(keep - 1, |&r| (dense.get(r, c), r));
-            for &r in &order[..keep] {
-                keep_sets[r].push(c);
-            }
-        }
-        let rows: Vec<Vec<(usize, u32)>> = keep_sets
-            .into_iter()
-            .enumerate()
-            .map(|(r, cols)| cols.into_iter().map(|c| (c, dense.get(r, c))).collect())
-            .collect();
-        match Self::from_candidates_rect(n, n, &rows, |r, c| dense.get(r, c)) {
-            Ok(sparse) => sparse,
-            // lint:allow(panic) square instance with k ≥ 1 candidates per row and per column always repairs to feasible
-            Err(e) => unreachable!("square top-k injection cannot fail: {e}"),
-        }
     }
 
     /// Dimension of a square instance (row count in general).
@@ -471,114 +382,11 @@ pub fn solve_sparse_rect(sparse: &SparseCostMatrix) -> Result<Vec<usize>, Sparse
     Ok(row_to_col)
 }
 
-/// ε-scaling auction over a sparse candidate graph.
-///
-/// Exact on the pruned graph for integer costs (benefits scaled by
-/// `n + 1`, final ε = 1); a fast heuristic for the dense problem.
-#[derive(Copy, Clone, Debug)]
-pub struct SparseAuctionSolver {
-    /// Candidates kept per row when pruning a dense matrix.
-    pub k: usize,
-    /// ε shrink factor between scaling phases (≥ 2).
-    pub scaling_factor: i64,
-}
-
-impl Default for SparseAuctionSolver {
-    fn default() -> Self {
-        SparseAuctionSolver {
-            k: 16,
-            scaling_factor: 4,
-        }
-    }
-}
-
-impl Solver for SparseAuctionSolver {
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let sparse = SparseCostMatrix::from_dense_top_k(cost, self.k);
-        let row_to_col = solve_sparse_auction(&sparse, self.scaling_factor.max(2));
-        Assignment::new(cost, row_to_col)
-    }
-
-    fn name(&self) -> &'static str {
-        "sparse-auction"
-    }
-
-    fn is_exact(&self) -> bool {
-        false // exact only on the pruned graph
-    }
-}
-
-/// Run the auction directly on a **square** sparse instance, returning
-/// `row_to_col`. Rectangular instances must use [`solve_sparse_rect`]:
-/// the auction's price persistence across scaling phases assumes every
-/// column is contested, which fails when columns outnumber rows.
-pub fn solve_sparse_auction(sparse: &SparseCostMatrix, scaling_factor: i64) -> Vec<usize> {
-    assert_eq!(
-        sparse.rows(),
-        sparse.cols(),
-        "auction path is square-only; use solve_sparse_rect"
-    );
-    let n = sparse.size();
-    if n == 1 {
-        // lint:allow(panic) SparseCostMatrix construction guarantees every row keeps at least one entry
-        return vec![sparse.row(0).next().expect("row non-empty").0];
-    }
-    let scale = (n + 1) as i64;
-    let c_max = i64::from(sparse.max_cost());
-    let benefit = |cost: u32| -> i64 { (c_max - i64::from(cost)) * scale };
-
-    let mut price = vec![0i64; n];
-    let mut row_to_col = vec![UNASSIGNED; n];
-    let mut col_to_row = vec![UNASSIGNED; n];
-
-    let mut eps = (c_max * scale / 2).max(1);
-    loop {
-        row_to_col.iter_mut().for_each(|v| *v = UNASSIGNED);
-        col_to_row.iter_mut().for_each(|v| *v = UNASSIGNED);
-        let mut free: Vec<usize> = (0..n).collect();
-
-        while let Some(i) = free.pop() {
-            let mut best_j = UNASSIGNED;
-            let mut best_v = i64::MIN;
-            let mut second_v = i64::MIN;
-            for (j, cost) in sparse.row(i) {
-                let v = benefit(cost) - price[j];
-                if v > best_v {
-                    second_v = best_v;
-                    best_v = v;
-                    best_j = j;
-                } else if v > second_v {
-                    second_v = v;
-                }
-            }
-            debug_assert_ne!(best_j, UNASSIGNED, "rows are non-empty by construction");
-            if second_v == i64::MIN {
-                second_v = best_v;
-            }
-            price[best_j] += best_v - second_v + eps;
-            let prev = col_to_row[best_j];
-            if prev != UNASSIGNED {
-                row_to_col[prev] = UNASSIGNED;
-                free.push(prev);
-            }
-            col_to_row[best_j] = i;
-            row_to_col[i] = best_j;
-        }
-
-        if eps == 1 {
-            break;
-        }
-        eps = (eps / scaling_factor).max(1);
-    }
-
-    debug_assert!(row_to_col.iter().all(|&c| c != UNASSIGNED));
-    row_to_col
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungarian::{optimal_total, solve_hungarian};
+    use crate::cost::CostMatrix;
+    use crate::hungarian::solve_hungarian;
 
     fn random_cost(n: usize, seed: u64, max: u64) -> CostMatrix {
         let mut state = seed | 1;
@@ -628,7 +436,8 @@ mod tests {
             vec![(1, 3)],
             vec![(0, 2), (1, 4), (2, 6)],
         ];
-        let m = SparseCostMatrix::from_rows(3, &rows);
+        let m = SparseCostMatrix::from_candidates_rect(3, 3, &rows, |_, _| 0)
+            .expect("the candidates already hold a perfect matching");
         assert_eq!(m.size(), 3);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 3);
@@ -636,116 +445,6 @@ mod tests {
         assert_eq!(m.max_cost(), 6);
         let row2: Vec<_> = m.row(2).collect();
         assert_eq!(row2, vec![(0, 2), (1, 4), (2, 6)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no candidates")]
-    fn empty_row_rejected() {
-        let _ = SparseCostMatrix::from_rows(2, &[vec![(0, 1)], vec![]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn column_out_of_range_rejected() {
-        let _ = SparseCostMatrix::from_rows(1, &[vec![(1, 1)]]);
-    }
-
-    #[test]
-    fn top_k_keeps_cheapest_and_stays_feasible() {
-        let dense = CostMatrix::from_vec(3, vec![9, 1, 2, 3, 9, 4, 5, 6, 9]);
-        let sparse = SparseCostMatrix::from_dense_top_k(&dense, 1);
-        // Row 0: cheapest is col 1 (cost 1).
-        assert!(sparse.row(0).any(|e| e == (1, 1)));
-        // The injection guarantees a perfect matching exists.
-        let solved = solve_sparse_rect(&sparse).expect("feasible by construction");
-        assert_eq!(solved.len(), 3);
-    }
-
-    #[test]
-    fn full_k_matches_dense_optimum() {
-        for seed in [3u64, 17, 99] {
-            let dense = random_cost(24, seed, 1_000);
-            let solver = SparseAuctionSolver {
-                k: 24,
-                scaling_factor: 4,
-            };
-            assert_eq!(
-                solver.solve(&dense).total(),
-                optimal_total(&dense),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_solution_is_feasible_and_bounded_below_by_optimum() {
-        for seed in [1u64, 5, 23] {
-            let dense = random_cost(40, seed, 10_000);
-            let solver = SparseAuctionSolver::default(); // k = 16
-            let sparse_total = solver.solve(&dense).total();
-            let opt = optimal_total(&dense);
-            assert!(sparse_total >= opt, "seed {seed}");
-            // With k = 16 of 40 candidates the pruned optimum should stay
-            // within a modest factor of the true optimum on uniform data.
-            assert!(
-                sparse_total <= opt.max(1) * 3,
-                "seed {seed}: {sparse_total} vs {opt}"
-            );
-        }
-    }
-
-    #[test]
-    fn quality_improves_with_k() {
-        let dense = random_cost(48, 7, 10_000);
-        let opt = optimal_total(&dense);
-        let totals: Vec<u64> = [2usize, 8, 48]
-            .iter()
-            .map(|&k| {
-                SparseAuctionSolver {
-                    k,
-                    scaling_factor: 4,
-                }
-                .solve(&dense)
-                .total()
-            })
-            .collect();
-        assert!(totals[0] >= totals[2]);
-        assert!(totals[1] >= totals[2]);
-        assert_eq!(totals[2], opt);
-    }
-
-    #[test]
-    fn adversarial_contention_repaired_by_matching_injection() {
-        // Rows all prefer column 0; only the matching-preserving
-        // injection makes the instance feasible at k = 1.
-        let dense = CostMatrix::from_fn(6, |_, c| if c == 0 { 0 } else { 100 });
-        let solver = SparseAuctionSolver {
-            k: 1,
-            scaling_factor: 4,
-        };
-        let a = solver.solve(&dense);
-        assert_eq!(a.len(), 6); // feasible despite extreme contention
-    }
-
-    #[test]
-    fn single_row_instance() {
-        let dense = CostMatrix::from_vec(1, vec![7]);
-        let a = SparseAuctionSolver::default().solve(&dense);
-        assert_eq!(a.total(), 7);
-    }
-
-    #[test]
-    fn deterministic() {
-        let dense = random_cost(32, 11, 500);
-        let s = SparseAuctionSolver::default();
-        assert_eq!(s.solve(&dense).row_to_col(), s.solve(&dense).row_to_col());
-    }
-
-    #[test]
-    fn solver_metadata() {
-        let s = SparseAuctionSolver::default();
-        assert_eq!(s.name(), "sparse-auction");
-        assert!(!s.is_exact());
     }
 
     // ---- rectangular path ---------------------------------------------
@@ -930,14 +629,5 @@ mod tests {
                 .sum::<u64>()
         };
         assert!(total_of(&pruned_lists) >= total_of(&full_lists));
-    }
-
-    #[test]
-    fn auction_rejects_rectangular_instances() {
-        let lists = vec![vec![(0, 1), (3, 2)]];
-        let sparse =
-            SparseCostMatrix::from_candidates_rect(1, 4, &lists, |_, _| 0).expect("feasible");
-        let result = std::panic::catch_unwind(|| solve_sparse_auction(&sparse, 4));
-        assert!(result.is_err(), "square-only guard must fire");
     }
 }

@@ -13,6 +13,7 @@
 //! * **Search effort** — Algorithm 1 vs annealing with increasing sweep
 //!   budgets: how far the swap-local optimum sits from what extra search
 //!   buys;
+//! * **Scalability** — the dense exact solve at the largest grid;
 //! * **Workers** — simulated-device scaling with host worker count.
 
 #![forbid(unsafe_code)]
@@ -21,7 +22,7 @@ use mosaic_assign::SolverKind;
 use mosaic_bench::{figure2_pair, fmt_secs, RunScale};
 use mosaic_edgecolor::SwapSchedule;
 use mosaic_gpu::{DeviceSpec, GpuSim};
-use mosaic_grid::{build_error_matrix, TileLayout, TileMetric};
+use mosaic_grid::{build_error_matrix, Deadline, TileLayout, TileMetric};
 use mosaic_image::metrics;
 use photomosaic::anneal::anneal_search;
 use photomosaic::local_search::local_search;
@@ -118,7 +119,7 @@ fn main() {
         100.0 * (plain.total - optimal) as f64 / optimal as f64
     );
     for sweeps in [2usize, 8] {
-        let out = anneal_search(&matrix, 0xA11EA1, sweeps);
+        let out = anneal_search(&matrix, 0xA11EA1, sweeps, &Deadline::NONE).unwrap();
         println!(
             "{:>14}x{:<1} | {:>14} | {:>8.3}%",
             "anneal",
@@ -128,57 +129,21 @@ fn main() {
         );
     }
 
-    // ---- scalability ablation: dense exact vs pruned vs hierarchical ----
-    println!(
-        "\n== Scalability (grid {}x{}, same pair) ==",
-        scale.grids()[2],
-        scale.grids()[2]
-    );
+    // ---- scalability: the dense exact solve at the largest grid ----
     {
         let big_grid = scale.grids()[2];
+        println!("\n== Scalability (grid {big_grid}x{big_grid}, same pair) ==");
         let big_layout = TileLayout::with_grid(size, big_grid).expect("divisible");
         let (big_matrix, t_matrix) = mosaic_bench::time(|| {
             build_error_matrix(&input, &target, big_layout, TileMetric::Sad).unwrap()
         });
-        println!("(error matrix build: {})", fmt_secs(t_matrix).trim());
-        println!(
-            "{:>22} | {:>14} | {:>9} | {:>9}",
-            "method", "total", "time[s]", "over-opt"
-        );
         let (opt, t_opt) =
             mosaic_bench::time(|| optimal_rearrangement(&big_matrix, SolverKind::JonkerVolgenant));
+        println!("(error matrix build: {})", fmt_secs(t_matrix).trim());
         println!(
-            "{:>22} | {:>14} | {} | {:>8.3}%",
-            "dense JV (exact)",
+            "dense JV (exact): total {}, {} s",
             opt.total,
-            fmt_secs(t_opt),
-            0.0
-        );
-        for k in [8usize, 32] {
-            let (sparse, t_sparse) =
-                mosaic_bench::time(|| photomosaic::optimal::sparse_rearrangement(&big_matrix, k));
-            println!(
-                "{:>20}{k:<2} | {:>14} | {} | {:>8.3}%",
-                "sparse auction k=",
-                sparse.total,
-                fmt_secs(t_sparse),
-                100.0 * (sparse.total - opt.total) as f64 / opt.total as f64
-            );
-        }
-        let mcfg = photomosaic::multires::MultiresConfig {
-            leaf_grid: scale.grids()[0],
-            metric: TileMetric::Sad,
-        };
-        let (hier, t_hier) = mosaic_bench::time(|| {
-            photomosaic::multires::hierarchical_rearrangement(&input, &target, big_layout, mcfg)
-                .expect("grid is leaf * 2^k")
-        });
-        println!(
-            "{:>22} | {:>14} | {} | {:>8.3}%",
-            "hierarchical",
-            hier.total,
-            fmt_secs(t_hier),
-            100.0 * (hier.total - opt.total) as f64 / opt.total as f64
+            fmt_secs(t_opt).trim()
         );
     }
 

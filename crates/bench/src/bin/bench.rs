@@ -383,7 +383,7 @@ fn suite_ablations(options: &Options, cases: &mut Vec<Case>) {
             "ablations",
             format!("search/anneal-{sweeps}"),
             options.samples,
-            || anneal_search(&matrix, 7, sweeps),
+            || anneal_search(&matrix, 7, sweeps, &Deadline::NONE),
         ));
     }
     let workers = std::thread::available_parallelism()

@@ -81,21 +81,6 @@ pub enum Command {
         /// Tile edge length for a newly created store.
         tile: usize,
     },
-    /// `mosaic database`.
-    Database {
-        /// Target image path.
-        target: String,
-        /// Donor image paths.
-        donors: Vec<String>,
-        /// Tile edge length.
-        tile: usize,
-        /// Output path.
-        out: String,
-        /// Per-tile usage cap (`None` = unlimited).
-        cap: Option<usize>,
-        /// Tile metric.
-        metric: TileMetric,
-    },
     /// `mosaic synth`.
     Synth {
         /// Scene name.
@@ -364,12 +349,9 @@ fn parse_config(flags: &Flags) -> Result<photomosaic::MosaicConfig, CliError> {
             seed: flags.number("seed", 1)? as u64,
             sweeps: flags.number("sweeps", 4)?,
         },
-        "sparse" => Algorithm::SparseMatch {
-            k: flags.number("k", 16)?.max(1),
-        },
         other => {
             return Err(CliError(format!(
-                "--algorithm expects optimal|local|parallel|greedy|anneal|sparse, got {other:?}"
+                "--algorithm expects optimal|local|parallel|greedy|anneal, got {other:?}"
             )))
         }
     };
@@ -434,7 +416,7 @@ fn parse_library_params(flags: &Flags) -> Result<LibraryParams, CliError> {
 const LIBRARY_FLAGS: [&str; 3] = ["clusters", "top-clusters", "feature-grid"];
 
 /// The pipeline-configuration flag names accepted by [`parse_config`].
-const CONFIG_FLAGS: [&str; 10] = [
+const CONFIG_FLAGS: [&str; 9] = [
     "grid",
     "algorithm",
     "solver",
@@ -444,7 +426,6 @@ const CONFIG_FLAGS: [&str; 10] = [
     "threads",
     "seed",
     "sweeps",
-    "k",
 ];
 
 /// One `submit` image argument: `--<role>` (a PGM path) or
@@ -715,42 +696,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 ))),
             }
         }
-        "database" => {
-            let flags = split_flags(rest)?;
-            flags.check_known(&["target", "donors", "tile", "out", "cap", "metric"])?;
-            let donors: Vec<String> = flags
-                .require("donors")?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            if donors.is_empty() {
-                return Err(CliError("--donors expects at least one path".into()));
-            }
-            let tile = flags.number("tile", 16)?;
-            if tile == 0 {
-                return Err(CliError("--tile must be positive".into()));
-            }
-            let cap = match flags.optional("cap") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .map_err(|_| CliError(format!("--cap expects a number, got {v:?}")))?,
-                ),
-            };
-            let metric = match flags.optional("metric") {
-                Some(v) => parse_metric(v)?,
-                None => TileMetric::Sad,
-            };
-            Ok(Command::Database {
-                target: flags.require("target")?.to_string(),
-                donors,
-                tile,
-                out: flags.require("out")?.to_string(),
-                cap,
-                metric,
-            })
-        }
         "synth" => {
             let flags = split_flags(rest)?;
             flags.check_known(&["scene", "size", "seed", "out"])?;
@@ -865,18 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn generate_sparse_takes_k() {
-        let cmd = parse(&argv(
-            "generate --input a --target b --out c --algorithm sparse --k 8",
-        ))
-        .unwrap();
-        let Command::Generate { config, .. } = cmd else {
-            panic!("wrong command");
-        };
-        assert_eq!(config.algorithm, Algorithm::SparseMatch { k: 8 });
-    }
-
-    #[test]
     fn generate_missing_required_flag() {
         let err = parse(&argv("generate --input a --out c")).unwrap_err();
         assert!(err.to_string().contains("--target"));
@@ -906,23 +839,6 @@ mod tests {
     fn duplicate_flag_rejected() {
         let err = parse(&argv("synth --scene fur --scene fur --out x")).unwrap_err();
         assert!(err.to_string().contains("twice"));
-    }
-
-    #[test]
-    fn database_parses_donor_list_and_cap() {
-        let cmd = parse(&argv(
-            "database --target t.pgm --donors a.pgm,b.pgm --tile 8 --out m.pgm --cap 3",
-        ))
-        .unwrap();
-        let Command::Database {
-            donors, tile, cap, ..
-        } = cmd
-        else {
-            panic!("wrong command");
-        };
-        assert_eq!(donors, vec!["a.pgm", "b.pgm"]);
-        assert_eq!(tile, 8);
-        assert_eq!(cap, Some(3));
     }
 
     #[test]
@@ -1356,6 +1272,10 @@ mod tests {
         assert!(parse(&argv("generate --input a --target b --out c --grid zero")).is_err());
         assert!(parse(&argv("generate --input a --target b --out c --grid 0")).is_err());
         assert!(parse(&argv("synth --scene fur --size 0 --out x")).is_err());
-        assert!(parse(&argv("database --target t --donors a --tile 0 --out m")).is_err());
+        assert!(parse(&argv(
+            "generate --input a --target b --out c --algorithm sparse"
+        ))
+        .is_err());
+        assert!(parse(&argv("database --target t --donors a --tile 8 --out m")).is_err());
     }
 }

@@ -10,7 +10,6 @@ use mosaic_service::protocol::{self, Response};
 use mosaic_service::{run_load, Client, Server, ServiceConfig};
 use mosaic_telemetry as telemetry;
 use mosaic_tilelib::{execute_library, LibraryJobSpec, TileStore};
-use photomosaic::database::{database_mosaic, SelectionPolicy, TileLibrary};
 use photomosaic::{ImageSource, JobResult, JobSpec, Json};
 
 /// Execute a parsed command, returning the text to print on success.
@@ -94,29 +93,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 count("clusters"),
                 count("candidates_total"),
                 count("total_error"),
-            ))
-        }
-        Command::Database {
-            target,
-            donors,
-            tile,
-            out,
-            cap,
-            metric,
-        } => {
-            let target_img = load_pgm(&target)?;
-            let donor_imgs = donors.iter().map(load_pgm).collect::<Result<Vec<_>, _>>()?;
-            let library = TileLibrary::from_donors(tile, &donor_imgs)?;
-            let policy = match cap {
-                Some(c) => SelectionPolicy::UsageCap(c),
-                None => SelectionPolicy::Unlimited,
-            };
-            let mosaic = database_mosaic(&target_img, &library, metric, policy)?;
-            save_pgm(&out, &mosaic.image)?;
-            Ok(format!(
-                "database mosaic: library {} tiles, total error {}\nwrote {out}",
-                library.len(),
-                mosaic.total_error,
             ))
         }
         Command::Synth {
@@ -504,23 +480,6 @@ mod tests {
         // The output must parse and compare sensibly against the target.
         let compare = execute(Command::Compare { a: out, b: target }).unwrap();
         assert!(compare.contains("PSNR"));
-    }
-
-    #[test]
-    fn database_end_to_end() {
-        let donor = write_scene("db_donor.pgm", Scene::Plasma, 64, 5);
-        let target = write_scene("db_target.pgm", Scene::Portrait, 64, 6);
-        let out = tmp("db_out.pgm").to_string_lossy().into_owned();
-        let msg = execute(Command::Database {
-            target,
-            donors: vec![donor],
-            tile: 8,
-            out,
-            cap: None,
-            metric: mosaic_grid::TileMetric::Sad,
-        })
-        .unwrap();
-        assert!(msg.contains("library 64 tiles"));
     }
 
     #[test]

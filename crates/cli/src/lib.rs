@@ -6,7 +6,6 @@
 //! mosaic generate --input in.pgm --target tgt.pgm --out mosaic.pgm [options]
 //! mosaic generate --library tiles/ --target tgt.pgm --out mosaic.pgm [options]
 //! mosaic ingest   --store tiles/ --from photos/ --tile 16
-//! mosaic database --target tgt.pgm --donors a.pgm,b.pgm --tile 16 --out m.pgm
 //! mosaic synth    --scene portrait --size 512 --seed 1 --out scene.pgm
 //! mosaic serve    --addr 127.0.0.1:7733 --workers 4 --queue 16 --cache 8
 //! mosaic gateway  --backends 127.0.0.1:7733,127.0.0.1:7734 [options]
@@ -42,17 +41,15 @@ mosaic — photomosaic generation by rearranging subimages
 
 USAGE:
   mosaic generate --input <pgm> --target <pgm> --out <pgm>
-                  [--grid <n>] [--algorithm optimal|local|parallel|greedy|anneal|sparse]
+                  [--grid <n>] [--algorithm optimal|local|parallel|greedy|anneal]
                   [--solver jv|hungarian|auction|blossom|greedy]
                   [--backend serial|threads|gpu] [--metric sad|ssd|mean]
-                  [--preprocess match|equalize|none] [--seed <n>] [--sweeps <n>] [--k <n>]
+                  [--preprocess match|equalize|none] [--seed <n>] [--sweeps <n>]
                   [--trace-out <path>]
   mosaic generate --library <store> --target <pgm> --out <pgm>
                   [--grid <n>] [--clusters <n>] [--top-clusters <n>]
                   [--feature-grid <n>] [--seed <n>] [--metric sad|ssd|mean]
   mosaic ingest   --store <dir> --from <dir> [--tile <n>]
-  mosaic database --target <pgm> --donors <pgm,pgm,...> --tile <n> --out <pgm>
-                  [--cap <n>] [--metric sad|ssd|mean]
   mosaic synth    --scene portrait|regatta|fur|drapery|plasma|checker
                   --size <n> --out <pgm> [--seed <n>]
   mosaic serve    [--addr <host:port>] [--workers <n>] [--queue <n>]

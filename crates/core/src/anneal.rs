@@ -9,8 +9,8 @@
 //! The schedule-ablation bench uses it to quantify how far Algorithm 1's
 //! local optima sit from what extra search effort can reach.
 
-use crate::local_search::{local_search_from, SearchOutcome};
-use mosaic_grid::ErrorMatrix;
+use crate::local_search::{local_search_from_bounded, SearchOutcome};
+use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 
 /// Deterministic xorshift64* PRNG (same construction as
 /// `mosaic_image::synth::XorShift64`, duplicated to keep this crate's
@@ -50,7 +50,19 @@ impl Rng {
 /// Run `sweeps` annealing sweeps (each proposing `S(S−1)/2` random swaps)
 /// followed by a descent polish. `sweeps == 0` degenerates to plain
 /// Algorithm 1.
-pub fn anneal_search(matrix: &ErrorMatrix, seed: u64, sweeps: usize) -> SearchOutcome {
+///
+/// The deadline is polled before every annealing sweep and every polish
+/// sweep, so overshoot past an expiry is at most one sweep.
+///
+/// # Errors
+/// Returns [`DeadlineExceeded`] when `deadline` expires before the polish
+/// converges (including a deadline that was already expired on entry).
+pub fn anneal_search(
+    matrix: &ErrorMatrix,
+    seed: u64,
+    sweeps: usize,
+    deadline: &Deadline,
+) -> Result<SearchOutcome, DeadlineExceeded> {
     let s = matrix.size();
     let mut assignment: Vec<usize> = (0..s).collect();
     if s >= 2 && sweeps > 0 {
@@ -62,6 +74,7 @@ pub fn anneal_search(matrix: &ErrorMatrix, seed: u64, sweeps: usize) -> SearchOu
         let mut temperature = mean_entry.max(1.0);
         let proposals_per_sweep = s * (s - 1) / 2;
         for _ in 0..sweeps {
+            deadline.check()?;
             for _ in 0..proposals_per_sweep {
                 let p = rng.below(s);
                 let mut q = rng.below(s - 1);
@@ -82,9 +95,9 @@ pub fn anneal_search(matrix: &ErrorMatrix, seed: u64, sweeps: usize) -> SearchOu
             temperature *= 0.8;
         }
     }
-    let mut polished = local_search_from(matrix, assignment);
-    polished.sweeps += sweeps;
-    polished
+    let mut polished = local_search_from_bounded(matrix, assignment, deadline)?;
+    polished.sweeps = polished.sweeps.saturating_add(sweeps);
+    Ok(polished)
 }
 
 #[cfg(test)]
@@ -92,6 +105,11 @@ mod tests {
     use super::*;
     use crate::local_search::{is_swap_optimal, local_search};
     use mosaic_assign::SolverKind;
+    use std::time::Duration;
+
+    fn unbounded(matrix: &ErrorMatrix, seed: u64, sweeps: usize) -> SearchOutcome {
+        anneal_search(matrix, seed, sweeps, &Deadline::NONE).unwrap()
+    }
 
     fn random_matrix(n: usize, seed: u64, max: u64) -> ErrorMatrix {
         let mut state = seed | 1;
@@ -107,13 +125,13 @@ mod tests {
     #[test]
     fn zero_sweeps_equals_plain_descent() {
         let m = random_matrix(16, 3, 1000);
-        assert_eq!(anneal_search(&m, 1, 0), local_search(&m));
+        assert_eq!(unbounded(&m, 1, 0), local_search(&m));
     }
 
     #[test]
     fn result_is_swap_optimal() {
         let m = random_matrix(20, 9, 1000);
-        let out = anneal_search(&m, 42, 5);
+        let out = unbounded(&m, 42, 5);
         assert!(is_swap_optimal(&m, &out.assignment));
         assert_eq!(out.total, m.assignment_total(&out.assignment));
     }
@@ -121,22 +139,30 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let m = random_matrix(12, 5, 500);
-        assert_eq!(anneal_search(&m, 7, 3), anneal_search(&m, 7, 3));
+        assert_eq!(unbounded(&m, 7, 3), unbounded(&m, 7, 3));
     }
 
     #[test]
     fn never_worse_than_optimal_bound() {
         let m = random_matrix(18, 1, 2000);
         let opt = crate::optimal::optimal_rearrangement(&m, SolverKind::Hungarian);
-        let out = anneal_search(&m, 11, 6);
+        let out = unbounded(&m, 11, 6);
         assert!(out.total >= opt.total);
     }
 
     #[test]
     fn single_tile_degenerate() {
         let m = ErrorMatrix::from_vec(1, vec![5]);
-        let out = anneal_search(&m, 3, 10);
+        let out = unbounded(&m, 3, 10);
         assert_eq!(out.assignment, vec![0]);
         assert_eq!(out.total, 5);
+    }
+
+    #[test]
+    fn expired_deadline_stops_before_the_first_sweep() {
+        let m = random_matrix(16, 3, 1000);
+        let expired = Deadline::after(Duration::ZERO);
+        assert!(anneal_search(&m, 1, usize::MAX, &expired).is_err());
+        assert!(anneal_search(&m, 1, 0, &expired).is_err());
     }
 }

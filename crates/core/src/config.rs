@@ -17,13 +17,6 @@ pub enum Algorithm {
     ParallelSearch,
     /// Greedy matching baseline (not in the paper; quality floor).
     Greedy,
-    /// Candidate-pruned matching: each input tile keeps only its `k` best
-    /// target positions and the sparse auction solves the pruned graph
-    /// (extension; the scalability strategy of practical mosaic engines).
-    SparseMatch {
-        /// Candidates kept per input tile.
-        k: usize,
-    },
     /// Simulated-annealing variant of the local search (DESIGN.md §7
     /// extension), with the given seed and sweep budget.
     Anneal {
@@ -42,7 +35,6 @@ impl Algorithm {
             Algorithm::LocalSearch => "local-search",
             Algorithm::ParallelSearch => "parallel-search",
             Algorithm::Greedy => "greedy",
-            Algorithm::SparseMatch { .. } => "sparse-match",
             Algorithm::Anneal { .. } => "anneal",
         }
     }
@@ -139,7 +131,7 @@ impl MosaicConfig {
     /// the `mosaic-service` wire protocol.
     ///
     /// Enum variants are encoded by their stable [`name`](Algorithm::name)
-    /// strings; variant payloads (solver, `k`, seed, sweeps, thread and
+    /// strings; variant payloads (solver, seed, sweeps, thread and
     /// worker counts) ride along as extra keys. The 64-bit anneal seed is
     /// encoded as a decimal string so it survives the JSON `f64` number
     /// model exactly.
@@ -149,7 +141,6 @@ impl MosaicConfig {
             Algorithm::Optimal(solver) => {
                 algorithm.push(("solver".to_string(), Json::from(solver.name())));
             }
-            Algorithm::SparseMatch { k } => algorithm.push(("k".to_string(), Json::from(k))),
             Algorithm::Anneal { seed, sweeps } => {
                 algorithm.push(("seed".to_string(), Json::Str(seed.to_string())));
                 algorithm.push(("sweeps".to_string(), Json::from(sweeps)));
@@ -236,13 +227,6 @@ fn algorithm_from_json(value: &Json) -> Result<Algorithm, String> {
         "local-search" => Ok(Algorithm::LocalSearch),
         "parallel-search" => Ok(Algorithm::ParallelSearch),
         "greedy" => Ok(Algorithm::Greedy),
-        "sparse-match" => {
-            let k = value
-                .get("k")
-                .and_then(Json::as_u64)
-                .ok_or("sparse-match needs an integer \"k\"")? as usize;
-            Ok(Algorithm::SparseMatch { k })
-        }
         "anneal" => {
             let seed = match value.get("seed") {
                 None => 0,
@@ -373,10 +357,7 @@ mod tests {
                 .backend(Backend::Serial)
                 .preprocess(Preprocess::Equalize)
                 .build(),
-            MosaicBuilder::new()
-                .algorithm(Algorithm::SparseMatch { k: 9 })
-                .backend(Backend::Threads(3))
-                .build(),
+            MosaicBuilder::new().backend(Backend::Threads(3)).build(),
             MosaicBuilder::new()
                 .algorithm(Algorithm::Anneal {
                     seed: u64::MAX, // exceeds f64 precision; must survive
@@ -415,6 +396,7 @@ mod tests {
             r#"{"metric":"nope"}"#,
             r#"{"algorithm":{"name":"nope"}}"#,
             r#"{"algorithm":{"name":"optimal","solver":"nope"}}"#,
+            r#"{"algorithm":{"name":"sparse-match","k":8}}"#,
             r#"{"backend":{"name":"nope"}}"#,
             r#"{"preprocess":"nope"}"#,
             r#"{"grid":-1}"#,

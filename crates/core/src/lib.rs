@@ -26,8 +26,8 @@
 //! extension) and a [`MosaicBuilder`] config, and [`generate_bounded_in`]
 //! is the same run on an explicit pool with a [`Deadline`] and Step-2
 //! matrix reuse. [`report`] captures timings, totals and work profiles
-//! for the experiment harness. [`database`], [`video`] and [`anneal`] implement
-//! the extensions called out in DESIGN.md §7.
+//! for the experiment harness. [`anneal`] implements the annealing
+//! extension called out in DESIGN.md §7.
 //!
 //! # Example
 //!
@@ -59,20 +59,16 @@
 
 pub mod anneal;
 pub mod config;
-pub mod database;
 pub mod errors;
 pub mod job;
 pub mod json;
 pub mod library;
 pub mod local_search;
-pub mod multires;
 pub mod optimal;
-pub mod oriented;
 pub mod parallel_search;
 pub mod pipeline;
 pub mod preprocess;
 pub mod report;
-pub mod video;
 
 pub use config::{Algorithm, Backend, MosaicBuilder, MosaicConfig, Preprocess};
 pub use job::{ImageSource, JobResult, JobSpec};

@@ -11,7 +11,7 @@
 //! ([`mosaic_assign::SolverKind`]) — see DESIGN.md §2.
 
 use crate::local_search::SearchOutcome;
-use mosaic_assign::{CostMatrix, Solver, SolverKind, SparseAuctionSolver};
+use mosaic_assign::{CostMatrix, SolverKind};
 use mosaic_grid::ErrorMatrix;
 
 /// Convert the Step-2 error matrix into an assignment cost matrix.
@@ -30,24 +30,6 @@ pub fn optimal_rearrangement(matrix: &ErrorMatrix, solver: SolverKind) -> Search
     SearchOutcome {
         total: solution.total(),
         assignment,
-        sweeps: 0,
-        swaps: 0,
-    }
-}
-
-/// Candidate-pruned Step 3: keep each input tile's `k` cheapest target
-/// positions and solve the pruned graph with the sparse auction. An upper
-/// bound on the dense optimum; equal to it when `k >= S`.
-pub fn sparse_rearrangement(matrix: &ErrorMatrix, k: usize) -> SearchOutcome {
-    let cost = to_cost_matrix(matrix);
-    let solver = SparseAuctionSolver {
-        k: k.max(1),
-        scaling_factor: 4,
-    };
-    let solution = solver.solve(&cost);
-    SearchOutcome {
-        total: solution.total(),
-        assignment: solution.col_to_row(),
         sweeps: 0,
         swaps: 0,
     }
@@ -119,16 +101,6 @@ mod tests {
         assert_eq!(m.assignment_total(&out.assignment), out.total);
         assert_eq!(out.sweeps, 0);
         assert_eq!(out.swaps, 0);
-    }
-
-    #[test]
-    fn sparse_rearrangement_bounds() {
-        let m = random_matrix(32, 8, 10_000);
-        let opt = optimal_rearrangement(&m, SolverKind::JonkerVolgenant).total;
-        let pruned = sparse_rearrangement(&m, 8).total;
-        let full = sparse_rearrangement(&m, 32).total;
-        assert!(pruned >= opt);
-        assert_eq!(full, opt);
     }
 
     #[test]

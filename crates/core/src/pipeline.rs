@@ -12,7 +12,7 @@ use crate::anneal::anneal_search;
 use crate::config::{Algorithm, Backend, MosaicConfig};
 use crate::errors::{compute_error_matrix_bounded_in, simulated_device, StepTrace};
 use crate::local_search::{local_search_bounded, SearchOutcome};
-use crate::optimal::{optimal_rearrangement, sparse_rearrangement};
+use crate::optimal::optimal_rearrangement;
 use crate::parallel_search::{
     parallel_search_gpu_bounded, parallel_search_reference_bounded,
     parallel_search_threads_bounded_in, step3_parallel_profile,
@@ -275,10 +275,6 @@ fn run_step3_bounded(
                 WorkProfile::default(),
             )
         }
-        Algorithm::SparseMatch { k } => {
-            deadline.check()?;
-            (sparse_rearrangement(matrix, k), WorkProfile::default())
-        }
         Algorithm::LocalSearch => {
             let outcome = local_search_bounded(matrix, deadline)?;
             // Algorithm 1 is the sequential baseline; profile it as pure
@@ -304,10 +300,7 @@ fn run_step3_bounded(
             (result.outcome, profile)
         }
         Algorithm::Anneal { seed, sweeps } => {
-            // The annealing post-pass runs a fixed sweep budget and is not
-            // internally interruptible; check on entry only.
-            deadline.check()?;
-            let outcome = anneal_search(matrix, seed, sweeps);
+            let outcome = anneal_search(matrix, seed, sweeps, deadline)?;
             let profile = step3_parallel_profile(s, outcome.sweeps, 0);
             (outcome, profile)
         }
@@ -377,13 +370,12 @@ mod tests {
         )
     }
 
-    const EVERY_ALGORITHM: [Algorithm; 6] = [
+    const EVERY_ALGORITHM: [Algorithm; 5] = [
         Algorithm::Optimal(SolverKind::JonkerVolgenant),
         Algorithm::LocalSearch,
         Algorithm::ParallelSearch,
         Algorithm::Greedy,
         Algorithm::Anneal { seed: 7, sweeps: 4 },
-        Algorithm::SparseMatch { k: 12 },
     ];
 
     fn generates_with_every_algorithm_on<P: MosaicPixel>(

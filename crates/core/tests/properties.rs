@@ -83,7 +83,10 @@ fn optimal_lower_bounds_every_heuristic() {
             parallel_search_reference(&m, &sched).outcome.total >= opt,
             "seed {seed}"
         );
-        assert!(anneal_search(&m, 9, 3).total >= opt, "seed {seed}");
+        assert!(
+            anneal_search(&m, 9, 3, &Deadline::NONE).unwrap().total >= opt,
+            "seed {seed}"
+        );
         assert!(
             optimal_rearrangement(&m, SolverKind::Greedy).total >= opt,
             "seed {seed}"
@@ -110,8 +113,8 @@ fn anneal_is_deterministic_per_seed() {
         let m = arb_matrix(&mut rng, 10, 1_000);
         let anneal_seed = rng.next_u64();
         assert_eq!(
-            anneal_search(&m, anneal_seed, 2),
-            anneal_search(&m, anneal_seed, 2),
+            anneal_search(&m, anneal_seed, 2, &Deadline::NONE),
+            anneal_search(&m, anneal_seed, 2, &Deadline::NONE),
             "seed {seed}"
         );
     }

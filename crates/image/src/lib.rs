@@ -16,7 +16,7 @@
 //!   image's distribution onto the target's);
 //! * [`synth`] — deterministic synthetic scene generators standing in for
 //!   the paper's USC-SIPI test images;
-//! * [`resize`], [`ops`], [`filter`] — geometry and convolution helpers
+//! * [`resize`], [`filter`] — geometry and convolution helpers
 //!   used by the examples and analysis;
 //! * [`metrics`] — MSE/PSNR/SSIM quality metrics used in EXPERIMENTS.md;
 //! * [`kernel`] — runtime-dispatched SAD/SSD byte-row kernels
@@ -52,7 +52,6 @@ pub mod io;
 #[allow(unsafe_code)]
 pub mod kernel;
 pub mod metrics;
-pub mod ops;
 pub mod pixel;
 pub mod resize;
 pub mod synth;

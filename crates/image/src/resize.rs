@@ -1,8 +1,8 @@
 //! Image resampling: nearest-neighbour and box-average downscale, bilinear
 //! upscale.
 //!
-//! The database-photomosaic extension scales tile-library entries to the
-//! grid's tile size, and the examples downscale large scenes for quick runs.
+//! The tile library scales ingested photos to the store's tile size and
+//! resamples library-mosaic targets to the grid it composes on.
 
 use crate::error::ImageError;
 use crate::image::Image;

@@ -5,7 +5,6 @@
 use mosaic_image::histogram::{apply_lut, match_histogram, Histogram, LEVELS};
 use mosaic_image::io::{read_pgm, read_ppm, write_pgm, write_pgm_ascii, write_ppm};
 use mosaic_image::metrics;
-use mosaic_image::ops;
 use mosaic_image::pixel::{Gray, Pixel, Rgb};
 use mosaic_image::resize::{resize_bilinear, resize_box, resize_nearest};
 use mosaic_image::testutil::{gray_image, rgb_image, XorShift};
@@ -149,53 +148,6 @@ fn sad_triangle_inequality() {
             metrics::sad(&a, &c) <= metrics::sad(&a, &b) + metrics::sad(&b, &c),
             "seed {seed}"
         );
-    }
-}
-
-#[test]
-fn flips_and_rotations_preserve_histogram() {
-    for seed in 0..SEEDS {
-        let mut rng = XorShift::new(seed);
-        let img = arb_gray(&mut rng, 16);
-        let h = Histogram::of_luma(&img);
-        assert_eq!(
-            &h,
-            &Histogram::of_luma(&ops::flip_horizontal(&img)),
-            "seed {seed}"
-        );
-        assert_eq!(
-            &h,
-            &Histogram::of_luma(&ops::flip_vertical(&img)),
-            "seed {seed}"
-        );
-        assert_eq!(&h, &Histogram::of_luma(&ops::rotate90(&img)), "seed {seed}");
-        assert_eq!(
-            &h,
-            &Histogram::of_luma(&ops::rotate180(&img)),
-            "seed {seed}"
-        );
-        assert_eq!(
-            &h,
-            &Histogram::of_luma(&ops::transpose(&img)),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn crop_then_blit_restores_region() {
-    for seed in 0..SEEDS {
-        let mut rng = XorShift::new(seed);
-        let img = arb_gray(&mut rng, 16);
-        let (w, h) = img.dimensions();
-        let x = rng.below(w);
-        let y = rng.below(h);
-        let cw = (w - x).max(1);
-        let ch = (h - y).max(1);
-        let piece = ops::crop(&img, x, y, cw, ch).unwrap();
-        let mut copy = img.clone();
-        ops::blit(&mut copy, &piece, x, y).unwrap();
-        assert_eq!(copy, img, "seed {seed}");
     }
 }
 

@@ -137,6 +137,10 @@ passed_gate 2 "gateway verbatim-forwarding tests" --test gateway_fleet verbatim_
 passed_gate 1 "synth size-bound decode tests" -p photomosaic --lib synth_size_bound
 passed_gate 1 "synth size-bound fleet tests" --test gateway_fleet synth_size_bound
 
+# An anneal job polls the per-job deadline every sweep, so a huge
+# sweep budget from the wire cannot hold a worker past the deadline.
+passed_gate 1 "anneal deadline test" --test service_integration fault_anneal
+
 # Pool stress suite: the persistent worker pool underpins every
 # parallel stage, so its shutdown/panic/raggedness invariants get the
 # same vacuous-pass protection as the fault suite — a passed count, not
@@ -197,8 +201,8 @@ assign_out=$(cargo test -q --offline -p mosaic-assign 2>&1) || {
 echo "$assign_out" | grep '^test result:'
 assign_passed=$(echo "$assign_out" | grep '^test result:' |
     sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-if [ "${assign_passed:-0}" -lt 90 ]; then
-    echo "error: expected at least 90 mosaic-assign tests, ran ${assign_passed:-0}" >&2
+if [ "${assign_passed:-0}" -lt 80 ]; then
+    echo "error: expected at least 80 mosaic-assign tests, ran ${assign_passed:-0}" >&2
     exit 1
 fi
 

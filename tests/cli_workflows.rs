@@ -129,49 +129,6 @@ fn every_algorithm_flag_works_end_to_end() {
 }
 
 #[test]
-fn database_workflow() {
-    let dir = workdir("database");
-    let donor = dir.join("donor.pgm");
-    let target = dir.join("target.pgm");
-    let out = dir.join("db.pgm");
-    run(&[
-        "synth",
-        "--scene",
-        "drapery",
-        "--size",
-        "64",
-        "--out",
-        donor.to_str().unwrap(),
-    ])
-    .unwrap();
-    run(&[
-        "synth",
-        "--scene",
-        "portrait",
-        "--size",
-        "64",
-        "--out",
-        target.to_str().unwrap(),
-    ])
-    .unwrap();
-    let msg = run(&[
-        "database",
-        "--target",
-        target.to_str().unwrap(),
-        "--donors",
-        donor.to_str().unwrap(),
-        "--tile",
-        "8",
-        "--out",
-        out.to_str().unwrap(),
-    ])
-    .unwrap();
-    assert!(msg.contains("library 64 tiles"));
-    let info = run(&["info", out.to_str().unwrap()]).unwrap();
-    assert!(info.contains("64x64"));
-}
-
-#[test]
 fn geometry_errors_surface_cleanly() {
     let dir = workdir("errors");
     let small = dir.join("small.pgm");
@@ -234,7 +191,6 @@ fn help_documents_every_subcommand() {
         "generate",
         "--library",
         "ingest",
-        "database",
         "synth",
         "serve",
         "gateway",

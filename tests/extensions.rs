@@ -1,16 +1,9 @@
-//! Integration tests for the extensions: oriented placement, hierarchical
-//! solving, sparse pruning, the blossom solver in the pipeline, and the
-//! animated-GIF output path.
+//! The paper's literal Step-3 configuration, a general-graph blossom
+//! matcher, run through the full pipeline.
 
 use mosaic_assign::SolverKind;
-use mosaic_grid::{build_error_matrix, TileLayout, TileMetric};
-use mosaic_image::io::write_gif_gray;
 use mosaic_image::metrics;
-use photomosaic::multires::{hierarchical_with_polish, MultiresConfig};
-use photomosaic::optimal::optimal_rearrangement;
-use photomosaic::oriented::{generate_oriented, Orientation, OrientedAlgorithm};
-use photomosaic::video::VideoMosaicSession;
-use photomosaic::{generate, Algorithm, Backend, MosaicBuilder, Preprocess};
+use photomosaic::{generate, Algorithm, Backend, MosaicBuilder};
 use photomosaic_suite::figure2_pair;
 
 #[test]
@@ -35,111 +28,4 @@ fn blossom_solver_through_the_full_pipeline() {
         metrics::sad(&blossom.image, &target),
         metrics::sad(&jv.image, &target)
     );
-}
-
-#[test]
-fn sparse_match_through_the_full_pipeline() {
-    let (input, target) = figure2_pair(96);
-    let run = |algorithm| {
-        let config = MosaicBuilder::new()
-            .grid(12)
-            .algorithm(algorithm)
-            .backend(Backend::Serial)
-            .build();
-        generate(&input, &target, &config)
-            .unwrap()
-            .report
-            .total_error
-    };
-    let optimal = run(Algorithm::Optimal(SolverKind::JonkerVolgenant));
-    let full_k = run(Algorithm::SparseMatch { k: 144 });
-    let pruned = run(Algorithm::SparseMatch { k: 8 });
-    assert_eq!(full_k, optimal, "k = S must be exact");
-    assert!(pruned >= optimal);
-}
-
-#[test]
-fn oriented_beats_or_ties_plain_on_every_experiment_pair() {
-    for (name, input, target) in photomosaic_suite::experiment_pairs(64) {
-        let layout = TileLayout::with_grid(64, 8).unwrap();
-        let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-        let plain = optimal_rearrangement(&matrix, SolverKind::JonkerVolgenant).total;
-        let oriented = generate_oriented(
-            &input,
-            &target,
-            layout,
-            TileMetric::Sad,
-            &Orientation::ALL,
-            OrientedAlgorithm::Optimal(SolverKind::JonkerVolgenant),
-        )
-        .unwrap();
-        assert!(
-            oriented.total_error <= plain,
-            "{name}: oriented {} > plain {plain}",
-            oriented.total_error
-        );
-    }
-}
-
-#[test]
-fn hierarchical_polish_close_to_optimal_on_matched_pairs() {
-    let (input, target) = figure2_pair(128);
-    let prepared =
-        photomosaic::preprocess::preprocess_gray(&input, &target, Preprocess::MatchTarget);
-    let layout = TileLayout::with_grid(128, 16).unwrap();
-    let config = MultiresConfig {
-        leaf_grid: 4,
-        metric: TileMetric::Sad,
-    };
-    let polished = hierarchical_with_polish(&prepared, &target, layout, config).unwrap();
-    let matrix = build_error_matrix(&prepared, &target, layout, TileMetric::Sad).unwrap();
-    let optimal = optimal_rearrangement(&matrix, SolverKind::JonkerVolgenant).total;
-    assert!(
-        (polished.total as f64) <= optimal as f64 * 1.05,
-        "polished {} vs optimal {optimal}",
-        polished.total
-    );
-}
-
-#[test]
-fn video_session_frames_encode_as_animated_gif() {
-    let mut session = VideoMosaicSession::new(
-        mosaic_image::synth::Scene::Plasma.render(64, 1),
-        8,
-        TileMetric::Sad,
-        Backend::Serial,
-        Preprocess::MatchTarget,
-    )
-    .unwrap();
-    let base = mosaic_image::synth::Scene::Regatta.render(64, 2);
-    let mut frames = Vec::new();
-    for t in 0..3usize {
-        let target =
-            mosaic_image::Image::from_fn(64, 64, |x, y| base.get((x + 2 * t) % 64, y).unwrap())
-                .unwrap();
-        let (img, _) = session.next_frame(&target).unwrap();
-        frames.push(img);
-    }
-    let gif = write_gif_gray(&frames, 10).unwrap();
-    assert_eq!(&gif[..6], b"GIF89a");
-    assert!(gif.windows(11).any(|w| w == b"NETSCAPE2.0"));
-    assert_eq!(*gif.last().unwrap(), 0x3B);
-}
-
-#[test]
-fn oriented_identity_only_equals_plain_pipeline_total() {
-    let (input, target) = figure2_pair(64);
-    let layout = TileLayout::with_grid(64, 8).unwrap();
-    let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let plain = optimal_rearrangement(&matrix, SolverKind::Hungarian).total;
-    let identity_only = generate_oriented(
-        &input,
-        &target,
-        layout,
-        TileMetric::Sad,
-        &[Orientation::R0],
-        OrientedAlgorithm::Optimal(SolverKind::Hungarian),
-    )
-    .unwrap();
-    assert_eq!(identity_only.total_error, plain);
 }

@@ -9,7 +9,7 @@ use mosaic_service::fault::{
 use mosaic_service::protocol::Response;
 use mosaic_service::server::{Server, ServiceConfig};
 use mosaic_service::{Client, FaultPlan};
-use photomosaic::{Backend, ImageSource, JobResult, JobSpec, Json, MosaicBuilder};
+use photomosaic::{Algorithm, Backend, ImageSource, JobResult, JobSpec, Json, MosaicBuilder};
 use std::time::Duration;
 
 fn spec(scene: Scene, seed: u64, grid: usize) -> JobSpec {
@@ -452,6 +452,61 @@ fn fault_stalled_worker_hits_the_deadline_while_others_drain() {
     let jobs = stats.get("jobs").unwrap();
     assert_eq!(jobs.get("completed").and_then(Json::as_u64), Some(1));
     assert_eq!(jobs.get("in_flight").and_then(Json::as_u64), Some(0));
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// An `anneal` job with an effectively endless sweep budget still honours
+/// the per-job deadline: the search polls it before every sweep, so the
+/// only worker answers `deadline_exceeded` and is then free for the next
+/// job. Step 2 at S = 1024 on 64 px images takes a few ms, so the expiry
+/// lands inside Step 3.
+#[test]
+fn fault_anneal_respects_job_deadline() {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        job_deadline_ms: 200,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let endless = JobSpec {
+        input: ImageSource::Synth {
+            scene: Scene::Portrait,
+            size: 64,
+            seed: 60,
+        },
+        target: ImageSource::Synth {
+            scene: Scene::Regatta,
+            size: 64,
+            seed: 160,
+        },
+        config: MosaicBuilder::new()
+            .grid(32)
+            .algorithm(Algorithm::Anneal {
+                seed: 1,
+                sweeps: 1 << 40,
+            })
+            .backend(Backend::Serial)
+            .build(),
+    };
+
+    // The receive timeout turns a search that never polls the deadline
+    // into a failure instead of a hung test.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let reply = Client::connect(addr).and_then(|mut client| client.submit(&endless));
+        let _ = tx.send(reply);
+    });
+    let reply = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the anneal job ran past its 200 ms deadline for 10 s")
+        .unwrap();
+    submitter.join().expect("client thread panicked");
+    assert_eq!(reply, Response::DeadlineExceeded { deadline_ms: 200 });
+
+    let mut client = Client::connect(addr).unwrap();
+    decode_result(client.submit(&spec(Scene::Fur, 61, 4)).unwrap());
     client.shutdown().unwrap();
     server.join();
 }
