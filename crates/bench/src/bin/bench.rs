@@ -13,9 +13,6 @@
 //! * `search` — Algorithm 2 on the persistent `mosaic-pool` workers vs
 //!   the pre-pool scoped-thread dispatch (kept verbatim here as the
 //!   baseline), full-search and per-sweep, at S = 256 and S = 1024;
-//! * `fleet` — batch throughput and warm single-job latency through the
-//!   `mosaic-gateway` routing tier at 1/2/4 backends, against direct
-//!   submission to one server as the no-gateway baseline;
 //! * `tilelib` — clustered candidate pruning vs the dense rectangular
 //!   optimum at library sizes 256/512/1024, plus the published
 //!   pruned-vs-optimal cost ratio (permille) at each size.
@@ -44,14 +41,11 @@
 use mosaic_assign::{CostMatrix, SolverKind};
 use mosaic_bench::figure2_pair;
 use mosaic_edgecolor::SwapSchedule;
-use mosaic_gateway::{Fleet, GatewayConfig};
 use mosaic_gpu::{DeviceSpec, GpuSim};
 use mosaic_grid::{
     build_error_matrix, build_error_matrix_threaded_bounded_in, Deadline, ErrorMatrix, TileLayout,
     TileMetric,
 };
-use mosaic_service::server::{Server, ServiceConfig};
-use mosaic_service::{run_load, Client};
 use photomosaic::anneal::anneal_search;
 use photomosaic::errors::gpu_error_matrix;
 use photomosaic::json::Json;
@@ -103,7 +97,7 @@ fn parse_options() -> Options {
 fn usage(problem: &str) -> ! {
     eprintln!("bench: {problem}");
     eprintln!("usage: bench [--suite NAME]... [--samples N] [--full] [--json]");
-    eprintln!("suites: error_matrix rearrange solvers ablations search fleet tilelib");
+    eprintln!("suites: error_matrix rearrange solvers ablations search tilelib");
     std::process::exit(2);
 }
 
@@ -506,90 +500,6 @@ fn suite_search(options: &Options, cases: &mut Vec<Case>) {
     }
 }
 
-/// The fleet workload: a small spec with repeats, so the per-backend
-/// matrix caches participate exactly as they would in production.
-fn fleet_spec(seed: u64) -> photomosaic::JobSpec {
-    photomosaic::JobSpec {
-        input: photomosaic::ImageSource::Synth {
-            scene: mosaic_image::synth::Scene::Plasma,
-            size: 32,
-            seed,
-        },
-        target: photomosaic::ImageSource::Synth {
-            scene: mosaic_image::synth::Scene::Regatta,
-            size: 32,
-            seed: seed + 100,
-        },
-        config: MosaicBuilder::new()
-            .grid(8)
-            .backend(Backend::Serial)
-            .build(),
-    }
-}
-
-fn suite_fleet(options: &Options, cases: &mut Vec<Case>) {
-    // 16 jobs over 4 distinct specs, 4 client lanes: enough repetition
-    // that routing policy controls the cache hit rate.
-    let specs: Vec<photomosaic::JobSpec> = (0..16).map(|i| fleet_spec(500 + i % 4)).collect();
-    let backend = || ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    };
-    // Warm single-job latency needs enough samples for a stable p99.
-    let latency_samples = options.samples.max(50);
-    let probe = fleet_spec(500);
-
-    // Direct submission to one server: the no-gateway baseline.
-    let server = Server::start(backend()).unwrap();
-    let addr = server.local_addr();
-    cases.push(run_case(
-        "fleet",
-        "direct-throughput/1".to_string(),
-        options.samples,
-        || {
-            let summary = run_load(addr, &specs, 4).unwrap();
-            assert_eq!(summary.completed, specs.len() as u64);
-        },
-    ));
-    let mut client = Client::connect(addr).unwrap();
-    cases.push(run_case(
-        "fleet",
-        "direct-latency/1".to_string(),
-        latency_samples,
-        || client.submit(&probe).unwrap(),
-    ));
-    drop(client);
-    server.shutdown();
-    server.join();
-
-    for n in [1usize, 2, 4] {
-        let fleet = Fleet::start(
-            (0..n).map(|_| backend()).collect(),
-            GatewayConfig::default(),
-        )
-        .unwrap();
-        let addr = fleet.gateway_addr();
-        cases.push(run_case(
-            "fleet",
-            format!("gateway-throughput/{n}"),
-            options.samples,
-            || {
-                let summary = run_load(addr, &specs, 4).unwrap();
-                assert_eq!(summary.completed, specs.len() as u64);
-            },
-        ));
-        let mut client = Client::connect(addr).unwrap();
-        cases.push(run_case(
-            "fleet",
-            format!("gateway-latency/{n}"),
-            latency_samples,
-            || client.submit(&probe).unwrap(),
-        ));
-        drop(client);
-        fleet.join();
-    }
-}
-
 /// `count` distinct tiles, deduplicated by the store's content digest so
 /// every library size is met exactly (scene renders can collide).
 fn library_tiles(count: usize, tile_size: usize) -> Vec<mosaic_image::GrayImage> {
@@ -721,7 +631,6 @@ fn main() {
         "solvers",
         "ablations",
         "search",
-        "fleet",
         "tilelib",
     ];
     let selected: Vec<&str> = if options.suites.is_empty() {
@@ -746,7 +655,6 @@ fn main() {
             "solvers" => suite_solvers(&options, &mut cases),
             "ablations" => suite_ablations(&options, &mut cases),
             "search" => suite_search(&options, &mut cases),
-            "fleet" => suite_fleet(&options, &mut cases),
             "tilelib" => suite_tilelib(&options, &mut cases),
             _ => unreachable!(),
         }

@@ -6,13 +6,17 @@
 //! store them to the shared memory." The simulated-device path reproduces
 //! that decomposition exactly: one block per input tile, the tile staged
 //! in shared memory, the row of S errors written to global memory.
+//!
+//! Every backend reads the same Step-2 input — both images checked and
+//! packed by [`mosaic_grid::pack_pair`] — and computes every entry with
+//! the one tile-error function, [`mosaic_grid::pair_error`]. The
+//! backends differ only in how they schedule rows.
 
 use crate::config::Backend;
 use mosaic_gpu::{BlockContext, DeviceSpec, GlobalBuffer, GpuSim, LaunchConfig, WorkProfile};
-use mosaic_grid::LayoutError;
 use mosaic_grid::{
-    build_error_matrix, build_error_matrix_threaded_bounded_in, BuildError, Deadline, ErrorMatrix,
-    TileLayout, TileMetric,
+    build_error_matrix, build_error_matrix_threaded_bounded_in, pack_pair, pair_error, BuildError,
+    Deadline, ErrorMatrix, LayoutError, TileLayout, TileMetric,
 };
 use mosaic_image::{Image, Pixel};
 use mosaic_pool::ThreadPool;
@@ -26,16 +30,6 @@ pub struct StepTrace {
     pub wall: Duration,
     /// Abstract work profile for the analytic device model.
     pub profile: WorkProfile,
-}
-
-/// Flatten an image into interleaved channel bytes (row-major), the layout
-/// the simulated device consumes.
-pub fn image_bytes<P: Pixel>(img: &Image<P>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(img.pixels().len() * P::CHANNELS);
-    for p in img.pixels() {
-        out.extend_from_slice(p.channels());
-    }
-    out
 }
 
 /// The work profile of Step 2 for the given geometry (used for modeled
@@ -113,7 +107,10 @@ pub(crate) fn simulated_device(pool: &Arc<ThreadPool>, workers: Option<usize>) -
 /// §V Step-2 kernel on an existing simulator instance.
 ///
 /// # Errors
-/// Returns [`LayoutError`] when either image does not match `layout`.
+/// Returns [`LayoutError`] for the conditions of [`pack_pair`]: an image
+/// that does not match `layout`, or a metric that can overflow a `u32`
+/// entry on this tile size; and [`LayoutError::SharedMemoryOverflow`]
+/// when one tile does not fit the device's shared memory per block.
 pub fn gpu_error_matrix<P: Pixel>(
     sim: &GpuSim,
     input: &Image<P>,
@@ -121,84 +118,30 @@ pub fn gpu_error_matrix<P: Pixel>(
     layout: TileLayout,
     metric: TileMetric,
 ) -> Result<ErrorMatrix, LayoutError> {
-    layout.check_image(input)?;
-    layout.check_image(target)?;
-    // Same u32-entry overflow guard the serial builder enforces; without it
-    // `e as u32` below would silently truncate (e.g. SSD on 512-pixel
-    // tiles exceeds u32::MAX).
-    let bound = metric.max_tile_error::<P>(layout.pixels_per_tile());
-    assert!(
-        bound <= u64::from(u32::MAX),
-        "metric {metric:?} with tile {0}x{0} overflows u32 entries",
-        layout.tile_size(),
-    );
+    let (inputs, targets) = pack_pair(input, target, layout, metric)?;
+    let (tile_bytes, capacity) = (inputs.tile(0).len(), sim.device().shared_mem_per_block);
+    if tile_bytes > capacity {
+        return Err(LayoutError::SharedMemoryOverflow {
+            tile_bytes,
+            capacity,
+        });
+    }
     let s = layout.tile_count();
-    let m = layout.tile_size();
-    let channels = P::CHANNELS;
-    let row_bytes = layout.image_size() * channels;
-    let tile_row_bytes = m * channels;
-
-    let input_bytes = image_bytes(input);
-    let target_bytes = image_bytes(target);
     let matrix_out = GlobalBuffer::filled(s * s, 0u32);
 
-    // Resolve the SIMD dispatch once, outside the lane closure: the
-    // simulated device kernel's per-row SAD/SSD goes through the same
-    // byte-row kernels as the CPU builders, so the "GPU" path cannot
-    // drift from them either.
+    // Resolve the SIMD dispatch once, outside the lane closure.
     let k = mosaic_image::kernel::active();
     let kernel = |ctx: &mut BlockContext<'_>| {
         // One block per input tile u (§V): stage I_u in shared memory …
         let u = ctx.block_id();
-        let (ux, uy) = layout.tile_origin(u);
-        let staged = ctx.shared().alloc_u8(m * tile_row_bytes);
-        for dy in 0..m {
-            let src = (uy + dy) * row_bytes + ux * channels;
-            staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes]
-                .copy_from_slice(&input_bytes[src..src + tile_row_bytes]);
-        }
+        let tile = inputs.tile(u);
+        let staged = ctx.shared().alloc_u8(tile.len());
+        staged.copy_from_slice(tile);
         // … then compute E(I_u, T_v) for every v. On the real device the
         // block's threads split the v range; sequential iteration inside
         // the block is the barrier-free equivalent schedule.
-        for v in 0..s {
-            let (vx, vy) = layout.tile_origin(v);
-            let e: u64 = match metric {
-                TileMetric::Sad => {
-                    let mut acc = 0u64;
-                    for dy in 0..m {
-                        let t0 = (vy + dy) * row_bytes + vx * channels;
-                        let trow = &target_bytes[t0..t0 + tile_row_bytes];
-                        let srow = &staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes];
-                        acc += k.sad(srow, trow);
-                    }
-                    acc
-                }
-                TileMetric::Ssd => {
-                    let mut acc = 0u64;
-                    for dy in 0..m {
-                        let t0 = (vy + dy) * row_bytes + vx * channels;
-                        let trow = &target_bytes[t0..t0 + tile_row_bytes];
-                        let srow = &staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes];
-                        acc += k.ssd(srow, trow);
-                    }
-                    acc
-                }
-                TileMetric::MeanAbs => {
-                    let mut sum_a = 0u64;
-                    let mut sum_b = 0u64;
-                    for dy in 0..m {
-                        let t0 = (vy + dy) * row_bytes + vx * channels;
-                        let trow = &target_bytes[t0..t0 + tile_row_bytes];
-                        let srow = &staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes];
-                        for (&a, &b) in srow.iter().zip(trow) {
-                            sum_a += u64::from(a);
-                            sum_b += u64::from(b);
-                        }
-                    }
-                    sum_a.abs_diff(sum_b)
-                }
-            };
-            matrix_out.store(u * s + v, e as u32);
+        for (v, tv) in targets.iter().enumerate() {
+            matrix_out.store(u * s + v, pair_error(k, staged, tv, metric) as u32);
         }
     };
 
@@ -213,67 +156,67 @@ pub fn gpu_error_matrix<P: Pixel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_image::testutil::{gray_image, rgb_image, XorShift};
     use mosaic_image::{synth, Rgb};
 
-    #[test]
-    fn gpu_matrix_matches_serial_for_every_metric() {
-        let input = synth::fur(48, 3);
-        let target = synth::drapery(48, 9);
-        let layout = TileLayout::new(48, 8).unwrap();
-        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 4);
+    /// Every Step-2 backend against the view-based scalar oracle, on
+    /// one random image pair.
+    fn assert_backends_match_oracle<P: Pixel>(input: &Image<P>, target: &Image<P>, tile: usize) {
+        let layout = TileLayout::new(input.width(), tile).unwrap();
+        let backends = [
+            Backend::Serial,
+            Backend::Threads(1),
+            Backend::Threads(2),
+            Backend::Threads(3),
+            Backend::Threads(7),
+            Backend::GpuSim { workers: Some(2) },
+        ];
         for metric in TileMetric::ALL {
-            let serial = build_error_matrix(&input, &target, layout, metric).unwrap();
-            let gpu = gpu_error_matrix(&sim, &input, &target, layout, metric).unwrap();
-            assert_eq!(gpu, serial, "metric {metric:?}");
+            let oracle =
+                mosaic_grid::build_error_matrix_scalar(input, target, layout, metric).unwrap();
+            for backend in backends {
+                let (matrix, trace) = compute_error_matrix_bounded_in(
+                    mosaic_pool::global(),
+                    input,
+                    target,
+                    layout,
+                    metric,
+                    backend,
+                    &Deadline::NONE,
+                )
+                .unwrap();
+                assert_eq!(
+                    matrix,
+                    oracle,
+                    "{} tile {tile} grid {} {metric:?} {backend:?}",
+                    std::any::type_name::<P>(),
+                    layout.tiles_per_side()
+                );
+                assert!(trace.profile.ops > 0);
+                let launches = usize::from(matches!(backend, Backend::GpuSim { .. }));
+                assert_eq!(trace.profile.launches, launches, "{backend:?}");
+            }
         }
     }
 
+    /// The Step-2 differential: every backend, every metric, both pixel
+    /// types, tile edges 1..=33 and 64, bit-identical to the oracle.
+    /// Grid sides cycle through 2..=4 so odd and non-power-of-two grids
+    /// are covered (a layout is always square, so the grid is too).
     #[test]
-    fn gpu_matrix_matches_serial_for_rgb() {
-        let gray_in = synth::portrait(32, 4);
-        let gray_tg = synth::regatta(32, 5);
-        let input = synth::tint(&gray_in, Rgb::new(10, 0, 30), Rgb::new(240, 250, 220));
-        let target = synth::tint(&gray_tg, Rgb::new(0, 20, 10), Rgb::new(255, 235, 245));
-        let layout = TileLayout::new(32, 8).unwrap();
-        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 4);
-        for metric in TileMetric::ALL {
-            let serial = build_error_matrix(&input, &target, layout, metric).unwrap();
-            let gpu = gpu_error_matrix(&sim, &input, &target, layout, metric).unwrap();
-            assert_eq!(gpu, serial, "metric {metric:?}");
+    fn step2_differential_every_backend_matches_the_scalar_oracle() {
+        let mut rng = XorShift::new(17);
+        for tile in (1..=33).chain([64]) {
+            let n = tile * (2 + tile % 3);
+            let (gray_in, gray_tg) = (gray_image(&mut rng, n, n), gray_image(&mut rng, n, n));
+            assert_backends_match_oracle(&gray_in, &gray_tg, tile);
+            let (rgb_in, rgb_tg) = (rgb_image(&mut rng, n, n), rgb_image(&mut rng, n, n));
+            assert_backends_match_oracle(&rgb_in, &rgb_tg, tile);
         }
-    }
-
-    #[test]
-    fn all_backends_agree() {
-        let input = synth::plasma(32, 2, 3);
-        let target = synth::checker(32, 8, 7);
-        let layout = TileLayout::new(32, 8).unwrap();
-        let compute = |backend| {
-            compute_error_matrix_bounded_in(
-                mosaic_pool::global(),
-                &input,
-                &target,
-                layout,
-                TileMetric::Sad,
-                backend,
-                &Deadline::NONE,
-            )
-            .unwrap()
-        };
-        let (serial, _) = compute(Backend::Serial);
-        let (threads, _) = compute(Backend::Threads(3));
-        let (gpu, trace) = compute(Backend::GpuSim { workers: Some(2) });
-        assert_eq!(serial, threads);
-        assert_eq!(serial, gpu);
-        assert_eq!(trace.profile.launches, 1);
-        assert!(trace.profile.ops > 0);
-    }
-
-    #[test]
-    fn image_bytes_layout() {
-        let img = mosaic_image::Image::from_vec(2, 1, vec![Rgb::new(1, 2, 3), Rgb::new(4, 5, 6)])
-            .unwrap();
-        assert_eq!(image_bytes(&img), vec![1, 2, 3, 4, 5, 6]);
+        // Worst-case bytes: black against white hits every metric's bound.
+        let black = Image::from_fn(64, 64, |_, _| Rgb::new(0, 0, 0)).unwrap();
+        let white = Image::from_fn(64, 64, |_, _| Rgb::new(255, 255, 255)).unwrap();
+        assert_backends_match_oracle(&black, &white, 32);
     }
 
     #[test]
@@ -285,14 +228,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overflows u32 entries")]
     fn gpu_path_rejects_overflowing_metric_like_serial_does() {
         // SSD on a 260x260 tile can exceed u32::MAX; both backends must
-        // refuse rather than silently truncate.
+        // refuse with the same typed error rather than silently truncate.
         let img = mosaic_image::Image::from_fn(260, 260, |_, _| mosaic_image::Gray(0)).unwrap();
         let layout = TileLayout::new(260, 260).unwrap();
         let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 1);
-        let _ = gpu_error_matrix(&sim, &img, &img, layout, TileMetric::Ssd);
+        let overflow = LayoutError::EntryOverflow {
+            metric: TileMetric::Ssd,
+            tile_size: 260,
+        };
+        assert_eq!(
+            gpu_error_matrix(&sim, &img, &img, layout, TileMetric::Ssd),
+            Err(overflow.clone())
+        );
+        assert_eq!(
+            build_error_matrix(&img, &img, layout, TileMetric::Ssd),
+            Err(overflow)
+        );
+    }
+
+    /// Regression: a tile larger than the K40's 48 KB of shared memory
+    /// per block used to panic a simulator lane (and with it the calling
+    /// service worker); it is now a typed error, and one that fits runs.
+    #[test]
+    fn gpu_path_rejects_tiles_beyond_shared_memory() {
+        let img = synth::gradient(256);
+        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 1);
+        let whole = TileLayout::new(256, 256).unwrap();
+        assert_eq!(
+            gpu_error_matrix(&sim, &img, &img, whole, TileMetric::Sad),
+            Err(LayoutError::SharedMemoryOverflow {
+                tile_bytes: 256 * 256,
+                capacity: 48 * 1024,
+            })
+        );
+        let quarter = TileLayout::new(256, 128).unwrap();
+        assert!(gpu_error_matrix(&sim, &img, &img, quarter, TileMetric::Sad).is_ok());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl Sweeps {
 /// `group_step` runs one group against the backend's assignment and
 /// returns how many swaps it made. The deadline is polled before every
 /// sweep, so overshoot past an expiry is at most one sweep.
-fn run_sweeps_bounded(
+fn run_sweeps(
     matrix: &ErrorMatrix,
     schedule: &SwapSchedule,
     deadline: &Deadline,
@@ -143,7 +143,7 @@ pub fn parallel_search_reference_bounded(
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
     let mut assignment: Vec<usize> = (0..matrix.size()).collect();
-    let counts = run_sweeps_bounded(matrix, schedule, deadline, |group| {
+    let counts = run_sweeps(matrix, schedule, deadline, |group| {
         reference_group(matrix, &mut assignment, group)
     })?;
     Ok(counts.outcome(matrix, assignment))
@@ -187,7 +187,7 @@ pub fn parallel_search_threads_bounded_in(
     assert!(threads > 0, "at least one worker thread is required");
     let mut assignment: Vec<usize> = (0..matrix.size()).collect();
     let mut decisions: Vec<bool> = Vec::new();
-    let counts = run_sweeps_bounded(matrix, schedule, deadline, |group| {
+    let counts = run_sweeps(matrix, schedule, deadline, |group| {
         decisions.clear();
         decisions.resize(group.len(), false);
         let chunk = group.len().div_ceil(threads);
@@ -262,7 +262,7 @@ pub fn parallel_search_gpu_bounded(
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
     let assignment = GlobalBuffer::from_vec((0..matrix.size()).collect());
-    let counts = run_sweeps_bounded(matrix, schedule, deadline, |group| {
+    let counts = run_sweeps(matrix, schedule, deadline, |group| {
         gpu_group(sim, matrix, &assignment, group)
     })?;
     Ok(counts.outcome(matrix, assignment.into_vec()))

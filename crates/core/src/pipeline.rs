@@ -202,7 +202,7 @@ pub fn generate_bounded_in<P: MosaicPixel>(
     let t3 = Instant::now();
     let (outcome, step3_profile) = {
         let _span = telemetry::tracer().span("step3");
-        run_step3_bounded(pool, matrix, config, deadline)?
+        run_step3(pool, matrix, config, deadline)?
     };
     let step3_wall = t3.elapsed();
 
@@ -249,7 +249,7 @@ pub fn generate_bounded_in<P: MosaicPixel>(
     ))
 }
 
-fn run_step3_bounded(
+fn run_step3(
     pool: &Arc<ThreadPool>,
     matrix: &ErrorMatrix,
     config: &MosaicConfig,

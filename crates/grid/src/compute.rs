@@ -1,20 +1,23 @@
 //! Error-matrix builders (Step 2 of the paper).
 //!
-//! [`build_error_matrix`] is the paper's sequential CPU reference.
+//! Every builder starts from [`pack_pair`] (the one layout and `u32`
+//! overflow check, then both images packed tile-major) and fills each
+//! entry with one [`pair_error`] call. [`build_error_matrix`] is the
+//! paper's sequential CPU reference.
 //! [`build_error_matrix_threaded_bounded_in`] is the multi-core CPU
 //! baseline, splitting rows across the workers of a `mosaic-pool` — each
 //! row of the matrix belongs to one input tile, mirroring the paper's GPU
 //! decomposition where "each CUDA block is responsible for computing S
-//! error values E(I_u, T_1) … E(I_u, T_S)".
-//!
-//! The CUDA-model builder, which additionally stages the input tile in
-//! simulated shared memory, lives in the `photomosaic` crate on top of
-//! `mosaic-gpu`.
+//! error values E(I_u, T_1) … E(I_u, T_S)". The CUDA-model builder lives
+//! in the `photomosaic` crate on top of `mosaic-gpu`.
+//! [`build_error_matrix_scalar`] walks tile views with no packing: it is
+//! the oracle the packed builders are checked against.
 
 use crate::deadline::{Deadline, DeadlineExceeded};
-use crate::layout::{LayoutError, TileLayout};
+use crate::layout::{LayoutError, PackedTiles, TileLayout};
 use crate::matrix::ErrorMatrix;
-use crate::metric::{tile_error, tile_error_scalar, TileMetric};
+use crate::metric::{pair_error, tile_error_scalar, TileMetric};
+use mosaic_image::kernel::{self, Kernels};
 use mosaic_image::{Image, Pixel};
 use mosaic_pool::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,48 +70,56 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-fn checked_layouts<P: Pixel>(
+/// Check both images of one build and pack their tiles: the input of
+/// every Step-2 builder, and the one place that proves no tile error
+/// under `metric` can overflow a `u32` matrix entry.
+///
+/// # Errors
+/// Returns [`LayoutError`] when either image does not match `layout`, or
+/// [`LayoutError::EntryOverflow`] when `metric` on this tile size can
+/// exceed a `u32` entry.
+pub fn pack_pair<P: Pixel>(
     input: &Image<P>,
     target: &Image<P>,
     layout: TileLayout,
     metric: TileMetric,
-) -> Result<(), LayoutError> {
+) -> Result<(PackedTiles, PackedTiles), LayoutError> {
     layout.check_image(input)?;
     layout.check_image(target)?;
-    // Prove u32 entries cannot overflow for this layout and metric.
-    let bound = metric.max_tile_error::<P>(layout.pixels_per_tile());
-    assert!(
-        bound <= u64::from(u32::MAX),
-        "metric {metric:?} with tile {}x{} overflows u32 entries",
-        layout.tile_size(),
-        layout.tile_size()
-    );
-    Ok(())
+    if metric.max_tile_error::<P>(layout.pixels_per_tile()) > u64::from(u32::MAX) {
+        let tile_size = layout.tile_size();
+        return Err(LayoutError::EntryOverflow { metric, tile_size });
+    }
+    let pack = |img| PackedTiles::pack(img, layout);
+    Ok((pack(input), pack(target)))
+}
+
+/// Matrix row `u`: `E(I_u, T_v)` for every packed target tile `v`.
+fn fill_row(k: &Kernels, tile: &[u8], targets: &PackedTiles, metric: TileMetric, row: &mut [u32]) {
+    for (entry, tv) in row.iter_mut().zip(targets.iter()) {
+        *entry = pair_error(k, tile, tv, metric) as u32;
+    }
 }
 
 /// Sequential error-matrix computation (the paper's CPU reference for
 /// Table II).
 ///
 /// # Errors
-/// Returns [`LayoutError`] when either image does not match `layout`.
+/// Returns [`LayoutError`] when either image does not match `layout` or
+/// the metric can overflow a `u32` entry (see [`pack_pair`]).
 pub fn build_error_matrix<P: Pixel>(
     input: &Image<P>,
     target: &Image<P>,
     layout: TileLayout,
     metric: TileMetric,
 ) -> Result<ErrorMatrix, LayoutError> {
-    checked_layouts(input, target, layout, metric)?;
+    let (inputs, targets) = pack_pair(input, target, layout, metric)?;
     let _span = mosaic_telemetry::tracer().span("error_matrix_serial");
     let start = std::time::Instant::now();
-    let s = layout.tile_count();
-    let input_tiles = layout.tiles(input);
-    let target_tiles = layout.tiles(target);
-    let mut matrix = ErrorMatrix::zeros(s);
-    for (u, iu) in input_tiles.iter().enumerate() {
-        let row = matrix.row_mut(u);
-        for (v, tv) in target_tiles.iter().enumerate() {
-            row[v] = tile_error(iu, tv, metric) as u32;
-        }
+    let k = kernel::active();
+    let mut matrix = ErrorMatrix::zeros(layout.tile_count());
+    for (u, iu) in inputs.iter().enumerate() {
+        fill_row(k, iu, &targets, metric, matrix.row_mut(u));
     }
     mosaic_telemetry::registry()
         .histogram("error_matrix_simd_us")
@@ -116,30 +127,29 @@ pub fn build_error_matrix<P: Pixel>(
     Ok(matrix)
 }
 
-/// [`build_error_matrix`] forced onto the scalar oracle kernels.
+/// The test oracle for every Step-2 builder: tile views walked row by
+/// row on the scalar kernels ([`tile_error_scalar`]), with no packing.
 ///
 /// The SIMD dispatch is process-wide and cached, so the only way to get
 /// a guaranteed-scalar matrix on an AVX2 host is to bypass it. The
-/// differential tests assert this builder and [`build_error_matrix`]
-/// produce bit-identical matrices; the bench publishes the timing gap.
+/// differential tests assert every backend produces a matrix
+/// bit-identical to this one; the bench publishes the timing gap.
 ///
 /// # Errors
-/// Returns [`LayoutError`] when either image does not match `layout`.
+/// Same conditions as [`build_error_matrix`].
 pub fn build_error_matrix_scalar<P: Pixel>(
     input: &Image<P>,
     target: &Image<P>,
     layout: TileLayout,
     metric: TileMetric,
 ) -> Result<ErrorMatrix, LayoutError> {
-    checked_layouts(input, target, layout, metric)?;
-    let s = layout.tile_count();
-    let input_tiles = layout.tiles(input);
-    let target_tiles = layout.tiles(target);
-    let mut matrix = ErrorMatrix::zeros(s);
-    for (u, iu) in input_tiles.iter().enumerate() {
-        let row = matrix.row_mut(u);
-        for (v, tv) in target_tiles.iter().enumerate() {
-            row[v] = tile_error_scalar(iu, tv, metric) as u32;
+    // The builders' checks; the oracle reads views, not the packed tiles.
+    pack_pair(input, target, layout, metric)?;
+    let mut matrix = ErrorMatrix::zeros(layout.tile_count());
+    for u in 0..layout.tile_count() {
+        let iu = layout.tile_view(input, u);
+        for (v, entry) in matrix.row_mut(u).iter_mut().enumerate() {
+            *entry = tile_error_scalar(&iu, &layout.tile_view(target, v), metric) as u32;
         }
     }
     Ok(matrix)
@@ -158,8 +168,8 @@ pub fn build_error_matrix_scalar<P: Pixel>(
 /// `mosaic_pool::global()` and [`Deadline::NONE`].
 ///
 /// # Errors
-/// Returns [`BuildError::Layout`] when either image does not match
-/// `layout`, and [`BuildError::DeadlineExceeded`] when `deadline` expires
+/// Returns [`BuildError::Layout`] for the conditions of [`pack_pair`],
+/// and [`BuildError::DeadlineExceeded`] when `deadline` expires
 /// mid-build.
 ///
 /// # Panics
@@ -201,7 +211,7 @@ fn build_threaded_impl<P: Pixel>(
     row_hook: &(dyn Fn() + Sync),
 ) -> Result<ErrorMatrix, BuildError> {
     assert!(threads > 0, "at least one worker thread is required");
-    checked_layouts(input, target, layout, metric)?;
+    let (inputs, targets) = pack_pair(input, target, layout, metric)?;
     deadline.check()?;
     let _span = mosaic_telemetry::tracer().span("error_matrix_threaded");
     let start = std::time::Instant::now();
@@ -209,21 +219,18 @@ fn build_threaded_impl<P: Pixel>(
     let rows_per_worker = s.div_ceil(threads);
     let mut entries = vec![0u32; s * s];
     let rows_done = AtomicUsize::new(0);
+    let k = kernel::active();
 
     // One pool chunk per worker's row range; each chunk is a disjoint
     // slab of whole rows, so workers never share a row.
     pool.parallel_for_mut(&mut entries, rows_per_worker * s, |chunk, slab| {
-        let target_tiles = layout.tiles(target);
         let base = chunk * rows_per_worker;
         for (offset, row) in slab.chunks_mut(s).enumerate() {
             if deadline.expired() {
                 return;
             }
             row_hook();
-            let iu = layout.tile_view(input, base + offset);
-            for (v, tv) in target_tiles.iter().enumerate() {
-                row[v] = tile_error(&iu, tv, metric) as u32;
-            }
+            fill_row(k, inputs.tile(base + offset), &targets, metric, row);
             rows_done.fetch_add(1, Ordering::Relaxed);
         }
     });
@@ -275,7 +282,7 @@ mod tests {
         assert_eq!(m.size(), 16);
         for u in 0..16 {
             for v in 0..16 {
-                let expected = tile_error(
+                let expected = tile_error_scalar(
                     &layout.tile_view(&input, u),
                     &layout.tile_view(&target, v),
                     TileMetric::Sad,
@@ -326,6 +333,34 @@ mod tests {
                 assert_eq!(dispatched, scalar, "level {level:?} tile {tile} {metric:?}");
             }
         }
+    }
+
+    /// Regression: SSD on a 512×512 tile can exceed `u32::MAX`. The
+    /// check used to be an `assert!`, so one wire job with `grid: 1`
+    /// panicked a service worker; every builder now returns it typed.
+    #[test]
+    fn overflowing_metric_is_a_typed_layout_error() {
+        let img = synth::gradient(512);
+        let layout = TileLayout::new(512, 512).unwrap();
+        let overflow = LayoutError::EntryOverflow {
+            metric: TileMetric::Ssd,
+            tile_size: 512,
+        };
+        assert_eq!(
+            build_error_matrix(&img, &img, layout, TileMetric::Ssd),
+            Err(overflow.clone())
+        );
+        assert_eq!(
+            build_error_matrix_scalar(&img, &img, layout, TileMetric::Ssd),
+            Err(overflow.clone())
+        );
+        assert_eq!(
+            threaded(&img, &img, layout, TileMetric::Ssd, 2, &Deadline::NONE),
+            Err(BuildError::Layout(overflow.clone()))
+        );
+        assert!(overflow.to_string().contains("overflows u32"));
+        // SAD on the same tile fits.
+        assert!(build_error_matrix(&img, &img, layout, TileMetric::Sad).is_ok());
     }
 
     #[test]

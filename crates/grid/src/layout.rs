@@ -3,8 +3,9 @@
 //! A [`TileLayout`] captures the paper's parameters: image size `N`, tile
 //! size `M`, and tile count `S = (N/M)²`. Tiles are indexed row-major in
 //! `0..S`, matching the paper's `I_1..I_S` / `T_1..T_S` (shifted to
-//! 0-based).
+//! 0-based). [`PackedTiles`] is the byte form every Step-2 builder reads.
 
+use crate::metric::TileMetric;
 use mosaic_image::{Image, ImageView, Pixel};
 use std::fmt;
 
@@ -33,6 +34,21 @@ pub enum LayoutError {
         /// Observed height.
         height: usize,
     },
+    /// A tile error under this metric can exceed a `u32` matrix entry.
+    EntryOverflow {
+        /// The requested metric.
+        metric: TileMetric,
+        /// Tile edge `M`.
+        tile_size: usize,
+    },
+    /// One tile does not fit the simulated device's shared memory per
+    /// block, where the §V Step-2 kernel stages it.
+    SharedMemoryOverflow {
+        /// Bytes of one packed tile.
+        tile_bytes: usize,
+        /// Shared memory per block, in bytes.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -55,6 +71,18 @@ impl fmt::Display for LayoutError {
             LayoutError::NotSquare { width, height } => {
                 write!(f, "image {width}x{height} is not square")
             }
+            LayoutError::EntryOverflow { metric, tile_size } => write!(
+                f,
+                "metric {} with tile {tile_size}x{tile_size} overflows u32 matrix entries",
+                metric.name()
+            ),
+            LayoutError::SharedMemoryOverflow {
+                tile_bytes,
+                capacity,
+            } => write!(
+                f,
+                "a {tile_bytes}-byte tile does not fit {capacity} bytes of shared memory per block"
+            ),
         }
     }
 }
@@ -210,12 +238,42 @@ impl TileLayout {
             // lint:allow(panic) documented "# Panics" contract: callers pass images matching the layout
             .expect("image must match the layout geometry")
     }
+}
 
-    /// All tile views of `img` in index order.
-    pub fn tiles<'a, P: Pixel>(&self, img: &'a Image<P>) -> Vec<ImageView<'a, P>> {
-        (0..self.tile_count())
-            .map(|i| self.tile_view(img, i))
-            .collect()
+/// One image's tiles in tile-major bytes: tile `i` is one contiguous run
+/// of `M² · CHANNELS` bytes, its rows in order and each pixel's channels
+/// interleaved — the copy the paper's §V kernel stages in shared memory.
+/// Built only by [`crate::pack_pair`], after the Step-2 checks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedTiles {
+    bytes: Vec<u8>,
+    tile_bytes: usize,
+}
+
+impl PackedTiles {
+    /// Pack every tile of `img` in index order.
+    ///
+    /// # Panics
+    /// Panics when `img` does not match `layout`.
+    pub(crate) fn pack<P: Pixel>(img: &Image<P>, layout: TileLayout) -> Self {
+        let mut bytes = Vec::with_capacity(img.pixels().len() * P::CHANNELS);
+        for i in 0..layout.tile_count() {
+            for row in layout.tile_view(img, i).rows() {
+                bytes.extend_from_slice(P::row_bytes(row));
+            }
+        }
+        let tile_bytes = layout.pixels_per_tile() * P::CHANNELS;
+        PackedTiles { bytes, tile_bytes }
+    }
+
+    /// The bytes of tile `index` (panics when it is out of range).
+    pub fn tile(&self, index: usize) -> &[u8] {
+        &self.bytes[index * self.tile_bytes..][..self.tile_bytes]
+    }
+
+    /// Every tile's bytes, in index order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.bytes.chunks_exact(self.tile_bytes)
     }
 }
 
@@ -294,13 +352,23 @@ mod tests {
     }
 
     #[test]
-    fn tiles_returns_all_views() {
-        let img = synth::gradient(16);
-        let l = TileLayout::new(16, 4).unwrap();
-        let tiles = l.tiles(&img);
-        assert_eq!(tiles.len(), 16);
-        assert_eq!(tiles[0].pixel(0, 0), img.pixel(0, 0));
-        assert_eq!(tiles[15].pixel(3, 3), img.pixel(15, 15));
+    fn packed_tiles_are_the_tile_views_row_by_row() {
+        let img = mosaic_image::Image::from_fn(6, 6, |x, y| {
+            mosaic_image::Rgb::new(x as u8, y as u8, (x * y) as u8)
+        })
+        .unwrap();
+        let l = TileLayout::new(6, 3).unwrap();
+        let packed = PackedTiles::pack(&img, l);
+        assert_eq!(packed.iter().len(), 4);
+        for (i, tile) in packed.iter().enumerate() {
+            let view = l.tile_view(&img, i);
+            let expected: Vec<u8> = view
+                .rows()
+                .flat_map(|r| r.iter().flat_map(|p| p.channels().to_vec()))
+                .collect();
+            assert_eq!(tile, &expected[..], "tile {i}");
+            assert_eq!(packed.tile(i), tile);
+        }
     }
 
     #[test]

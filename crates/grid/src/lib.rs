@@ -6,15 +6,17 @@
 //! errors `E(I_u, T_v)`. This crate owns:
 //!
 //! * [`layout`] — the [`TileLayout`] geometry (N, M, S, index↔coordinate
-//!   conversions);
-//! * [`metric`] — per-tile error metrics: the paper's SAD (Eq. 1) plus SSD
-//!   and a cheap mean-intensity metric for the ablation benches;
+//!   conversions) and [`PackedTiles`], one image's tiles in tile-major
+//!   bytes;
+//! * [`metric`] — the tile error `E` in one function, [`pair_error`], on
+//!   two packed tiles: the paper's SAD (Eq. 1) plus SSD and a cheap
+//!   mean-intensity metric for the ablation benches;
 //! * [`matrix`] — the dense [`ErrorMatrix`] with `u32` entries and `u64`
 //!   assignment totals;
-//! * [`compute`] — the serial matrix builder, its scalar-kernel oracle and
-//!   the pool-backed threaded builder (the CPU-parallel baseline; the
-//!   CUDA-model builder lives in the `photomosaic` crate on top of
-//!   `mosaic-gpu`);
+//! * [`compute`] — [`pack_pair`] (the one layout/overflow check and
+//!   packing step), the serial matrix builder, its view-based scalar
+//!   oracle and the pool-backed threaded builder (the CUDA-model builder
+//!   lives in the `photomosaic` crate on top of `mosaic-gpu`);
 //! * [`assemble`] — rebuilding the rearranged image R from an assignment;
 //! * [`deadline`] — the cooperative [`Deadline`] token the bounded builders
 //!   and the search loops above this crate poll to cap worst-case work.
@@ -52,9 +54,9 @@ pub mod metric;
 pub use assemble::assemble;
 pub use compute::{
     build_error_matrix, build_error_matrix_scalar, build_error_matrix_threaded_bounded_in,
-    init_simd_kernels, BuildError,
+    init_simd_kernels, pack_pair, BuildError,
 };
 pub use deadline::{Deadline, DeadlineExceeded};
-pub use layout::{LayoutError, TileLayout};
+pub use layout::{LayoutError, PackedTiles, TileLayout};
 pub use matrix::ErrorMatrix;
-pub use metric::{tile_error, tile_error_scalar, tile_error_with, TileMetric};
+pub use metric::{pair_error, tile_error_scalar, TileMetric};

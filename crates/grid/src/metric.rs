@@ -1,4 +1,5 @@
-//! Per-tile error metrics.
+//! Per-tile error metrics and the one tile-error function,
+//! [`pair_error`], on packed tiles.
 //!
 //! The paper's Eq. (1) is the sum of absolute per-pixel differences (SAD).
 //! Two alternatives are provided for the metric-ablation bench: sum of
@@ -6,7 +7,7 @@
 //! compares only tile averages (the common shortcut in database-driven
 //! photomosaic tools the paper cites).
 
-use mosaic_image::kernel::{self, Kernels};
+use mosaic_image::kernel::Kernels;
 use mosaic_image::{ImageView, Pixel};
 
 /// Which tile-distance function to use for `E(I_u, T_v)`.
@@ -49,40 +50,36 @@ impl TileMetric {
     }
 }
 
-/// Compute the error between two equally-sized tile views.
-///
-/// SAD and SSD dispatch through the process-wide SIMD kernel table
-/// ([`mosaic_image::kernel::active`]); `MeanAbs` compares averages and
-/// stays scalar (it is not a per-byte-decomposable sum). Returns `u64`;
-/// the matrix layer narrows to `u32` after checking the metric's bound
-/// for the layout in use.
+/// `E(a, b)` for two tiles in packed byte form ([`crate::PackedTiles`],
+/// or any whole image's pixel bytes): the one production implementation
+/// of the paper's Eq. (1) and its ablation metrics. SAD and SSD are one
+/// call into the kernel table `k` per pair; `MeanAbs` is
+/// `|Σa − Σb|`, which equals `M² × |mean(A) − mean(B)|` channel-summed.
+/// Returns `u64`; the builders narrow to `u32` after the layout check
+/// proved the metric's bound fits.
 ///
 /// # Panics
-/// Panics when the views' dimensions differ.
-pub fn tile_error<P: Pixel>(a: &ImageView<'_, P>, b: &ImageView<'_, P>, metric: TileMetric) -> u64 {
-    tile_error_with(kernel::active(), a, b, metric)
+/// Panics when the slices' lengths differ.
+#[inline]
+pub fn pair_error(k: &Kernels, a: &[u8], b: &[u8], metric: TileMetric) -> u64 {
+    match metric {
+        TileMetric::Sad => k.sad(a, b),
+        TileMetric::Ssd => k.ssd(a, b),
+        TileMetric::MeanAbs => {
+            assert_eq!(a.len(), b.len(), "tiles must have equal lengths");
+            let sum = |t: &[u8]| t.iter().map(|&c| u64::from(c)).sum::<u64>();
+            sum(a).abs_diff(sum(b))
+        }
+    }
 }
 
-/// [`tile_error`] forced onto the scalar oracle kernels, regardless of
-/// what the host dispatches to. Differential tests compare this against
-/// the dispatched path to prove the SIMD tables are bit-identical.
+/// The view-based test oracle for [`pair_error`]: walks both tile views
+/// row by row on the scalar kernels (and per pixel for `MeanAbs`), with
+/// no packing, so the packed builders have an independent reference.
 ///
 /// # Panics
 /// Panics when the views' dimensions differ.
 pub fn tile_error_scalar<P: Pixel>(
-    a: &ImageView<'_, P>,
-    b: &ImageView<'_, P>,
-    metric: TileMetric,
-) -> u64 {
-    tile_error_with(Kernels::scalar(), a, b, metric)
-}
-
-/// [`tile_error`] against an explicit kernel table.
-///
-/// # Panics
-/// Panics when the views' dimensions differ.
-pub fn tile_error_with<P: Pixel>(
-    k: &Kernels,
     a: &ImageView<'_, P>,
     b: &ImageView<'_, P>,
     metric: TileMetric,
@@ -92,46 +89,39 @@ pub fn tile_error_with<P: Pixel>(
         (b.width(), b.height()),
         "tile views must have equal dimensions"
     );
+    let k = Kernels::scalar();
+    let rows = a.rows().zip(b.rows());
     match metric {
-        TileMetric::Sad => sad(k, a, b),
-        TileMetric::Ssd => ssd(k, a, b),
-        TileMetric::MeanAbs => mean_abs(a, b),
-    }
-}
-
-fn sad<P: Pixel>(k: &Kernels, a: &ImageView<'_, P>, b: &ImageView<'_, P>) -> u64 {
-    let mut total = 0u64;
-    for y in 0..a.height() {
-        total += k.sad(P::row_bytes(a.row(y)), P::row_bytes(b.row(y)));
-    }
-    total
-}
-
-fn ssd<P: Pixel>(k: &Kernels, a: &ImageView<'_, P>, b: &ImageView<'_, P>) -> u64 {
-    let mut total = 0u64;
-    for y in 0..a.height() {
-        total += k.ssd(P::row_bytes(a.row(y)), P::row_bytes(b.row(y)));
-    }
-    total
-}
-
-fn mean_abs<P: Pixel>(a: &ImageView<'_, P>, b: &ImageView<'_, P>) -> u64 {
-    let mut sum_a = 0u64;
-    let mut sum_b = 0u64;
-    for y in 0..a.height() {
-        for (pa, pb) in a.row(y).iter().zip(b.row(y)) {
-            sum_a += pa.channels().iter().map(|&c| u64::from(c)).sum::<u64>();
-            sum_b += pb.channels().iter().map(|&c| u64::from(c)).sum::<u64>();
+        TileMetric::Sad => rows
+            .map(|(ra, rb)| k.sad(P::row_bytes(ra), P::row_bytes(rb)))
+            .sum(),
+        TileMetric::Ssd => rows
+            .map(|(ra, rb)| k.ssd(P::row_bytes(ra), P::row_bytes(rb)))
+            .sum(),
+        TileMetric::MeanAbs => {
+            let sum = |p: &P| p.channels().iter().map(|&c| u64::from(c)).sum::<u64>();
+            let (sum_a, sum_b) = rows
+                .flat_map(|(ra, rb)| ra.iter().zip(rb))
+                .fold((0, 0), |(sa, sb), (pa, pb)| (sa + sum(pa), sb + sum(pb)));
+            sum_a.abs_diff(sum_b)
         }
     }
-    // |mean_a - mean_b| * pixels == |sum_a - sum_b|, already scaled.
-    sum_a.abs_diff(sum_b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_image::{Gray, Image, Rgb};
+    use mosaic_image::{kernel, Gray, Image, Rgb};
+
+    /// [`pair_error`] on two whole images' pixel bytes, checked against
+    /// the view-based oracle on the way out.
+    fn checked_error<P: Pixel>(a: &Image<P>, b: &Image<P>, metric: TileMetric) -> u64 {
+        let (ba, bb) = (P::row_bytes(a.pixels()), P::row_bytes(b.pixels()));
+        let packed = pair_error(kernel::active(), ba, bb, metric);
+        let oracle = tile_error_scalar(&a.full_view(), &b.full_view(), metric);
+        assert_eq!(packed, oracle, "{metric:?}");
+        packed
+    }
 
     fn img(values: &[u8], w: usize, h: usize) -> Image<Gray> {
         Image::from_vec(w, h, values.iter().map(|&v| Gray(v)).collect()).unwrap()
@@ -141,7 +131,7 @@ mod tests {
     fn sad_matches_hand_computation() {
         let a = img(&[0, 10, 20, 30], 2, 2);
         let b = img(&[5, 5, 25, 15], 2, 2);
-        let e = tile_error(&a.full_view(), &b.full_view(), TileMetric::Sad);
+        let e = checked_error(&a, &b, TileMetric::Sad);
         assert_eq!(e, 5 + 5 + 5 + 15);
     }
 
@@ -149,7 +139,7 @@ mod tests {
     fn ssd_matches_hand_computation() {
         let a = img(&[0, 10], 2, 1);
         let b = img(&[3, 6], 2, 1);
-        let e = tile_error(&a.full_view(), &b.full_view(), TileMetric::Ssd);
+        let e = checked_error(&a, &b, TileMetric::Ssd);
         assert_eq!(e, 9 + 16);
     }
 
@@ -158,14 +148,8 @@ mod tests {
         // Same mean, different texture → zero under MeanAbs, nonzero SAD.
         let a = img(&[0, 100], 2, 1);
         let b = img(&[100, 0], 2, 1);
-        assert_eq!(
-            tile_error(&a.full_view(), &b.full_view(), TileMetric::MeanAbs),
-            0
-        );
-        assert_eq!(
-            tile_error(&a.full_view(), &b.full_view(), TileMetric::Sad),
-            200
-        );
+        assert_eq!(checked_error(&a, &b, TileMetric::MeanAbs), 0);
+        assert_eq!(checked_error(&a, &b, TileMetric::Sad), 200);
     }
 
     #[test]
@@ -173,8 +157,8 @@ mod tests {
         // For constant tiles SAD == MeanAbs.
         let a = Image::from_fn(4, 4, |_, _| Gray(10)).unwrap();
         let b = Image::from_fn(4, 4, |_, _| Gray(200)).unwrap();
-        let sad = tile_error(&a.full_view(), &b.full_view(), TileMetric::Sad);
-        let mean = tile_error(&a.full_view(), &b.full_view(), TileMetric::MeanAbs);
+        let sad = checked_error(&a, &b, TileMetric::Sad);
+        let mean = checked_error(&a, &b, TileMetric::MeanAbs);
         assert_eq!(sad, mean);
         assert_eq!(sad, 16 * 190);
     }
@@ -183,7 +167,7 @@ mod tests {
     fn all_metrics_zero_on_identical_views() {
         let a = mosaic_image::synth::plasma(16, 3, 2);
         for m in TileMetric::ALL {
-            assert_eq!(tile_error(&a.full_view(), &a.full_view(), m), 0);
+            assert_eq!(checked_error(&a, &a, m), 0);
         }
     }
 
@@ -192,10 +176,7 @@ mod tests {
         let a = mosaic_image::synth::plasma(8, 3, 2);
         let b = mosaic_image::synth::checker(8, 2, 4);
         for m in TileMetric::ALL {
-            assert_eq!(
-                tile_error(&a.full_view(), &b.full_view(), m),
-                tile_error(&b.full_view(), &a.full_view(), m)
-            );
+            assert_eq!(checked_error(&a, &b, m), checked_error(&b, &a, m));
         }
     }
 
@@ -203,18 +184,9 @@ mod tests {
     fn rgb_metrics_sum_channels() {
         let a = Image::from_vec(1, 1, vec![Rgb::new(0, 0, 0)]).unwrap();
         let b = Image::from_vec(1, 1, vec![Rgb::new(1, 2, 3)]).unwrap();
-        assert_eq!(
-            tile_error(&a.full_view(), &b.full_view(), TileMetric::Sad),
-            6
-        );
-        assert_eq!(
-            tile_error(&a.full_view(), &b.full_view(), TileMetric::Ssd),
-            1 + 4 + 9
-        );
-        assert_eq!(
-            tile_error(&a.full_view(), &b.full_view(), TileMetric::MeanAbs),
-            6
-        );
+        assert_eq!(checked_error(&a, &b, TileMetric::Sad), 6);
+        assert_eq!(checked_error(&a, &b, TileMetric::Ssd), 1 + 4 + 9);
+        assert_eq!(checked_error(&a, &b, TileMetric::MeanAbs), 6);
     }
 
     #[test]
@@ -223,12 +195,12 @@ mod tests {
         let black = Image::from_fn(8, 8, |_, _| Gray(0)).unwrap();
         let white = Image::from_fn(8, 8, |_, _| Gray(255)).unwrap();
         for m in TileMetric::ALL {
-            let e = tile_error(&black.full_view(), &white.full_view(), m);
+            let e = checked_error(&black, &white, m);
             assert!(e <= m.max_tile_error::<Gray>(64), "{m:?}: {e}");
         }
         // And the SAD bound is tight.
         assert_eq!(
-            tile_error(&black.full_view(), &white.full_view(), TileMetric::Sad),
+            checked_error(&black, &white, TileMetric::Sad),
             TileMetric::Sad.max_tile_error::<Gray>(64)
         );
     }
@@ -246,6 +218,15 @@ mod tests {
     fn mismatched_views_panic() {
         let a = img(&[0; 4], 2, 2);
         let b = img(&[0; 2], 2, 1);
-        let _ = tile_error(&a.full_view(), &b.full_view(), TileMetric::Sad);
+        let _ = tile_error_scalar(&a.full_view(), &b.full_view(), TileMetric::Sad);
+    }
+
+    #[test]
+    fn mismatched_packed_tiles_panic_for_every_metric() {
+        for m in TileMetric::ALL {
+            let result =
+                std::panic::catch_unwind(|| pair_error(Kernels::scalar(), &[0; 4], &[0; 2], m));
+            assert!(result.is_err(), "{m:?}");
+        }
     }
 }

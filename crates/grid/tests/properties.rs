@@ -3,8 +3,8 @@
 //! `proptest` suite; every case reproduces from the printed seed).
 
 use mosaic_grid::{
-    assemble, build_error_matrix, build_error_matrix_threaded_bounded_in, tile_error, Deadline,
-    ErrorMatrix, TileLayout, TileMetric,
+    assemble, build_error_matrix, build_error_matrix_threaded_bounded_in, tile_error_scalar,
+    Deadline, ErrorMatrix, TileLayout, TileMetric,
 };
 use mosaic_image::testutil::{gray_image, XorShift};
 use mosaic_image::{metrics, Gray, Image};
@@ -150,7 +150,7 @@ fn sad_tile_error_bounded_by_metric_bound() {
         let bound = TileMetric::Sad.max_tile_error::<Gray>(layout.pixels_per_tile());
         for u in 0..layout.tile_count() {
             for v in 0..layout.tile_count() {
-                let e = tile_error(
+                let e = tile_error_scalar(
                     &layout.tile_view(&input, u),
                     &layout.tile_view(&target, v),
                     TileMetric::Sad,

@@ -4,8 +4,9 @@
 //! matrix: S² tile pairs, each a sum of absolute (SAD) or squared (SSD)
 //! per-byte differences over M×M pixels. This module is the single source
 //! of truth for that inner loop — every consumer in the workspace
-//! (`mosaic_grid::tile_error`, [`crate::ImageView::sad`],
-//! [`crate::metrics::sad`], the GPU simulator's lane kernel) routes
+//! (`mosaic_grid::pair_error`, which every Step-2 builder including the
+//! simulated-GPU kernel calls, [`crate::ImageView::sad`] and
+//! [`crate::metrics::sad`]) routes
 //! through one [`Kernels`] dispatch table, so the three scalar copies
 //! that used to live in those call sites can no longer drift apart.
 //!

@@ -1,19 +1,24 @@
-//! R8 — deadline propagation: the `*_bounded` naming convention is a
-//! contract. A bounded function must accept a `Deadline`, hand it to
-//! every bounded callee, and actually consult it — otherwise the bound
-//! silently evaporates somewhere down the pipeline and the service's
-//! `job_deadline_ms` promise is fiction.
+//! R8 — deadline propagation: a function that takes a `Deadline` must
+//! hand it to every callee that takes one too, and actually consult it —
+//! otherwise the bound silently evaporates somewhere down the pipeline
+//! and the service's `job_deadline_ms` promise is fiction.
+//!
+//! A callee counts as bounded when the semantic model resolves it to a
+//! function with a `Deadline` parameter, whatever its name (so
+//! `anneal_search(…, &Deadline)` is checked like any `*_bounded` fn), or
+//! when its name promises a bound.
 //!
 //! Checks, in order of severity:
-//! * a `*_bounded` function with no `Deadline` parameter (deny);
-//! * a call to a `*_bounded` callee that does not pass the caller's
+//! * a `*_bounded` function with no `Deadline` parameter (deny) — the
+//!   name promises a bound the signature cannot keep;
+//! * a call to a bounded callee that does not pass the caller's
 //!   deadline parameter — the deadline is dropped (deny);
 //! * a `Deadline` parameter never referenced in the body (deny);
 //! * a `Deadline`-taking function whose loops never poll it (warn) —
 //!   row/sweep loops are where a bound must be observable.
 
 use crate::model::{Finding, Rule};
-use crate::semantic::{FnDef, Model};
+use crate::semantic::{CallSite, FnDef, Model};
 
 /// Does this function name promise a bound? (The helper itself avoids
 /// the naming convention it enforces.)
@@ -21,9 +26,19 @@ fn promises_deadline(name: &str) -> bool {
     name.ends_with("_bounded") || name.contains("_bounded_")
 }
 
+/// Must this call receive the caller's deadline? Yes when the callee
+/// resolves to a function with a `Deadline` parameter, or its name
+/// promises a bound.
+fn callee_takes_deadline(model: &Model<'_>, call: &CallSite, from: usize) -> bool {
+    promises_deadline(&call.name)
+        || model
+            .resolve(call, from)
+            .is_some_and(|callee| model.fns[callee].deadline_param.is_some())
+}
+
 /// Run the rule over the prebuilt semantic model.
 pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
-    for f in &model.fns {
+    for (index, f) in model.fns.iter().enumerate() {
         let file = model.file_of(f);
         let fn_line = file.line_of(f.name_at);
 
@@ -62,7 +77,7 @@ pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
         }
 
         for call in &f.calls {
-            if !promises_deadline(&call.name) {
+            if !callee_takes_deadline(model, call, index) {
                 continue;
             }
             if word_in(&call.args, param) {
@@ -222,6 +237,48 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].severity, crate::model::Severity::Warn);
         assert!(findings[0].message.contains("loops without polling"));
+    }
+
+    /// Boundedness is keyed on the resolved callee's signature, not its
+    /// name: a plain-named search that takes a `Deadline` is checked too.
+    #[test]
+    fn dropping_the_deadline_at_a_plain_named_deadline_taker_is_flagged() {
+        let text = "pub fn step3_bounded(m: &M, deadline: &Deadline) -> R {\n\
+                    \x20   deadline.check()?;\n\
+                    \x20   anneal_search(m, 7, &Deadline::NONE)\n\
+                    }\n\
+                    pub fn anneal_search(m: &M, seed: u64, deadline: &Deadline) -> R {\n\
+                    \x20   deadline.check()\n\
+                    }\n";
+        let findings = findings_for(text);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 3);
+        assert!(findings[0].message.contains("`anneal_search`"));
+        assert!(findings[0].message.contains("drops the deadline"));
+    }
+
+    /// A plain-named callee without a `Deadline` parameter has nothing
+    /// to forward to.
+    #[test]
+    fn plain_callees_without_a_deadline_parameter_are_not_checked() {
+        let text = "pub fn outer(m: &M, deadline: &Deadline) -> R {\n\
+                    \x20   deadline.check()?;\n\
+                    \x20   helper(m)\n\
+                    }\n\
+                    pub fn helper(m: &M) -> R { run(m) }\n";
+        assert!(findings_for(text).is_empty(), "{:?}", findings_for(text));
+    }
+
+    /// A call the model cannot resolve is still checked by its name.
+    #[test]
+    fn unresolved_bounded_names_are_still_checked() {
+        let text = "pub fn outer(m: &M, deadline: &Deadline) -> R {\n\
+                    \x20   deadline.check()?;\n\
+                    \x20   external::solve_bounded(m)\n\
+                    }\n";
+        let findings = findings_for(text);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("solve_bounded"));
     }
 
     #[test]

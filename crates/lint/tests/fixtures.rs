@@ -99,16 +99,21 @@ fn deadline_fixture_flags_the_dropped_forward() {
     let findings = analyze_fixture(include_str!("fixtures/deadline_violations.rs"));
     assert_eq!(
         lines_of(&findings, Rule::DeadlinePropagation),
-        vec![7, 10],
-        "the unforwarded call and the parameterless bounded callee: {findings:?}"
+        vec![9, 12, 18],
+        "the two unforwarded calls and the parameterless bounded callee: {findings:?}"
     );
-    let dropped = findings.iter().find(|f| f.line == 7).expect("drop finding");
-    assert!(
-        dropped.message.contains("drops the deadline"),
-        "{}",
-        dropped.message
-    );
-    assert_eq!(findings.len(), 2, "{findings:?}");
+    for (line, callee) in [(9, "`inner_bounded`"), (18, "`anneal_search`")] {
+        let dropped = findings
+            .iter()
+            .find(|f| f.line == line)
+            .expect("drop finding");
+        assert!(
+            dropped.message.contains("drops the deadline") && dropped.message.contains(callee),
+            "{}",
+            dropped.message
+        );
+    }
+    assert_eq!(findings.len(), 3, "{findings:?}");
 }
 
 #[test]

@@ -16,8 +16,8 @@
 
 use crate::features::{distance2, FeatureVec};
 use crate::kmeans::Clustering;
-use mosaic_grid::{tile_error, TileMetric};
-use mosaic_image::GrayImage;
+use mosaic_grid::{pair_error, TileMetric};
+use mosaic_image::{kernel, Gray, GrayImage, Pixel};
 use mosaic_pool::ThreadPool;
 
 /// Candidate tile indices for one cell: the members of its
@@ -82,7 +82,11 @@ pub fn scored_candidates(
 /// (`max_tile_error` proves no overflow for the supported tile sizes,
 /// but saturation keeps the conversion total).
 pub fn pair_cost(cell: &GrayImage, tile: &GrayImage, metric: TileMetric) -> u32 {
-    u32::try_from(tile_error(&cell.full_view(), &tile.full_view(), metric)).unwrap_or(u32::MAX)
+    let (a, b) = (
+        Gray::row_bytes(cell.pixels()),
+        Gray::row_bytes(tile.pixels()),
+    );
+    u32::try_from(pair_error(kernel::active(), a, b, metric)).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -141,6 +145,24 @@ mod tests {
             assert_eq!(list.len(), 6);
             for &(t, cost) in list {
                 assert_eq!(cost, pair_cost(cell, &tiles[t], TileMetric::Sad));
+            }
+        }
+    }
+
+    #[test]
+    fn pair_cost_matches_the_view_oracle_on_random_tiles() {
+        let mut rng = mosaic_image::testutil::XorShift::new(8);
+        for _ in 0..64 {
+            let cell = mosaic_image::testutil::gray_image(&mut rng, 8, 8);
+            let tile = mosaic_image::testutil::gray_image(&mut rng, 8, 8);
+            for metric in TileMetric::ALL {
+                let oracle =
+                    mosaic_grid::tile_error_scalar(&cell.full_view(), &tile.full_view(), metric);
+                assert_eq!(
+                    u64::from(pair_cost(&cell, &tile, metric)),
+                    oracle,
+                    "{metric:?}"
+                );
             }
         }
     }

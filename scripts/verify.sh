@@ -141,6 +141,16 @@ passed_gate 1 "synth size-bound fleet tests" --test gateway_fleet synth_size_bou
 # sweep budget from the wire cannot hold a worker past the deadline.
 passed_gate 1 "anneal deadline test" --test service_integration fault_anneal
 
+# Step 2: every backend (serial, pool at 1/2/3/7 threads, simulated
+# GPU) must stay bit-identical to the view-based scalar oracle for
+# every metric, both pixel types and every tile edge in 1..=33 and 64.
+passed_gate 1 "Step-2 differential test" -p photomosaic --lib step2_differential
+
+# A metric whose tile error can overflow a u32 matrix entry is a typed
+# error on every builder, so one wire job cannot kill a service worker.
+passed_gate 2 "u32-overflow regression tests" -p photomosaic -p mosaic-grid --lib overflowing_metric
+passed_gate 1 "u32-overflow service test" --test service_integration fault_overflowing
+
 # Pool stress suite: the persistent worker pool underpins every
 # parallel stage, so its shutdown/panic/raggedness invariants get the
 # same vacuous-pass protection as the fault suite — a passed count, not
@@ -241,7 +251,7 @@ fi
 # Published benchmark artifacts: the committed root BENCH_search.json
 # must exist and hold the pool-vs-scoped comparison (parsed with the
 # workspace's own Json reader by tests/bench_artifacts.rs).
-for artifact in BENCH_search.json BENCH_fleet.json BENCH_tilelib.json BENCH_error_matrix.json; do
+for artifact in BENCH_search.json BENCH_tilelib.json BENCH_error_matrix.json; do
     if [ ! -f "$artifact" ]; then
         suite=$(echo "$artifact" | sed 's/^BENCH_//; s/\.json$//')
         echo "error: $artifact missing from the workspace root" >&2

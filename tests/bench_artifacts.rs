@@ -80,39 +80,6 @@ fn published_numbers_show_the_pool_no_slower_than_scoped_spawns() {
 }
 
 #[test]
-fn fleet_exposition_publishes_gateway_and_direct_arms() {
-    // The PR-6 evidence: gateway-vs-direct throughput plus warm
-    // single-job latency, at 1, 2 and 4 backends. Regenerate with
-    // `cargo run --release -p mosaic-bench --bin bench -- --suite fleet`.
-    let doc = root_artifact("BENCH_fleet.json");
-    let samples = doc
-        .get("counters")
-        .and_then(|c| c.get("bench_fleet_samples_total"))
-        .and_then(Json::as_u64)
-        .expect("sample counter missing");
-    assert!(samples > 0, "exposition holds no samples");
-
-    let mut names = vec![
-        "bench_fleet_direct_throughput_1_us".to_string(),
-        "bench_fleet_direct_latency_1_us".to_string(),
-    ];
-    for n in [1, 2, 4] {
-        names.push(format!("bench_fleet_gateway_throughput_{n}_us"));
-        names.push(format!("bench_fleet_gateway_latency_{n}_us"));
-    }
-    for name in &names {
-        assert!(min_us(&doc, name) > 0);
-        // The latency histograms exist to publish tail behaviour; the
-        // p99 field must survive renames of the summary shape.
-        let p99 = histogram(&doc, name)
-            .get("p99")
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("histogram {name:?} has no integer p99"));
-        assert!(p99 >= min_us(&doc, name), "{name}: p99 below min");
-    }
-}
-
-#[test]
 fn tilelib_exposition_shows_pruning_beating_the_dense_solve() {
     // The PR-7 evidence: at every published library size the clustered
     // top-k pruning must solve faster than scoring-plus-solving the
@@ -162,7 +129,6 @@ fn every_published_suite_exposition_parses() {
         "solvers",
         "ablations",
         "search",
-        "fleet",
         "tilelib",
     ] {
         let doc = root_artifact(&format!("BENCH_{suite}.json"));

@@ -2,6 +2,7 @@
 //! ephemeral port, concurrent clients over TCP, error-matrix cache
 //! reuse, bounded-queue rejection, and graceful shutdown.
 
+use mosaic_grid::TileMetric;
 use mosaic_image::synth::Scene;
 use mosaic_service::fault::{
     disconnect_mid_frame, probe_oversized_frame, stalled_connection_is_closed,
@@ -508,6 +509,79 @@ fn fault_anneal_respects_job_deadline() {
     let mut client = Client::connect(addr).unwrap();
     decode_result(client.submit(&spec(Scene::Fur, 61, 4)).unwrap());
     client.shutdown().unwrap();
+    server.join();
+}
+
+/// SSD on one 512×512 tile can exceed a `u32` matrix entry, and one
+/// 256×256 tile does not fit the simulated GPU's shared memory. Either
+/// job used to panic the only worker, so neither it nor the next job was
+/// ever answered; now Step 2 refuses both with a typed layout error, the
+/// client gets `error`, and the same worker serves the next job.
+#[test]
+fn fault_overflowing_tile_metric_is_a_typed_error() {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let overflowing = JobSpec {
+        input: ImageSource::Synth {
+            scene: Scene::Portrait,
+            size: 512,
+            seed: 70,
+        },
+        target: ImageSource::Synth {
+            scene: Scene::Regatta,
+            size: 512,
+            seed: 170,
+        },
+        config: MosaicBuilder::new()
+            .grid(1)
+            .metric(TileMetric::Ssd)
+            .backend(Backend::Serial)
+            .build(),
+    };
+    let mut unstageable = spec(Scene::Fur, 72, 1);
+    unstageable.input = ImageSource::Synth {
+        scene: Scene::Fur,
+        size: 256,
+        seed: 72,
+    };
+    unstageable.target = ImageSource::Synth {
+        scene: Scene::Regatta,
+        size: 256,
+        seed: 172,
+    };
+    unstageable.config.backend = Backend::GpuSim { workers: Some(1) };
+
+    // The receive timeout turns a worker that dies without answering
+    // into a failure instead of a hung test.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let replies = Client::connect(addr).and_then(|mut client| {
+            let jobs = [&overflowing, &unstageable, &spec(Scene::Fur, 71, 4)];
+            jobs.into_iter().map(|job| client.submit(job)).collect()
+        });
+        let _ = tx.send(replies);
+    });
+    let replies: Vec<Response> = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker never answered an oversized job or the next one")
+        .unwrap();
+    submitter.join().expect("client thread panicked");
+    for (reply, variant) in replies
+        .iter()
+        .zip(["EntryOverflow", "SharedMemoryOverflow"])
+    {
+        let Response::Error { message } = reply else {
+            panic!("an oversized tile must draw a typed error, got {reply:?}");
+        };
+        assert!(message.contains(variant), "{message}");
+    }
+    decode_result(replies[2].clone());
+
+    Client::connect(addr).unwrap().shutdown().unwrap();
     server.join();
 }
 
