@@ -112,8 +112,6 @@ pub enum Command {
         max_connections: usize,
         /// Per-job execution deadline in milliseconds (0 = none).
         job_deadline_ms: u64,
-        /// Connection front-end (`auto` resolves per platform).
-        front_end: mosaic_service::FrontEnd,
     },
     /// `mosaic gateway` — route jobs across an existing backend fleet.
     Gateway {
@@ -515,18 +513,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 "io-timeout-ms",
                 "max-connections",
                 "job-deadline-ms",
-                "front-end",
             ])?;
-            let front_end = match flags.optional("front-end").unwrap_or("auto") {
-                "auto" => mosaic_service::FrontEnd::default(),
-                "epoll" => mosaic_service::FrontEnd::Epoll,
-                "threaded" => mosaic_service::FrontEnd::Threaded,
-                other => {
-                    return Err(CliError(format!(
-                        "unknown front-end {other:?} (expected auto, epoll or threaded)"
-                    )))
-                }
-            };
             let default_workers = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2);
@@ -548,7 +535,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 io_timeout_ms: flags.number("io-timeout-ms", 30_000)? as u64,
                 max_connections: flags.number("max-connections", 64)?,
                 job_deadline_ms: flags.number("job-deadline-ms", 60_000)? as u64,
-                front_end,
             })
         }
         ops::GATEWAY => {
@@ -887,7 +873,6 @@ mod tests {
             io_timeout_ms,
             max_connections,
             job_deadline_ms,
-            front_end,
         } = parse(&argv("serve")).unwrap()
         else {
             panic!("wrong command");
@@ -899,7 +884,6 @@ mod tests {
         assert_eq!(io_timeout_ms, 30_000);
         assert_eq!(max_connections, 64);
         assert_eq!(job_deadline_ms, 60_000);
-        assert_eq!(front_end, mosaic_service::FrontEnd::default());
 
         let Command::Serve {
             addr,
@@ -911,11 +895,10 @@ mod tests {
             io_timeout_ms,
             max_connections,
             job_deadline_ms,
-            front_end,
         } = parse(&argv(
             "serve --addr 0.0.0.0:9000 --workers 3 --queue 4 --cache 2 --retry-ms 10 \
              --max-frame-bytes 1024 --io-timeout-ms 500 --max-connections 2 \
-             --job-deadline-ms 750 --front-end threaded",
+             --job-deadline-ms 750",
         ))
         .unwrap()
         else {
@@ -932,15 +915,8 @@ mod tests {
             ),
             (1024, 500, 2, 750),
         );
-        assert_eq!(front_end, mosaic_service::FrontEnd::Threaded);
-        assert!(matches!(
-            parse(&argv("serve --front-end epoll")).unwrap(),
-            Command::Serve {
-                front_end: mosaic_service::FrontEnd::Epoll,
-                ..
-            }
-        ));
-        assert!(parse(&argv("serve --front-end kqueue")).is_err());
+        // The platform picks the front-end; there is no flag for it.
+        assert!(parse(&argv("serve --front-end threaded")).is_err());
         assert!(parse(&argv("serve --queue 0")).is_err());
         assert!(parse(&argv("serve --port 1")).is_err());
     }

@@ -139,7 +139,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             io_timeout_ms,
             max_connections,
             job_deadline_ms,
-            front_end,
         } => {
             let server = Server::start(ServiceConfig {
                 addr,
@@ -151,8 +150,7 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 io_timeout_ms,
                 max_connections,
                 job_deadline_ms,
-                faults: mosaic_service::FaultPlan::none(),
-                front_end,
+                ..ServiceConfig::default()
             })
             .map_err(|e| CliError(format!("failed to start server: {e}")))?;
             // Print the address immediately — with port 0 the caller
@@ -583,7 +581,6 @@ mod tests {
                 io_timeout_ms: 30_000,
                 max_connections: 64,
                 job_deadline_ms: 60_000,
-                front_end: mosaic_service::FrontEnd::default(),
             })
         });
         let mut attempts = 0;

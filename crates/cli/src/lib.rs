@@ -55,7 +55,7 @@ USAGE:
   mosaic serve    [--addr <host:port>] [--workers <n>] [--queue <n>]
                   [--cache <n>] [--retry-ms <n>] [--max-frame-bytes <n>]
                   [--io-timeout-ms <n>] [--max-connections <n>]
-                  [--job-deadline-ms <n>] [--front-end auto|epoll|threaded]
+                  [--job-deadline-ms <n>]
   mosaic gateway  --backends <host:port,host:port,...> [--addr <host:port>]
                   [--policy rendezvous|round-robin] [--hops <n>] [--probe-ms <n>]
                   [--retry-ms <n>] [--max-frame-bytes <n>] [--io-timeout-ms <n>]
@@ -82,12 +82,11 @@ compute pool (persistent threads that the matrix builds and swap
 sweeps of every job dispatch onto). Hardening knobs (0 disables each):
 --max-frame-bytes caps a request line, --io-timeout-ms bounds socket
 reads/writes, --max-connections caps concurrent clients, and
---job-deadline-ms cancels jobs that run too long. --front-end picks the
-connection front-end: auto (the default) uses the event-driven epoll
-loop on linux/x86_64 — one I/O thread owning every socket, so idle
-connections cost no threads — and the portable thread-per-connection
-loop elsewhere; epoll and threaded force one explicitly. submit talks
-to it over line-delimited JSON; --jobs > 1 turns it into a load generator.
+--job-deadline-ms cancels jobs that run too long. On linux/x86_64 one
+event-driven epoll thread owns every client socket, so idle connections
+cost no threads; elsewhere each connection gets a thread. gateway and
+fleet run the same connection front-end. submit talks to it over
+line-delimited JSON; --jobs > 1 turns it into a load generator.
 --op metrics fetches a Prometheus-style text exposition of server
 counters and histograms; generate --trace-out writes a JSON span trace
 plus metric summaries.

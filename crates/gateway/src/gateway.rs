@@ -1,27 +1,31 @@
-//! The gateway server: accepts client connections, routes each job to
-//! a backend, proxies the response back.
+//! The gateway server: runs the service's connection front-end with its
+//! own [`Handler`], routes each job to a backend, proxies the response
+//! back.
 //!
 //! Thread structure (all plain `std::thread`):
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection handlers (one per client)
-//!                              │ route_submit: pick backends in
-//!                              │ rendezvous order, forward over a
-//!                              ▼ fresh TCP connection per attempt
-//!                        backend fleet (mosaic-service processes)
-//!                              ▲
-//! probe loop ── stats probes ──┘ (fan-out on the process pool)
+//! front-end (the service's epoll loop, or its threaded oracle)
+//!        │ inline: ping, stats, metrics, gateway, shutdown
+//!        │ submit/library frames ──▶ forward queue ──▶ forwarder threads
+//!        ▲                                               │ route_submit:
+//!        └───────────── Reply via ReplyTo ───────────────┤ rendezvous order,
+//!                                                        ▼ fresh TCP per attempt
+//!                                  backend fleet (mosaic-service processes)
+//!                                                        ▲
+//! probe loop ── stats probes ────────────────────────────┘ (fan-out on the process pool)
 //! ```
 //!
-//! The client side reuses the service crate's hardening primitives
-//! verbatim: bounded framing ([`read_frame`]), socket deadlines, and
-//! the [`ConnectionGate`] admission cap. Every request is parsed and
-//! validated (routing needs its cache key), but a job is forwarded as
-//! the client's own frame bytes, and the backend's reply frame goes back
-//! unchanged: the gateway re-encodes neither. The backend side opens
-//! one connection per attempt — jobs are pure functions of their spec,
-//! so replaying a job on the next rendezvous choice after a mid-job
-//! backend death is always safe.
+//! The client side is the service's own [`frontend`]: framing, idle
+//! deadlines, the connection cap and their counters are the backend's.
+//! Job frames are decoded, keyed and forwarded off the front-end's
+//! thread by forwarders started on demand — only when a job is queued
+//! and none is parked, so there are never more of them than connections
+//! with a job in flight. A job is forwarded as the client's own frame
+//! bytes, and the backend's reply frame goes back unchanged: the gateway
+//! re-encodes neither. Each attempt opens a fresh backend connection —
+//! jobs are pure functions of their spec, so replaying a job on the next
+//! rendezvous choice after a mid-job backend death is always safe.
 //!
 //! Failover semantics per job, up to `max_hops` distinct backends:
 //!
@@ -43,16 +47,16 @@
 use crate::health::{BackendState, HealthCell, HealthPolicy};
 use crate::metrics::GatewayMetrics;
 use crate::routing::{backend_seed, rendezvous_order};
-use mosaic_service::gate::ConnectionGate;
+use mosaic_service::frontend::{self, Connections, Handler, Listener, Reply, ReplyTo};
 use mosaic_service::protocol::{
-    encode_line, kinds, parse_frame, read_frame, read_message, write_message, ReadError, Request,
-    Response,
+    encode_line, kinds, ops, parse_frame, read_frame, Request, Response,
 };
+use mosaic_service::{JobQueue, ServiceConfig};
 use mosaic_telemetry::lock_unpoisoned;
 use photomosaic::Json;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -147,31 +151,68 @@ struct Backend {
     routed: AtomicU64,
 }
 
+/// A job frame waiting for a forwarder.
+struct Forward {
+    frame: Vec<u8>,
+    message: Json,
+    reply: ReplyTo,
+}
+
 struct Shared {
     config: GatewayConfig,
     backends: Vec<Backend>,
     /// Rendezvous identity seeds, index-parallel with `backends`.
     seeds: Vec<u64>,
     metrics: GatewayMetrics,
-    gate: ConnectionGate,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
+    connections: Connections,
+    /// Job frames for the forwarder threads; closed on shutdown, so the
+    /// forwarders drain it and exit.
+    forwards: JobQueue<Forward>,
     rr_cursor: AtomicUsize,
 }
 
 impl Shared {
-    fn frame_limit(&self) -> usize {
-        match self.config.max_frame_bytes {
-            0 => usize::MAX,
-            limit => limit,
+    /// Bind the client listener and set up routing state.
+    fn bind(config: GatewayConfig) -> std::io::Result<(Shared, Listener)> {
+        if config.backends.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a gateway needs at least one backend",
+            ));
         }
-    }
-
-    fn io_timeout(&self) -> Option<Duration> {
-        match self.config.io_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        }
+        let metrics = GatewayMetrics::new();
+        // The client listener enforces the backend's connection knobs,
+        // set from this config; the worker knobs are unused.
+        let front_end = ServiceConfig {
+            addr: config.addr.clone(),
+            retry_after_ms: config.retry_after_ms,
+            max_frame_bytes: config.max_frame_bytes,
+            io_timeout_ms: config.io_timeout_ms,
+            max_connections: config.max_connections,
+            ..ServiceConfig::default()
+        };
+        let (connections, listener) = Connections::bind(&front_end, metrics.connections().clone())?;
+        let backends = config
+            .backends
+            .iter()
+            .map(|addr| Backend {
+                addr: addr.clone(),
+                health: Mutex::new(HealthCell::new(config.health)),
+                routed: AtomicU64::new(0),
+            })
+            .collect();
+        let shared = Shared {
+            seeds: config.backends.iter().map(|a| backend_seed(a)).collect(),
+            backends,
+            config,
+            metrics,
+            connections,
+            // Unbounded in itself: each connection has at most one job
+            // in flight, so the connection cap bounds it.
+            forwards: JobQueue::new(usize::MAX),
+            rr_cursor: AtomicUsize::new(0),
+        };
+        Ok((shared, listener))
     }
 
     fn backend_timeout(&self) -> Option<Duration> {
@@ -181,21 +222,12 @@ impl Shared {
         }
     }
 
-    fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept() so it can observe the flag.
-        let _ = TcpStream::connect(self.local_addr);
-    }
-
-    /// Backends currently routable (Healthy or Suspect) — what the
-    /// `gateway_backends_healthy` gauge reports.
-    fn routable_count(&self) -> usize {
-        self.backends
-            .iter()
-            .filter(|b| lock_unpoisoned(&b.health).is_routable())
-            .count()
+    /// What the `stats` and `metrics` ops sample: routable (Healthy or
+    /// Suspect) backends, all backends, and open client connections.
+    fn occupancy(&self) -> (usize, usize, usize) {
+        let health = |b: &Backend| lock_unpoisoned(&b.health).is_routable();
+        let routable = self.backends.iter().filter(|b| health(b)).count();
+        (routable, self.backends.len(), self.connections.open())
     }
 
     /// Candidate indices for one job, best first, before health
@@ -229,12 +261,120 @@ impl Shared {
                 ])
             })
             .collect();
+        let addr = self.connections.local_addr().to_string();
         Json::obj([
-            ("addr", Json::from(self.local_addr.to_string().as_str())),
+            ("addr", Json::from(addr.as_str())),
             ("policy", Json::from(self.config.policy.name())),
             ("max_hops", Json::from(self.config.max_hops.max(1))),
             ("backends", Json::Arr(backends)),
         ])
+    }
+
+    /// The reply line for one request frame: inline ops answered here,
+    /// jobs routed to a backend (forwarder threads only). Routing needs
+    /// only the key and the client's bytes, so the parse and the decoded
+    /// job — megabytes on an upload — are freed before the round trip.
+    fn reply(&self, message: Json, frame: Vec<u8>) -> Vec<u8> {
+        let request = Request::from_json(&message);
+        drop(message);
+        match self.answer(request) {
+            Ok(response) => response.to_line(),
+            Err(key) => route_submit(self, frame, key),
+        }
+    }
+
+    /// Answer an inline op, or consume a job and return its routing key.
+    fn answer(&self, request: Result<Request, String>) -> Result<Response, u64> {
+        Ok(match request {
+            Err(problem) => Response::Error { message: problem },
+            Ok(Request::Ping) => Response::Pong,
+            Ok(Request::Stats) => Response::Stats {
+                stats: self.metrics.snapshot(self.occupancy()),
+            },
+            Ok(Request::Metrics) => Response::Metrics {
+                text: self.metrics.prometheus(self.occupancy()),
+            },
+            Ok(Request::GatewayInfo) => Response::Gateway {
+                gateway: self.info_json(),
+            },
+            Ok(Request::Shutdown) => {
+                self.begin_shutdown();
+                Response::ShuttingDown
+            }
+            Ok(Request::Submit(spec)) => return Err(spec.cache_key()),
+            Ok(Request::Library(spec)) => return Err(spec.cache_key()),
+        })
+    }
+
+    /// Queue a job frame for the forwarders, starting one when no parked
+    /// forwarder is left for it.
+    fn queue_forward(self: &Arc<Self>, forward: Forward) -> Option<Vec<u8>> {
+        match self.forwards.try_push(forward) {
+            Ok(false) => {}
+            Ok(true) => {
+                let shared = Arc::clone(self);
+                let spawned = std::thread::Builder::new()
+                    .name("gateway-forward".to_string())
+                    .spawn(move || {
+                        // A forwarder counts as parked from the moment
+                        // its job is answered, so the client's next job
+                        // never starts a second forwarder.
+                        let mut answered: Option<(ReplyTo, Vec<u8>)> = None;
+                        while let Some(job) = shared.forwards.pop_after(|| {
+                            if let Some((reply, line)) = answered.take() {
+                                reply.send(Reply::Line(line));
+                            }
+                        }) {
+                            answered = Some((job.reply, shared.reply(job.message, job.frame)));
+                        }
+                    });
+                if spawned.is_err() {
+                    // Out of threads: refuse one queued job with the
+                    // standard backpressure shape rather than leave it
+                    // waiting for a forwarder that may never come.
+                    if let Some(job) = self.forwards.try_pop() {
+                        let retry_after_ms = self.config.retry_after_ms;
+                        job.reply
+                            .send(Reply::Line(Response::Rejected { retry_after_ms }.to_line()));
+                    }
+                }
+            }
+            Err(_) => {
+                return Some(
+                    Response::Error {
+                        message: "gateway is shutting down".to_string(),
+                    }
+                    .to_line(),
+                )
+            }
+        }
+        None
+    }
+}
+
+impl Handler for Shared {
+    fn connections(&self) -> &Connections {
+        &self.connections
+    }
+
+    fn handle(self: &Arc<Self>, frame: Vec<u8>, message: Json, reply: ReplyTo) -> Option<Vec<u8>> {
+        // Jobs are decoded, keyed and forwarded off the front-end's
+        // thread: on a 1 MB upload that is a hex decode and a hash pass
+        // before a backend round trip.
+        match message.get("op").and_then(Json::as_str) {
+            Some(ops::SUBMIT | ops::LIBRARY) => self.queue_forward(Forward {
+                frame,
+                message,
+                reply,
+            }),
+            _ => Some(self.reply(message, frame)),
+        }
+    }
+
+    fn begin_shutdown(&self) {
+        if self.connections.begin_shutdown() {
+            self.forwards.close();
+        }
     }
 }
 
@@ -243,49 +383,20 @@ impl Shared {
 /// and then [`join`](Gateway::join).
 pub struct Gateway {
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
+    io_handle: Option<JoinHandle<()>>,
     probe_handle: Option<JoinHandle<()>>,
 }
 
 impl Gateway {
-    /// Bind and start the accept loop and (if enabled) the probe loop.
+    /// Bind and start the connection front-end and (if enabled) the
+    /// probe loop.
     ///
     /// # Errors
     /// Socket bind failures, or an empty backend list.
     pub fn start(config: GatewayConfig) -> std::io::Result<Gateway> {
-        if config.backends.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "a gateway needs at least one backend",
-            ));
-        }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let backends: Vec<Backend> = config
-            .backends
-            .iter()
-            .map(|addr| Backend {
-                addr: addr.clone(),
-                health: Mutex::new(HealthCell::new(config.health)),
-                routed: AtomicU64::new(0),
-            })
-            .collect();
-        let seeds: Vec<u64> = config.backends.iter().map(|a| backend_seed(a)).collect();
-        let shared = Arc::new(Shared {
-            gate: ConnectionGate::new(config.max_connections),
-            config,
-            backends,
-            seeds,
-            metrics: GatewayMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            local_addr,
-            rr_cursor: AtomicUsize::new(0),
-        });
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("gateway-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
+        let (shared, listener) = Shared::bind(config)?;
+        let shared = Arc::new(shared);
+        let io_handle = frontend::spawn(listener, Arc::clone(&shared), "mosaic-gateway")?;
 
         let probe_handle = if shared.config.probe_interval_ms > 0 {
             let probe_shared = Arc::clone(&shared);
@@ -296,7 +407,7 @@ impl Gateway {
                 Ok(handle) => Some(handle),
                 Err(e) => {
                     shared.begin_shutdown();
-                    let _ = accept_handle.join();
+                    let _ = io_handle.join();
                     return Err(e);
                 }
             }
@@ -306,14 +417,14 @@ impl Gateway {
 
         Ok(Gateway {
             shared,
-            accept_handle: Some(accept_handle),
+            io_handle: Some(io_handle),
             probe_handle,
         })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.shared.connections.local_addr()
     }
 
     /// Trigger graceful shutdown. Idempotent; also triggered by the
@@ -322,119 +433,14 @@ impl Gateway {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for the accept and probe loops to exit. Implies
+    /// Wait for the front-end and probe loop to exit. Implies
     /// [`shutdown`](Gateway::shutdown) has been (or will be) triggered.
     pub fn join(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }
         if let Some(handle) = self.probe_handle.take() {
             let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Some(permit) = shared.gate.try_acquire() else {
-                    shared.metrics.connection_rejected();
-                    let _ = stream.set_write_timeout(shared.io_timeout());
-                    let _ = write_message(
-                        &mut &stream,
-                        &Response::Rejected {
-                            retry_after_ms: shared.config.retry_after_ms,
-                        }
-                        .to_json(),
-                    );
-                    continue;
-                };
-                let shared = Arc::clone(shared);
-                // Handlers are detached, exactly like the backend
-                // server's; a failed spawn drops the closure and with it
-                // the permit.
-                let _ = std::thread::Builder::new()
-                    .name("gateway-conn".to_string())
-                    .spawn(move || {
-                        let _permit = permit;
-                        handle_connection(stream, &shared);
-                    });
-            }
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    if let Some(timeout) = shared.io_timeout() {
-        if stream.set_read_timeout(Some(timeout)).is_err()
-            || stream.set_write_timeout(Some(timeout)).is_err()
-        {
-            return;
-        }
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let read = read_frame(&mut reader, shared.frame_limit()).and_then(|frame| {
-            frame
-                .map(|frame| parse_frame(&frame).map(|message| (frame, message)))
-                .transpose()
-        });
-        let (frame, message) = match read {
-            Ok(Some(read)) => read,
-            Ok(None) => return,
-            Err(ReadError::FrameTooLarge { limit }) => {
-                shared.metrics.frame_too_large();
-                let _ = write_message(
-                    &mut writer,
-                    &Response::FrameTooLarge {
-                        max_frame_bytes: limit as u64,
-                    }
-                    .to_json(),
-                );
-                return;
-            }
-            Err(ReadError::Malformed(problem)) => {
-                let _ = write_message(&mut writer, &Response::Error { message: problem }.to_json());
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
-        };
-        let line = |response: Response| encode_line(&response.to_json());
-        let reply = match Request::from_json(&message) {
-            Err(problem) => line(Response::Error { message: problem }),
-            Ok(Request::Ping) => line(Response::Pong),
-            Ok(Request::Stats) => line(Response::Stats {
-                stats: shared
-                    .metrics
-                    .snapshot(shared.routable_count(), shared.backends.len()),
-            }),
-            Ok(Request::Metrics) => line(Response::Metrics {
-                text: shared
-                    .metrics
-                    .prometheus(shared.routable_count(), shared.backends.len()),
-            }),
-            Ok(Request::GatewayInfo) => line(Response::Gateway {
-                gateway: shared.info_json(),
-            }),
-            Ok(Request::Shutdown) => {
-                shared.begin_shutdown();
-                line(Response::ShuttingDown)
-            }
-            Ok(Request::Submit(spec)) => route_submit(shared, frame, spec.cache_key()),
-            Ok(Request::Library(spec)) => route_submit(shared, frame, spec.cache_key()),
-        };
-        if writer.write_all(&reply).is_err() {
-            return;
         }
     }
 }
@@ -459,7 +465,7 @@ enum Attempt {
 /// library jobs it is the spec's routing key (store/target affinity —
 /// backends never cache library results, but stable routing keeps one
 /// backend's page cache warm for a given store).
-fn route_submit(shared: &Arc<Shared>, mut request: Vec<u8>, key: u64) -> Vec<u8> {
+fn route_submit(shared: &Shared, mut request: Vec<u8>, key: u64) -> Vec<u8> {
     let started = Instant::now();
     request.push(b'\n');
     let order = shared.route_order(key);
@@ -531,15 +537,15 @@ fn route_submit(shared: &Arc<Shared>, mut request: Vec<u8>, key: u64) -> Vec<u8>
         // typed shape beats a panic if it ever is.
         Response::NoBackendAvailable { retry_after_ms }
     };
-    encode_line(&refusal.to_json())
+    refusal.to_line()
 }
 
 /// Forward one request line to one backend over a fresh connection and
 /// classify the outcome. The reply is parsed only to read its `kind`;
 /// its bytes are what the client gets, so a proxied result is
 /// byte-identical to a direct submission.
-fn forward(shared: &Arc<Shared>, backend: &Backend, request: &[u8]) -> Attempt {
-    match forward_io(shared, backend, request) {
+fn forward(shared: &Shared, backend: &Backend, request: &[u8]) -> Attempt {
+    match exchange(&backend.addr, request, shared.backend_timeout()) {
         Ok((mut reply, message)) => {
             reply.push(b'\n');
             match message.get("kind").and_then(Json::as_str) {
@@ -552,20 +558,26 @@ fn forward(shared: &Arc<Shared>, backend: &Backend, request: &[u8]) -> Attempt {
     }
 }
 
-/// One exchange with a backend: the reply frame and its parse. A reply
-/// that does not parse counts as a dead backend, like a cut connection.
-fn forward_io(
-    shared: &Arc<Shared>,
-    backend: &Backend,
+/// One request line to `addr` over a fresh connection, every step under
+/// `timeout`: the reply frame and its parse. A reply that does not
+/// parse counts as a dead backend, like a cut connection.
+fn exchange(
+    addr: &str,
     request: &[u8],
+    timeout: Option<Duration>,
 ) -> std::io::Result<(Vec<u8>, Json)> {
-    let addr = resolve(&backend.addr)?;
-    let stream = match shared.backend_timeout() {
+    let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "address resolved to nothing",
+        )
+    })?;
+    let stream = match timeout {
         Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
         None => TcpStream::connect(addr)?,
     };
-    stream.set_read_timeout(shared.backend_timeout())?;
-    stream.set_write_timeout(shared.backend_timeout())?;
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
     (&stream).write_all(request)?;
     let reply =
         read_frame(&mut BufReader::new(stream), MAX_BACKEND_RESPONSE_BYTES)?.ok_or_else(|| {
@@ -575,48 +587,27 @@ fn forward_io(
     Ok((reply, message))
 }
 
-fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to nothing",
-        )
-    })
-}
-
 /// One stats round-trip against a backend; `true` on any valid reply.
-fn probe_backend(shared: &Arc<Shared>, backend: &Backend) -> bool {
-    let probe = || -> std::io::Result<()> {
-        let addr = resolve(&backend.addr)?;
-        let timeout = shared.backend_timeout().unwrap_or(Duration::from_secs(10));
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let mut writer = stream.try_clone()?;
-        write_message(&mut writer, &Request::Stats.to_json())?;
-        let mut reader = BufReader::new(stream);
-        read_message(&mut reader, MAX_BACKEND_RESPONSE_BYTES)
-            .map_err(std::io::Error::from)?
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "probe got EOF")
-            })?;
-        Ok(())
-    };
-    probe().is_ok()
+/// Probes always run under a deadline, so a hung backend cannot stall
+/// the sweep.
+fn probe_backend(shared: &Shared, backend: &Backend) -> bool {
+    let timeout = shared.backend_timeout().unwrap_or(Duration::from_secs(10));
+    let request = encode_line(&Request::Stats.to_json());
+    exchange(&backend.addr, &request, Some(timeout)).is_ok()
 }
 
 /// Periodic health sweep. The loop paces itself on a dedicated thread;
 /// each sweep fans the per-backend probes out on the process pool so a
 /// hung backend (probe stuck until its timeout) does not serialize the
 /// others.
-fn probe_loop(shared: &Arc<Shared>) {
+fn probe_loop(shared: &Shared) {
     let interval = Duration::from_millis(shared.config.probe_interval_ms);
     // Sleep in short slices so shutdown is observed promptly even with
     // long probe intervals.
     let slice = Duration::from_millis(20).min(interval);
     let mut elapsed = Duration::ZERO;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.connections.is_shutting_down() {
             return;
         }
         std::thread::sleep(slice);
@@ -674,27 +665,12 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_through_every_backend() {
-        let shared = Shared {
-            gate: ConnectionGate::new(0),
-            config: GatewayConfig {
-                backends: vec!["a".into(), "b".into(), "c".into()],
-                policy: RoutePolicy::RoundRobin,
-                ..GatewayConfig::default()
-            },
-            backends: ["a", "b", "c"]
-                .iter()
-                .map(|addr| Backend {
-                    addr: addr.to_string(),
-                    health: Mutex::new(HealthCell::new(HealthPolicy::default())),
-                    routed: AtomicU64::new(0),
-                })
-                .collect(),
-            seeds: vec![1, 2, 3],
-            metrics: GatewayMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            local_addr: "127.0.0.1:0".parse().unwrap(),
-            rr_cursor: AtomicUsize::new(0),
-        };
+        let (shared, _listener) = Shared::bind(GatewayConfig {
+            backends: vec!["a".into(), "b".into(), "c".into()],
+            policy: RoutePolicy::RoundRobin,
+            ..GatewayConfig::default()
+        })
+        .unwrap();
         // Same key every time; round-robin must still rotate the head.
         let heads: Vec<usize> = (0..6).map(|_| shared.route_order(9)[0]).collect();
         assert_eq!(heads, vec![0, 1, 2, 0, 1, 2]);

@@ -7,8 +7,9 @@
 //! path records with relaxed atomics and never touches the registry
 //! lock.
 
+use mosaic_service::metrics::{summary_json, ConnectionMetrics};
 use mosaic_service::protocol::kinds;
-use mosaic_telemetry::{Counter, Histogram, HistogramSummary, Registry};
+use mosaic_telemetry::{Counter, Histogram, Registry};
 use photomosaic::Json;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,8 +22,7 @@ pub struct GatewayMetrics {
     failovers: Arc<Counter>,
     rejected: Arc<Counter>,
     probe_failures: Arc<Counter>,
-    frames_too_large: Arc<Counter>,
-    conns_rejected: Arc<Counter>,
+    connections: ConnectionMetrics,
     route_us: Arc<Histogram>,
 }
 
@@ -34,8 +34,16 @@ impl Default for GatewayMetrics {
             failovers: registry.counter("gateway_failovers_total"),
             rejected: registry.counter("gateway_jobs_rejected_total"),
             probe_failures: registry.counter("gateway_probe_failures_total"),
-            frames_too_large: registry.counter("gateway_frames_too_large_total"),
-            conns_rejected: registry.counter("gateway_connections_rejected_total"),
+            connections: ConnectionMetrics::new(
+                &registry,
+                [
+                    "gateway_frames_too_large_total",
+                    "gateway_connections_timed_out_total",
+                    "gateway_connections_rejected_total",
+                    "gateway_connections_open",
+                    "gateway_io_loop_wakeups_total",
+                ],
+            ),
             route_us: registry.histogram("gateway_route_us"),
             registry,
         }
@@ -72,29 +80,16 @@ impl GatewayMetrics {
         self.probe_failures.inc();
     }
 
-    /// A client sent a frame over `max_frame_bytes` and was dropped.
-    pub fn frame_too_large(&self) {
-        self.frames_too_large.inc();
+    /// The counters the gateway's connection front-end records.
+    pub fn connections(&self) -> &ConnectionMetrics {
+        &self.connections
     }
 
-    /// A client connection was refused because the gate was full.
-    pub fn connection_rejected(&self) {
-        self.conns_rejected.inc();
-    }
-
-    /// Jobs routed so far.
-    pub fn routed(&self) -> u64 {
-        self.routed.get()
-    }
-
-    /// Failover hops taken so far.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.get()
-    }
-
-    /// Snapshot as the gateway's `stats` payload. Backend counts are
-    /// sampled by the caller, which owns the health cells.
-    pub fn snapshot(&self, backends_healthy: usize, backends_total: usize) -> Json {
+    /// Snapshot as the gateway's `stats` payload. The occupancy —
+    /// routable backends, all backends, open client connections — is
+    /// sampled by the caller, which owns the health cells and connections.
+    pub fn snapshot(&self, occupancy: (usize, usize, usize)) -> Json {
+        let (backends_healthy, backends_total, connections_open) = occupancy;
         Json::obj([
             (
                 "jobs",
@@ -114,21 +109,21 @@ impl GatewayMetrics {
             ("route_us", summary_json(self.route_us.summary())),
             (
                 "hardening",
-                Json::obj([
-                    ("probe_failures", Json::from(self.probe_failures.get())),
-                    ("frames_too_large", Json::from(self.frames_too_large.get())),
-                    (
-                        "connections_rejected",
-                        Json::from(self.conns_rejected.get()),
-                    ),
-                ]),
+                Json::obj(
+                    [("probe_failures", Json::from(self.probe_failures.get()))]
+                        .into_iter()
+                        .chain(self.connections.hardening()),
+                ),
             ),
+            ("io_loop", self.connections.io_loop(connections_open)),
         ])
     }
 
-    /// Prometheus text exposition, with the caller-sampled backend
-    /// occupancy folded in as gauges.
-    pub fn prometheus(&self, backends_healthy: usize, backends_total: usize) -> String {
+    /// Prometheus text exposition, with the caller-sampled occupancy
+    /// (as for [`snapshot`](Self::snapshot)) folded in as gauges.
+    pub fn prometheus(&self, occupancy: (usize, usize, usize)) -> String {
+        let (backends_healthy, backends_total, connections_open) = occupancy;
+        self.connections.set_open(connections_open);
         self.registry
             .gauge("gateway_backends_healthy")
             .set(backends_healthy as i64);
@@ -137,18 +132,6 @@ impl GatewayMetrics {
             .set(backends_total as i64);
         mosaic_telemetry::prometheus(&self.registry)
     }
-}
-
-fn summary_json(s: HistogramSummary) -> Json {
-    Json::obj([
-        ("count", Json::from(s.count)),
-        ("sum", Json::from(s.sum)),
-        ("min", Json::from(s.min)),
-        ("max", Json::from(s.max)),
-        ("p50", Json::from(s.p50)),
-        ("p90", Json::from(s.p90)),
-        ("p99", Json::from(s.p99)),
-    ])
 }
 
 #[cfg(test)]
@@ -164,7 +147,7 @@ mod tests {
         m.job_refused();
         m.probe_failed();
 
-        let snap = m.snapshot(2, 3);
+        let snap = m.snapshot((2, 3, 4));
         let jobs = snap.get("jobs").unwrap();
         assert_eq!(jobs.get("routed").unwrap().as_u64(), Some(2));
         assert_eq!(jobs.get("failovers").unwrap().as_u64(), Some(1));
@@ -177,6 +160,16 @@ mod tests {
         assert_eq!(route.get("sum").unwrap().as_u64(), Some(400));
         let hardening = snap.get("hardening").unwrap();
         assert_eq!(hardening.get("probe_failures").unwrap().as_u64(), Some(1));
+        for key in [
+            "frames_too_large",
+            "connections_timed_out",
+            "connections_rejected",
+        ] {
+            assert_eq!(hardening.get(key).unwrap().as_u64(), Some(0), "{key}");
+        }
+        let io_loop = snap.get("io_loop").unwrap();
+        assert_eq!(io_loop.get("connections_open").unwrap().as_u64(), Some(4));
+        assert_eq!(io_loop.get("wakeups").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -186,16 +179,19 @@ mod tests {
         m.failover();
         m.job_refused();
         m.probe_failed();
-        m.frame_too_large();
-        m.connection_rejected();
-        let text = m.prometheus(1, 2);
+        let text = m.prometheus((1, 2, 3));
         assert!(text.contains("# TYPE gateway_jobs_routed_total counter"));
         assert!(text.contains("gateway_jobs_routed_total 1\n"));
         assert!(text.contains("gateway_failovers_total 1\n"));
         assert!(text.contains("gateway_jobs_rejected_total 1\n"));
         assert!(text.contains("gateway_probe_failures_total 1\n"));
-        assert!(text.contains("gateway_frames_too_large_total 1\n"));
-        assert!(text.contains("gateway_connections_rejected_total 1\n"));
+        // The front-end records these; the differential suite drives
+        // them through a live gateway.
+        assert!(text.contains("gateway_frames_too_large_total 0\n"));
+        assert!(text.contains("gateway_connections_timed_out_total 0\n"));
+        assert!(text.contains("gateway_connections_rejected_total 0\n"));
+        assert!(text.contains("gateway_connections_open 3\n"));
+        assert!(text.contains("gateway_io_loop_wakeups_total 0\n"));
         assert!(text.contains("# TYPE gateway_route_us histogram"));
         assert!(text.contains("gateway_route_us_sum 64\n"));
         assert!(text.contains("gateway_backends_healthy 1\n"));
@@ -207,7 +203,7 @@ mod tests {
         let a = GatewayMetrics::new();
         let b = GatewayMetrics::new();
         a.job_routed(Duration::from_micros(10));
-        let snap = b.snapshot(0, 0);
+        let snap = b.snapshot((0, 0, 0));
         assert_eq!(
             snap.get("jobs").unwrap().get("routed").unwrap().as_u64(),
             Some(0)

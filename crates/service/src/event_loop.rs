@@ -3,10 +3,11 @@
 //! The readiness loop owns the listener and all client sockets. It
 //! performs bounded incremental framing on per-connection buffers
 //! ([`crate::protocol::FrameAccumulator`], enforcing `max_frame_bytes`
-//! before any copy), hands complete jobs to the worker pool, and writes
-//! responses back when the socket reports writable. Workers never touch
-//! a socket: they post finished replies on the [`CompletionBoard`] and
-//! nudge the loop through its eventfd waker.
+//! before any copy), hands every complete frame to the binary's
+//! [`Handler`], and writes replies back when the socket reports
+//! writable. Executors never touch a socket: they post finished replies
+//! on the [`CompletionBoard`] and nudge the loop through its eventfd
+//! waker.
 //!
 //! Connection lifecycle is level-triggered epoll. Read interest is
 //! dropped while a job is in flight for a connection (one job at a time
@@ -23,16 +24,13 @@
 //! until their reply is delivered, so queued work drains observably.
 
 use crate::epoll::{EventWaker, Poller, Readiness};
-use crate::gate::ConnectionPermit;
-use crate::protocol::{encode_line, FrameAccumulator, ReadError, Request, Response};
-use crate::queue::PushError;
-use crate::server::{dispatch_request, Dispatch, Job, JobPayload, ReplyTo, Shared, WorkerReply};
+use crate::frontend::{ConnectionPermit, Handler, Reply, ReplyTo};
+use crate::protocol::FrameAccumulator;
 use mosaic_telemetry::lock_unpoisoned;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -51,14 +49,14 @@ const READ_CHUNK: usize = 8 * 1024;
 /// Ceiling on a single poll sleep, so clock math stays in `i32` range.
 const MAX_POLL_MS: u64 = 60_000;
 
-/// Where workers post finished jobs for the loop to pick up.
+/// Where executors post finished jobs for the loop to pick up.
 ///
 /// `deliver` is the only cross-thread hand-off in the event-driven
 /// front-end: push the reply under the mutex, release it, then wake the
 /// eventfd. The wake happens strictly after the unlock so the loop never
 /// contends with a waker that is still holding the list.
 pub(crate) struct CompletionBoard {
-    done: Mutex<Vec<(u64, WorkerReply)>>,
+    done: Mutex<Vec<(u64, Reply)>>,
     waker: EventWaker,
 }
 
@@ -76,8 +74,8 @@ impl CompletionBoard {
         self.waker.fd()
     }
 
-    /// Post one finished job and wake the loop. Called from workers.
-    pub(crate) fn deliver(&self, token: u64, reply: WorkerReply) {
+    /// Post one finished job and wake the loop. Called from executors.
+    pub(crate) fn deliver(&self, token: u64, reply: Reply) {
         let mut done = lock_unpoisoned(&self.done);
         done.push((token, reply));
         drop(done);
@@ -95,7 +93,7 @@ impl CompletionBoard {
     }
 
     /// Take everything posted since the last call.
-    fn take_completions(&self) -> Vec<(u64, WorkerReply)> {
+    fn take_completions(&self) -> Vec<(u64, Reply)> {
         std::mem::take(&mut *lock_unpoisoned(&self.done))
     }
 }
@@ -104,7 +102,7 @@ impl CompletionBoard {
 struct Conn {
     stream: TcpStream,
     /// `None` for a doomed over-capacity connection that only exists to
-    /// flush its rejection line; dropping the permit frees a gate slot.
+    /// flush its rejection line; dropping the permit frees its slot.
     permit: Option<ConnectionPermit>,
     frames: FrameAccumulator,
     /// Outbound bytes not yet accepted by the kernel.
@@ -135,12 +133,13 @@ impl Conn {
 
 /// Run the event-driven front-end until shutdown has drained. Consumes
 /// the (already nonblocking) listener; the poller and board were built
-/// by `Server::start` so their creation errors surface to the caller.
-pub(crate) fn run(
+/// by `Connections::bind` so their creation errors surface to the
+/// binary's `start`.
+pub(crate) fn run<H: Handler>(
     listener: TcpListener,
     poller: Poller,
     board: Arc<CompletionBoard>,
-    shared: Arc<Shared>,
+    handler: Arc<H>,
 ) {
     if poller
         .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
@@ -149,14 +148,14 @@ pub(crate) fn run(
             .add(board.waker_fd(), WAKER_TOKEN, true, false)
             .is_err()
     {
-        // Without a working poller the server cannot serve; go dark the
+        // Without a working poller the binary cannot serve; go dark the
         // visible way (listener drops, connects are refused) instead of
         // hanging silently.
-        shared.begin_shutdown();
+        handler.begin_shutdown();
         return;
     }
     let mut driver = EventLoop {
-        shared,
+        handler,
         poller,
         board,
         listener: Some(listener),
@@ -167,8 +166,8 @@ pub(crate) fn run(
     driver.run();
 }
 
-struct EventLoop {
-    shared: Arc<Shared>,
+struct EventLoop<H> {
+    handler: Arc<H>,
     poller: Poller,
     board: Arc<CompletionBoard>,
     /// Dropped (closing the socket) the moment shutdown is observed.
@@ -180,16 +179,16 @@ struct EventLoop {
     drain_deadline: Option<Instant>,
 }
 
-impl EventLoop {
+impl<H: Handler> EventLoop<H> {
     fn run(&mut self) {
         let mut events: Vec<Readiness> = Vec::new();
         loop {
             let timeout = self.poll_timeout(Instant::now());
             if self.poller.wait(timeout, &mut events).is_err() {
                 // An unusable poller is unrecoverable; drain and exit.
-                self.shared.begin_shutdown();
+                self.handler.begin_shutdown();
             }
-            self.shared.metrics.io_loop_wakeup();
+            self.handler.connections().metrics.wakeups.inc();
             let now = Instant::now();
             for &ev in &events {
                 match ev.token {
@@ -222,7 +221,7 @@ impl EventLoop {
             // Past the linger the loop is purely event-driven: stray
             // connections are closed by completions or writability.
         }
-        if let Some(io_timeout) = self.shared.io_timeout() {
+        if let Some(io_timeout) = self.handler.connections().io_timeout {
             for conn in self.conns.values() {
                 if conn.busy {
                     continue; // in-flight jobs answer to the job deadline
@@ -239,9 +238,8 @@ impl EventLoop {
     }
 
     /// Accept until the backlog is dry. Over-capacity clients get the
-    /// same typed rejection as the threaded front-end; the fault plan's
-    /// sockopt failure drops them unanswered instead, mirroring how the
-    /// oracle treats a write deadline it could not arm.
+    /// same typed rejection as from the threaded front-end, or are
+    /// dropped unanswered when the fault plan fails their sockopt.
     fn accept_ready(&mut self, now: Instant) {
         loop {
             let Some(listener) = &self.listener else {
@@ -249,16 +247,15 @@ impl EventLoop {
             };
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
+                    let connections = self.handler.connections();
+                    if connections.is_shutting_down() {
                         continue; // raced shutdown: drop, listener closes below
                     }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    match self.shared.gate.try_acquire() {
-                        Some(permit) => self.register_conn(stream, permit, now),
-                        None => self.reject_conn(stream, now),
-                    }
+                    let admission = connections.admit();
+                    self.add_conn(stream, admission, now);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -269,71 +266,46 @@ impl EventLoop {
         }
     }
 
-    fn register_conn(&mut self, stream: TcpStream, permit: ConnectionPermit, now: Instant) {
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .add(stream.as_raw_fd(), token, true, false)
-            .is_err()
-        {
-            return; // drop: the client sees a clean close
-        }
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                permit: Some(permit),
-                frames: FrameAccumulator::new(self.shared.config.max_frame_bytes),
-                out: Vec::new(),
-                out_from: 0,
-                close_after_flush: false,
-                busy: false,
-                dead_input: false,
-                last_activity: now,
-                interest: (true, false),
-            },
-        );
-    }
-
-    /// Over-capacity: queue the standard backpressure line on a doomed,
-    /// never-read connection and close once it has flushed.
-    fn reject_conn(&mut self, stream: TcpStream, now: Instant) {
-        self.shared.metrics.connection_rejected();
-        if self.shared.config.faults.take_reject_sockopt_failure() {
-            return; // injected sockopt failure: fatal, drop unanswered
-        }
+    /// Register an admitted connection — or, for an over-capacity one,
+    /// queue its backpressure line on a never-read connection that
+    /// closes once the line has flushed.
+    fn add_conn(
+        &mut self,
+        stream: TcpStream,
+        admission: Result<ConnectionPermit, Option<Vec<u8>>>,
+        now: Instant,
+    ) {
+        let (permit, out) = match admission {
+            Ok(permit) => (Some(permit), Vec::new()),
+            Err(Some(line)) => (None, line),
+            Err(None) => return, // injected sockopt failure: drop unanswered
+        };
+        let doomed = permit.is_none();
         let mut conn = Conn {
             stream,
-            permit: None,
-            frames: FrameAccumulator::new(0),
-            out: Vec::new(),
+            permit,
+            frames: FrameAccumulator::new(self.handler.connections().max_frame_bytes),
+            out,
             out_from: 0,
-            close_after_flush: true,
+            close_after_flush: doomed,
             busy: false,
-            dead_input: true,
+            dead_input: doomed,
             last_activity: now,
-            interest: (false, false),
+            interest: (!doomed, doomed),
         };
-        push_response(
-            &mut conn,
-            &Response::Rejected {
-                retry_after_ms: self.shared.config.retry_after_ms,
-            },
-        );
-        if flush_conn(&mut conn, now).is_err() || !conn.pending_out() {
+        if doomed && (flush_conn(&mut conn, now).is_err() || !conn.pending_out()) {
             return; // fully flushed (or dead): drop closes the socket
         }
         let token = self.next_token;
         self.next_token += 1;
+        let (read, write) = conn.interest;
         if self
             .poller
-            .add(conn.stream.as_raw_fd(), token, false, true)
+            .add(conn.stream.as_raw_fd(), token, read, write)
             .is_err()
         {
-            return;
+            return; // drop: the client sees a clean close
         }
-        conn.interest = (false, true);
         self.conns.insert(token, conn);
     }
 
@@ -350,7 +322,7 @@ impl EventLoop {
             }
             if alive && (ev.readable || ev.closed) {
                 if conn.wants_read() {
-                    alive = read_into_conn(conn, token, &self.shared, &self.board, now);
+                    alive = read_into_conn(conn, token, &self.handler, &self.board, now);
                 } else if ev.closed {
                     // Peer hung up while reads were paused (job in
                     // flight or doomed rejection): nobody is left to
@@ -359,12 +331,12 @@ impl EventLoop {
                 }
             }
         }
-        self.settle(token, alive, now);
+        self.settle(token, alive);
     }
 
     /// Apply the post-I/O disposition for one connection: close it, or
     /// reconcile its epoll interest with what it now wants.
-    fn settle(&mut self, token: u64, alive: bool, _now: Instant) {
+    fn settle(&mut self, token: u64, alive: bool) {
         let (close, want, fd) = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -396,20 +368,20 @@ impl EventLoop {
     /// and resume parsing any frames that arrived while it was busy.
     fn apply_completions(&mut self, now: Instant) {
         for (token, reply) in self.board.take_completions() {
-            match reply {
-                WorkerReply::Sever => self.close(token),
-                WorkerReply::Respond(response) => {
+            match reply.into_line() {
+                None => self.close(token),
+                Some(line) => {
                     let alive = {
                         let Some(conn) = self.conns.get_mut(&token) else {
                             continue;
                         };
                         conn.busy = false;
                         conn.last_activity = now;
-                        push_response(conn, &response);
-                        advance_frames(conn, token, &self.shared, &self.board, now)
+                        conn.out.extend_from_slice(&line);
+                        advance_frames(conn, token, &self.handler, &self.board, now)
                             && flush_conn(conn, now).is_ok()
                     };
-                    self.settle(token, alive, now);
+                    self.settle(token, alive);
                 }
             }
         }
@@ -420,7 +392,7 @@ impl EventLoop {
     /// everything idle is dropped. Busy connections stay until their
     /// reply lands, so accepted work drains observably.
     fn observe_shutdown(&mut self, now: Instant) {
-        if self.drain_deadline.is_none() && self.shared.shutdown.load(Ordering::SeqCst) {
+        if self.drain_deadline.is_none() && self.handler.connections().is_shutting_down() {
             if let Some(listener) = self.listener.take() {
                 let _ = self.poller.remove(listener.as_raw_fd());
                 // dropping the listener closes it: connects now refused
@@ -439,14 +411,15 @@ impl EventLoop {
                 conn.dead_input = true;
                 conn.close_after_flush = true;
             }
-            self.settle(token, true, now);
+            self.settle(token, true);
         }
     }
 
     /// Close connections idle past the I/O timeout — the slowloris
     /// defense the threaded front-end gets from `set_read_timeout`.
     fn sweep_idle(&mut self, now: Instant) {
-        let Some(io_timeout) = self.shared.io_timeout() else {
+        let connections = self.handler.connections();
+        let Some(io_timeout) = connections.io_timeout else {
             return;
         };
         let expired: Vec<(u64, bool)> = self
@@ -457,7 +430,7 @@ impl EventLoop {
             .collect();
         for (token, counted) in expired {
             if counted {
-                self.shared.metrics.connection_timed_out();
+                self.handler.connections().metrics.timed_out.inc();
             }
             self.close(token);
         }
@@ -473,40 +446,33 @@ impl EventLoop {
 
 /// Drain readable bytes into the connection's frame accumulator and act
 /// on every complete frame. Returns `false` when the connection is dead
-/// (EOF, I/O error) and must be closed without further ceremony.
-fn read_into_conn(
+/// (I/O error) and must be closed without further ceremony.
+fn read_into_conn<H: Handler>(
     conn: &mut Conn,
     token: u64,
-    shared: &Arc<Shared>,
+    handler: &Arc<H>,
     board: &Arc<CompletionBoard>,
     now: Instant,
 ) -> bool {
     let mut buf = [0u8; READ_CHUNK];
     while conn.wants_read() {
         match conn.stream.read(&mut buf) {
-            Ok(0) => return false, // orderly EOF
+            Ok(0) => {
+                // Orderly EOF: the answers to complete frames still go
+                // out; an unfinished frame is discarded (framing is
+                // strict), exactly as the threaded loop's `read_frame`.
+                conn.dead_input = true;
+                conn.close_after_flush = true;
+            }
             Ok(n) => {
                 conn.last_activity = now;
                 match conn.frames.extend(&buf[..n]) {
                     Ok(()) => {
-                        if !advance_frames(conn, token, shared, board, now) {
+                        if !advance_frames(conn, token, handler, board, now) {
                             return false;
                         }
                     }
-                    Err(ReadError::FrameTooLarge { limit }) => {
-                        // Same shape and same close-after-answer policy
-                        // as the threaded front-end's oversized path.
-                        shared.metrics.frame_too_large();
-                        push_response(
-                            conn,
-                            &Response::FrameTooLarge {
-                                max_frame_bytes: limit as u64,
-                            },
-                        );
-                        conn.dead_input = true;
-                        conn.close_after_flush = true;
-                    }
-                    Err(_) => return false,
+                    Err(error) => fail_framing(conn, handler, error),
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -519,86 +485,44 @@ fn read_into_conn(
     flush_conn(conn, now).is_ok()
 }
 
-/// Parse and dispatch every complete frame buffered on the connection,
+/// Hand every complete frame buffered on the connection to the handler,
 /// stopping when a job goes in flight (reads pause until it returns).
-fn advance_frames(
+fn advance_frames<H: Handler>(
     conn: &mut Conn,
     token: u64,
-    shared: &Arc<Shared>,
+    handler: &Arc<H>,
     board: &Arc<CompletionBoard>,
     now: Instant,
 ) -> bool {
     while !conn.busy && !conn.close_after_flush {
-        let message = match conn.frames.next_message() {
-            Ok(Some(message)) => message,
+        let (frame, message) = match conn.frames.next_message() {
+            Ok(Some(parsed)) => parsed,
             Ok(None) => break,
-            Err(ReadError::Malformed(problem)) => {
-                // Framing trust is lost: answer, then drop — exactly
-                // the threaded front-end's malformed-line policy.
-                push_response(conn, &Response::Error { message: problem });
-                conn.dead_input = true;
-                conn.close_after_flush = true;
+            Err(error) => {
+                fail_framing(conn, handler, error);
                 break;
             }
-            Err(_) => return false,
         };
         conn.last_activity = now;
-        let inline = match Request::from_json(&message) {
-            // An unknown op is a per-request error; the connection
-            // stays usable (oracle parity: its loop continues).
-            Err(problem) => Some(Response::Error { message: problem }),
-            Ok(request) => match dispatch_request(request, shared) {
-                Dispatch::Inline(response) => Some(response),
-                Dispatch::Enqueue(payload) => enqueue(conn, token, payload, shared, board),
-            },
-        };
-        if let Some(response) = inline {
-            push_response(conn, &response);
+        let board = Arc::clone(board);
+        let reply = ReplyTo::new(move |reply| board.deliver(token, reply));
+        match handler.handle(frame, message, reply) {
+            Some(line) => conn.out.extend_from_slice(&line),
+            None => conn.busy = true,
         }
     }
     true
 }
 
-/// Try to queue a job for the workers. `None` means the job is in
-/// flight and the connection is now busy; `Some` is the inline answer
-/// for a queue that is full or closed.
-fn enqueue(
-    conn: &mut Conn,
-    token: u64,
-    payload: JobPayload,
-    shared: &Arc<Shared>,
-    board: &Arc<CompletionBoard>,
-) -> Option<Response> {
-    let job = Job {
-        payload,
-        accepted_at: Instant::now(),
-        reply: ReplyTo::Board {
-            token,
-            board: Arc::clone(board),
-        },
-    };
-    match shared.queue.try_push(job) {
-        Ok(()) => {
-            shared.metrics.job_submitted();
-            conn.busy = true;
-            None
-        }
-        Err(PushError::Full(_)) => {
-            shared.metrics.job_rejected();
-            Some(Response::Rejected {
-                retry_after_ms: shared.config.retry_after_ms,
-            })
-        }
-        Err(PushError::Closed(_)) => Some(Response::Error {
-            message: "server is shutting down".to_string(),
-        }),
+/// Framing trust is lost (oversized or malformed frame): queue the
+/// typed answer, stop reading, and close once it has flushed — the
+/// threaded front-end's policy, line for line.
+fn fail_framing<H: Handler>(conn: &mut Conn, handler: &Arc<H>, error: crate::protocol::ReadError) {
+    if let Some(line) = handler.connections().framing_failure(error) {
+        conn.out.extend_from_slice(&line);
     }
-}
-
-/// Encode one response line into the connection's outbound buffer.
-fn push_response(conn: &mut Conn, response: &Response) {
-    conn.out
-        .extend_from_slice(&encode_line(&response.to_json()));
+    conn.dead_input = true;
+    conn.close_after_flush = true;
 }
 
 /// Write as much buffered output as the kernel will take. `Err` means

@@ -10,12 +10,13 @@
 //!
 //! Everything is `std`: `std::net` sockets, `std::thread` workers,
 //! `std::sync::mpsc` replies — no external dependencies, matching the
-//! offline-buildable workspace. On linux/x86_64 the default connection
-//! front-end is an event-driven epoll readiness loop ([`FrontEnd`]),
-//! built on a thin audited raw-syscall shim (the crate's only `unsafe`,
-//! confined to the `epoll` module); everywhere else, and on request,
-//! the original thread-per-connection front-end serves as the portable
-//! oracle.
+//! offline-buildable workspace. Client sockets belong to the
+//! [`frontend`], which `mosaic-gateway` runs too, with its own
+//! [`frontend::Handler`]. On linux/x86_64 it is an event-driven epoll
+//! readiness loop ([`FrontEnd`]), built on a thin audited raw-syscall
+//! shim (the crate's only `unsafe`, confined to the `epoll` module);
+//! everywhere else the thread-per-connection loop, which is also the
+//! differential oracle, serves.
 //!
 //! # Example
 //!
@@ -55,7 +56,7 @@ mod epoll;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod event_loop;
 pub mod fault;
-pub mod gate;
+pub mod frontend;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
@@ -66,8 +67,8 @@ pub use client::{run_load, Client, LoadSummary};
 pub use fault::{
     disconnect_mid_frame, probe_oversized_frame, stalled_connection_is_closed, FaultPlan,
 };
-pub use gate::{ConnectionGate, ConnectionPermit};
-pub use metrics::ServiceMetrics;
+pub use frontend::FrontEnd;
+pub use metrics::{ConnectionMetrics, ServiceMetrics};
 pub use protocol::{ReadError, Request, Response};
 pub use queue::{JobQueue, PushError};
-pub use server::{FrontEnd, Server, ServiceConfig};
+pub use server::{Server, ServiceConfig};

@@ -28,12 +28,9 @@ pub struct ServiceMetrics {
     step1_us: Arc<Histogram>,
     step2_us: Arc<Histogram>,
     step3_us: Arc<Histogram>,
-    frames_too_large: Arc<Counter>,
-    conns_timed_out: Arc<Counter>,
-    conns_rejected: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
-    conns_open: Arc<Gauge>,
-    io_wakeups: Arc<Counter>,
+    /// What the connection front-end records.
+    pub(crate) connections: ConnectionMetrics,
 }
 
 impl Default for ServiceMetrics {
@@ -51,12 +48,17 @@ impl Default for ServiceMetrics {
             step1_us: registry.histogram("service_step1_us"),
             step2_us: registry.histogram("service_step2_us"),
             step3_us: registry.histogram("service_step3_us"),
-            frames_too_large: registry.counter("service_frames_too_large_total"),
-            conns_timed_out: registry.counter("service_connections_timed_out_total"),
-            conns_rejected: registry.counter("service_connections_rejected_total"),
             deadline_exceeded: registry.counter("service_jobs_deadline_exceeded_total"),
-            conns_open: registry.gauge("service_connections_open"),
-            io_wakeups: registry.counter("service_io_loop_wakeups_total"),
+            connections: ConnectionMetrics::new(
+                &registry,
+                [
+                    "service_frames_too_large_total",
+                    "service_connections_timed_out_total",
+                    "service_connections_rejected_total",
+                    "service_connections_open",
+                    "service_io_loop_wakeups_total",
+                ],
+            ),
             registry,
         }
     }
@@ -113,28 +115,6 @@ impl ServiceMetrics {
         self.deadline_exceeded.inc();
     }
 
-    /// A connection sent a frame over `max_frame_bytes` and was dropped.
-    pub fn frame_too_large(&self) {
-        self.frames_too_large.inc();
-    }
-
-    /// A connection idled past the socket deadline and was dropped.
-    pub fn connection_timed_out(&self) {
-        self.conns_timed_out.inc();
-    }
-
-    /// A connection was refused because `max_connections` was reached.
-    pub fn connection_rejected(&self) {
-        self.conns_rejected.inc();
-    }
-
-    /// The event loop returned from one `epoll_wait`. The per-wakeup
-    /// cost is what the 10k-idle-connection target bounds: idle
-    /// connections must not generate wakeups.
-    pub fn io_loop_wakeup(&self) {
-        self.io_wakeups.inc();
-    }
-
     /// A Step-2 matrix cache lookup resolved as a hit or a miss.
     pub fn cache_lookup(&self, hit: bool) {
         if hit {
@@ -147,11 +127,6 @@ impl ServiceMetrics {
     /// Jobs currently being executed by workers.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.get().max(0) as u64
-    }
-
-    /// Total jobs refused with a retry-after rejection.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.get()
     }
 
     /// Snapshot as the `stats` response payload. `queue_len`/`capacity`,
@@ -167,7 +142,6 @@ impl ServiceMetrics {
         cache: CacheStats,
         cache_capacity: usize,
     ) -> Json {
-        self.conns_open.set(connections_open as i64);
         // Totals were recorded as integer microseconds, so dividing by
         // 1000 keeps millisecond totals exact for µs-granular inputs.
         let sum_ms = |h: &Histogram| Json::from(h.sum() as f64 / 1000.0);
@@ -211,29 +185,12 @@ impl ServiceMetrics {
             ),
             (
                 "hardening",
-                Json::obj([
-                    ("frames_too_large", Json::from(self.frames_too_large.get())),
-                    (
-                        "connections_timed_out",
-                        Json::from(self.conns_timed_out.get()),
-                    ),
-                    (
-                        "connections_rejected",
-                        Json::from(self.conns_rejected.get()),
-                    ),
-                    (
-                        kinds::DEADLINE_EXCEEDED,
-                        Json::from(self.deadline_exceeded.get()),
-                    ),
-                ]),
+                Json::obj(self.connections.hardening().into_iter().chain([(
+                    kinds::DEADLINE_EXCEEDED,
+                    Json::from(self.deadline_exceeded.get()),
+                )])),
             ),
-            (
-                "io_loop",
-                Json::obj([
-                    ("connections_open", Json::from(connections_open)),
-                    ("wakeups", Json::from(self.io_wakeups.get())),
-                ]),
-            ),
+            ("io_loop", self.connections.io_loop(connections_open)),
         ])
     }
 
@@ -248,7 +205,7 @@ impl ServiceMetrics {
         cache: CacheStats,
         cache_capacity: usize,
     ) -> String {
-        self.conns_open.set(connections_open as i64);
+        self.connections.set_open(connections_open);
         self.registry.gauge("service_workers").set(workers as i64);
         self.registry
             .gauge("service_queue_length")
@@ -266,7 +223,64 @@ impl ServiceMetrics {
     }
 }
 
-fn summary_json(s: HistogramSummary) -> Json {
+/// The counters every connection front-end records, interned in the
+/// owning binary's registry under that binary's own names. Clones share
+/// the counters, so the front-end records into the same handles the
+/// binary's `stats` and `metrics` ops read.
+#[derive(Clone)]
+pub struct ConnectionMetrics {
+    /// Connections that sent a frame over `max_frame_bytes`.
+    pub(crate) frames_too_large: Arc<Counter>,
+    /// Connections dropped idle past the socket deadline.
+    pub(crate) timed_out: Arc<Counter>,
+    /// Connections refused at the `max_connections` cap.
+    pub(crate) rejected: Arc<Counter>,
+    open: Arc<Gauge>,
+    /// `epoll_wait` returns; idle connections must not add any.
+    pub(crate) wakeups: Arc<Counter>,
+}
+
+impl ConnectionMetrics {
+    /// Intern the five metrics in `registry` under `names`, in order:
+    /// the frames-too-large, timed-out and rejected connection counters,
+    /// the open-connection gauge, and the io-loop wakeup counter.
+    pub fn new(registry: &Registry, names: [&str; 5]) -> ConnectionMetrics {
+        let [frames_too_large, timed_out, rejected, open, wakeups] = names;
+        ConnectionMetrics {
+            frames_too_large: registry.counter(frames_too_large),
+            timed_out: registry.counter(timed_out),
+            rejected: registry.counter(rejected),
+            open: registry.gauge(open),
+            wakeups: registry.counter(wakeups),
+        }
+    }
+
+    /// Sample the open-connection count into its gauge.
+    pub fn set_open(&self, open: usize) {
+        self.open.set(open as i64);
+    }
+
+    /// The `stats` op's `hardening` entries the front-end owns.
+    pub fn hardening(&self) -> [(&'static str, Json); 3] {
+        [
+            ("frames_too_large", Json::from(self.frames_too_large.get())),
+            ("connections_timed_out", Json::from(self.timed_out.get())),
+            ("connections_rejected", Json::from(self.rejected.get())),
+        ]
+    }
+
+    /// The `stats` op's `io_loop` section, sampling `open` into the gauge.
+    pub fn io_loop(&self, open: usize) -> Json {
+        self.set_open(open);
+        Json::obj([
+            ("connections_open", Json::from(open)),
+            ("wakeups", Json::from(self.wakeups.get())),
+        ])
+    }
+}
+
+/// A histogram summary as the `stats` op reports it.
+pub fn summary_json(s: HistogramSummary) -> Json {
     Json::obj([
         ("count", Json::from(s.count)),
         ("sum", Json::from(s.sum)),
@@ -313,7 +327,7 @@ mod tests {
         m.job_started(Duration::from_millis(20));
         m.job_failed();
         assert_eq!(m.in_flight(), 0);
-        assert_eq!(m.rejected(), 1);
+        assert_eq!(m.rejected.get(), 1);
 
         let snap = m.snapshot(3, 1, 8, 0, CacheStats::default(), 4);
         let jobs = snap.get("jobs").unwrap();
@@ -391,10 +405,9 @@ mod tests {
     #[test]
     fn hardening_counters_flow_into_snapshot_and_prometheus() {
         let m = ServiceMetrics::new();
-        m.frame_too_large();
-        m.frame_too_large();
-        m.connection_timed_out();
-        m.connection_rejected();
+        m.connections.frames_too_large.add(2);
+        m.connections.timed_out.inc();
+        m.connections.rejected.inc();
         m.job_started(Duration::from_micros(10));
         m.job_deadline_exceeded();
         assert_eq!(m.in_flight(), 0, "deadline expiry releases in-flight");
@@ -416,9 +429,7 @@ mod tests {
     #[test]
     fn io_loop_telemetry_flows_into_snapshot_and_prometheus() {
         let m = ServiceMetrics::new();
-        m.io_loop_wakeup();
-        m.io_loop_wakeup();
-        m.io_loop_wakeup();
+        m.connections.wakeups.add(3);
 
         let snap = m.snapshot(1, 0, 4, 42, CacheStats::default(), 4);
         let io = snap.get("io_loop").unwrap();

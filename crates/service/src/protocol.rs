@@ -253,6 +253,11 @@ pub enum Response {
 }
 
 impl Response {
+    /// Serialize as one wire line: JSON + `\n`.
+    pub fn to_line(&self) -> Vec<u8> {
+        encode_line(&self.to_json())
+    }
+
     /// Serialize for the wire.
     pub fn to_json(&self) -> Json {
         match self {
@@ -489,8 +494,10 @@ pub fn read_message(
 }
 
 /// Read the raw bytes of one frame of at most `max_frame_bytes` bytes,
-/// without its terminating newline. Returns `Ok(None)` on clean EOF
-/// before any bytes; a frame cut short by EOF is returned as it stands.
+/// without its terminating newline. Returns `Ok(None)` on EOF: framing
+/// is strict, so a frame exists only once its `\n` has arrived, and a
+/// frame cut short by EOF is discarded exactly as the event-driven
+/// [`FrameAccumulator`] discards an unfinished tail.
 ///
 /// The line is accumulated through [`BufRead::fill_buf`] in transport-
 /// sized chunks and the limit is enforced *before* each chunk is copied,
@@ -512,10 +519,7 @@ pub fn read_frame(
             Err(e) => return Err(ReadError::Io(e)),
         };
         if chunk.is_empty() {
-            if line.is_empty() {
-                return Ok(None); // clean EOF between messages
-            }
-            return Ok(Some(line)); // EOF mid-line: hand over what arrived
+            return Ok(None);
         }
         let (take, consume) = match find_newline(chunk) {
             Some(newline_at) => (newline_at, newline_at + 1),
@@ -603,30 +607,19 @@ impl FrameAccumulator {
         Ok(())
     }
 
-    /// Pop the next complete frame, parsed as JSON. `Ok(None)` means no
-    /// complete frame is buffered yet — feed more bytes.
+    /// Pop the next complete frame: its raw bytes (no `\n`) and their
+    /// parse. `Ok(None)` means no complete frame is buffered yet — feed
+    /// more bytes.
     ///
     /// # Errors
     /// [`ReadError::Malformed`] for a complete line that is not UTF-8
     /// JSON; the line is consumed (the caller decides whether framing
     /// trust is lost, mirroring [`read_message`]'s contract).
-    pub fn next_message(&mut self) -> Result<Option<Json>, ReadError> {
+    pub fn next_message(&mut self) -> Result<Option<(Vec<u8>, Json)>, ReadError> {
         self.complete
             .pop_front()
-            .map(|line| parse_frame(&line))
+            .map(|line| parse_frame(&line).map(|message| (line, message)))
             .transpose()
-    }
-
-    /// Bytes of the in-progress (incomplete) frame — what a mid-frame
-    /// disconnect abandons.
-    pub fn partial_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// True when a stalled peer left an unfinished frame behind (the
-    /// slowloris posture) or finished frames are waiting to be served.
-    pub fn has_buffered_input(&self) -> bool {
-        !self.tail.is_empty() || !self.complete.is_empty()
     }
 }
 
@@ -805,10 +798,13 @@ mod tests {
     }
 
     #[test]
-    fn eof_mid_frame_is_malformed_not_a_hang() {
-        let mut reader = std::io::BufReader::new(&b"{\"op\":\"pi"[..]);
-        let err = read_message(&mut reader, TEST_LIMIT).unwrap_err();
-        assert!(matches!(err, ReadError::Malformed(_)));
+    fn eof_mid_frame_reads_as_eof_not_a_hang() {
+        // Framing is strict: without its `\n` a frame does not exist,
+        // however complete its JSON looks.
+        for wire in [&b"{\"op\":\"pi"[..], &b"{\"op\":\"ping\"}"[..]] {
+            let mut reader = std::io::BufReader::new(wire);
+            assert!(read_message(&mut reader, TEST_LIMIT).unwrap().is_none());
+        }
     }
 
     #[test]
@@ -827,13 +823,13 @@ mod tests {
             for chunk in wire.chunks(chunk_size) {
                 acc.extend(chunk).unwrap();
             }
-            let first = acc.next_message().unwrap().unwrap();
+            let (frame, first) = acc.next_message().unwrap().unwrap();
+            assert_eq!(frame, b"{\"op\":\"ping\"}");
             assert_eq!(Request::from_json(&first), Ok(Request::Ping));
-            let second = acc.next_message().unwrap().unwrap();
+            let (_, second) = acc.next_message().unwrap().unwrap();
             assert_eq!(Request::from_json(&second), Ok(Request::Stats));
             assert!(acc.next_message().unwrap().is_none());
-            assert_eq!(acc.partial_len(), b"{\"op\":".len());
-            assert!(acc.has_buffered_input());
+            assert_eq!(acc.tail, b"{\"op\":");
         }
     }
 
@@ -842,15 +838,12 @@ mod tests {
         let mut acc = FrameAccumulator::new(TEST_LIMIT);
         acc.extend(b"{\"op\":\"ping\"}\r\n{\"op\":\"ping\"}\r\n")
             .unwrap();
-        assert_eq!(
-            Request::from_json(&acc.next_message().unwrap().unwrap()),
-            Ok(Request::Ping)
-        );
-        assert_eq!(
-            Request::from_json(&acc.next_message().unwrap().unwrap()),
-            Ok(Request::Ping)
-        );
-        assert!(!acc.has_buffered_input());
+        for _ in 0..2 {
+            let (frame, message) = acc.next_message().unwrap().unwrap();
+            assert_eq!(frame, b"{\"op\":\"ping\"}\r", "frames are handed out raw");
+            assert_eq!(Request::from_json(&message), Ok(Request::Ping));
+        }
+        assert!(acc.tail.is_empty() && acc.complete.is_empty());
     }
 
     #[test]
@@ -860,7 +853,7 @@ mod tests {
         let err = acc.extend(b"9").unwrap_err();
         assert!(matches!(err, ReadError::FrameTooLarge { limit: 8 }));
         // The offending byte was never buffered.
-        assert_eq!(acc.partial_len(), 8);
+        assert_eq!(acc.tail.len(), 8);
 
         // A complete frame inside one oversized chunk also trips it.
         let mut acc = FrameAccumulator::new(8);

@@ -1,8 +1,10 @@
 //! Bounded blocking job queue with backpressure and graceful close.
 //!
-//! Producers (connection handlers) use [`JobQueue::try_push`], which
+//! Producers (connection front-ends) use [`JobQueue::try_push`], which
 //! never blocks: a full queue is reported back so the server can answer
-//! with a retry-after rejection instead of stalling the socket.
+//! with a retry-after rejection instead of stalling the socket. It also
+//! says whether a parked consumer is left over for the new item, so an
+//! executor that starts consumers on demand knows when to start one.
 //! Consumers (workers) use [`JobQueue::pop`], which blocks until a job
 //! arrives or the queue is closed *and drained* — closing stops intake
 //! immediately but lets already-accepted jobs finish, which is what makes
@@ -25,6 +27,8 @@ pub enum PushError<T> {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers parked in `pop`; each one takes exactly one item.
+    parked: usize,
 }
 
 /// A bounded multi-producer multi-consumer FIFO.
@@ -41,6 +45,7 @@ impl<T> JobQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
+                parked: 0,
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
@@ -62,12 +67,13 @@ impl<T> JobQueue<T> {
         self.len() == 0
     }
 
-    /// Enqueue without blocking.
+    /// Enqueue without blocking. `Ok(true)` means more items are queued
+    /// than consumers are parked, so no consumer is waiting for this one.
     ///
     /// # Errors
     /// Returns the item back inside [`PushError::Full`] when at capacity
     /// or [`PushError::Closed`] after [`close`](Self::close).
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub fn try_push(&self, item: T) -> Result<bool, PushError<T>> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -76,15 +82,27 @@ impl<T> JobQueue<T> {
             return Err(PushError::Full(item));
         }
         inner.items.push_back(item);
+        let unserved = inner.items.len() > inner.parked;
         drop(inner);
         self.available.notify_one();
-        Ok(())
+        Ok(unserved)
     }
 
     /// Dequeue, blocking while the queue is empty and open. Returns
     /// `None` once the queue is closed and fully drained.
     pub fn pop(&self) -> Option<T> {
+        self.pop_after(|| {})
+    }
+
+    /// [`pop`](Self::pop), counting the caller as a parked consumer
+    /// while it runs `finish` (say, delivering its previous item's
+    /// result) with the lock released: an item pushed meanwhile is
+    /// known to have a consumer on its way.
+    pub fn pop_after(&self, finish: impl FnOnce()) -> Option<T> {
+        self.lock().parked += 1;
+        finish();
         let mut inner = self.lock();
+        inner.parked -= 1;
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -95,12 +113,19 @@ impl<T> JobQueue<T> {
             // `Condvar::wait` re-acquires the lock itself, so it cannot
             // route through `lock_unpoisoned`; apply the same recovery
             // policy (see `mosaic_telemetry::sync`) inline.
+            inner.parked += 1;
             inner = self
                 .available
                 .wait(inner)
                 // lint:allow(lock) Condvar::wait re-acquires internally; this is the same policy inlined
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.parked -= 1;
         }
+    }
+
+    /// Dequeue without blocking: the oldest item, if any.
+    pub fn try_pop(&self) -> Option<T> {
+        self.lock().items.pop_front()
     }
 
     /// Stop accepting new items; blocked consumers drain what remains and
@@ -174,6 +199,35 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(99).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(99));
+    }
+
+    #[test]
+    fn push_reports_whether_a_parked_consumer_is_left_for_the_item() {
+        let q = Arc::new(JobQueue::new(4));
+        assert!(q.try_push(1).unwrap(), "no consumer is parked");
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), None);
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop())
+        };
+        while q.lock().parked == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!q.try_push(2).unwrap(), "the parked consumer takes it");
+        assert!(q.try_push(3).unwrap(), "one parked consumer takes one item");
+        assert_eq!(consumer.join().unwrap(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+    }
+
+    #[test]
+    fn pop_after_counts_the_caller_parked_while_it_finishes() {
+        let q = JobQueue::new(4);
+        let mut unserved = None;
+        let item = q.pop_after(|| unserved = Some(q.try_push(7).unwrap()));
+        assert_eq!(unserved, Some(false), "the finishing consumer takes it");
+        assert_eq!(item, Some(7));
+        assert!(q.try_push(8).unwrap(), "nobody is parked any more");
     }
 
     #[test]

@@ -1,30 +1,25 @@
 //! The batch mosaic server.
 //!
-//! Thread structure depends on the configured [`FrontEnd`]:
+//! The server is a [`Handler`] for the shared connection front-end
+//! ([`crate::frontend`]): inline ops are answered on the front-end's
+//! thread, and jobs go through the bounded queue to a fixed worker pool
+//! that replies through the job's [`ReplyTo`].
 //!
 //! ```text
-//! Threaded (oracle):
-//! accept loop ──spawns──▶ connection handlers (one per client)
-//!                              │  try_push(Job)           ▲ reply via mpsc
-//!                              ▼                          │
-//!                        bounded JobQueue ──pop──▶ worker pool (fixed size)
-//!                                                      │
-//!                                                MatrixCache (LRU)
-//!
-//! Epoll (default on linux/x86_64):
-//! readiness loop ──owns──▶ listener + every client socket
-//!        │  try_push(Job)                ▲ reply via CompletionBoard + eventfd
+//! front-end (epoll loop, or threaded oracle) ──owns──▶ every client socket
+//!        │  try_push(Job)                ▲ Reply via ReplyTo
 //!        ▼                               │
 //!  bounded JobQueue ──pop──▶ worker pool (fixed size)
+//!                                  │
+//!                            MatrixCache (LRU)
 //! ```
 //!
 //! Invariants:
 //!
-//! * handlers never block on a full queue — they answer `rejected` with a
-//!   retry-after so backpressure reaches the client immediately;
-//! * every job accepted into the queue gets exactly one response: the
-//!   queue is closed (not dropped) on shutdown, so workers drain it and
-//!   each handler's `mpsc::Receiver` resolves;
+//! * the front-end never blocks on a full queue — it answers `rejected`
+//!   with a retry-after so backpressure reaches the client immediately;
+//! * every job accepted into the queue gets exactly one reply: the
+//!   queue is closed (not dropped) on shutdown, so workers drain it;
 //! * the cache key covers everything the Step-2 matrix depends on
 //!   ([`JobSpec::cache_key`]), so a hit may skip Step 2 entirely and the
 //!   result is bit-identical to an uncached run (backends are
@@ -33,52 +28,17 @@
 
 use crate::cache::MatrixCache;
 use crate::fault::FaultPlan;
-use crate::gate::{ConnectionGate, ConnectionPermit};
+use crate::frontend::{Connections, FrontEnd, Handler, Reply, ReplyTo};
 use crate::metrics::ServiceMetrics;
-use crate::protocol::{read_message, write_message, ReadError, Request, Response};
+use crate::protocol::{Request, Response};
 use crate::queue::{JobQueue, PushError};
 use mosaic_pool::ThreadPool;
 use mosaic_tilelib::{execute_library, LibraryJobSpec, TilelibError};
 use photomosaic::{generate_bounded_in, Deadline, GenerateError, JobResult, JobSpec, Json};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Shorthand for the platforms the epoll front-end compiles on.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-use crate::event_loop::CompletionBoard;
-
-/// Which connection front-end owns client sockets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Blocking `accept()` with one handler thread per connection — the
-    /// original front-end, kept compilable as the differential oracle
-    /// for the event-driven path and as the portable fallback.
-    Threaded,
-    /// A single nonblocking readiness loop (Linux epoll behind the
-    /// audited `std::os::fd` shim) owns the listener and every client
-    /// socket; complete frames are handed to the worker pool and
-    /// responses written back on writability. Connection capacity is
-    /// bounded by memory and the fd limit, not by OS threads.
-    Epoll,
-}
-
-impl Default for FrontEnd {
-    /// Event-driven where the shim exists; threaded everywhere else.
-    fn default() -> FrontEnd {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        {
-            FrontEnd::Epoll
-        }
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        {
-            FrontEnd::Threaded
-        }
-    }
-}
+use std::time::Instant;
 
 /// Server tuning knobs. The hardening knobs (`max_frame_bytes`,
 /// `io_timeout_ms`, `max_connections`, `job_deadline_ms`) all treat `0`
@@ -111,7 +71,9 @@ pub struct ServiceConfig {
     pub job_deadline_ms: u64,
     /// Fault-injection plan for tests; inert by default.
     pub faults: FaultPlan,
-    /// Which connection front-end to run; see [`FrontEnd`].
+    /// The connection front-end. Leave it at the default, which the
+    /// platform picks; it exists so the differential tests can run the
+    /// [`FrontEnd::Threaded`] oracle beside the epoll loop.
     pub front_end: FrontEnd,
 }
 
@@ -133,18 +95,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What the worker asks the front-end to do with a finished job.
-pub(crate) enum WorkerReply {
-    /// Write this response back to the client.
-    Respond(Response),
-    /// Sever the connection with no response (injected crash: the
-    /// process died mid-job, as seen from the network).
-    Sever,
-}
-
 /// What an accepted job actually runs once a worker picks it up. Both
 /// shapes share the same bounded queue, worker pool, and backpressure.
-pub(crate) enum JobPayload {
+enum JobPayload {
     /// A Step-1/2/3 generation job.
     Generate(Box<JobSpec>),
     /// A tile-library job: pruned rectangular assignment against an
@@ -152,103 +105,33 @@ pub(crate) enum JobPayload {
     Library(Box<LibraryJobSpec>),
 }
 
-/// Where a worker's finished reply goes — the two front-ends wait for
-/// workers differently, but the workers themselves cannot tell them
-/// apart.
-pub(crate) enum ReplyTo {
-    /// A blocked connection-handler thread (threaded front-end).
-    Handler(mpsc::Sender<WorkerReply>),
-    /// The readiness loop's completion board, keyed by the connection's
-    /// epoll token (event-driven front-end).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    Board {
-        token: u64,
-        board: Arc<CompletionBoard>,
-    },
+/// One accepted job travelling from the front-end to a worker.
+struct Job {
+    payload: JobPayload,
+    accepted_at: Instant,
+    reply: ReplyTo,
 }
 
-impl ReplyTo {
-    /// Deliver the reply. A receiver that gave up (client gone, loop
-    /// exited) is not an error; the reply is simply dropped.
-    fn send(self, reply: WorkerReply) {
-        match self {
-            ReplyTo::Handler(tx) => {
-                let _ = tx.send(reply);
-            }
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            ReplyTo::Board { token, board } => board.deliver(token, reply),
-        }
-    }
-}
-
-/// One accepted job travelling from a front-end to a worker.
-pub(crate) struct Job {
-    pub(crate) payload: JobPayload,
-    pub(crate) accepted_at: Instant,
-    pub(crate) reply: ReplyTo,
-}
-
-pub(crate) struct Shared {
-    pub(crate) queue: JobQueue<Job>,
-    pub(crate) cache: MatrixCache,
-    pub(crate) metrics: ServiceMetrics,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) local_addr: SocketAddr,
-    pub(crate) config: ServiceConfig,
-    pub(crate) gate: ConnectionGate,
+struct Shared {
+    queue: JobQueue<Job>,
+    cache: MatrixCache,
+    metrics: ServiceMetrics,
+    config: ServiceConfig,
+    connections: Connections,
     /// One persistent compute pool per server, sized by `workers`: every
     /// job's parallel stages (threaded Step 2, pooled Step-3 search, the
     /// GpuSim block lanes) dispatch here instead of spawning scoped
     /// threads per call.
-    pub(crate) compute_pool: Arc<ThreadPool>,
-    /// Present when the event-driven front-end is running: shutdown
-    /// wakes the loop through this board instead of the self-connect
-    /// trick the blocking accept loop needs.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) board: Option<Arc<CompletionBoard>>,
+    compute_pool: Arc<ThreadPool>,
 }
 
 impl Shared {
-    /// The frame cap for `read_message` (0 = unlimited).
-    fn frame_limit(&self) -> usize {
-        match self.config.max_frame_bytes {
-            0 => usize::MAX,
-            limit => limit,
-        }
-    }
-
-    /// The per-connection socket deadline (None = no deadline).
-    pub(crate) fn io_timeout(&self) -> Option<Duration> {
-        match self.config.io_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        }
-    }
-
-    pub(crate) fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return; // already shutting down
-        }
-        // Stop intake; workers drain what was already accepted.
-        self.queue.close();
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if let Some(board) = &self.board {
-            // The readiness loop sleeps in `epoll_wait`; its eventfd
-            // waker gets it moving again.
-            board.wake();
-            return;
-        }
-        // The accept loop sits in a blocking `accept()`; a throw-away
-        // connection to ourselves wakes it so it can observe the flag.
-        let _ = TcpStream::connect(self.local_addr);
-    }
-
     fn stats_snapshot(&self) -> Json {
         self.metrics.snapshot(
             self.config.workers,
             self.queue.len(),
             self.queue.capacity(),
-            self.gate.active(),
+            self.connections.open(),
             self.cache.stats(),
             self.cache.capacity(),
         )
@@ -259,10 +142,74 @@ impl Shared {
             self.config.workers,
             self.queue.len(),
             self.queue.capacity(),
-            self.gate.active(),
+            self.connections.open(),
             self.cache.stats(),
             self.cache.capacity(),
         )
+    }
+
+    /// Queue a job for the workers. `None` means it is in flight and
+    /// `reply` will carry its answer; `Some` is the inline answer for a
+    /// queue that is full or closed.
+    fn enqueue(&self, payload: JobPayload, reply: ReplyTo) -> Option<Response> {
+        let job = Job {
+            payload,
+            accepted_at: Instant::now(),
+            reply,
+        };
+        match self.queue.try_push(job) {
+            Ok(_) => {
+                self.metrics.job_submitted();
+                None
+            }
+            Err(PushError::Full(_)) => {
+                self.metrics.job_rejected();
+                Some(Response::Rejected {
+                    retry_after_ms: self.config.retry_after_ms,
+                })
+            }
+            Err(PushError::Closed(_)) => Some(Response::Error {
+                message: "server is shutting down".to_string(),
+            }),
+        }
+    }
+}
+
+impl Handler for Shared {
+    fn connections(&self) -> &Connections {
+        &self.connections
+    }
+
+    fn handle(self: &Arc<Self>, _frame: Vec<u8>, message: Json, reply: ReplyTo) -> Option<Vec<u8>> {
+        let response = match Request::from_json(&message) {
+            // An unknown op is a per-request error; the connection
+            // stays usable.
+            Err(problem) => Response::Error { message: problem },
+            Ok(Request::Ping) => Response::Pong,
+            Ok(Request::Stats) => Response::Stats {
+                stats: self.stats_snapshot(),
+            },
+            Ok(Request::Metrics) => Response::Metrics {
+                text: self.prometheus_text(),
+            },
+            Ok(Request::Shutdown) => {
+                self.begin_shutdown();
+                Response::ShuttingDown
+            }
+            Ok(Request::GatewayInfo) => Response::Error {
+                message: "this server is a backend, not a gateway".to_string(),
+            },
+            Ok(Request::Submit(spec)) => self.enqueue(JobPayload::Generate(spec), reply)?,
+            Ok(Request::Library(spec)) => self.enqueue(JobPayload::Library(spec), reply)?,
+        };
+        Some(response.to_line())
+    }
+
+    fn begin_shutdown(&self) {
+        if self.connections.begin_shutdown() {
+            // Stop intake; workers drain what was already accepted.
+            self.queue.close();
+        }
     }
 }
 
@@ -271,55 +218,30 @@ impl Shared {
 /// then [`join`](Server::join).
 pub struct Server {
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
+    io_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind and start the accept loop and worker pool.
+    /// Bind and start the connection front-end and worker pool.
     ///
     /// # Errors
-    /// Propagates socket bind failures.
+    /// Propagates socket bind, front-end setup and thread spawn
+    /// failures.
     pub fn start(config: ServiceConfig) -> std::io::Result<Server> {
         // Resolve SIMD kernel dispatch before any worker is spawned so
         // request threads never pay the feature probe and the
         // `kernel_dispatch` gauge is live from the first scrape.
         mosaic_grid::init_simd_kernels();
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-
-        // Build the event-driven front-end's kernel objects before the
-        // workers spawn, so a failed epoll/eventfd creation surfaces as
-        // a clean start error instead of a half-running server.
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        let io_front = match config.front_end {
-            FrontEnd::Threaded => None,
-            FrontEnd::Epoll => {
-                listener.set_nonblocking(true)?;
-                let poller = crate::epoll::Poller::new()?;
-                let board = CompletionBoard::new(crate::epoll::EventWaker::new()?);
-                Some((poller, board))
-            }
-        };
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        if config.front_end == FrontEnd::Epoll {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the epoll front-end needs linux/x86_64; use FrontEnd::Threaded",
-            ));
-        }
-
+        let metrics = ServiceMetrics::new();
+        let (connections, listener) = Connections::bind(&config, metrics.connections.clone())?;
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
             cache: MatrixCache::new(config.cache_capacity),
-            metrics: ServiceMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            local_addr,
-            gate: ConnectionGate::new(config.max_connections),
-            config: config.clone(),
+            metrics,
+            connections,
             compute_pool: Arc::new(ThreadPool::new(config.workers.max(1))),
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            board: io_front.as_ref().map(|(_, board)| Arc::clone(board)),
+            config,
         });
 
         // A failed spawn (thread exhaustion) must not leave earlier
@@ -333,8 +255,9 @@ impl Server {
             Err(error)
         };
 
-        let mut worker_handles = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
+        let workers = shared.config.workers.max(1);
+        let mut worker_handles = Vec::with_capacity(workers);
+        for i in 0..workers {
             let worker_shared = Arc::clone(&shared);
             match std::thread::Builder::new()
                 .name(format!("mosaic-worker-{i}"))
@@ -345,35 +268,21 @@ impl Server {
             }
         }
 
-        let io_shared = Arc::clone(&shared);
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        let io_main: Box<dyn FnOnce() + Send> = match io_front {
-            Some((poller, board)) => {
-                Box::new(move || crate::event_loop::run(listener, poller, board, io_shared))
-            }
-            None => Box::new(move || accept_loop(&listener, &io_shared)),
-        };
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        let io_main: Box<dyn FnOnce() + Send> =
-            Box::new(move || accept_loop(&listener, &io_shared));
-        let accept_handle = match std::thread::Builder::new()
-            .name("mosaic-io".to_string())
-            .spawn(io_main)
-        {
+        let io_handle = match crate::frontend::spawn(listener, Arc::clone(&shared), "mosaic") {
             Ok(handle) => handle,
             Err(e) => return abort(worker_handles, e),
         };
 
         Ok(Server {
             shared,
-            accept_handle: Some(accept_handle),
+            io_handle: Some(io_handle),
             worker_handles,
         })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.shared.connections.local_addr()
     }
 
     /// Trigger graceful shutdown: stop accepting, drain the queue.
@@ -382,11 +291,11 @@ impl Server {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for the accept loop and all workers to exit. Implies
+    /// Wait for the front-end and all workers to exit. Implies
     /// [`shutdown`](Server::shutdown) has been (or will be) triggered —
     /// joining a server nobody shuts down blocks forever.
     pub fn join(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }
         for handle in self.worker_handles.drain(..) {
@@ -397,196 +306,6 @@ impl Server {
         // `Shared` reference (a lingering handler) to drop.
         self.shared.compute_pool.shutdown();
     }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up connection (or a late client); drop it.
-                    break;
-                }
-                let Some(permit) = shared.gate.try_acquire() else {
-                    // At the connection cap: answer with the standard
-                    // backpressure shape right here on the accept thread
-                    // (bounded by the write deadline) and drop the socket.
-                    shared.metrics.connection_rejected();
-                    // The write below happens on the accept thread, so
-                    // it is only safe under an armed deadline. If the
-                    // deadline cannot be set (hostile socket state, or
-                    // the fault plan simulating it), writing anyway
-                    // would let one slow rejected client wedge every
-                    // future accept — treat the setsockopt failure as
-                    // fatal for this socket and drop it unanswered.
-                    let deadline_armed = !shared.config.faults.take_reject_sockopt_failure()
-                        && stream.set_write_timeout(shared.io_timeout()).is_ok();
-                    if deadline_armed {
-                        let _ = write_message(
-                            &mut &stream,
-                            &Response::Rejected {
-                                retry_after_ms: shared.config.retry_after_ms,
-                            }
-                            .to_json(),
-                        );
-                    }
-                    continue;
-                };
-                let shared = Arc::clone(shared);
-                // Handlers are detached: they exit when their client
-                // disconnects, and queued work is answered because the
-                // workers drain the closed queue before exiting. A failed
-                // spawn drops the closure, releasing the permit.
-                let _ = std::thread::Builder::new()
-                    .name("mosaic-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared, permit));
-            }
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-            Err(_) => continue, // transient accept error
-        }
-    }
-}
-
-/// True for the error kinds a socket deadline expiry produces
-/// (`WouldBlock` on Unix, `TimedOut` on Windows).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, permit: ConnectionPermit) {
-    let _permit = permit; // held for the life of the handler
-    if let Some(timeout) = shared.io_timeout() {
-        // A slowloris client must not hold this thread forever: every
-        // read and write on the socket gets a deadline.
-        if stream.set_read_timeout(Some(timeout)).is_err()
-            || stream.set_write_timeout(Some(timeout)).is_err()
-        {
-            return;
-        }
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let message = match read_message(&mut reader, shared.frame_limit()) {
-            Ok(Some(m)) => m,
-            Ok(None) => return, // client closed
-            Err(ReadError::FrameTooLarge { limit }) => {
-                shared.metrics.frame_too_large();
-                let _ = write_message(
-                    &mut writer,
-                    &Response::FrameTooLarge {
-                        max_frame_bytes: limit as u64,
-                    }
-                    .to_json(),
-                );
-                return; // framing is lost; drop the connection
-            }
-            Err(ReadError::Malformed(problem)) => {
-                let _ = write_message(&mut writer, &Response::Error { message: problem }.to_json());
-                return; // framing is lost; drop the connection
-            }
-            Err(ReadError::Io(e)) => {
-                if is_timeout(&e) {
-                    shared.metrics.connection_timed_out();
-                }
-                return;
-            }
-        };
-        let response = match Request::from_json(&message) {
-            Err(problem) => Response::Error { message: problem },
-            Ok(request) => match dispatch_request(request, shared) {
-                Dispatch::Inline(response) => response,
-                Dispatch::Enqueue(payload) => match submit(payload, shared) {
-                    WorkerReply::Respond(response) => response,
-                    // Injected crash: vanish mid-job, no response, no
-                    // close handshake beyond the socket drop.
-                    WorkerReply::Sever => return,
-                },
-            },
-        };
-        if write_message(&mut writer, &response.to_json()).is_err() {
-            return;
-        }
-    }
-}
-
-/// Where one parsed request goes.
-pub(crate) enum Dispatch {
-    /// Answered inline by the I/O layer; no worker involved.
-    Inline(Response),
-    /// Must travel through the bounded queue to a worker.
-    Enqueue(JobPayload),
-}
-
-/// Route one request — the single dispatch table shared by both
-/// front-ends, so their inline answers are byte-identical by
-/// construction. Submissions come back as payloads because the two
-/// front-ends wait for workers differently (a blocked handler thread
-/// versus the completion board).
-pub(crate) fn dispatch_request(request: Request, shared: &Shared) -> Dispatch {
-    match request {
-        Request::Ping => Dispatch::Inline(Response::Pong),
-        Request::Stats => Dispatch::Inline(Response::Stats {
-            stats: shared.stats_snapshot(),
-        }),
-        Request::Metrics => Dispatch::Inline(Response::Metrics {
-            text: shared.prometheus_text(),
-        }),
-        Request::Shutdown => {
-            shared.begin_shutdown();
-            Dispatch::Inline(Response::ShuttingDown)
-        }
-        Request::GatewayInfo => Dispatch::Inline(Response::Error {
-            message: "this server is a backend, not a gateway".to_string(),
-        }),
-        Request::Submit(spec) => Dispatch::Enqueue(JobPayload::Generate(spec)),
-        Request::Library(spec) => Dispatch::Enqueue(JobPayload::Library(spec)),
-    }
-}
-
-/// Enqueue a job and wait for its result (the wait happens on the
-/// connection handler thread, so the accept loop and other connections
-/// are unaffected).
-fn submit(payload: JobPayload, shared: &Arc<Shared>) -> WorkerReply {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        payload,
-        accepted_at: Instant::now(),
-        reply: ReplyTo::Handler(reply_tx),
-    };
-    match shared.queue.try_push(job) {
-        Ok(()) => {
-            shared.metrics.job_submitted();
-            reply_rx.recv().unwrap_or_else(|_| {
-                WorkerReply::Respond(Response::Error {
-                    message: "worker dropped the job".to_string(),
-                })
-            })
-        }
-        Err(PushError::Full(_)) => {
-            shared.metrics.job_rejected();
-            WorkerReply::Respond(Response::Rejected {
-                retry_after_ms: shared.config.retry_after_ms,
-            })
-        }
-        Err(PushError::Closed(_)) => WorkerReply::Respond(Response::Error {
-            message: "server is shutting down".to_string(),
-        }),
-    }
-}
-
-/// Why a job produced no result.
-enum JobFailure {
-    /// The job outlived its per-job deadline and was cancelled.
-    DeadlineExceeded,
-    /// Any other failure, already rendered for the wire.
-    Error(String),
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -601,7 +320,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             // are refused. Jobs already queued still drain below.
             shared.metrics.job_failed();
             shared.begin_shutdown();
-            job.reply.send(WorkerReply::Sever);
+            job.reply.send(Reply::Sever);
             continue;
         }
         let queue_wait_ms = queue_wait.as_secs_f64() * 1000.0;
@@ -612,24 +331,14 @@ fn worker_loop(shared: &Arc<Shared>) {
             std::thread::sleep(stall);
         }
         let response = match &job.payload {
-            JobPayload::Generate(spec) => match execute(spec, shared, queue_wait_ms, &deadline) {
-                Ok(response) => response,
-                Err(JobFailure::DeadlineExceeded) => {
-                    shared.metrics.job_deadline_exceeded();
-                    Response::DeadlineExceeded {
-                        deadline_ms: shared.config.job_deadline_ms,
-                    }
-                }
-                Err(JobFailure::Error(message)) => {
-                    shared.metrics.job_failed();
-                    Response::Error { message }
-                }
-            },
+            JobPayload::Generate(spec) => {
+                execute(spec, shared, queue_wait_ms, &deadline).unwrap_or_else(|failure| failure)
+            }
             JobPayload::Library(spec) => execute_library_job(spec, shared, queue_wait_ms),
         };
         // A front-end that gave up on this job (client gone) is not an
         // error; `ReplyTo::send` drops the reply in that case.
-        job.reply.send(WorkerReply::Respond(response));
+        job.reply.send(Reply::Response(response));
     }
 }
 
@@ -675,20 +384,19 @@ fn execute_library_job(
     }
 }
 
-fn generate_failure(error: GenerateError) -> JobFailure {
-    match error {
-        GenerateError::DeadlineExceeded(_) => JobFailure::DeadlineExceeded,
-        other => JobFailure::Error(format!("generation failed: {other:?}")),
-    }
-}
-
+/// Run a generation job. A job that produced no result is answered with
+/// its typed failure (`Err`), already counted on its metric.
 fn execute(
     spec: &JobSpec,
     shared: &Arc<Shared>,
     queue_wait_ms: f64,
     deadline: &Deadline,
-) -> Result<Response, JobFailure> {
-    let (input, target) = spec.resolve().map_err(JobFailure::Error)?;
+) -> Result<Response, Response> {
+    let failed = |message: String| {
+        shared.metrics.job_failed();
+        Response::Error { message }
+    };
+    let (input, target) = spec.resolve().map_err(failed)?;
     let key = spec.cache_key();
     // Single-flight lookup: if an identical job is computing its matrix
     // on another worker right now, this blocks until that matrix lands
@@ -708,7 +416,15 @@ fn execute(
         cached.as_deref(),
         deadline,
     )
-    .map_err(generate_failure)?;
+    .map_err(|error| match error {
+        GenerateError::DeadlineExceeded(_) => {
+            shared.metrics.job_deadline_exceeded();
+            Response::DeadlineExceeded {
+                deadline_ms: shared.config.job_deadline_ms,
+            }
+        }
+        other => failed(format!("generation failed: {other:?}")),
+    })?;
     if let (Some(guard), Some(matrix)) = (guard, built) {
         guard.fulfil(Arc::new(matrix));
     }

@@ -58,10 +58,11 @@ if [ "${fault_passed:-0}" -lt 5 ]; then
     exit 1
 fi
 
-# Front-end differential suite: the event-driven epoll front-end must
-# stay byte-identical to the threaded oracle across the fault scripts,
-# and must hold the 1000-idle-connection soak. Same passed-count
-# protection against a renamed or filtered-out suite.
+# Front-end differential suite: the epoll service and the gateway must
+# stay byte-identical to the threaded oracle across the fault scripts
+# (unterminated final frame included), and both must hold the
+# 1000-idle-connection soak. Same passed-count protection against a
+# renamed or filtered-out suite.
 echo "==> cargo test -q --offline --test frontend_differential"
 frontend_out=$(cargo test -q --offline --test frontend_differential 2>&1) || {
     echo "$frontend_out"
@@ -70,21 +71,24 @@ frontend_out=$(cargo test -q --offline --test frontend_differential 2>&1) || {
 frontend_summary=$(echo "$frontend_out" | grep '^test result:' | tail -1)
 echo "$frontend_summary"
 frontend_passed=$(echo "$frontend_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${frontend_passed:-0}" -lt 5 ]; then
-    echo "error: expected at least 5 front-end differential tests, ran ${frontend_passed:-0}" >&2
+if [ "${frontend_passed:-0}" -lt 7 ]; then
+    echo "error: expected at least 7 front-end differential tests, ran ${frontend_passed:-0}" >&2
     exit 1
 fi
 
-# The front-end's telemetry names must be promised to dashboards: both
-# must appear in the DESIGN.md §9 paper-quantity table (the lint checks
-# the code side; this checks the exact rows survived doc edits).
-for name in service_connections_open service_io_loop_wakeups_total; do
+# The front-end's telemetry names, as the service and the gateway
+# register them, must be promised to dashboards: each must appear in
+# the DESIGN.md §9 paper-quantity table (the lint checks the code side;
+# this checks the exact rows survived doc edits).
+for name in service_connections_open service_io_loop_wakeups_total \
+    gateway_connections_timed_out_total gateway_connections_open \
+    gateway_io_loop_wakeups_total; do
     if ! sed -n '/^## 9/,/^## [0-9]*[^9]/p' DESIGN.md | grep -q "$name"; then
         echo "error: telemetry name $name missing from DESIGN.md §9" >&2
         exit 1
     fi
 done
-echo "==> DESIGN.md §9 documents both front-end telemetry names"
+echo "==> DESIGN.md §9 documents every front-end telemetry name"
 
 # Fleet fault suite: the gateway must survive backend death mid-job,
 # floods, and whole-fleet outages with typed refusals. Same passed-count

@@ -201,7 +201,6 @@ fn help_documents_every_subcommand() {
         "--clusters",
         "--top-clusters",
         "--feature-grid",
-        "--front-end",
     ] {
         assert!(usage.contains(word), "usage lost {word:?}");
     }

@@ -1,11 +1,14 @@
-//! Differential tests: the event-driven (epoll) connection front-end
-//! against the threaded oracle (DESIGN §17). Both front-ends run the
-//! same fault scripts and must produce byte-identical wire replies and
-//! matching hardening counters; the suite closes with the idle-scale
-//! soak only the event-driven design can attempt.
+//! Differential tests of the one connection front-end (DESIGN §17): the
+//! event-driven (epoll) service, the threaded oracle, and a gateway —
+//! which runs the same front-end code with its own handler — in front
+//! of a one-backend fleet. All three run the same fault scripts and
+//! must produce byte-identical wire replies and matching hardening
+//! counters; the suite closes with the idle-scale soak only the
+//! event-driven design can attempt.
 
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
+use mosaic_gateway::{Fleet, GatewayConfig};
 use mosaic_image::synth::Scene;
 use mosaic_service::fault::{disconnect_mid_frame, stalled_connection_is_closed};
 use mosaic_service::protocol::Response;
@@ -15,9 +18,85 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Every scenario runs once per front-end; index 0 is the system under
-/// test, index 1 the oracle.
-const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Epoll, FrontEnd::Threaded];
+/// A system a script runs against.
+#[derive(Clone, Copy, Debug)]
+enum Target {
+    /// A service on the given front-end.
+    Service(FrontEnd),
+    /// A gateway (on the platform's front-end) before one backend.
+    Gateway,
+}
+
+/// Every scenario runs once per target; index 0 is the system under
+/// test, index 1 the threaded oracle, index 2 the gateway.
+const TARGETS: [Target; 3] = [
+    Target::Service(FrontEnd::Epoll),
+    Target::Service(FrontEnd::Threaded),
+    Target::Gateway,
+];
+
+enum Running {
+    Service(Server),
+    Gateway(Fleet),
+}
+
+impl Target {
+    /// Start the target with `config`'s connection knobs on the
+    /// listener clients talk to.
+    fn start(self, config: ServiceConfig) -> Running {
+        match self {
+            Target::Service(front_end) => Running::Service(
+                Server::start(ServiceConfig {
+                    front_end,
+                    ..config
+                })
+                .unwrap(),
+            ),
+            Target::Gateway => Running::Gateway(
+                Fleet::start(
+                    vec![ServiceConfig::default()],
+                    GatewayConfig {
+                        retry_after_ms: config.retry_after_ms,
+                        max_frame_bytes: config.max_frame_bytes,
+                        io_timeout_ms: config.io_timeout_ms,
+                        max_connections: config.max_connections,
+                        ..GatewayConfig::default()
+                    },
+                )
+                .unwrap(),
+            ),
+        }
+    }
+}
+
+impl Running {
+    /// Where clients connect.
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Running::Service(server) => server.local_addr(),
+            Running::Gateway(fleet) => fleet.gateway_addr(),
+        }
+    }
+
+    /// The server that runs the jobs: the service itself, or the
+    /// gateway's backend.
+    fn worker_addr(&self) -> SocketAddr {
+        match self {
+            Running::Service(server) => server.local_addr(),
+            Running::Gateway(fleet) => fleet.backend_addr(0),
+        }
+    }
+
+    fn stop(self) {
+        match self {
+            Running::Service(server) => {
+                server.shutdown();
+                server.join();
+            }
+            Running::Gateway(fleet) => fleet.join(),
+        }
+    }
+}
 
 fn spec(scene: Scene, seed: u64, grid: usize) -> JobSpec {
     JobSpec {
@@ -61,26 +140,23 @@ fn raw_exchange(addr: SocketAddr, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-fn hardening_counter(client: &mut Client, key: &str) -> u64 {
+fn stats_field(client: &mut Client, section: &str, key: &str) -> u64 {
     let Response::Stats { stats } = client.stats().unwrap() else {
         panic!("expected stats");
     };
     stats
-        .get("hardening")
+        .get(section)
         .and_then(|h| h.get(key))
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("missing hardening counter {key:?}"))
+        .unwrap_or_else(|| panic!("missing stat {section}.{key}"))
+}
+
+fn hardening_counter(client: &mut Client, key: &str) -> u64 {
+    stats_field(client, "hardening", key)
 }
 
 fn io_loop_stat(client: &mut Client, key: &str) -> u64 {
-    let Response::Stats { stats } = client.stats().unwrap() else {
-        panic!("expected stats");
-    };
-    stats
-        .get("io_loop")
-        .and_then(|h| h.get(key))
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("missing io_loop stat {key:?}"))
+    stats_field(client, "io_loop", key)
 }
 
 /// Keep connecting until a connection survives a ping — permit release
@@ -97,19 +173,24 @@ fn connect_with_retry(addr: SocketAddr) -> Client {
     panic!("server never accepted a new connection after slots freed");
 }
 
+/// Assert every target produced the same bytes as the first.
+fn assert_all_identical<T: PartialEq + std::fmt::Debug>(what: &str, results: &[T]) {
+    for (target, result) in TARGETS.iter().zip(results).skip(1) {
+        assert_eq!(&results[0], result, "{what} diverges on {target:?}");
+    }
+}
+
 /// An oversized frame draws the same reply bytes and the same counter
-/// from both front-ends.
+/// from every target.
 #[test]
 fn differential_oversized_frame_replies_are_byte_identical() {
     let mut replies = Vec::new();
-    for front_end in FRONT_ENDS {
-        let server = Server::start(ServiceConfig {
+    for target in TARGETS {
+        let running = target.start(ServiceConfig {
             max_frame_bytes: 1024,
-            front_end,
             ..ServiceConfig::default()
-        })
-        .unwrap();
-        let addr = server.local_addr();
+        });
+        let addr = running.addr();
 
         // 4 KiB of garbage with no terminator: trips the limit before
         // any parse, on both framing implementations.
@@ -119,61 +200,80 @@ fn differential_oversized_frame_replies_are_byte_identical() {
         assert_eq!(
             hardening_counter(&mut client, "frames_too_large"),
             1,
-            "{front_end:?}"
+            "{target:?}"
         );
-        client.shutdown().unwrap();
-        server.join();
+        running.stop();
         replies.push(reply);
     }
     assert!(
         !replies[0].is_empty(),
         "oversized frame must draw a typed reply, not a bare close"
     );
-    assert_eq!(replies[0], replies[1], "front-end replies diverge");
+    assert_all_identical("oversized-frame reply", &replies);
 }
 
-/// Both front-ends disconnect a slowloris within the io timeout and
-/// count it the same way.
+/// Framing is strict: a frame exists only once its `\n` arrives. A
+/// client that half-closes after an unterminated frame gets no answer
+/// for it from any target, and complete frames before it are answered.
+#[test]
+fn differential_unterminated_frame_is_discarded_by_every_target() {
+    let payloads: [&[u8]; 2] = [
+        b"{\"op\":\"ping\"}",
+        b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}",
+    ];
+    let mut replies = Vec::new();
+    for target in TARGETS {
+        let running = target.start(ServiceConfig::default());
+        let addr = running.addr();
+        replies.push(payloads.map(|payload| raw_exchange(addr, payload)).to_vec());
+        running.stop();
+    }
+    assert_eq!(
+        replies[0],
+        vec![Vec::new(), b"{\"kind\":\"pong\"}\n".to_vec()],
+        "{:?}",
+        TARGETS[0]
+    );
+    assert_all_identical("unterminated-frame replies", &replies);
+}
+
+/// Every target disconnects a slowloris within the io timeout and
+/// counts it the same way.
 #[test]
 fn differential_slowloris_is_disconnected_by_both_front_ends() {
-    for front_end in FRONT_ENDS {
-        let server = Server::start(ServiceConfig {
+    for target in TARGETS {
+        let running = target.start(ServiceConfig {
             io_timeout_ms: 200,
-            front_end,
             ..ServiceConfig::default()
-        })
-        .unwrap();
-        let addr = server.local_addr();
+        });
+        let addr = running.addr();
 
         let severed =
             stalled_connection_is_closed(addr, b"{\"op\":\"sub", Duration::from_secs(5)).unwrap();
-        assert!(severed, "{front_end:?} kept a stalled connection");
+        assert!(severed, "{target:?} kept a stalled connection");
 
         let mut client = Client::connect(addr).unwrap();
         assert_eq!(
             hardening_counter(&mut client, "connections_timed_out"),
             1,
-            "{front_end:?}"
+            "{target:?}"
         );
-        client.shutdown().unwrap();
-        server.join();
+        running.stop();
     }
 }
 
-/// Over-capacity connections draw the same rejection bytes from both
-/// front-ends, and both recover once the slot frees.
+/// Over-capacity connections draw the same rejection bytes from every
+/// target, and each recovers once the slot frees.
 #[test]
 fn differential_flood_rejection_bytes_match_and_both_recover() {
     let mut replies = Vec::new();
-    for front_end in FRONT_ENDS {
-        let server = Server::start(ServiceConfig {
+    for target in TARGETS {
+        let running = target.start(ServiceConfig {
             max_connections: 1,
             retry_after_ms: 7,
-            front_end,
             ..ServiceConfig::default()
-        })
-        .unwrap();
-        let addr = server.local_addr();
+        });
+        let addr = running.addr();
 
         // Hold the only slot with a proven-registered connection.
         let mut holder = Client::connect(addr).unwrap();
@@ -187,27 +287,23 @@ fn differential_flood_rejection_bytes_match_and_both_recover() {
         let mut client = connect_with_retry(addr);
         assert!(
             hardening_counter(&mut client, "connections_rejected") >= 1,
-            "{front_end:?}"
+            "{target:?}"
         );
-        client.shutdown().unwrap();
-        server.join();
+        drop(client);
+        running.stop();
     }
     assert!(!replies[0].is_empty(), "rejection must be answered");
-    assert_eq!(replies[0], replies[1], "rejection replies diverge");
+    assert_all_identical("rejection reply", &replies);
 }
 
-/// Clients vanishing mid-frame leave both front-ends in the same
+/// Clients vanishing mid-frame leave every target in the same
 /// observable state: no phantom jobs, same counters, still serving.
 #[test]
 fn differential_mid_frame_disconnects_leave_identical_state() {
     let mut states = Vec::new();
-    for front_end in FRONT_ENDS {
-        let server = Server::start(ServiceConfig {
-            front_end,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let addr = server.local_addr();
+    for target in TARGETS {
+        let running = target.start(ServiceConfig::default());
+        let addr = running.addr();
 
         for _ in 0..3 {
             disconnect_mid_frame(addr, b"{\"op\":\"submit\",\"spec\":{").unwrap();
@@ -215,8 +311,9 @@ fn differential_mid_frame_disconnects_leave_identical_state() {
 
         let mut client = Client::connect(addr).unwrap();
         let response = client.submit(&spec(Scene::Drapery, 35, 4)).unwrap();
-        assert!(matches!(response, Response::Result { .. }), "{front_end:?}");
-        let Response::Stats { stats } = client.stats().unwrap() else {
+        assert!(matches!(response, Response::Result { .. }), "{target:?}");
+        let mut worker = Client::connect(running.worker_addr()).unwrap();
+        let Response::Stats { stats } = worker.stats().unwrap() else {
             panic!("expected stats");
         };
         let jobs = stats.get("jobs").unwrap();
@@ -226,25 +323,20 @@ fn differential_mid_frame_disconnects_leave_identical_state() {
             jobs.get("in_flight").and_then(Json::as_u64),
             jobs.get("rejected").and_then(Json::as_u64),
         ));
-        client.shutdown().unwrap();
-        server.join();
+        running.stop();
     }
     assert_eq!(states[0], (Some(1), Some(1), Some(0), Some(0)));
-    assert_eq!(states[0], states[1], "post-disconnect state diverges");
+    assert_all_identical("post-disconnect state", &states);
 }
 
-/// The same job spec produces byte-identical result JSON through both
-/// front-ends.
+/// The same job spec produces byte-identical result JSON through every
+/// target.
 #[test]
 fn differential_generation_results_are_byte_identical() {
     let mut encodings = Vec::new();
-    for front_end in FRONT_ENDS {
-        let server = Server::start(ServiceConfig {
-            front_end,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
+    for target in TARGETS {
+        let running = target.start(ServiceConfig::default());
+        let mut client = Client::connect(running.addr()).unwrap();
         let Response::Result { result } = client.submit(&spec(Scene::Portrait, 41, 4)).unwrap()
         else {
             panic!("expected a result");
@@ -261,68 +353,74 @@ fn differential_generation_results_are_byte_identical() {
             report.get("sweeps").and_then(Json::as_u64),
             report.get("swaps").and_then(Json::as_u64),
         ));
-        client.shutdown().unwrap();
-        server.join();
+        running.stop();
     }
-    assert_eq!(encodings[0], encodings[1], "result JSON diverges");
+    assert_all_identical("result JSON", &encodings);
 }
 
 /// The scale target: a thousand idle connections held open by the
-/// event-driven front-end with the default worker count, while real
-/// work still completes; dropping them releases the gate.
+/// event-driven front-end — on the service and on the gateway — with
+/// the default worker count, while real work still completes; dropping
+/// them frees every connection slot.
 #[test]
 fn soak_thousand_idle_connections_event_driven() {
-    let server = Server::start(ServiceConfig {
+    for target in [Target::Service(FrontEnd::Epoll), Target::Gateway] {
         // Unlimited gate — scale is the point; every other knob
         // (including `workers`) stays at its default.
-        max_connections: 0,
-        front_end: FrontEnd::Epoll,
-        ..ServiceConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr();
+        let running = target.start(ServiceConfig {
+            max_connections: 0,
+            ..ServiceConfig::default()
+        });
+        let addr = running.addr();
 
-    let mut idle = Vec::with_capacity(1000);
-    for i in 0..1000 {
-        match TcpStream::connect(addr) {
-            Ok(stream) => idle.push(stream),
-            Err(err) => panic!("idle connection {i} failed: {err}"),
+        let mut idle = Vec::with_capacity(1000);
+        for i in 0..1000 {
+            match TcpStream::connect(addr) {
+                Ok(stream) => idle.push(stream),
+                Err(err) => panic!("{target:?}: idle connection {i} failed: {err}"),
+            }
         }
-    }
 
-    // Accepts may lag the connects; poll the gauge until the loop has
-    // registered the whole population (plus this control client).
-    let mut client = Client::connect(addr).unwrap();
-    let mut open = 0;
-    for _ in 0..400 {
-        open = io_loop_stat(&mut client, "connections_open");
-        if open >= 1001 {
-            break;
+        // Accepts may lag the connects; poll the gauge until the loop
+        // has registered the whole population (plus this control
+        // client).
+        let mut client = Client::connect(addr).unwrap();
+        let mut open = 0;
+        for _ in 0..400 {
+            open = io_loop_stat(&mut client, "connections_open");
+            if open >= 1001 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(open >= 1001, "only {open} connections registered");
+        assert!(
+            open >= 1001,
+            "{target:?}: only {open} connections registered"
+        );
 
-    // Real work still flows with the default worker count.
-    let response = client.submit(&spec(Scene::Fur, 47, 4)).unwrap();
-    assert!(matches!(response, Response::Result { .. }));
-    assert!(
-        io_loop_stat(&mut client, "wakeups") > 0,
-        "io loop must be doing the accepting"
-    );
+        // Real work still flows with the default worker count.
+        let response = client.submit(&spec(Scene::Fur, 47, 4)).unwrap();
+        assert!(matches!(response, Response::Result { .. }), "{target:?}");
+        assert!(
+            io_loop_stat(&mut client, "wakeups") > 0,
+            "{target:?}: io loop must be doing the accepting"
+        );
 
-    // Dropping the idle population releases every gate slot.
-    drop(idle);
-    let mut open = u64::MAX;
-    for _ in 0..400 {
-        open = io_loop_stat(&mut client, "connections_open");
-        if open <= 1 {
-            break;
+        // Dropping the idle population releases every gate slot.
+        drop(idle);
+        let mut open = u64::MAX;
+        for _ in 0..400 {
+            open = io_loop_stat(&mut client, "connections_open");
+            if open <= 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(
+            open <= 1,
+            "{target:?}: {open} connections still held after drop"
+        );
+        drop(client);
+        running.stop();
     }
-    assert!(open <= 1, "{open} connections still held after drop");
-
-    client.shutdown().unwrap();
-    server.join();
 }
