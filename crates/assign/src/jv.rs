@@ -24,9 +24,13 @@
 //! phases thanks to the cheap initialization — which is why the JV family
 //! is the practical default for dense instances like the paper's S×S error
 //! matrices.
+//!
+//! [`solve_jv_bounded`] polls a [`Deadline`] once per Phase-3 free row, the
+//! solve's unit of work; the polls never change the assignment.
 
 use crate::cost::CostMatrix;
 use crate::solver::{Assignment, Solver};
+use mosaic_grid::{Deadline, DeadlineExceeded};
 
 /// Exact Jonker–Volgenant solver.
 #[derive(Copy, Clone, Debug, Default)]
@@ -77,10 +81,26 @@ fn two_minima(cost: &CostMatrix, v: &[i64], i: usize) -> (i64, usize, i64, usize
 }
 
 /// Core LAPJV routine returning `row_to_col`.
+pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
+    match solve_jv_bounded(cost, &Deadline::NONE) {
+        Ok(row_to_col) => row_to_col,
+        // lint:allow(panic) Deadline::NONE never expires
+        Err(DeadlineExceeded) => unreachable!("unbounded deadline expired"),
+    }
+}
+
+/// [`solve_jv`] that polls `deadline` before each Phase-3 augmentation.
+///
+/// # Errors
+/// Returns [`DeadlineExceeded`] when `deadline` expires before the last
+/// free row is augmented.
 // Index loops mirror the published LAPJV pseudo-code; iterator forms would
 // obscure the correspondence.
 #[allow(clippy::needless_range_loop)]
-pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
+pub fn solve_jv_bounded(
+    cost: &CostMatrix,
+    deadline: &Deadline,
+) -> Result<Vec<usize>, DeadlineExceeded> {
     let n = cost.size();
     let mut x = vec![UNASSIGNED; n]; // row -> col
     let mut y = vec![UNASSIGNED; n]; // col -> row
@@ -181,6 +201,7 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     let mut pred = vec![0usize; n];
     let mut cols: Vec<usize> = (0..n).collect();
     for &f in &free {
+        deadline.check()?;
         let row = cost.row(f);
         for j in 0..n {
             d[j] = i64::from(row[j]) - v[j];
@@ -254,7 +275,7 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     }
 
     debug_assert!(x.iter().all(|&c| c != UNASSIGNED));
-    x
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -360,6 +381,32 @@ mod tests {
         });
         let jv = JonkerVolgenantSolver.solve(&cost);
         assert_eq!(jv.total(), optimal_total(&cost));
+    }
+
+    #[test]
+    fn deadline_polls_stop_the_solve_without_changing_its_answer() {
+        let mut state = 11u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let far = Deadline::after(std::time::Duration::from_secs(3600));
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        let mut stopped = 0;
+        for &n in &[8usize, 17, 40, 64] {
+            let data: Vec<u32> = (0..n * n).map(|_| (next() % 3) as u32).collect();
+            let cost = CostMatrix::from_vec(n, data);
+            let unbounded = solve_jv(&cost);
+            assert_eq!(solve_jv_bounded(&cost, &far), Ok(unbounded.clone()));
+            // Only instances that reach Phase 3 poll the deadline at all.
+            match solve_jv_bounded(&cost, &expired) {
+                Err(DeadlineExceeded) => stopped += 1,
+                Ok(row_to_col) => assert_eq!(row_to_col, unbounded, "n={n}"),
+            }
+        }
+        assert!(stopped > 0, "no instance reached the Phase-3 poll");
     }
 
     #[test]

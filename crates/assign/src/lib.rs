@@ -11,7 +11,9 @@
 //!   with potentials, O(S³) (the paper's refs [11][12]);
 //! * [`jv`] — Jonker–Volgenant (LAPJV): column reduction, augmenting row
 //!   reduction, then shortest-path augmentation; same optimum, faster in
-//!   practice;
+//!   practice. The one solver that serves jobs: [`jv::solve_jv_bounded`]
+//!   polls a job [`mosaic_grid::Deadline`] before every augmentation. The
+//!   other exact solvers are its test oracles and bench comparisons;
 //! * [`auction`] — Bertsekas ε-scaling auction; exact for integer costs
 //!   once ε < 1/n (achieved by scaling costs by n+1);
 //! * [`greedy`] — global greedy matching, the quality baseline;

@@ -88,11 +88,12 @@ pub trait Solver {
     fn is_exact(&self) -> bool;
 }
 
-/// Enumeration of the bundled solvers, for configuration surfaces.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
+/// Enumeration of the bundled exact solvers. Only
+/// [`JonkerVolgenant`](SolverKind::JonkerVolgenant) is served; the others
+/// are its test oracles and the `solvers` bench suite's comparison arms.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// Kuhn–Munkres (Hungarian).
-    #[default]
     Hungarian,
     /// Jonker–Volgenant.
     JonkerVolgenant,
@@ -101,18 +102,15 @@ pub enum SolverKind {
     /// Edmonds' blossom algorithm via the paper's 2S-vertex bipartite
     /// embedding (general-graph matcher, like Blossom V).
     Blossom,
-    /// Greedy baseline (not exact).
-    Greedy,
 }
 
 impl SolverKind {
     /// All bundled solver kinds.
-    pub const ALL: [SolverKind; 5] = [
+    pub const ALL: [SolverKind; 4] = [
         SolverKind::Hungarian,
         SolverKind::JonkerVolgenant,
         SolverKind::Auction,
         SolverKind::Blossom,
-        SolverKind::Greedy,
     ];
 
     /// Instantiate the solver.
@@ -122,7 +120,6 @@ impl SolverKind {
             SolverKind::JonkerVolgenant => Box::new(crate::jv::JonkerVolgenantSolver),
             SolverKind::Auction => Box::new(crate::auction::AuctionSolver::default()),
             SolverKind::Blossom => Box::new(crate::blossom::BlossomSolver),
-            SolverKind::Greedy => Box::new(crate::greedy::GreedySolver),
         }
     }
 
@@ -133,7 +130,6 @@ impl SolverKind {
             SolverKind::JonkerVolgenant => "jonker-volgenant",
             SolverKind::Auction => "auction",
             SolverKind::Blossom => "blossom",
-            SolverKind::Greedy => "greedy",
         }
     }
 }

@@ -6,27 +6,25 @@
 //!
 //! * **Metric** — SAD (the paper's Eq. 1) vs SSD vs tile-mean: quality
 //!   (final SAD against the target, PSNR) and Step-2 cost;
-//! * **Solver** — Hungarian vs Jonker–Volgenant vs auction vs greedy on
-//!   the same error matrix: identical optima for the exact three, time
-//!   differences, greedy's quality gap;
+//! * **Solver** — Hungarian vs Jonker–Volgenant vs auction vs blossom vs
+//!   greedy on the same error matrix: identical optima for the exact
+//!   four, time differences, greedy's quality gap;
 //! * **Preprocess** — histogram matching vs equalization vs none;
-//! * **Search effort** — Algorithm 1 vs annealing with increasing sweep
-//!   budgets: how far the swap-local optimum sits from what extra search
-//!   buys;
+//! * **Search effort** — how far Algorithm 1's swap-local optimum sits
+//!   from the exact optimum;
 //! * **Scalability** — the dense exact solve at the largest grid;
 //! * **Workers** — simulated-device scaling with host worker count.
 
 #![forbid(unsafe_code)]
 
 use mosaic_assign::SolverKind;
-use mosaic_bench::{figure2_pair, fmt_secs, RunScale};
+use mosaic_bench::{figure2_pair, fmt_secs, solver_arms, RunScale};
 use mosaic_edgecolor::SwapSchedule;
 use mosaic_gpu::{DeviceSpec, GpuSim};
-use mosaic_grid::{build_error_matrix, Deadline, TileLayout, TileMetric};
+use mosaic_grid::{build_error_matrix, TileLayout, TileMetric};
 use mosaic_image::metrics;
-use photomosaic::anneal::anneal_search;
 use photomosaic::local_search::local_search;
-use photomosaic::optimal::optimal_rearrangement;
+use photomosaic::optimal::{optimal_rearrangement, to_cost_matrix};
 use photomosaic::parallel_search::parallel_search_gpu;
 use photomosaic::{generate, Algorithm, Backend, MosaicBuilder, Preprocess};
 
@@ -70,14 +68,15 @@ fn main() {
         "{:>17} | {:>14} | {:>9} | {:>6}",
         "solver", "total", "time[s]", "exact"
     );
-    for kind in SolverKind::ALL {
-        let (out, dt) = mosaic_bench::time(|| optimal_rearrangement(&matrix, kind));
+    let cost = to_cost_matrix(&matrix);
+    for solver in solver_arms() {
+        let (out, dt) = mosaic_bench::time(|| solver.solve(&cost));
         println!(
             "{:>17} | {:>14} | {} | {:>6}",
-            kind.name(),
-            out.total,
+            solver.name(),
+            out.total(),
             fmt_secs(dt),
-            kind != SolverKind::Greedy,
+            solver.is_exact(),
         );
     }
 
@@ -118,16 +117,6 @@ fn main() {
         plain.total,
         100.0 * (plain.total - optimal) as f64 / optimal as f64
     );
-    for sweeps in [2usize, 8] {
-        let out = anneal_search(&matrix, 0xA11EA1, sweeps, &Deadline::NONE).unwrap();
-        println!(
-            "{:>14}x{:<1} | {:>14} | {:>8.3}%",
-            "anneal",
-            sweeps,
-            out.total,
-            100.0 * (out.total - optimal) as f64 / optimal as f64
-        );
-    }
 
     // ---- scalability: the dense exact solve at the largest grid ----
     {

@@ -8,7 +8,7 @@
 //! * `rearrange` — Step 3 algorithms on a shared matrix (Table III);
 //! * `solvers` — the assignment-solver ablation on random and real
 //!   mosaic matrices (DESIGN.md §5);
-//! * `ablations` — metric / preprocess / search-effort / end-to-end
+//! * `ablations` — metric / preprocess / Algorithm-1 descent / end-to-end
 //!   backend sweeps;
 //! * `search` — Algorithm 2 on the persistent `mosaic-pool` workers vs
 //!   the pre-pool scoped-thread dispatch (kept verbatim here as the
@@ -39,14 +39,13 @@
 #![forbid(unsafe_code)]
 
 use mosaic_assign::{CostMatrix, SolverKind};
-use mosaic_bench::figure2_pair;
+use mosaic_bench::{figure2_pair, solver_arms};
 use mosaic_edgecolor::SwapSchedule;
 use mosaic_gpu::{DeviceSpec, GpuSim};
 use mosaic_grid::{
     build_error_matrix, build_error_matrix_threaded_bounded_in, Deadline, ErrorMatrix, TileLayout,
     TileMetric,
 };
-use photomosaic::anneal::anneal_search;
 use photomosaic::errors::gpu_error_matrix;
 use photomosaic::json::Json;
 use photomosaic::local_search::local_search;
@@ -314,11 +313,10 @@ fn suite_solvers(options: &Options, cases: &mut Vec<Case>) {
     };
     for &n in sizes {
         let cost = random_cost(n, 42);
-        for kind in SolverKind::ALL {
-            let solver = kind.build();
+        for solver in solver_arms() {
             cases.push(run_case(
                 "solvers",
-                format!("random/{}/{n}", kind.name()),
+                format!("random/{}/{n}", solver.name()),
                 options.samples,
                 || solver.solve(&cost),
             ));
@@ -330,11 +328,10 @@ fn suite_solvers(options: &Options, cases: &mut Vec<Case>) {
     let layout = TileLayout::with_grid(256, 16).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
     let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
-    for kind in SolverKind::ALL {
-        let solver = kind.build();
+    for solver in solver_arms() {
         cases.push(run_case(
             "solvers",
-            format!("mosaic/{}/256", kind.name()),
+            format!("mosaic/{}/256", solver.name()),
             options.samples,
             || solver.solve(&cost),
         ));
@@ -372,14 +369,6 @@ fn suite_ablations(options: &Options, cases: &mut Vec<Case>) {
         options.samples,
         || local_search(&matrix),
     ));
-    for sweeps in [2usize, 8] {
-        cases.push(run_case(
-            "ablations",
-            format!("search/anneal-{sweeps}"),
-            options.samples,
-            || anneal_search(&matrix, 7, sweeps, &Deadline::NONE),
-        ));
-    }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

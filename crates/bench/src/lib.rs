@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use mosaic_assign::{GreedySolver, Solver, SolverKind};
 use mosaic_image::synth::Scene;
 use mosaic_image::GrayImage;
 use std::time::{Duration, Instant};
@@ -89,6 +90,14 @@ pub fn figure2_pair(size: usize) -> (GrayImage, GrayImage) {
         Scene::Portrait.render(size, 0xF1C2),
         Scene::Regatta.render(size, 0xF1C3),
     )
+}
+
+/// The solver-ablation arms: every exact [`SolverKind`] plus the greedy
+/// baseline, each named by [`Solver::name`].
+pub fn solver_arms() -> Vec<Box<dyn Solver + Send + Sync>> {
+    let mut arms: Vec<_> = SolverKind::ALL.into_iter().map(SolverKind::build).collect();
+    arms.push(Box::new(GreedySolver));
+    arms
 }
 
 /// Time a closure.

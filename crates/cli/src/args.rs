@@ -296,19 +296,6 @@ fn parse_metric(v: &str) -> Result<TileMetric, CliError> {
     }
 }
 
-fn parse_solver(v: &str) -> Result<SolverKind, CliError> {
-    match v {
-        "jv" | "jonker-volgenant" => Ok(SolverKind::JonkerVolgenant),
-        "hungarian" => Ok(SolverKind::Hungarian),
-        "auction" => Ok(SolverKind::Auction),
-        "blossom" => Ok(SolverKind::Blossom),
-        "greedy" => Ok(SolverKind::Greedy),
-        other => Err(CliError(format!(
-            "--solver expects jv|hungarian|auction|blossom|greedy, got {other:?}"
-        ))),
-    }
-}
-
 fn parse_scene(v: &str) -> Result<mosaic_image::synth::Scene, CliError> {
     mosaic_image::synth::Scene::ALL
         .into_iter()
@@ -334,22 +321,14 @@ fn parse_policy(flags: &Flags) -> Result<RoutePolicy, CliError> {
 
 /// Shared pipeline-configuration flags (`generate` and `submit`).
 fn parse_config(flags: &Flags) -> Result<photomosaic::MosaicConfig, CliError> {
-    let solver = match flags.optional("solver") {
-        Some(v) => parse_solver(v)?,
-        None => SolverKind::JonkerVolgenant,
-    };
     let algorithm = match flags.optional("algorithm").unwrap_or("parallel") {
-        "optimal" => Algorithm::Optimal(solver),
+        "optimal" => Algorithm::Optimal(SolverKind::JonkerVolgenant),
         "local" | "local-search" => Algorithm::LocalSearch,
         "parallel" | "parallel-search" => Algorithm::ParallelSearch,
         "greedy" => Algorithm::Greedy,
-        "anneal" => Algorithm::Anneal {
-            seed: flags.number("seed", 1)? as u64,
-            sweeps: flags.number("sweeps", 4)?,
-        },
         other => {
             return Err(CliError(format!(
-                "--algorithm expects optimal|local|parallel|greedy|anneal, got {other:?}"
+                "--algorithm expects optimal|local|parallel|greedy, got {other:?}"
             )))
         }
     };
@@ -410,20 +389,17 @@ fn parse_library_params(flags: &Flags) -> Result<LibraryParams, CliError> {
 }
 
 /// The library-specific flag names accepted by [`parse_library_params`]
-/// (grid/seed/metric are shared with the generate pipeline flags).
-const LIBRARY_FLAGS: [&str; 3] = ["clusters", "top-clusters", "feature-grid"];
+/// (grid/metric are shared with the generate pipeline flags).
+const LIBRARY_FLAGS: [&str; 4] = ["clusters", "top-clusters", "feature-grid", "seed"];
 
 /// The pipeline-configuration flag names accepted by [`parse_config`].
-const CONFIG_FLAGS: [&str; 9] = [
+const CONFIG_FLAGS: [&str; 6] = [
     "grid",
     "algorithm",
-    "solver",
     "backend",
     "metric",
     "preprocess",
     "threads",
-    "seed",
-    "sweeps",
 ];
 
 /// One `submit` image argument: `--<role>` (a PGM path) or
@@ -626,7 +602,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                         "size",
                         "store",
                         "grid",
-                        "seed",
                         "metric",
                     ];
                     known.extend(LIBRARY_FLAGS);
@@ -753,14 +728,17 @@ mod tests {
     fn generate_full_flags() {
         let cmd = parse(&argv(
             "generate --input a --target b --out c --grid 64 --algorithm optimal \
-             --solver hungarian --backend threads --threads 4 --metric ssd --preprocess none",
+             --backend threads --threads 4 --metric ssd --preprocess none",
         ))
         .unwrap();
         let Command::Generate { config, .. } = cmd else {
             panic!("wrong command");
         };
         assert_eq!(config.grid, 64);
-        assert_eq!(config.algorithm, Algorithm::Optimal(SolverKind::Hungarian));
+        assert_eq!(
+            config.algorithm,
+            Algorithm::Optimal(SolverKind::JonkerVolgenant)
+        );
         assert_eq!(config.backend, Backend::Threads(4));
         assert_eq!(config.metric, TileMetric::Ssd);
         assert_eq!(config.preprocess, Preprocess::None);
@@ -784,15 +762,15 @@ mod tests {
     }
 
     #[test]
-    fn generate_anneal_takes_seed_and_sweeps() {
-        let cmd = parse(&argv(
-            "generate --input a --target b --out c --algorithm anneal --seed 9 --sweeps 3",
-        ))
-        .unwrap();
-        let Command::Generate { config, .. } = cmd else {
-            panic!("wrong command");
-        };
-        assert_eq!(config.algorithm, Algorithm::Anneal { seed: 9, sweeps: 3 });
+    fn generate_rejects_removed_step3_flags() {
+        for removed in [
+            "--algorithm anneal",
+            "--algorithm optimal --solver hungarian",
+            "--sweeps 3",
+        ] {
+            let line = format!("generate --input a --target b --out c {removed}");
+            assert!(parse(&argv(&line)).is_err(), "{removed} was accepted");
+        }
     }
 
     #[test]

@@ -41,11 +41,9 @@ mosaic — photomosaic generation by rearranging subimages
 
 USAGE:
   mosaic generate --input <pgm> --target <pgm> --out <pgm>
-                  [--grid <n>] [--algorithm optimal|local|parallel|greedy|anneal]
-                  [--solver jv|hungarian|auction|blossom|greedy]
+                  [--grid <n>] [--algorithm optimal|local|parallel|greedy]
                   [--backend serial|threads|gpu] [--metric sad|ssd|mean]
-                  [--preprocess match|equalize|none] [--seed <n>] [--sweeps <n>]
-                  [--trace-out <path>]
+                  [--preprocess match|equalize|none] [--trace-out <path>]
   mosaic generate --library <store> --target <pgm> --out <pgm>
                   [--grid <n>] [--clusters <n>] [--top-clusters <n>]
                   [--feature-grid <n>] [--seed <n>] [--metric sad|ssd|mean]

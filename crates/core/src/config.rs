@@ -8,7 +8,9 @@ use mosaic_grid::TileMetric;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// §III — exact minimum-weight bipartite matching with the given
-    /// solver.
+    /// solver. The wire and the CLI build only
+    /// `Optimal(SolverKind::JonkerVolgenant)`; the other solvers are test
+    /// oracles.
     Optimal(SolverKind),
     /// §IV-A, Algorithm 1 — serial pairwise-swap local search.
     LocalSearch,
@@ -17,14 +19,6 @@ pub enum Algorithm {
     ParallelSearch,
     /// Greedy matching baseline (not in the paper; quality floor).
     Greedy,
-    /// Simulated-annealing variant of the local search (DESIGN.md §7
-    /// extension), with the given seed and sweep budget.
-    Anneal {
-        /// PRNG seed.
-        seed: u64,
-        /// Number of annealing sweeps over S(S−1)/2 proposals.
-        sweeps: usize,
-    },
 }
 
 impl Algorithm {
@@ -35,7 +29,6 @@ impl Algorithm {
             Algorithm::LocalSearch => "local-search",
             Algorithm::ParallelSearch => "parallel-search",
             Algorithm::Greedy => "greedy",
-            Algorithm::Anneal { .. } => "anneal",
         }
     }
 }
@@ -131,19 +124,13 @@ impl MosaicConfig {
     /// the `mosaic-service` wire protocol.
     ///
     /// Enum variants are encoded by their stable [`name`](Algorithm::name)
-    /// strings; variant payloads (solver, seed, sweeps, thread and
-    /// worker counts) ride along as extra keys. The 64-bit anneal seed is
-    /// encoded as a decimal string so it survives the JSON `f64` number
-    /// model exactly.
+    /// strings; variant payloads (solver, thread and worker counts) ride
+    /// along as extra keys.
     pub fn to_json(&self) -> Json {
         let mut algorithm = vec![("name".to_string(), Json::from(self.algorithm.name()))];
         match self.algorithm {
             Algorithm::Optimal(solver) => {
                 algorithm.push(("solver".to_string(), Json::from(solver.name())));
-            }
-            Algorithm::Anneal { seed, sweeps } => {
-                algorithm.push(("seed".to_string(), Json::Str(seed.to_string())));
-                algorithm.push(("sweeps".to_string(), Json::from(sweeps)));
             }
             Algorithm::LocalSearch | Algorithm::ParallelSearch | Algorithm::Greedy => {}
         }
@@ -215,29 +202,18 @@ fn algorithm_from_json(value: &Json) -> Result<Algorithm, String> {
         .ok_or("algorithm needs a \"name\" string")?;
     match name {
         "optimal" => {
-            let solver = match value.get("solver").and_then(Json::as_str) {
-                None => SolverKind::default(),
-                Some(solver_name) => SolverKind::ALL
-                    .into_iter()
-                    .find(|s| s.name() == solver_name)
-                    .ok_or_else(|| format!("unknown solver {solver_name:?}"))?,
-            };
-            Ok(Algorithm::Optimal(solver))
+            // Jonker–Volgenant is the one served exact solver; the others
+            // are test oracles and never leave the process.
+            let served = SolverKind::JonkerVolgenant;
+            match value.get("solver").and_then(Json::as_str) {
+                None => Ok(Algorithm::Optimal(served)),
+                Some(name) if name == served.name() => Ok(Algorithm::Optimal(served)),
+                Some(name) => Err(format!("unknown solver {name:?}")),
+            }
         }
         "local-search" => Ok(Algorithm::LocalSearch),
         "parallel-search" => Ok(Algorithm::ParallelSearch),
         "greedy" => Ok(Algorithm::Greedy),
-        "anneal" => {
-            let seed = match value.get("seed") {
-                None => 0,
-                Some(Json::Str(s)) => s
-                    .parse::<u64>()
-                    .map_err(|_| format!("invalid anneal seed {s:?}"))?,
-                Some(other) => other.as_u64().ok_or("invalid anneal seed")?,
-            };
-            let sweeps = value.get("sweeps").and_then(Json::as_u64).unwrap_or(1) as usize;
-            Ok(Algorithm::Anneal { seed, sweeps })
-        }
         other => Err(format!("unknown algorithm {other:?}")),
     }
 }
@@ -353,16 +329,13 @@ mod tests {
             MosaicBuilder::new()
                 .grid(16)
                 .metric(TileMetric::MeanAbs)
-                .algorithm(Algorithm::Optimal(SolverKind::Blossom))
+                .algorithm(Algorithm::Optimal(SolverKind::JonkerVolgenant))
                 .backend(Backend::Serial)
                 .preprocess(Preprocess::Equalize)
                 .build(),
             MosaicBuilder::new().backend(Backend::Threads(3)).build(),
             MosaicBuilder::new()
-                .algorithm(Algorithm::Anneal {
-                    seed: u64::MAX, // exceeds f64 precision; must survive
-                    sweeps: 5,
-                })
+                .algorithm(Algorithm::ParallelSearch)
                 .backend(Backend::GpuSim { workers: Some(2) })
                 .preprocess(Preprocess::None)
                 .build(),
@@ -388,6 +361,11 @@ mod tests {
         assert_eq!(config.grid, 8);
         assert_eq!(config.metric, TileMetric::Sad);
         assert_eq!(config.algorithm, Algorithm::ParallelSearch);
+        let no_solver = crate::json::Json::parse(r#"{"algorithm":{"name":"optimal"}}"#).unwrap();
+        assert_eq!(
+            MosaicConfig::from_json(&no_solver).unwrap().algorithm,
+            Algorithm::Optimal(SolverKind::JonkerVolgenant)
+        );
     }
 
     #[test]
@@ -396,6 +374,11 @@ mod tests {
             r#"{"metric":"nope"}"#,
             r#"{"algorithm":{"name":"nope"}}"#,
             r#"{"algorithm":{"name":"optimal","solver":"nope"}}"#,
+            r#"{"algorithm":{"name":"optimal","solver":"hungarian"}}"#,
+            r#"{"algorithm":{"name":"optimal","solver":"auction"}}"#,
+            r#"{"algorithm":{"name":"optimal","solver":"blossom"}}"#,
+            r#"{"algorithm":{"name":"optimal","solver":"greedy"}}"#,
+            r#"{"algorithm":{"name":"anneal"}}"#,
             r#"{"algorithm":{"name":"sparse-match","k":8}}"#,
             r#"{"backend":{"name":"nope"}}"#,
             r#"{"preprocess":"nope"}"#,
@@ -409,7 +392,7 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(Algorithm::LocalSearch.name(), "local-search");
-        assert_eq!(Algorithm::Anneal { seed: 0, sweeps: 1 }.name(), "anneal");
+        assert_eq!(Algorithm::Greedy.name(), "greedy");
         assert_eq!(Backend::Serial.name(), "serial");
         assert_eq!(Backend::GpuSim { workers: None }.name(), "gpu-sim");
         assert_eq!(Preprocess::Equalize.name(), "equalize");

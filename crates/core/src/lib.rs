@@ -26,8 +26,7 @@
 //! extension) and a [`MosaicBuilder`] config, and [`generate_bounded_in`]
 //! is the same run on an explicit pool with a [`Deadline`] and Step-2
 //! matrix reuse. [`report`] captures timings, totals and work profiles
-//! for the experiment harness. [`anneal`] implements the annealing
-//! extension called out in DESIGN.md §7.
+//! for the experiment harness.
 //!
 //! # Example
 //!
@@ -57,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anneal;
 pub mod config;
 pub mod errors;
 pub mod job;

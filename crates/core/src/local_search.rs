@@ -23,8 +23,8 @@ pub struct SearchOutcome {
     pub swaps: usize,
 }
 
-/// Unwrap a bounded-search result produced under [`Deadline::NONE`].
-fn never_exceeded<T>(result: Result<T, DeadlineExceeded>) -> T {
+/// Unwrap a bounded Step-3 result produced under [`Deadline::NONE`].
+pub(crate) fn never_exceeded<T>(result: Result<T, DeadlineExceeded>) -> T {
     match result {
         Ok(value) => value,
         // lint:allow(panic) callers pass Deadline::NONE, which never expires
@@ -34,7 +34,7 @@ fn never_exceeded<T>(result: Result<T, DeadlineExceeded>) -> T {
 
 /// Run Algorithm 1 to convergence.
 pub fn local_search(matrix: &ErrorMatrix) -> SearchOutcome {
-    local_search_from(matrix, (0..matrix.size()).collect())
+    local_search_traced(matrix).0
 }
 
 /// [`local_search`] with cooperative cancellation: the deadline is polled
@@ -48,10 +48,11 @@ pub fn local_search_bounded(
     deadline: &Deadline,
 ) -> Result<SearchOutcome, DeadlineExceeded> {
     local_search_from_bounded(matrix, (0..matrix.size()).collect(), deadline)
+        .map(|(outcome, _)| outcome)
 }
 
-/// Run Algorithm 1 from an explicit starting arrangement (used by the
-/// ablations and the annealing post-pass).
+/// Run Algorithm 1 from an explicit starting arrangement (the property
+/// tests start it from random permutations).
 ///
 /// # Panics
 /// Panics when `assignment` is not a permutation of `0..S` (checked by
@@ -63,50 +64,7 @@ pub fn local_search_from(matrix: &ErrorMatrix, assignment: Vec<usize>) -> Search
         assignment,
         &Deadline::NONE,
     ))
-}
-
-/// [`local_search_from`] with cooperative cancellation (see
-/// [`local_search_bounded`] for the polling granularity).
-///
-/// # Errors
-/// Returns [`DeadlineExceeded`] when `deadline` expires before convergence.
-///
-/// # Panics
-/// Panics when `assignment` has the wrong length (as [`local_search_from`]).
-pub fn local_search_from_bounded(
-    matrix: &ErrorMatrix,
-    mut assignment: Vec<usize>,
-    deadline: &Deadline,
-) -> Result<SearchOutcome, DeadlineExceeded> {
-    let s = matrix.size();
-    assert_eq!(assignment.len(), s, "assignment length must equal S");
-    let mut sweeps = 0usize;
-    let mut swaps = 0usize;
-    loop {
-        deadline.check()?;
-        let _sweep = mosaic_telemetry::tracer().span("local_search_sweep");
-        sweeps += 1;
-        let mut swapped = false;
-        for p in 0..s {
-            for q in (p + 1)..s {
-                if matrix.swap_gain(&assignment, p, q) > 0 {
-                    assignment.swap(p, q);
-                    swapped = true;
-                    swaps += 1;
-                }
-            }
-        }
-        if !swapped {
-            break;
-        }
-    }
-    let total = matrix.assignment_total(&assignment);
-    Ok(SearchOutcome {
-        assignment,
-        total,
-        sweeps,
-        swaps,
-    })
+    .0
 }
 
 /// A per-sweep convergence trace.
@@ -123,12 +81,28 @@ pub struct ConvergenceTrace {
 /// [`local_search`] plus the totals after every sweep, used by the
 /// convergence analysis in EXPERIMENTS.md.
 pub fn local_search_traced(matrix: &ErrorMatrix) -> (SearchOutcome, ConvergenceTrace) {
+    never_exceeded(local_search_from_bounded(
+        matrix,
+        (0..matrix.size()).collect(),
+        &Deadline::NONE,
+    ))
+}
+
+/// The one Algorithm-1 sweep loop behind every entry point above.
+fn local_search_from_bounded(
+    matrix: &ErrorMatrix,
+    mut assignment: Vec<usize>,
+    deadline: &Deadline,
+) -> Result<(SearchOutcome, ConvergenceTrace), DeadlineExceeded> {
     let s = matrix.size();
-    let mut assignment: Vec<usize> = (0..s).collect();
-    let mut totals = Vec::new();
-    let mut swaps_per_sweep = Vec::new();
-    let mut swaps = 0usize;
+    assert_eq!(assignment.len(), s, "assignment length must equal S");
+    let mut trace = ConvergenceTrace {
+        totals: Vec::new(),
+        swaps_per_sweep: Vec::new(),
+    };
+    let mut total = matrix.assignment_total(&assignment);
     loop {
+        deadline.check()?;
         let _sweep = mosaic_telemetry::tracer().span("local_search_sweep");
         let mut sweep_swaps = 0usize;
         for p in 0..s {
@@ -139,28 +113,22 @@ pub fn local_search_traced(matrix: &ErrorMatrix) -> (SearchOutcome, ConvergenceT
                 }
             }
         }
-        swaps += sweep_swaps;
-        totals.push(matrix.assignment_total(&assignment));
-        swaps_per_sweep.push(sweep_swaps);
+        if sweep_swaps > 0 {
+            total = matrix.assignment_total(&assignment);
+        }
+        trace.totals.push(total);
+        trace.swaps_per_sweep.push(sweep_swaps);
         if sweep_swaps == 0 {
             break;
         }
     }
-    // lint:allow(panic) the loop above pushes a total before any break can run
-    let total = *totals.last().expect("at least one sweep runs");
-    let sweeps = totals.len();
-    (
-        SearchOutcome {
-            assignment,
-            total,
-            sweeps,
-            swaps,
-        },
-        ConvergenceTrace {
-            totals,
-            swaps_per_sweep,
-        },
-    )
+    let outcome = SearchOutcome {
+        assignment,
+        total,
+        sweeps: trace.totals.len(),
+        swaps: trace.swaps_per_sweep.iter().sum(),
+    };
+    Ok((outcome, trace))
 }
 
 /// True when no single swap can improve `assignment` — the local-search

@@ -7,12 +7,16 @@
 //! type conversion followed by an exact assignment solve.
 //!
 //! The paper used Blossom V as its matcher; on bipartite instances every
-//! exact solver returns the same optimum, so the solver is pluggable
-//! ([`mosaic_assign::SolverKind`]) — see DESIGN.md §2.
+//! exact solver returns the same optimum. Jobs are served by
+//! Jonker–Volgenant, the one solver that polls the job deadline; the other
+//! [`SolverKind`]s are its test oracles (DESIGN.md §2). The greedy
+//! baseline is [`greedy_rearrangement`].
 
-use crate::local_search::SearchOutcome;
-use mosaic_assign::{CostMatrix, SolverKind};
-use mosaic_grid::ErrorMatrix;
+use crate::local_search::{never_exceeded, SearchOutcome};
+use mosaic_assign::greedy::solve_greedy;
+use mosaic_assign::jv::solve_jv_bounded;
+use mosaic_assign::{Assignment, CostMatrix, SolverKind};
+use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 
 /// Convert the Step-2 error matrix into an assignment cost matrix.
 pub fn to_cost_matrix(matrix: &ErrorMatrix) -> CostMatrix {
@@ -24,12 +28,45 @@ pub fn to_cost_matrix(matrix: &ErrorMatrix) -> CostMatrix {
 /// The returned [`SearchOutcome`] reuses the local-search result type:
 /// `sweeps`/`swaps` are zero (no iterative refinement happens here).
 pub fn optimal_rearrangement(matrix: &ErrorMatrix, solver: SolverKind) -> SearchOutcome {
+    never_exceeded(optimal_rearrangement_bounded(
+        matrix,
+        solver,
+        &Deadline::NONE,
+    ))
+}
+
+/// [`optimal_rearrangement`] under a deadline. Jonker–Volgenant polls it
+/// before each free-row augmentation; the oracle solvers check it only
+/// on entry.
+///
+/// # Errors
+/// Returns [`DeadlineExceeded`] when `deadline` expires before the solve
+/// finishes.
+pub fn optimal_rearrangement_bounded(
+    matrix: &ErrorMatrix,
+    solver: SolverKind,
+    deadline: &Deadline,
+) -> Result<SearchOutcome, DeadlineExceeded> {
+    deadline.check()?;
     let cost = to_cost_matrix(matrix);
-    let solution = solver.build().solve(&cost);
-    let assignment = solution.col_to_row();
+    let solution = match solver {
+        SolverKind::JonkerVolgenant => Assignment::new(&cost, solve_jv_bounded(&cost, deadline)?),
+        oracle => oracle.build().solve(&cost),
+    };
+    Ok(outcome(&solution))
+}
+
+/// The greedy matching baseline (not in the paper; a quality floor).
+pub fn greedy_rearrangement(matrix: &ErrorMatrix) -> SearchOutcome {
+    let cost = to_cost_matrix(matrix);
+    let row_to_col = solve_greedy(&cost);
+    outcome(&Assignment::new(&cost, row_to_col))
+}
+
+fn outcome(solution: &Assignment) -> SearchOutcome {
     SearchOutcome {
         total: solution.total(),
-        assignment,
+        assignment: solution.col_to_row(),
         sweeps: 0,
         swaps: 0,
     }
@@ -106,7 +143,7 @@ mod tests {
     #[test]
     fn greedy_is_feasible_but_possibly_worse() {
         let m = random_matrix(20, 11, 1000);
-        let greedy = optimal_rearrangement(&m, SolverKind::Greedy);
+        let greedy = greedy_rearrangement(&m);
         let exact = optimal_rearrangement(&m, SolverKind::Hungarian);
         assert!(greedy.total >= exact.total);
         assert_eq!(m.assignment_total(&greedy.assignment), greedy.total);

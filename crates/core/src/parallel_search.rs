@@ -20,20 +20,11 @@
 //! * [`parallel_search_gpu`] — one simulated kernel launch per group, the
 //!   paper's GPU implementation.
 
-use crate::local_search::SearchOutcome;
+use crate::local_search::{never_exceeded, SearchOutcome};
 use mosaic_edgecolor::SwapSchedule;
 use mosaic_gpu::{BlockContext, GlobalBuffer, GpuSim, LaunchConfig, WorkProfile};
 use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 use mosaic_pool::ThreadPool;
-
-/// Unwrap a bounded-search result produced under [`Deadline::NONE`].
-fn never_exceeded<T>(result: Result<T, DeadlineExceeded>) -> T {
-    match result {
-        Ok(value) => value,
-        // lint:allow(panic) callers pass Deadline::NONE, which never expires
-        Err(_) => unreachable!("unbounded deadline expired"),
-    }
-}
 
 /// A [`SearchOutcome`] plus the kernel-launch count the GPU path would
 /// issue (used for the analytic device model; identical across backends

@@ -8,11 +8,10 @@
 //! [`generate_bounded_in`] is the same run with an explicit pool, a
 //! deadline and Step-2 matrix reuse.
 
-use crate::anneal::anneal_search;
 use crate::config::{Algorithm, Backend, MosaicConfig};
 use crate::errors::{compute_error_matrix_bounded_in, simulated_device, StepTrace};
 use crate::local_search::{local_search_bounded, SearchOutcome};
-use crate::optimal::optimal_rearrangement;
+use crate::optimal::{greedy_rearrangement, optimal_rearrangement_bounded};
 use crate::parallel_search::{
     parallel_search_gpu_bounded, parallel_search_reference_bounded,
     parallel_search_threads_bounded_in, step3_parallel_profile,
@@ -114,11 +113,12 @@ pub fn generate<P: MosaicPixel>(
 /// job its per-server pool, sized by `--workers`), with cooperative
 /// cancellation and Step-2 matrix reuse.
 ///
-/// `deadline` is polled at sweep boundaries of the Step-3 searches and
-/// at row boundaries of the threaded Step-2 build, so a pathological job
-/// stops within one sweep (or one row per worker) of the deadline. Step 1
-/// and the non-interruptible Step-3 solvers (optimal/greedy/sparse/anneal)
-/// only check the deadline before they start.
+/// `deadline` is polled at sweep boundaries of the Step-3 searches, at
+/// each free-row augmentation of the Jonker–Volgenant solve and at row
+/// boundaries of the threaded Step-2 build, so a pathological job stops
+/// within one such unit of work (one row per worker) of the deadline.
+/// Step 1, the greedy baseline and the oracle solvers only check the
+/// deadline before they start.
 ///
 /// With `cached_matrix` set, Step 2 is skipped and that matrix is used:
 /// the report's `step2_wall` is zero and its `step2_profile` empty. The
@@ -260,20 +260,15 @@ fn run_step3(
         Algorithm::Optimal(solver) => {
             // §V: "Regarding the optimization algorithm in Step 3, since it
             // is not easy to parallelize the algorithm, we sequentially
-            // perform it on the CPU." No device profile. The solvers are
-            // not interruptible, so the deadline is checked only on entry.
-            deadline.check()?;
+            // perform it on the CPU." No device profile.
             (
-                optimal_rearrangement(matrix, solver),
+                optimal_rearrangement_bounded(matrix, solver, deadline)?,
                 WorkProfile::default(),
             )
         }
         Algorithm::Greedy => {
             deadline.check()?;
-            (
-                optimal_rearrangement(matrix, mosaic_assign::SolverKind::Greedy),
-                WorkProfile::default(),
-            )
+            (greedy_rearrangement(matrix), WorkProfile::default())
         }
         Algorithm::LocalSearch => {
             let outcome = local_search_bounded(matrix, deadline)?;
@@ -298,11 +293,6 @@ fn run_step3(
             };
             let profile = step3_parallel_profile(s, result.outcome.sweeps, result.launches);
             (result.outcome, profile)
-        }
-        Algorithm::Anneal { seed, sweeps } => {
-            let outcome = anneal_search(matrix, seed, sweeps, deadline)?;
-            let profile = step3_parallel_profile(s, outcome.sweeps, 0);
-            (outcome, profile)
         }
     };
     Ok(out)
@@ -370,12 +360,11 @@ mod tests {
         )
     }
 
-    const EVERY_ALGORITHM: [Algorithm; 5] = [
+    const EVERY_ALGORITHM: [Algorithm; 4] = [
         Algorithm::Optimal(SolverKind::JonkerVolgenant),
         Algorithm::LocalSearch,
         Algorithm::ParallelSearch,
         Algorithm::Greedy,
-        Algorithm::Anneal { seed: 7, sweeps: 4 },
     ];
 
     fn generates_with_every_algorithm_on<P: MosaicPixel>(

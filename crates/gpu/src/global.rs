@@ -7,7 +7,7 @@
 //! convertible back to a `Vec<T>` once the launch has completed (the
 //! kernel-boundary barrier re-establishes exclusive ownership).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
 /// Marker trait for element types [`GlobalBuffer`] supports.
 pub trait GlobalWord: Copy {
@@ -124,38 +124,6 @@ impl<T: GlobalWord> GlobalBuffer<T> {
     }
 }
 
-/// A single device-global boolean, e.g. Algorithm 2's `flag` ("a swap
-/// happened this sweep"). Writers race benignly: they all write `true`.
-#[derive(Debug, Default)]
-pub struct GlobalFlag {
-    value: AtomicBool,
-}
-
-impl GlobalFlag {
-    /// New flag, cleared.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the flag (relaxed).
-    #[inline]
-    pub fn raise(&self) {
-        self.value.store(true, Ordering::Relaxed);
-    }
-
-    /// Clear the flag (relaxed).
-    #[inline]
-    pub fn clear(&self) {
-        self.value.store(false, Ordering::Relaxed);
-    }
-
-    /// Read the flag (relaxed).
-    #[inline]
-    pub fn is_raised(&self) -> bool {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,16 +150,6 @@ mod tests {
         let buf = GlobalBuffer::from_vec(vec![5usize, 6]);
         buf.store(0, 9);
         assert_eq!(buf.into_vec(), vec![9, 6]);
-    }
-
-    #[test]
-    fn flag_lifecycle() {
-        let f = GlobalFlag::new();
-        assert!(!f.is_raised());
-        f.raise();
-        assert!(f.is_raised());
-        f.clear();
-        assert!(!f.is_raised());
     }
 
     #[test]

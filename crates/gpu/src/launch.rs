@@ -95,8 +95,8 @@ impl BlockContext<'_> {
 /// A device kernel: the per-block body.
 ///
 /// Kernels observe global state only through shared references, matching
-/// CUDA's "global memory + atomics" model; use [`crate::GlobalBuffer`] /
-/// [`crate::GlobalFlag`] for anything written concurrently.
+/// CUDA's "global memory + atomics" model; use [`crate::GlobalBuffer`]
+/// for anything written concurrently.
 pub trait Kernel: Sync {
     /// Execute one block.
     fn block(&self, ctx: &mut BlockContext<'_>);
@@ -244,7 +244,7 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{GlobalBuffer, GlobalFlag};
+    use crate::global::GlobalBuffer;
 
     fn sim() -> GpuSim {
         GpuSim::with_workers(DeviceSpec::tesla_k40(), 4)
@@ -288,16 +288,16 @@ mod tests {
     #[test]
     fn shared_memory_is_private_and_reset() {
         let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 3);
-        let dirty = GlobalFlag::new();
+        let dirty = GlobalBuffer::filled(1, 0u32);
         let kernel = |ctx: &mut BlockContext<'_>| {
             let buf = ctx.shared().alloc_u8(64);
             if buf.iter().any(|&b| b != 0) {
-                dirty.raise();
+                dirty.store(0, 1);
             }
             buf.fill(0xAB);
         };
         sim.launch(LaunchConfig::linear(64, 1), &kernel);
-        assert!(!dirty.is_raised(), "shared memory leaked between blocks");
+        assert_eq!(dirty.load(0), 0, "shared memory leaked between blocks");
     }
 
     #[test]

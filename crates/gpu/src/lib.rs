@@ -53,7 +53,7 @@ pub mod stats;
 
 pub use device::DeviceSpec;
 pub use dim::Dim3;
-pub use global::{GlobalBuffer, GlobalFlag};
+pub use global::GlobalBuffer;
 pub use launch::{BlockContext, GpuSim, Kernel, LaunchConfig};
 pub use model::{CostModel, WorkProfile};
 pub use shared::SharedMem;

@@ -259,20 +259,6 @@ impl<P: Pixel> Image<P> {
         }
     }
 
-    /// Mean channel-summed intensity over the image, in `0..=255 * CHANNELS`
-    /// scale divided by pixel count (rounded down).
-    pub fn mean_intensity(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self
-            .data
-            .iter()
-            .map(|p| p.channels().iter().map(|&c| u64::from(c)).sum::<u64>())
-            .sum();
-        sum as f64 / (self.data.len() * P::CHANNELS) as f64
-    }
-
     /// Convert to grayscale via per-pixel luma.
     pub fn to_gray(&self) -> Image<Gray> {
         self.map(|p| Gray(p.luma()))
@@ -481,13 +467,5 @@ mod tests {
         let a = img.view(0, 0, 4, 4).unwrap();
         let b = img.view(0, 0, 2, 2).unwrap();
         let _ = a.sad(&b);
-    }
-
-    #[test]
-    fn mean_intensity() {
-        let img = Image::from_vec(2, 1, vec![Gray(0), Gray(100)]).unwrap();
-        assert!((img.mean_intensity() - 50.0).abs() < 1e-9);
-        let rgb = Image::from_vec(1, 1, vec![Rgb::new(30, 60, 90)]).unwrap();
-        assert!((rgb.mean_intensity() - 60.0).abs() < 1e-9);
     }
 }

@@ -1,15 +1,12 @@
-//! Image I/O: Netpbm (PGM/PPM) read/write plus a dependency-free PNG
-//! writer.
+//! Image I/O: Netpbm (PGM/PPM) read/write.
 //!
 //! The paper's experiments use USC-SIPI images, which are commonly shipped
 //! as PGM/PPM. Binary (`P5`/`P6`) and ASCII (`P2`/`P3`) variants are
 //! supported for both reading and writing, so real datasets can replace the
 //! synthetic scenes without code changes.
 
-pub mod png;
 pub mod pnm;
 
-pub use png::{save_png_gray, save_png_rgb, write_png_gray, write_png_rgb};
 pub use pnm::{
     load_auto, read_pgm, read_ppm, write_pgm, write_pgm_ascii, write_ppm, write_ppm_ascii,
     AutoImage,

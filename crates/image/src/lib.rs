@@ -16,8 +16,7 @@
 //!   image's distribution onto the target's);
 //! * [`synth`] — deterministic synthetic scene generators standing in for
 //!   the paper's USC-SIPI test images;
-//! * [`resize`], [`filter`] — geometry and convolution helpers
-//!   used by the examples and analysis;
+//! * [`resize`] — resampling for the tile library's ingest and assembly;
 //! * [`metrics`] — MSE/PSNR/SSIM quality metrics used in EXPERIMENTS.md;
 //! * [`kernel`] — runtime-dispatched SAD/SSD byte-row kernels
 //!   (scalar / SSE4.1 / AVX2) behind a process-wide dispatch table.
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod filter;
 pub mod histogram;
 pub mod image;
 pub mod io;

@@ -5,8 +5,8 @@
 //!
 //! A callee counts as bounded when the semantic model resolves it to a
 //! function with a `Deadline` parameter, whatever its name (so
-//! `anneal_search(…, &Deadline)` is checked like any `*_bounded` fn), or
-//! when its name promises a bound.
+//! `augment(…, &Deadline)` is checked like any `*_bounded` fn), or when
+//! its name promises a bound.
 //!
 //! Checks, in order of severity:
 //! * a `*_bounded` function with no `Deadline` parameter (deny) — the
@@ -245,15 +245,15 @@ mod tests {
     fn dropping_the_deadline_at_a_plain_named_deadline_taker_is_flagged() {
         let text = "pub fn step3_bounded(m: &M, deadline: &Deadline) -> R {\n\
                     \x20   deadline.check()?;\n\
-                    \x20   anneal_search(m, 7, &Deadline::NONE)\n\
+                    \x20   augment(m, 7, &Deadline::NONE)\n\
                     }\n\
-                    pub fn anneal_search(m: &M, seed: u64, deadline: &Deadline) -> R {\n\
+                    pub fn augment(m: &M, row: usize, deadline: &Deadline) -> R {\n\
                     \x20   deadline.check()\n\
                     }\n";
         let findings = findings_for(text);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 3);
-        assert!(findings[0].message.contains("`anneal_search`"));
+        assert!(findings[0].message.contains("`augment`"));
         assert!(findings[0].message.contains("drops the deadline"));
     }
 

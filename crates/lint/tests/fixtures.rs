@@ -102,7 +102,7 @@ fn deadline_fixture_flags_the_dropped_forward() {
         vec![9, 12, 18],
         "the two unforwarded calls and the parameterless bounded callee: {findings:?}"
     );
-    for (line, callee) in [(9, "`inner_bounded`"), (18, "`anneal_search`")] {
+    for (line, callee) in [(9, "`inner_bounded`"), (18, "`solve_jv_bounded`")] {
         let dropped = findings
             .iter()
             .find(|f| f.line == line)

@@ -111,9 +111,12 @@ pub(crate) struct Readiness {
     pub readable: bool,
     /// Writable (`EPOLLOUT`).
     pub writable: bool,
-    /// Peer hangup or error (`EPOLLHUP` / `EPOLLERR` / `EPOLLRDHUP`);
-    /// reported even when the registration asked for no events.
+    /// Peer hangup or error (`EPOLLHUP` / `EPOLLERR`); reported even
+    /// when the registration asked for no events.
     pub closed: bool,
+    /// The peer shut down its sending side (`EPOLLRDHUP`); reported only
+    /// to registrations that asked for it.
+    pub half_closed: bool,
 }
 
 /// An owned epoll instance.
@@ -151,13 +154,13 @@ impl Poller {
 
     /// Register `fd` under `token` with the given interest. Hangup and
     /// error readiness is always reported regardless of interest.
-    pub fn add(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, interest_mask(readable, writable), token)
+    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, interest.mask(), token)
     }
 
     /// Replace the interest set of an already-registered `fd`.
-    pub fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, interest_mask(readable, writable), token)
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, interest.mask(), token)
     }
 
     /// Deregister `fd`. Harmless to call right before the fd is closed
@@ -197,7 +200,8 @@ impl Poller {
                 token,
                 readable: mask & EPOLLIN != 0,
                 writable: mask & EPOLLOUT != 0,
-                closed: mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                closed: mask & (EPOLLERR | EPOLLHUP) != 0,
+                half_closed: mask & EPOLLRDHUP != 0,
             });
         }
         Ok(())
@@ -210,17 +214,41 @@ impl Drop for Poller {
     }
 }
 
-fn interest_mask(readable: bool, writable: bool) -> u32 {
-    // EPOLLRDHUP is always on so the loop hears about a peer half-close
-    // even while reads are paused (a job in flight on that connection).
-    let mut mask = EPOLLRDHUP;
-    if readable {
-        mask |= EPOLLIN;
+/// What a registration wants to hear about. Hangups and errors are
+/// always reported.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Interest {
+    /// Readable (`EPOLLIN`).
+    pub read: bool,
+    /// Writable (`EPOLLOUT`).
+    pub write: bool,
+    /// Peer half-close (`EPOLLRDHUP`), for sockets whose reads are
+    /// paused. It is level-triggered, so a registration that keeps it
+    /// after the half-close is reported on every wait.
+    pub half_close: bool,
+}
+
+impl Interest {
+    /// Readable only: listeners, wakers and fresh connections.
+    pub const READ: Interest = Interest {
+        read: true,
+        write: false,
+        half_close: false,
+    };
+
+    fn mask(self) -> u32 {
+        let mut mask = 0;
+        if self.read {
+            mask |= EPOLLIN;
+        }
+        if self.write {
+            mask |= EPOLLOUT;
+        }
+        if self.half_close {
+            mask |= EPOLLRDHUP;
+        }
+        mask
     }
-    if writable {
-        mask |= EPOLLOUT;
-    }
-    mask
 }
 
 /// A nonblocking eventfd other threads write to to wake the event loop
@@ -297,7 +325,7 @@ mod tests {
     fn waker_readiness_round_trip() {
         let poller = Poller::new().unwrap();
         let waker = EventWaker::new().unwrap();
-        poller.add(waker.fd(), 7, true, false).unwrap();
+        poller.add(waker.fd(), 7, Interest::READ).unwrap();
 
         let mut out = Vec::new();
         poller.wait(0, &mut out).unwrap();
@@ -325,7 +353,7 @@ mod tests {
 
         let poller = Poller::new().unwrap();
         poller
-            .add(server_side.as_raw_fd(), 42, true, false)
+            .add(server_side.as_raw_fd(), 42, Interest::READ)
             .unwrap();
 
         let mut out = Vec::new();
@@ -338,18 +366,32 @@ mod tests {
         assert_eq!(out[0].token, 42);
         assert!(out[0].readable);
 
-        // Pause read interest: pending bytes no longer wake the poller.
-        poller
-            .modify(server_side.as_raw_fd(), 42, false, false)
-            .unwrap();
+        // Pause read interest but watch for a half-close: pending bytes
+        // no longer wake the poller.
+        let paused = Interest {
+            read: false,
+            write: false,
+            half_close: true,
+        };
+        poller.modify(server_side.as_raw_fd(), 42, paused).unwrap();
         poller.wait(0, &mut out).unwrap();
         assert!(out.is_empty(), "read interest paused");
 
-        // A vanished peer is reported even with reads paused.
+        // The peer's close is reported as a half-close with reads paused,
+        // and again on every wait until the registration drops the watch.
         drop(client);
-        poller.wait(1000, &mut out).unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].closed, "{:?}", out[0]);
+        for _ in 0..2 {
+            poller.wait(1000, &mut out).unwrap();
+            assert_eq!(out.len(), 1);
+            assert!(out[0].half_closed && !out[0].closed, "{:?}", out[0]);
+        }
+        let silent = Interest {
+            half_close: false,
+            ..paused
+        };
+        poller.modify(server_side.as_raw_fd(), 42, silent).unwrap();
+        poller.wait(0, &mut out).unwrap();
+        assert!(out.is_empty(), "an unwatched half-close stays quiet");
 
         poller.remove(server_side.as_raw_fd()).unwrap();
         poller.wait(0, &mut out).unwrap();
@@ -363,7 +405,12 @@ mod tests {
         client.set_nonblocking(true).unwrap();
 
         let poller = Poller::new().unwrap();
-        poller.add(client.as_raw_fd(), 1, false, true).unwrap();
+        let write = Interest {
+            read: false,
+            write: true,
+            half_close: false,
+        };
+        poller.add(client.as_raw_fd(), 1, write).unwrap();
         let mut out = Vec::new();
         poller.wait(1000, &mut out).unwrap();
         assert_eq!(out.len(), 1);

@@ -12,9 +12,11 @@
 //! Connection lifecycle is level-triggered epoll. Read interest is
 //! dropped while a job is in flight for a connection (one job at a time
 //! per client, matching the threaded oracle's request/response rhythm)
-//! and restored when the reply has been queued. Write interest exists
-//! only while the outbound buffer is non-empty, so an idle connection
-//! costs a hash-map entry and a kernel watch — no thread, no stack.
+//! and restored when the reply has been queued. Meanwhile a hangup
+//! closes the connection, but a half-close is only noted, so the reply
+//! still goes out. Write interest exists only while the outbound buffer
+//! is non-empty, so an idle connection costs a hash-map entry and a
+//! kernel watch — no thread, no stack.
 //!
 //! Shutdown is observed as a flag plus a waker nudge: the loop closes
 //! the listener immediately (later connects are refused) and keeps
@@ -23,7 +25,7 @@
 //! Connections with a job still in flight are kept past the linger
 //! until their reply is delivered, so queued work drains observably.
 
-use crate::epoll::{EventWaker, Poller, Readiness};
+use crate::epoll::{EventWaker, Interest, Poller, Readiness};
 use crate::frontend::{ConnectionPermit, Handler, Reply, ReplyTo};
 use crate::protocol::FrameAccumulator;
 use mosaic_telemetry::lock_unpoisoned;
@@ -115,10 +117,13 @@ struct Conn {
     busy: bool,
     /// Framing trust is lost: stop reading, flush what is queued.
     dead_input: bool,
+    /// The peer shut its sending side while reads were paused; the EOF
+    /// is read once they resume.
+    half_closed: bool,
     last_activity: Instant,
     /// Interest currently registered with the poller, to skip
     /// redundant `EPOLL_CTL_MOD` calls.
-    interest: (bool, bool),
+    interest: Interest,
 }
 
 impl Conn {
@@ -128,6 +133,14 @@ impl Conn {
 
     fn wants_read(&self) -> bool {
         !self.busy && !self.dead_input && !self.close_after_flush
+    }
+
+    fn wants(&self) -> Interest {
+        Interest {
+            read: self.wants_read(),
+            write: self.pending_out(),
+            half_close: self.busy && !self.dead_input && !self.half_closed,
+        }
     }
 }
 
@@ -142,10 +155,10 @@ pub(crate) fn run<H: Handler>(
     handler: Arc<H>,
 ) {
     if poller
-        .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
+        .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
         .is_err()
         || poller
-            .add(board.waker_fd(), WAKER_TOKEN, true, false)
+            .add(board.waker_fd(), WAKER_TOKEN, Interest::READ)
             .is_err()
     {
         // Without a working poller the binary cannot serve; go dark the
@@ -290,18 +303,19 @@ impl<H: Handler> EventLoop<H> {
             close_after_flush: doomed,
             busy: false,
             dead_input: doomed,
+            half_closed: false,
             last_activity: now,
-            interest: (!doomed, doomed),
+            interest: Interest::READ,
         };
+        conn.interest = conn.wants();
         if doomed && (flush_conn(&mut conn, now).is_err() || !conn.pending_out()) {
             return; // fully flushed (or dead): drop closes the socket
         }
         let token = self.next_token;
         self.next_token += 1;
-        let (read, write) = conn.interest;
         if self
             .poller
-            .add(conn.stream.as_raw_fd(), token, read, write)
+            .add(conn.stream.as_raw_fd(), token, conn.interest)
             .is_err()
         {
             return; // drop: the client sees a clean close
@@ -320,7 +334,7 @@ impl<H: Handler> EventLoop<H> {
             if ev.writable {
                 alive = flush_conn(conn, now).is_ok();
             }
-            if alive && (ev.readable || ev.closed) {
+            if alive && (ev.readable || ev.closed || ev.half_closed) {
                 if conn.wants_read() {
                     alive = read_into_conn(conn, token, &self.handler, &self.board, now);
                 } else if ev.closed {
@@ -328,6 +342,11 @@ impl<H: Handler> EventLoop<H> {
                     // flight or doomed rejection): nobody is left to
                     // receive anything we would write.
                     alive = false;
+                } else if ev.half_closed {
+                    // The peer only stopped sending: its reply still goes
+                    // out, and the frames it sent first are answered
+                    // before the EOF, as on the threaded front-end.
+                    conn.half_closed = true;
                 }
             }
         }
@@ -342,11 +361,7 @@ impl<H: Handler> EventLoop<H> {
                 return;
             };
             let close = !alive || (conn.close_after_flush && !conn.pending_out() && !conn.busy);
-            (
-                close,
-                (conn.wants_read(), conn.pending_out()),
-                conn.stream.as_raw_fd(),
-            )
+            (close, conn.wants(), conn.stream.as_raw_fd())
         };
         if close {
             self.close(token);
@@ -356,7 +371,7 @@ impl<H: Handler> EventLoop<H> {
             return;
         };
         if want != conn.interest {
-            if self.poller.modify(fd, token, want.0, want.1).is_ok() {
+            if self.poller.modify(fd, token, want).is_ok() {
                 conn.interest = want;
             } else {
                 self.close(token);

@@ -60,8 +60,8 @@ fi
 
 # Front-end differential suite: the epoll service and the gateway must
 # stay byte-identical to the threaded oracle across the fault scripts
-# (unterminated final frame included), and both must hold the
-# 1000-idle-connection soak. Same passed-count protection against a
+# (unterminated final frame and a half-close with a job in flight
+# included), and both must hold the 1000-idle-connection soak. Same passed-count protection against a
 # renamed or filtered-out suite.
 echo "==> cargo test -q --offline --test frontend_differential"
 frontend_out=$(cargo test -q --offline --test frontend_differential 2>&1) || {
@@ -71,8 +71,8 @@ frontend_out=$(cargo test -q --offline --test frontend_differential 2>&1) || {
 frontend_summary=$(echo "$frontend_out" | grep '^test result:' | tail -1)
 echo "$frontend_summary"
 frontend_passed=$(echo "$frontend_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${frontend_passed:-0}" -lt 7 ]; then
-    echo "error: expected at least 7 front-end differential tests, ran ${frontend_passed:-0}" >&2
+if [ "${frontend_passed:-0}" -lt 8 ]; then
+    echo "error: expected at least 8 front-end differential tests, ran ${frontend_passed:-0}" >&2
     exit 1
 fi
 
@@ -141,9 +141,10 @@ passed_gate 2 "gateway verbatim-forwarding tests" --test gateway_fleet verbatim_
 passed_gate 1 "synth size-bound decode tests" -p photomosaic --lib synth_size_bound
 passed_gate 1 "synth size-bound fleet tests" --test gateway_fleet synth_size_bound
 
-# An anneal job polls the per-job deadline every sweep, so a huge
-# sweep budget from the wire cannot hold a worker past the deadline.
-passed_gate 1 "anneal deadline test" --test service_integration fault_anneal
+# An exact optimal job polls the per-job deadline before every
+# Jonker-Volgenant augmentation, so an S = 4096 solve from the wire
+# cannot hold a worker for seconds past the deadline.
+passed_gate 1 "optimal deadline test" --test service_integration fault_optimal
 
 # Step 2: every backend (serial, pool at 1/2/3/7 threads, simulated
 # GPU) must stay bit-identical to the view-based scalar oracle for

@@ -106,7 +106,7 @@ fn every_algorithm_flag_works_end_to_end() {
         target.to_str().unwrap(),
     ])
     .unwrap();
-    for algorithm in ["optimal", "local", "parallel", "greedy", "anneal"] {
+    for algorithm in ["optimal", "local", "parallel", "greedy"] {
         let out = dir.join(format!("{algorithm}.pgm"));
         run(&[
             "generate",

@@ -11,7 +11,7 @@
 use mosaic_gateway::{Fleet, GatewayConfig};
 use mosaic_image::synth::Scene;
 use mosaic_service::fault::{disconnect_mid_frame, stalled_connection_is_closed};
-use mosaic_service::protocol::Response;
+use mosaic_service::protocol::{encode_line, Request, Response};
 use mosaic_service::{Client, FrontEnd, Server, ServiceConfig};
 use photomosaic::{Backend, ImageSource, JobSpec, Json, MosaicBuilder};
 use std::io::{Read, Write};
@@ -356,6 +356,42 @@ fn differential_generation_results_are_byte_identical() {
         running.stop();
     }
     assert_all_identical("result JSON", &encodings);
+}
+
+/// A client that sends a job and a ping and then half-closes, while the
+/// job is still in flight, gets both replies from every target before
+/// the connection closes.
+#[test]
+fn differential_half_close_with_a_job_in_flight_still_gets_every_reply() {
+    let mut payload = encode_line(&Request::Submit(Box::new(spec(Scene::Fur, 43, 8))).to_json());
+    payload.extend_from_slice(b"{\"op\":\"ping\"}\n");
+    let mut replies = Vec::new();
+    for target in TARGETS {
+        let running = target.start(ServiceConfig::default());
+        let stream = raw_exchange(running.addr(), &payload);
+        let mut lines = stream.split_inclusive(|&b| b == b'\n');
+        let result = lines.next().map(|line| {
+            let reply =
+                Response::from_json(&Json::parse(std::str::from_utf8(line).unwrap()).unwrap());
+            let Ok(Response::Result { result }) = reply else {
+                panic!("{target:?}: expected a result, got {reply:?}");
+            };
+            // Only the report's wall-clock timings may differ.
+            (
+                result.get("image").expect("image").encode(),
+                result.get("assignment").expect("assignment").encode(),
+            )
+        });
+        replies.push((result, lines.map(<[u8]>::to_vec).collect::<Vec<_>>()));
+        running.stop();
+    }
+    assert!(
+        replies[0].0.is_some(),
+        "{:?} dropped the job reply",
+        TARGETS[0]
+    );
+    assert_eq!(replies[0].1, vec![b"{\"kind\":\"pong\"}\n".to_vec()]);
+    assert_all_identical("half-close replies", &replies);
 }
 
 /// The scale target: a thousand idle connections held open by the

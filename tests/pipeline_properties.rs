@@ -74,12 +74,14 @@ fn optimal_bounds_every_other_algorithm() {
                 .total_error
         };
         let optimal = run(Algorithm::Optimal(mosaic_assign::SolverKind::Hungarian));
-        let anneal = run(Algorithm::Anneal { seed: 1, sweeps: 2 });
+        let jv = run(Algorithm::Optimal(
+            mosaic_assign::SolverKind::JonkerVolgenant,
+        ));
         let blossom = run(Algorithm::Optimal(mosaic_assign::SolverKind::Blossom));
         assert!(run(Algorithm::LocalSearch) >= optimal, "seed {seed}");
         assert!(run(Algorithm::ParallelSearch) >= optimal, "seed {seed}");
         assert!(run(Algorithm::Greedy) >= optimal, "seed {seed}");
-        assert!(anneal >= optimal, "seed {seed}");
+        assert_eq!(jv, optimal, "seed {seed}");
         assert_eq!(blossom, optimal, "seed {seed}");
     }
 }

@@ -2,6 +2,7 @@
 //! ephemeral port, concurrent clients over TCP, error-matrix cache
 //! reuse, bounded-queue rejection, and graceful shutdown.
 
+use mosaic_assign::SolverKind;
 use mosaic_grid::TileMetric;
 use mosaic_image::synth::Scene;
 use mosaic_service::fault::{
@@ -457,54 +458,56 @@ fn fault_stalled_worker_hits_the_deadline_while_others_drain() {
     server.join();
 }
 
-/// An `anneal` job with an effectively endless sweep budget still honours
-/// the per-job deadline: the search polls it before every sweep, so the
-/// only worker answers `deadline_exceeded` and is then free for the next
-/// job. Step 2 at S = 1024 on 64 px images takes a few ms, so the expiry
-/// lands inside Step 3.
+/// An exact `optimal` job at S = 4096 holds a worker for seconds of
+/// Jonker–Volgenant augmentation, yet still honours the per-job deadline:
+/// the solve polls it before every free-row augmentation, so the only
+/// worker answers `deadline_exceeded` and is then free for the next job.
+///
+/// The deadline has to land inside Step 3. Step 2 of this job takes about
+/// 0.15 s optimised but about 4 s in an unoptimised test build, so the
+/// deadline is 200 ms in the former and 7 s in the latter; the solve
+/// itself runs for many seconds under either profile.
 #[test]
-fn fault_anneal_respects_job_deadline() {
+fn fault_optimal_respects_job_deadline() {
+    let deadline_ms = if cfg!(debug_assertions) { 7_000 } else { 200 };
     let server = Server::start(ServiceConfig {
         workers: 1,
-        job_deadline_ms: 200,
+        job_deadline_ms: deadline_ms,
         ..ServiceConfig::default()
     })
     .unwrap();
     let addr = server.local_addr();
-    let endless = JobSpec {
+    let exact = JobSpec {
         input: ImageSource::Synth {
-            scene: Scene::Portrait,
-            size: 64,
-            seed: 60,
+            scene: Scene::Fur,
+            size: 256,
+            seed: 11,
         },
         target: ImageSource::Synth {
-            scene: Scene::Regatta,
-            size: 64,
-            seed: 160,
+            scene: Scene::Checker,
+            size: 256,
+            seed: 12,
         },
         config: MosaicBuilder::new()
-            .grid(32)
-            .algorithm(Algorithm::Anneal {
-                seed: 1,
-                sweeps: 1 << 40,
-            })
-            .backend(Backend::Serial)
+            .grid(64)
+            .algorithm(Algorithm::Optimal(SolverKind::JonkerVolgenant))
+            .backend(Backend::Threads(2))
             .build(),
     };
 
-    // The receive timeout turns a search that never polls the deadline
+    // The receive timeout turns a solve that never polls the deadline
     // into a failure instead of a hung test.
     let (tx, rx) = std::sync::mpsc::channel();
     let submitter = std::thread::spawn(move || {
-        let reply = Client::connect(addr).and_then(|mut client| client.submit(&endless));
+        let reply = Client::connect(addr).and_then(|mut client| client.submit(&exact));
         let _ = tx.send(reply);
     });
     let reply = rx
         .recv_timeout(Duration::from_secs(10))
-        .expect("the anneal job ran past its 200 ms deadline for 10 s")
+        .expect("the optimal job ran past its deadline for 10 s")
         .unwrap();
     submitter.join().expect("client thread panicked");
-    assert_eq!(reply, Response::DeadlineExceeded { deadline_ms: 200 });
+    assert_eq!(reply, Response::DeadlineExceeded { deadline_ms });
 
     let mut client = Client::connect(addr).unwrap();
     decode_result(client.submit(&spec(Scene::Fur, 61, 4)).unwrap());
