@@ -12,54 +12,26 @@
 //! interesting to contrast with Hungarian/JV on the mosaic's error
 //! matrices.
 
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
-
-/// Exact ε-scaling auction solver.
-#[derive(Copy, Clone, Debug)]
-pub struct AuctionSolver {
-    /// Factor by which ε shrinks between scaling phases (≥ 2).
-    pub scaling_factor: i64,
-}
-
-impl Default for AuctionSolver {
-    fn default() -> Self {
-        AuctionSolver { scaling_factor: 4 }
-    }
-}
-
-impl Solver for AuctionSolver {
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let row_to_col = solve_auction(cost, self.scaling_factor.max(2));
-        Assignment::new(cost, row_to_col)
-    }
-
-    fn name(&self) -> &'static str {
-        "auction"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-}
+use mosaic_grid::ErrorMatrix;
 
 const UNASSIGNED: usize = usize::MAX;
 
-/// Core auction routine returning `row_to_col`.
+/// Auction solve of `matrix`, returning `assignment[v] = u`. ε shrinks
+/// by `scaling_factor` (at least 2) between scaling phases.
 // Index loops mirror the textbook auction pseudo-code.
 #[allow(clippy::needless_range_loop)]
-pub fn solve_auction(cost: &CostMatrix, scaling_factor: i64) -> Vec<usize> {
-    let n = cost.size();
+pub fn solve_auction(matrix: &ErrorMatrix, scaling_factor: i64) -> Vec<usize> {
+    let n = matrix.size();
     if n == 1 {
         return vec![0];
     }
+    let scaling_factor = scaling_factor.max(2);
     let scale = (n + 1) as i64;
-    let c_max = i64::from(cost.max_entry());
+    let c_max = i64::from(matrix.as_slice().iter().copied().max().unwrap_or(0));
     // benefit[i][j] = (C_max - cost[i][j]) * (n+1), all >= 0.
-    let benefit = |i: usize, j: usize| -> i64 { (c_max - i64::from(cost.get(i, j))) * scale };
+    let benefit = |i: usize, j: usize| -> i64 { (c_max - i64::from(matrix.get(i, j))) * scale };
 
     let mut price = vec![0i64; n];
-    let mut row_to_col = vec![UNASSIGNED; n];
     let mut col_to_row = vec![UNASSIGNED; n];
 
     // ε starts near the largest scaled benefit and shrinks to 1.
@@ -67,7 +39,6 @@ pub fn solve_auction(cost: &CostMatrix, scaling_factor: i64) -> Vec<usize> {
     loop {
         // Restart the assignment each phase (standard ε-scaling keeps the
         // prices, discards the matching).
-        row_to_col.iter_mut().for_each(|v| *v = UNASSIGNED);
         col_to_row.iter_mut().for_each(|v| *v = UNASSIGNED);
         let mut free: Vec<usize> = (0..n).collect();
 
@@ -94,11 +65,9 @@ pub fn solve_auction(cost: &CostMatrix, scaling_factor: i64) -> Vec<usize> {
             // Displace the current owner, if any.
             let prev = col_to_row[best_j];
             if prev != UNASSIGNED {
-                row_to_col[prev] = UNASSIGNED;
                 free.push(prev);
             }
             col_to_row[best_j] = i;
-            row_to_col[i] = best_j;
         }
 
         if eps == 1 {
@@ -107,28 +76,32 @@ pub fn solve_auction(cost: &CostMatrix, scaling_factor: i64) -> Vec<usize> {
         eps = (eps / scaling_factor).max(1);
     }
 
-    debug_assert!(row_to_col.iter().all(|&c| c != UNASSIGNED));
-    row_to_col
+    debug_assert!(col_to_row.iter().all(|&r| r != UNASSIGNED));
+    col_to_row
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_total;
-    use crate::hungarian::optimal_total;
+    use crate::brute::solve_brute;
+    use crate::testutil::{checked_total, from_fn, optimal_total};
+
+    fn total(cost: &ErrorMatrix, scaling_factor: i64) -> u64 {
+        checked_total(cost, &solve_auction(cost, scaling_factor))
+    }
 
     #[test]
     fn trivial_sizes() {
-        let cost = CostMatrix::from_vec(1, vec![9]);
-        assert_eq!(AuctionSolver::default().solve(&cost).total(), 9);
-        let cost = CostMatrix::from_vec(2, vec![1, 100, 100, 1]);
-        assert_eq!(AuctionSolver::default().solve(&cost).total(), 2);
+        let cost = ErrorMatrix::from_vec(1, vec![9]);
+        assert_eq!(total(&cost, 4), 9);
+        let cost = ErrorMatrix::from_vec(2, vec![1, 100, 100, 1]);
+        assert_eq!(total(&cost, 4), 2);
     }
 
     #[test]
     fn textbook_three_by_three() {
-        let cost = CostMatrix::from_vec(3, vec![4, 1, 3, 2, 0, 5, 3, 2, 2]);
-        assert_eq!(AuctionSolver::default().solve(&cost).total(), 5);
+        let cost = ErrorMatrix::from_vec(3, vec![4, 1, 3, 2, 0, 5, 3, 2, 2]);
+        assert_eq!(total(&cost, 4), 5);
     }
 
     #[test]
@@ -143,9 +116,9 @@ mod tests {
         for n in 2..=6 {
             for case in 0..15 {
                 let data: Vec<u32> = (0..n * n).map(|_| (next() % 200) as u32).collect();
-                let cost = CostMatrix::from_vec(n, data);
-                let a = AuctionSolver::default().solve(&cost);
-                assert_eq!(a.total(), brute_force_total(&cost), "n={n} case={case}");
+                let cost = ErrorMatrix::from_vec(n, data);
+                let brute = cost.assignment_total(&solve_brute(&cost));
+                assert_eq!(total(&cost, 4), brute, "n={n} case={case}");
             }
         }
     }
@@ -161,22 +134,21 @@ mod tests {
         };
         for &n in &[12usize, 25, 40] {
             let data: Vec<u32> = (0..n * n).map(|_| (next() % 5_000) as u32).collect();
-            let cost = CostMatrix::from_vec(n, data);
-            let a = AuctionSolver::default().solve(&cost);
-            assert_eq!(a.total(), optimal_total(&cost), "n={n}");
+            let cost = ErrorMatrix::from_vec(n, data);
+            assert_eq!(total(&cost, 4), optimal_total(&cost), "n={n}");
         }
     }
 
     #[test]
     fn constant_matrix_terminates() {
-        let cost = CostMatrix::from_fn(10, |_, _| 77);
-        assert_eq!(AuctionSolver::default().solve(&cost).total(), 770);
+        let cost = from_fn(10, |_, _| 77);
+        assert_eq!(total(&cost, 4), 770);
     }
 
     #[test]
     fn all_zero_matrix_terminates() {
-        let cost = CostMatrix::from_fn(10, |_, _| 0);
-        assert_eq!(AuctionSolver::default().solve(&cost).total(), 0);
+        let cost = from_fn(10, |_, _| 0);
+        assert_eq!(total(&cost, 4), 0);
     }
 
     #[test]
@@ -189,15 +161,7 @@ mod tests {
             state
         };
         let data: Vec<u32> = (0..20 * 20).map(|_| (next() % 1_000) as u32).collect();
-        let cost = CostMatrix::from_vec(20, data);
-        let fast = AuctionSolver { scaling_factor: 64 };
-        assert_eq!(fast.solve(&cost).total(), optimal_total(&cost));
-    }
-
-    #[test]
-    fn solver_metadata() {
-        let s = AuctionSolver::default();
-        assert_eq!(s.name(), "auction");
-        assert!(s.is_exact());
+        let cost = ErrorMatrix::from_vec(20, data);
+        assert_eq!(total(&cost, 64), optimal_total(&cost));
     }
 }

@@ -18,10 +18,9 @@
 //! Correctness is certified in the tests against a bitmask-DP oracle
 //! (exact, n ≤ 14) on random general graphs and against the bipartite
 //! solvers through the same 2S-vertex embedding the paper used
-//! ([`BlossomSolver`]).
+//! ([`solve_blossom`]).
 
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
+use mosaic_grid::ErrorMatrix;
 use std::collections::VecDeque;
 
 const INF: i64 = i64::MAX / 4;
@@ -468,48 +467,34 @@ pub fn min_weight_perfect_matching(weights: &[Vec<i64>]) -> (Vec<usize>, u64) {
     (mate, total as u64)
 }
 
-/// Assignment solver that solves the bipartite instance **as the paper
-/// did**: embed the S×S cost matrix into a general graph on 2S vertices
-/// (left tile `i` ↔ vertex `i`, target position `j` ↔ vertex `S+j`;
-/// same-side edges get a prohibitive weight) and run the blossom
-/// algorithm. Returns the same optimum as Hungarian/JV — the cross-check
-/// that certifies the DESIGN.md §2 substitution both ways.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct BlossomSolver;
-
-impl Solver for BlossomSolver {
-    // Symmetric matrix fills read clearest as index loops.
-    #[allow(clippy::needless_range_loop)]
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let s = cost.size();
-        let n = 2 * s;
-        // Same-side weight: larger than any perfect matching could save.
-        let forbid = i64::from(cost.max_entry()) * s as i64 + 1;
-        let mut weights = vec![vec![forbid; n]; n];
-        for i in 0..s {
-            for j in 0..s {
-                let w = i64::from(cost.get(i, j));
-                weights[i][s + j] = w;
-                weights[s + j][i] = w;
-            }
+/// Solve the assignment instance **as the paper did**: embed the S×S
+/// matrix into a general graph on 2S vertices (input tile `u` ↔ vertex
+/// `u`, target position `v` ↔ vertex `S+v`; same-side edges get a
+/// prohibitive weight) and run the blossom algorithm. Returns
+/// `assignment[v] = u`, with the same optimum as Hungarian/JV — the
+/// cross-check that certifies the DESIGN.md §2 substitution both ways.
+// Symmetric matrix fills read clearest as index loops.
+#[allow(clippy::needless_range_loop)]
+pub fn solve_blossom(matrix: &ErrorMatrix) -> Vec<usize> {
+    let s = matrix.size();
+    let n = 2 * s;
+    // Same-side weight: larger than any perfect matching could save.
+    let max_entry = matrix.as_slice().iter().copied().max().unwrap_or(0);
+    let forbid = i64::from(max_entry) * s as i64 + 1;
+    let mut weights = vec![vec![forbid; n]; n];
+    for i in 0..s {
+        for j in 0..s {
+            let w = i64::from(matrix.get(i, j));
+            weights[i][s + j] = w;
+            weights[s + j][i] = w;
         }
-        let (mate, _) = min_weight_perfect_matching(&weights);
-        let mut row_to_col = vec![0usize; s];
-        for (i, slot) in row_to_col.iter_mut().enumerate() {
-            let m = mate[i];
-            debug_assert!(m >= s, "optimal matching never uses same-side edges");
-            *slot = m - s;
-        }
-        Assignment::new(cost, row_to_col)
     }
-
-    fn name(&self) -> &'static str {
-        "blossom"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
+    let (mate, _) = min_weight_perfect_matching(&weights);
+    debug_assert!(
+        mate[s..].iter().all(|&u| u < s),
+        "optimal matching never uses same-side edges"
+    );
+    mate[s..].to_vec()
 }
 
 /// Exact bitmask-DP oracle for minimum-weight perfect matching, O(2ⁿ·n).
@@ -545,7 +530,7 @@ pub fn oracle_min_perfect_matching(weights: &[Vec<i64>]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungarian::HungarianSolver;
+    use crate::testutil::{checked_total, optimal_total};
 
     fn rng(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed | 1;
@@ -700,17 +685,10 @@ mod tests {
         for n in [2usize, 5, 10, 20] {
             for case in 0..4 {
                 let data: Vec<u32> = (0..n * n).map(|_| (next() % 10_000) as u32).collect();
-                let cost = CostMatrix::from_vec(n, data);
-                let blossom = BlossomSolver.solve(&cost);
-                let hungarian = HungarianSolver.solve(&cost);
-                assert_eq!(blossom.total(), hungarian.total(), "n={n} case={case}");
+                let cost = ErrorMatrix::from_vec(n, data);
+                let blossom = checked_total(&cost, &solve_blossom(&cost));
+                assert_eq!(blossom, optimal_total(&cost), "n={n} case={case}");
             }
         }
-    }
-
-    #[test]
-    fn solver_metadata() {
-        assert_eq!(BlossomSolver.name(), "blossom");
-        assert!(BlossomSolver.is_exact());
     }
 }

@@ -4,44 +4,24 @@
 //! Exponential, so capped at `n ≤ MAX_BRUTE_N`; used by unit and property
 //! tests to certify the polynomial solvers.
 
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
+use mosaic_grid::ErrorMatrix;
 
 /// Largest instance the brute-force solver accepts.
 pub const MAX_BRUTE_N: usize = 10;
 
-/// Exhaustive exact solver for tiny instances.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct BruteForceSolver;
-
-impl Solver for BruteForceSolver {
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let mapping = solve_brute(cost);
-        Assignment::new(cost, mapping)
-    }
-
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-}
-
-/// Core routine returning the best `row_to_col`.
+/// The best `assignment[v] = u` over every permutation of `0..S`.
 ///
 /// # Panics
-/// Panics when `cost.size() > MAX_BRUTE_N`.
-pub fn solve_brute(cost: &CostMatrix) -> Vec<usize> {
-    let n = cost.size();
+/// Panics when `matrix.size() > MAX_BRUTE_N`.
+pub fn solve_brute(matrix: &ErrorMatrix) -> Vec<usize> {
+    let n = matrix.size();
     assert!(
         n <= MAX_BRUTE_N,
         "brute force capped at n <= {MAX_BRUTE_N}, got {n}"
     );
     let mut perm: Vec<usize> = (0..n).collect();
     let mut best = perm.clone();
-    let mut best_total = cost.total(&perm);
+    let mut best_total = matrix.assignment_total(&perm);
 
     // Heap's algorithm, iterative form.
     let mut counters = vec![0usize; n];
@@ -53,7 +33,7 @@ pub fn solve_brute(cost: &CostMatrix) -> Vec<usize> {
             } else {
                 perm.swap(counters[i], i);
             }
-            let total = cost.total(&perm);
+            let total = matrix.assignment_total(&perm);
             if total < best_total {
                 best_total = total;
                 best.copy_from_slice(&perm);
@@ -68,39 +48,36 @@ pub fn solve_brute(cost: &CostMatrix) -> Vec<usize> {
     best
 }
 
-/// Optimal total only.
-pub fn brute_force_total(cost: &CostMatrix) -> u64 {
-    let mapping = solve_brute(cost);
-    cost.total(&mapping)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{checked_total, from_fn};
+
+    fn brute_force_total(cost: &ErrorMatrix) -> u64 {
+        checked_total(cost, &solve_brute(cost))
+    }
 
     #[test]
     fn one_by_one() {
-        let cost = CostMatrix::from_vec(1, vec![3]);
+        let cost = ErrorMatrix::from_vec(1, vec![3]);
         assert_eq!(brute_force_total(&cost), 3);
     }
 
     #[test]
     fn two_by_two_picks_cheaper_diagonal() {
         // diag = 1+1 = 2, anti = 100+100.
-        let cost = CostMatrix::from_vec(2, vec![1, 100, 100, 1]);
-        let a = BruteForceSolver.solve(&cost);
-        assert_eq!(a.total(), 2);
-        assert_eq!(a.row_to_col(), &[0, 1]);
+        let cost = ErrorMatrix::from_vec(2, vec![1, 100, 100, 1]);
+        assert_eq!(brute_force_total(&cost), 2);
+        assert_eq!(solve_brute(&cost), [0, 1]);
         // anti cheaper now
-        let cost = CostMatrix::from_vec(2, vec![100, 1, 1, 100]);
-        let a = BruteForceSolver.solve(&cost);
-        assert_eq!(a.total(), 2);
-        assert_eq!(a.row_to_col(), &[1, 0]);
+        let cost = ErrorMatrix::from_vec(2, vec![100, 1, 1, 100]);
+        assert_eq!(brute_force_total(&cost), 2);
+        assert_eq!(solve_brute(&cost), [1, 0]);
     }
 
     #[test]
     fn four_by_four_known_optimum() {
-        let cost = CostMatrix::from_vec(
+        let cost = ErrorMatrix::from_vec(
             4,
             vec![
                 9, 2, 7, 8, //
@@ -110,28 +87,21 @@ mod tests {
             ],
         );
         // Known optimum: 2 + 6 + 1 + 4 = 13 (r0->c1, r1->c0, r2->c2, r3->c3).
-        let a = BruteForceSolver.solve(&cost);
-        assert_eq!(a.total(), 13);
-        assert_eq!(a.row_to_col(), &[1, 0, 2, 3]);
+        assert_eq!(brute_force_total(&cost), 13);
+        assert_eq!(solve_brute(&cost), [1, 0, 2, 3]);
     }
 
     #[test]
     fn explores_all_permutations() {
         // A matrix where the unique optimum needs a non-trivial permutation.
-        let cost = CostMatrix::from_fn(5, |r, c| if (r + 2) % 5 == c { 0 } else { 10 });
+        let cost = from_fn(5, |r, c| if (r + 2) % 5 == c { 0 } else { 10 });
         assert_eq!(brute_force_total(&cost), 0);
     }
 
     #[test]
     #[should_panic(expected = "capped")]
     fn oversized_instance_panics() {
-        let cost = CostMatrix::from_fn(MAX_BRUTE_N + 1, |_, _| 0);
+        let cost = ErrorMatrix::zeros(MAX_BRUTE_N + 1);
         let _ = solve_brute(&cost);
-    }
-
-    #[test]
-    fn solver_metadata() {
-        assert_eq!(BruteForceSolver.name(), "brute-force");
-        assert!(BruteForceSolver.is_exact());
     }
 }

@@ -7,50 +7,30 @@
 //! strategy of classic database photomosaics (paper §I), restricted to a
 //! bijection.
 
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
-
-/// Greedy (non-exact) solver.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct GreedySolver;
-
-impl Solver for GreedySolver {
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let row_to_col = solve_greedy(cost);
-        Assignment::new(cost, row_to_col)
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-}
+use mosaic_grid::ErrorMatrix;
 
 const UNASSIGNED: usize = usize::MAX;
 
-/// Core greedy routine returning `row_to_col`.
+/// Greedy matching of `matrix`, returning `assignment[v] = u`.
 ///
-/// Ties are broken by `(row, col)` order, so the result is deterministic.
-pub fn solve_greedy(cost: &CostMatrix) -> Vec<usize> {
-    let n = cost.size();
+/// Ties are broken by `(u, v)` order, so the result is deterministic.
+pub fn solve_greedy(matrix: &ErrorMatrix) -> Vec<usize> {
+    let n = matrix.size();
     let mut pairs: Vec<(u32, usize, usize)> = Vec::with_capacity(n * n);
-    for r in 0..n {
-        for (c, &value) in cost.row(r).iter().enumerate() {
-            pairs.push((value, r, c));
+    for u in 0..n {
+        for (v, &value) in matrix.row(u).iter().enumerate() {
+            pairs.push((value, u, v));
         }
     }
     pairs.sort_unstable();
 
-    let mut row_to_col = vec![UNASSIGNED; n];
-    let mut col_taken = vec![false; n];
+    let mut assignment = vec![UNASSIGNED; n];
+    let mut tile_taken = vec![false; n];
     let mut matched = 0usize;
-    for (_, r, c) in pairs {
-        if row_to_col[r] == UNASSIGNED && !col_taken[c] {
-            row_to_col[r] = c;
-            col_taken[c] = true;
+    for (_, u, v) in pairs {
+        if !tile_taken[u] && assignment[v] == UNASSIGNED {
+            assignment[v] = u;
+            tile_taken[u] = true;
             matched += 1;
             if matched == n {
                 break;
@@ -58,34 +38,37 @@ pub fn solve_greedy(cost: &CostMatrix) -> Vec<usize> {
         }
     }
     debug_assert_eq!(matched, n, "greedy over all pairs always completes");
-    row_to_col
+    assignment
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungarian::optimal_total;
+    use crate::testutil::{checked_total, from_fn, optimal_total};
+    use mosaic_grid::assemble::is_permutation;
+
+    fn total(cost: &ErrorMatrix) -> u64 {
+        checked_total(cost, &solve_greedy(cost))
+    }
 
     #[test]
     fn greedy_is_a_permutation() {
-        let cost = CostMatrix::from_fn(8, |r, c| ((r * 13 + c * 7) % 19) as u32);
-        let a = GreedySolver.solve(&cost);
-        assert_eq!(a.len(), 8);
+        let cost = from_fn(8, |r, c| ((r * 13 + c * 7) % 19) as u32);
+        assert!(is_permutation(&solve_greedy(&cost), 8));
     }
 
     #[test]
     fn greedy_finds_trivial_optimum() {
-        let cost = CostMatrix::from_fn(5, |r, c| if r == c { 0 } else { 10 });
-        assert_eq!(GreedySolver.solve(&cost).total(), 0);
+        let cost = from_fn(5, |r, c| if r == c { 0 } else { 10 });
+        assert_eq!(total(&cost), 0);
     }
 
     #[test]
     fn greedy_is_suboptimal_on_adversarial_instance() {
         // Taking the globally cheapest edge (0,0)=0 forces cost 100 later:
         // greedy total = 0 + 100, optimal = 1 + 2.
-        let cost = CostMatrix::from_vec(2, vec![0, 1, 2, 100]);
-        let greedy = GreedySolver.solve(&cost);
-        assert_eq!(greedy.total(), 100);
+        let cost = ErrorMatrix::from_vec(2, vec![0, 1, 2, 100]);
+        assert_eq!(total(&cost), 100);
         assert_eq!(optimal_total(&cost), 3);
     }
 
@@ -100,8 +83,8 @@ mod tests {
         };
         for &n in &[5usize, 12, 30] {
             let data: Vec<u32> = (0..n * n).map(|_| (next() % 1_000) as u32).collect();
-            let cost = CostMatrix::from_vec(n, data);
-            let g = GreedySolver.solve(&cost).total();
+            let cost = ErrorMatrix::from_vec(n, data);
+            let g = total(&cost);
             let opt = optimal_total(&cost);
             assert!(g >= opt, "greedy {g} < optimal {opt}?!");
         }
@@ -109,17 +92,11 @@ mod tests {
 
     #[test]
     fn deterministic_under_ties() {
-        let cost = CostMatrix::from_fn(6, |_, _| 3);
+        let cost = from_fn(6, |_, _| 3);
         let a = solve_greedy(&cost);
         let b = solve_greedy(&cost);
         assert_eq!(a, b);
-        // Tie-break by (row, col): identity assignment.
+        // Tie-break by (u, v): identity assignment.
         assert_eq!(a, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn solver_metadata() {
-        assert_eq!(GreedySolver.name(), "greedy");
-        assert!(!GreedySolver.is_exact());
     }
 }

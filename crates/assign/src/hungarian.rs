@@ -7,35 +7,15 @@
 //! a free column. Each of the `n` phases costs O(n²), giving O(n³) total —
 //! the complexity the paper quotes for Kuhn–Munkres.
 
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
+use mosaic_grid::ErrorMatrix;
 
-/// Exact Kuhn–Munkres solver.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct HungarianSolver;
-
-impl Solver for HungarianSolver {
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let row_to_col = solve_hungarian(cost);
-        Assignment::new(cost, row_to_col)
-    }
-
-    fn name(&self) -> &'static str {
-        "hungarian"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-}
-
-/// Core routine returning `row_to_col`.
+/// Solve `matrix` exactly, returning `assignment[v] = u`.
 ///
 /// Internally 1-based with index 0 as the sentinel "virtual" column/row,
 /// the classical formulation of the shortest-augmenting-path Hungarian
 /// algorithm.
-pub fn solve_hungarian(cost: &CostMatrix) -> Vec<usize> {
-    let n = cost.size();
+pub fn solve_hungarian(matrix: &ErrorMatrix) -> Vec<usize> {
+    let n = matrix.size();
     const INF: i64 = i64::MAX / 4;
 
     // Potentials for rows (u) and columns (v); p[j] = row matched to
@@ -56,7 +36,7 @@ pub fn solve_hungarian(cost: &CostMatrix) -> Vec<usize> {
             let i0 = p[j0];
             let mut delta = INF;
             let mut j1 = 0usize;
-            let row = cost.row(i0 - 1);
+            let row = matrix.row(i0 - 1);
             for j in 1..=n {
                 if !used[j] {
                     let cur = i64::from(row[j - 1]) - u[i0] - v[j];
@@ -95,64 +75,56 @@ pub fn solve_hungarian(cost: &CostMatrix) -> Vec<usize> {
         }
     }
 
-    let mut row_to_col = vec![usize::MAX; n];
-    for j in 1..=n {
-        debug_assert_ne!(p[j], 0, "every column must be matched");
-        row_to_col[p[j] - 1] = j - 1;
-    }
-    debug_assert!(row_to_col.iter().all(|&c| c != usize::MAX));
-    row_to_col
-}
-
-/// The optimal total without materializing the assignment; convenience for
-/// tests.
-pub fn optimal_total(cost: &CostMatrix) -> u64 {
-    let mapping = solve_hungarian(cost);
-    cost.total(&mapping)
+    // p[j] is column j's row, which is the assignment shifted by the
+    // sentinel.
+    debug_assert!(
+        p[1..].iter().all(|&i| i != 0),
+        "every column must be matched"
+    );
+    p[1..].iter().map(|&i| i - 1).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_total;
+    use crate::brute::solve_brute;
+    use crate::testutil::{checked_total, from_fn};
+
+    fn total(cost: &ErrorMatrix) -> u64 {
+        checked_total(cost, &solve_hungarian(cost))
+    }
 
     #[test]
     fn trivial_one_by_one() {
-        let cost = CostMatrix::from_vec(1, vec![7]);
-        let a = HungarianSolver.solve(&cost);
-        assert_eq!(a.row_to_col(), &[0]);
-        assert_eq!(a.total(), 7);
+        let cost = ErrorMatrix::from_vec(1, vec![7]);
+        assert_eq!(solve_hungarian(&cost), [0]);
     }
 
     #[test]
     fn textbook_three_by_three() {
         // Classic example: optimal total is 5 (0->1 (1), 1->0 (2), 2->2 (2)).
-        let cost = CostMatrix::from_vec(3, vec![4, 1, 3, 2, 0, 5, 3, 2, 2]);
-        let a = HungarianSolver.solve(&cost);
-        assert_eq!(a.total(), 5);
+        let cost = ErrorMatrix::from_vec(3, vec![4, 1, 3, 2, 0, 5, 3, 2, 2]);
+        assert_eq!(total(&cost), 5);
     }
 
     #[test]
     fn identity_diagonal_of_zeros() {
-        let cost = CostMatrix::from_fn(5, |r, c| if r == c { 0 } else { 100 });
-        let a = HungarianSolver.solve(&cost);
-        assert_eq!(a.total(), 0);
-        assert_eq!(a.row_to_col(), &[0, 1, 2, 3, 4]);
+        let cost = from_fn(5, |r, c| if r == c { 0 } else { 100 });
+        assert_eq!(total(&cost), 0);
+        assert_eq!(solve_hungarian(&cost), [0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn anti_diagonal_optimum() {
-        let cost = CostMatrix::from_fn(4, |r, c| if r + c == 3 { 1 } else { 50 });
-        let a = HungarianSolver.solve(&cost);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.row_to_col(), &[3, 2, 1, 0]);
+        let cost = from_fn(4, |r, c| if r + c == 3 { 1 } else { 50 });
+        assert_eq!(total(&cost), 4);
+        assert_eq!(solve_hungarian(&cost), [3, 2, 1, 0]);
     }
 
     #[test]
     fn constant_matrix_any_permutation_is_optimal() {
-        let cost = CostMatrix::from_fn(6, |_, _| 9);
-        let a = HungarianSolver.solve(&cost);
-        assert_eq!(a.total(), 6 * 9);
+        let cost = from_fn(6, |_, _| 9);
+        assert_eq!(total(&cost), 6 * 9);
     }
 
     #[test]
@@ -167,24 +139,16 @@ mod tests {
         for n in 2..=7 {
             for _ in 0..20 {
                 let data: Vec<u32> = (0..n * n).map(|_| (next() % 1000) as u32).collect();
-                let cost = CostMatrix::from_vec(n, data);
-                let hung = HungarianSolver.solve(&cost);
-                let brute = brute_force_total(&cost);
-                assert_eq!(hung.total(), brute, "n={n}");
+                let cost = ErrorMatrix::from_vec(n, data);
+                let brute = cost.assignment_total(&solve_brute(&cost));
+                assert_eq!(total(&cost), brute, "n={n}");
             }
         }
     }
 
     #[test]
     fn handles_large_entries_without_overflow() {
-        let cost = CostMatrix::from_fn(4, |r, c| if r == c { u32::MAX - 10 } else { u32::MAX });
-        let a = HungarianSolver.solve(&cost);
-        assert_eq!(a.total(), 4 * (u64::from(u32::MAX) - 10));
-    }
-
-    #[test]
-    fn solver_metadata() {
-        assert_eq!(HungarianSolver.name(), "hungarian");
-        assert!(HungarianSolver.is_exact());
+        let cost = from_fn(4, |r, c| if r == c { u32::MAX - 10 } else { u32::MAX });
+        assert_eq!(total(&cost), 4 * (u64::from(u32::MAX) - 10));
     }
 }

@@ -28,35 +28,14 @@
 //! [`solve_jv_bounded`] polls a [`Deadline`] once per Phase-3 free row, the
 //! solve's unit of work; the polls never change the assignment.
 
-use crate::cost::CostMatrix;
-use crate::solver::{Assignment, Solver};
-use mosaic_grid::{Deadline, DeadlineExceeded};
-
-/// Exact Jonker–Volgenant solver.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct JonkerVolgenantSolver;
-
-impl Solver for JonkerVolgenantSolver {
-    fn solve(&self, cost: &CostMatrix) -> Assignment {
-        let row_to_col = solve_jv(cost);
-        Assignment::new(cost, row_to_col)
-    }
-
-    fn name(&self) -> &'static str {
-        "jonker-volgenant"
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-}
+use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 
 const UNASSIGNED: usize = usize::MAX;
 
 /// First and second minima of `cost[i][j] - v[j]` over all columns.
 /// Returns `(u1, j1, u2, j2)`; `j2 == j1` only when `n == 1`.
-fn two_minima(cost: &CostMatrix, v: &[i64], i: usize) -> (i64, usize, i64, usize) {
-    let row = cost.row(i);
+fn two_minima(matrix: &ErrorMatrix, v: &[i64], i: usize) -> (i64, usize, i64, usize) {
+    let row = matrix.row(i);
     let mut u1 = i64::MAX;
     let mut u2 = i64::MAX;
     let mut j1 = 0usize;
@@ -80,10 +59,10 @@ fn two_minima(cost: &CostMatrix, v: &[i64], i: usize) -> (i64, usize, i64, usize
     (u1, j1, u2, j2)
 }
 
-/// Core LAPJV routine returning `row_to_col`.
-pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
-    match solve_jv_bounded(cost, &Deadline::NONE) {
-        Ok(row_to_col) => row_to_col,
+/// Solve `matrix` exactly, returning `assignment[v] = u`.
+pub fn solve_jv(matrix: &ErrorMatrix) -> Vec<usize> {
+    match solve_jv_bounded(matrix, &Deadline::NONE) {
+        Ok(assignment) => assignment,
         // lint:allow(panic) Deadline::NONE never expires
         Err(DeadlineExceeded) => unreachable!("unbounded deadline expired"),
     }
@@ -98,10 +77,10 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
 // obscure the correspondence.
 #[allow(clippy::needless_range_loop)]
 pub fn solve_jv_bounded(
-    cost: &CostMatrix,
+    matrix: &ErrorMatrix,
     deadline: &Deadline,
 ) -> Result<Vec<usize>, DeadlineExceeded> {
-    let n = cost.size();
+    let n = matrix.size();
     let mut x = vec![UNASSIGNED; n]; // row -> col
     let mut y = vec![UNASSIGNED; n]; // col -> row
     let mut v = vec![i64::MAX; n];
@@ -112,7 +91,7 @@ pub fn solve_jv_bounded(
     // row while that row is still free.
     let mut imin = vec![0usize; n];
     for i in 0..n {
-        for (j, &c) in cost.row(i).iter().enumerate() {
+        for (j, &c) in matrix.row(i).iter().enumerate() {
             let c = i64::from(c);
             if c < v[j] {
                 v[j] = c;
@@ -136,10 +115,10 @@ pub fn solve_jv_bounded(
             let mut min2 = i64::MAX;
             for j in 0..n {
                 if j != j1 {
-                    min2 = min2.min(i64::from(cost.get(i, j)) - v[j]);
+                    min2 = min2.min(i64::from(matrix.get(i, j)) - v[j]);
                 }
             }
-            v[j1] -= min2 - (i64::from(cost.get(i, j1)) - v[j1]);
+            v[j1] -= min2 - (i64::from(matrix.get(i, j1)) - v[j1]);
         }
     }
 
@@ -163,7 +142,7 @@ pub fn solve_jv_bounded(
             }
             let i = free[k];
             k += 1;
-            let (u1, mut j1, u2, j2) = two_minima(cost, &v, i);
+            let (u1, mut j1, u2, j2) = two_minima(matrix, &v, i);
             let mut i0 = y[j1];
             if u1 < u2 {
                 // Tighten j1 so its reduced cost matches the runner-up.
@@ -202,7 +181,7 @@ pub fn solve_jv_bounded(
     let mut cols: Vec<usize> = (0..n).collect();
     for &f in &free {
         deadline.check()?;
-        let row = cost.row(f);
+        let row = matrix.row(f);
         for j in 0..n {
             d[j] = i64::from(row[j]) - v[j];
             pred[j] = f;
@@ -236,8 +215,8 @@ pub fn solve_jv_bounded(
             lo += 1;
             let i = y[j1];
             // Implicit row dual of i at this point in the search.
-            let u1 = i64::from(cost.get(i, j1)) - v[j1] - mu;
-            let row = cost.row(i);
+            let u1 = i64::from(matrix.get(i, j1)) - v[j1] - mu;
+            let row = matrix.row(i);
             let first_todo = hi;
             for k in first_todo..n {
                 let j = cols[k];
@@ -274,28 +253,32 @@ pub fn solve_jv_bounded(
         }
     }
 
-    debug_assert!(x.iter().all(|&c| c != UNASSIGNED));
-    Ok(x)
+    debug_assert!(y.iter().all(|&i| i != UNASSIGNED));
+    Ok(y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_total;
-    use crate::hungarian::optimal_total;
+    use crate::brute::solve_brute;
+    use crate::testutil::{checked_total, from_fn, optimal_total};
+
+    fn total(cost: &ErrorMatrix) -> u64 {
+        checked_total(cost, &solve_jv(cost))
+    }
 
     #[test]
     fn trivial_sizes() {
-        let cost = CostMatrix::from_vec(1, vec![5]);
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 5);
-        let cost = CostMatrix::from_vec(2, vec![1, 100, 100, 1]);
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 2);
+        let cost = ErrorMatrix::from_vec(1, vec![5]);
+        assert_eq!(total(&cost), 5);
+        let cost = ErrorMatrix::from_vec(2, vec![1, 100, 100, 1]);
+        assert_eq!(total(&cost), 2);
     }
 
     #[test]
     fn textbook_three_by_three() {
-        let cost = CostMatrix::from_vec(3, vec![4, 1, 3, 2, 0, 5, 3, 2, 2]);
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 5);
+        let cost = ErrorMatrix::from_vec(3, vec![4, 1, 3, 2, 0, 5, 3, 2, 2]);
+        assert_eq!(total(&cost), 5);
     }
 
     #[test]
@@ -310,9 +293,9 @@ mod tests {
         for n in 2..=7 {
             for case in 0..30 {
                 let data: Vec<u32> = (0..n * n).map(|_| (next() % 500) as u32).collect();
-                let cost = CostMatrix::from_vec(n, data);
-                let jv = JonkerVolgenantSolver.solve(&cost);
-                assert_eq!(jv.total(), brute_force_total(&cost), "n={n} case={case}");
+                let cost = ErrorMatrix::from_vec(n, data);
+                let brute = cost.assignment_total(&solve_brute(&cost));
+                assert_eq!(total(&cost), brute, "n={n} case={case}");
             }
         }
     }
@@ -328,9 +311,8 @@ mod tests {
         };
         for &n in &[16usize, 33, 64, 100] {
             let data: Vec<u32> = (0..n * n).map(|_| (next() % 100_000) as u32).collect();
-            let cost = CostMatrix::from_vec(n, data);
-            let jv = JonkerVolgenantSolver.solve(&cost);
-            assert_eq!(jv.total(), optimal_total(&cost), "n={n}");
+            let cost = ErrorMatrix::from_vec(n, data);
+            assert_eq!(total(&cost), optimal_total(&cost), "n={n}");
         }
     }
 
@@ -346,41 +328,39 @@ mod tests {
         };
         for &n in &[8usize, 17, 40] {
             let data: Vec<u32> = (0..n * n).map(|_| (next() % 3) as u32).collect();
-            let cost = CostMatrix::from_vec(n, data);
-            let jv = JonkerVolgenantSolver.solve(&cost);
-            assert_eq!(jv.total(), optimal_total(&cost), "n={n}");
+            let cost = ErrorMatrix::from_vec(n, data);
+            assert_eq!(total(&cost), optimal_total(&cost), "n={n}");
         }
     }
 
     #[test]
     fn all_zero_matrix() {
-        let cost = CostMatrix::from_fn(12, |_, _| 0);
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 0);
+        let cost = from_fn(12, |_, _| 0);
+        assert_eq!(total(&cost), 0);
     }
 
     #[test]
     fn constant_matrix() {
-        let cost = CostMatrix::from_fn(9, |_, _| 42);
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 9 * 42);
+        let cost = from_fn(9, |_, _| 42);
+        assert_eq!(total(&cost), 9 * 42);
     }
 
     #[test]
     fn permutation_matrix_of_zeros() {
-        let cost = CostMatrix::from_fn(15, |r, c| if (r * 4 + 3) % 15 == c { 0 } else { 777 });
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 0);
+        let cost = from_fn(15, |r, c| if (r * 4 + 3) % 15 == c { 0 } else { 777 });
+        assert_eq!(total(&cost), 0);
     }
 
     #[test]
     fn large_entries_do_not_overflow() {
-        let cost = CostMatrix::from_fn(8, |r, c| {
+        let cost = from_fn(8, |r, c| {
             if (r + c) % 2 == 0 {
                 u32::MAX
             } else {
                 u32::MAX - 1
             }
         });
-        let jv = JonkerVolgenantSolver.solve(&cost);
-        assert_eq!(jv.total(), optimal_total(&cost));
+        assert_eq!(total(&cost), optimal_total(&cost));
     }
 
     #[test]
@@ -397,21 +377,15 @@ mod tests {
         let mut stopped = 0;
         for &n in &[8usize, 17, 40, 64] {
             let data: Vec<u32> = (0..n * n).map(|_| (next() % 3) as u32).collect();
-            let cost = CostMatrix::from_vec(n, data);
+            let cost = ErrorMatrix::from_vec(n, data);
             let unbounded = solve_jv(&cost);
             assert_eq!(solve_jv_bounded(&cost, &far), Ok(unbounded.clone()));
             // Only instances that reach Phase 3 poll the deadline at all.
             match solve_jv_bounded(&cost, &expired) {
                 Err(DeadlineExceeded) => stopped += 1,
-                Ok(row_to_col) => assert_eq!(row_to_col, unbounded, "n={n}"),
+                Ok(assignment) => assert_eq!(assignment, unbounded, "n={n}"),
             }
         }
         assert!(stopped > 0, "no instance reached the Phase-3 poll");
-    }
-
-    #[test]
-    fn solver_metadata() {
-        assert_eq!(JonkerVolgenantSolver.name(), "jonker-volgenant");
-        assert!(JonkerVolgenantSolver.is_exact());
     }
 }

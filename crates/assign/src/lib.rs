@@ -24,21 +24,25 @@
 //!   algorithm family the paper actually ran (Blossom V); used here both
 //!   directly and through the paper's 2S-vertex bipartite embedding.
 //!
-//! All solvers consume a [`CostMatrix`] (`u32` entries) and produce an
-//! [`Assignment`] mapping rows (input tiles) to columns (target positions).
+//! Every dense solver reads the Step-2 [`mosaic_grid::ErrorMatrix`] as
+//! the weight matrix of K_{S,S} and returns the pipeline's permutation
+//! `assignment[v] = u` (input tile `u` at target position `v`), so
+//! [`mosaic_grid::ErrorMatrix::assignment_total`] is its total and
+//! [`mosaic_grid::assemble::is_permutation`] its validator.
 //!
 //! # Example
 //!
 //! ```
-//! use mosaic_assign::{CostMatrix, HungarianSolver, JonkerVolgenantSolver, Solver};
+//! use mosaic_assign::{solve_hungarian, solve_jv};
+//! use mosaic_grid::ErrorMatrix;
 //!
 //! // Cheapest on the anti-diagonal.
-//! let cost = CostMatrix::from_fn(3, |r, c| if r + c == 2 { 1 } else { 10 });
-//! let a = HungarianSolver.solve(&cost);
-//! assert_eq!(a.total(), 3);
-//! assert_eq!(a.row_to_col(), &[2, 1, 0]);
+//! let m = ErrorMatrix::from_vec(3, vec![10, 10, 1, 10, 1, 10, 1, 10, 10]);
+//! let assignment = solve_hungarian(&m);
+//! assert_eq!(assignment, [2, 1, 0]);
+//! assert_eq!(m.assignment_total(&assignment), 3);
 //! // Every exact solver returns the same optimum.
-//! assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), 3);
+//! assert_eq!(m.assignment_total(&solve_jv(&m)), 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,19 +51,39 @@
 pub mod auction;
 pub mod blossom;
 pub mod brute;
-pub mod cost;
 pub mod greedy;
 pub mod hungarian;
 pub mod jv;
 pub mod solver;
 pub mod sparse;
 
-pub use auction::AuctionSolver;
-pub use blossom::BlossomSolver;
-pub use brute::BruteForceSolver;
-pub use cost::CostMatrix;
-pub use greedy::GreedySolver;
-pub use hungarian::HungarianSolver;
-pub use jv::JonkerVolgenantSolver;
-pub use solver::{Assignment, Solver, SolverKind};
+pub use hungarian::solve_hungarian;
+pub use jv::{solve_jv, solve_jv_bounded};
+pub use solver::SolverKind;
 pub use sparse::{solve_sparse_rect, SparseCostMatrix, SparseInstanceError};
+
+#[cfg(test)]
+mod testutil {
+    use mosaic_grid::assemble::is_permutation;
+    use mosaic_grid::ErrorMatrix;
+
+    /// An `n × n` matrix with entry `(u, v) = f(u, v)`.
+    pub fn from_fn(n: usize, f: impl Fn(usize, usize) -> u32) -> ErrorMatrix {
+        ErrorMatrix::from_vec(n, (0..n * n).map(|i| f(i / n, i % n)).collect())
+    }
+
+    /// The total of a solver's `assignment`, which must be a
+    /// permutation.
+    pub fn checked_total(matrix: &ErrorMatrix, assignment: &[usize]) -> u64 {
+        assert!(
+            is_permutation(assignment, matrix.size()),
+            "not a permutation"
+        );
+        matrix.assignment_total(assignment)
+    }
+
+    /// The Hungarian optimum of `matrix`, the oracle total.
+    pub fn optimal_total(matrix: &ErrorMatrix) -> u64 {
+        checked_total(matrix, &crate::hungarian::solve_hungarian(matrix))
+    }
+}

@@ -1,92 +1,6 @@
-//! Solver trait and the assignment result type.
+//! The bundled exact solvers, by name.
 
-use crate::cost::CostMatrix;
-
-/// A perfect matching between rows and columns of a [`CostMatrix`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Assignment {
-    row_to_col: Vec<usize>,
-    total: u64,
-}
-
-impl Assignment {
-    /// Build from a row→column mapping, validating it is a permutation and
-    /// computing the total against `cost`.
-    ///
-    /// # Panics
-    /// Panics when `row_to_col` is not a permutation of `0..n`.
-    pub fn new(cost: &CostMatrix, row_to_col: Vec<usize>) -> Self {
-        let n = cost.size();
-        assert!(
-            is_permutation(&row_to_col, n),
-            "assignment must be a permutation of 0..{n}"
-        );
-        let total = cost.total(&row_to_col);
-        Assignment { row_to_col, total }
-    }
-
-    /// `row_to_col[r] = c`: row `r` (input tile) is assigned column `c`
-    /// (target position).
-    #[inline]
-    pub fn row_to_col(&self) -> &[usize] {
-        &self.row_to_col
-    }
-
-    /// Inverse mapping `col_to_row[c] = r` — the form the mosaic pipeline
-    /// consumes (`assignment[target position] = input tile`).
-    pub fn col_to_row(&self) -> Vec<usize> {
-        let mut inv = vec![0usize; self.row_to_col.len()];
-        for (r, &c) in self.row_to_col.iter().enumerate() {
-            inv[c] = r;
-        }
-        inv
-    }
-
-    /// Total cost (the paper's Eq. 2 for this rearrangement).
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of rows/columns.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.row_to_col.len()
-    }
-
-    /// Always false: assignments are non-empty by construction.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.row_to_col.is_empty()
-    }
-}
-
-/// Check that `mapping` is a permutation of `0..n`.
-pub fn is_permutation(mapping: &[usize], n: usize) -> bool {
-    if mapping.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for &c in mapping {
-        if c >= n || seen[c] {
-            return false;
-        }
-        seen[c] = true;
-    }
-    true
-}
-
-/// A dense assignment solver.
-pub trait Solver {
-    /// Solve the instance, returning a perfect matching.
-    fn solve(&self, cost: &CostMatrix) -> Assignment;
-
-    /// Human-readable solver name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Whether the solver is guaranteed to return the optimal total.
-    fn is_exact(&self) -> bool;
-}
+use mosaic_grid::ErrorMatrix;
 
 /// Enumeration of the bundled exact solvers. Only
 /// [`JonkerVolgenant`](SolverKind::JonkerVolgenant) is served; the others
@@ -113,13 +27,14 @@ impl SolverKind {
         SolverKind::Blossom,
     ];
 
-    /// Instantiate the solver.
-    pub fn build(self) -> Box<dyn Solver + Send + Sync> {
+    /// Solve `matrix` exactly: `assignment[v] = u` places input tile `u`
+    /// at target position `v`.
+    pub fn solve(self, matrix: &ErrorMatrix) -> Vec<usize> {
         match self {
-            SolverKind::Hungarian => Box::new(crate::hungarian::HungarianSolver),
-            SolverKind::JonkerVolgenant => Box::new(crate::jv::JonkerVolgenantSolver),
-            SolverKind::Auction => Box::new(crate::auction::AuctionSolver::default()),
-            SolverKind::Blossom => Box::new(crate::blossom::BlossomSolver),
+            SolverKind::Hungarian => crate::hungarian::solve_hungarian(matrix),
+            SolverKind::JonkerVolgenant => crate::jv::solve_jv(matrix),
+            SolverKind::Auction => crate::auction::solve_auction(matrix, 4),
+            SolverKind::Blossom => crate::blossom::solve_blossom(matrix),
         }
     }
 
@@ -137,44 +52,26 @@ impl SolverKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_grid::assemble::is_permutation;
 
     #[test]
-    fn assignment_validates_and_inverts() {
-        let cost = CostMatrix::from_fn(3, |r, c| (r + c) as u32);
-        let a = Assignment::new(&cost, vec![2, 0, 1]);
-        assert_eq!(a.total(), 2 + 1 + (2 + 1));
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
-        let inv = a.col_to_row();
-        assert_eq!(inv, vec![1, 2, 0]);
-        for (r, &c) in a.row_to_col().iter().enumerate() {
-            assert_eq!(inv[c], r);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn non_permutation_rejected() {
-        let cost = CostMatrix::from_fn(2, |_, _| 1);
-        let _ = Assignment::new(&cost, vec![0, 0]);
-    }
-
-    #[test]
-    fn is_permutation_cases() {
-        assert!(is_permutation(&[1, 0], 2));
-        assert!(!is_permutation(&[1, 1], 2));
-        assert!(!is_permutation(&[0, 2], 2));
-        assert!(!is_permutation(&[0], 2));
-    }
-
-    #[test]
-    fn solver_kinds_build_and_name() {
-        let cost = CostMatrix::from_fn(4, |r, c| ((r * 7 + c * 3) % 13) as u32);
+    fn solver_kinds_solve_and_name() {
+        let cost = ErrorMatrix::from_vec(
+            4,
+            (0..16)
+                .map(|i| ((i / 4 * 7 + i % 4 * 3) % 13) as u32)
+                .collect(),
+        );
+        let optimum = cost.assignment_total(&SolverKind::Hungarian.solve(&cost));
         for kind in SolverKind::ALL {
-            let solver = kind.build();
-            let a = solver.solve(&cost);
-            assert_eq!(a.len(), 4);
-            assert!(!solver.name().is_empty());
+            let assignment = kind.solve(&cost);
+            assert!(is_permutation(&assignment, 4), "{}", kind.name());
+            assert_eq!(
+                cost.assignment_total(&assignment),
+                optimum,
+                "{}",
+                kind.name()
+            );
             assert!(!kind.name().is_empty());
         }
     }

@@ -385,10 +385,10 @@ pub fn solve_sparse_rect(sparse: &SparseCostMatrix) -> Result<Vec<usize>, Sparse
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostMatrix;
     use crate::hungarian::solve_hungarian;
+    use mosaic_grid::ErrorMatrix;
 
-    fn random_cost(n: usize, seed: u64, max: u64) -> CostMatrix {
+    fn random_cost(n: usize, seed: u64, max: u64) -> ErrorMatrix {
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -396,7 +396,7 @@ mod tests {
             state ^= state << 17;
             (state % max) as u32
         };
-        CostMatrix::from_vec(n, (0..n * n).map(|_| next()).collect())
+        ErrorMatrix::from_vec(n, (0..n * n).map(|_| next()).collect())
     }
 
     /// Rectangular random candidate lists: `rows × cols`, each row keeps
@@ -545,12 +545,13 @@ mod tests {
                 SparseCostMatrix::from_candidates_rect(n, n, &lists, |r, c| dense.get(r, c))
                     .expect("square full instance");
             let a = solve_sparse_rect(&sparse).expect("solvable");
-            let oracle = solve_hungarian(&dense);
-            assert_eq!(
-                dense.total(&a),
-                dense.total(&oracle),
-                "seed {seed}: totals must agree"
-            );
+            let total: u64 = a
+                .iter()
+                .enumerate()
+                .map(|(r, &c)| u64::from(dense.get(r, c)))
+                .sum();
+            let oracle = dense.assignment_total(&solve_hungarian(&dense));
+            assert_eq!(total, oracle, "seed {seed}: totals must agree");
         }
     }
 

@@ -3,18 +3,32 @@
 //! [`mosaic_image::testutil`] PRNG (ported from the former `proptest`
 //! suite; every case reproduces from the printed seed).
 
-use mosaic_assign::{
-    AuctionSolver, BlossomSolver, BruteForceSolver, CostMatrix, GreedySolver, HungarianSolver,
-    JonkerVolgenantSolver, Solver,
-};
+use mosaic_assign::brute::solve_brute;
+use mosaic_assign::greedy::solve_greedy;
+use mosaic_assign::{solve_hungarian, solve_jv, SolverKind};
+use mosaic_grid::assemble::is_permutation;
+use mosaic_grid::ErrorMatrix;
 use mosaic_image::testutil::XorShift;
 
-fn arb_cost_matrix(rng: &mut XorShift, max_n: usize, max_cost: u32) -> CostMatrix {
+fn arb_cost_matrix(rng: &mut XorShift, max_n: usize, max_cost: u32) -> ErrorMatrix {
     let n = rng.range(1, max_n);
     let data: Vec<u32> = (0..n * n)
         .map(|_| rng.next_u32() % (max_cost + 1))
         .collect();
-    CostMatrix::from_vec(n, data)
+    ErrorMatrix::from_vec(n, data)
+}
+
+/// An `n × n` matrix with entry `(u, v) = f(u, v)`.
+fn from_fn(n: usize, f: impl Fn(usize, usize) -> u32) -> ErrorMatrix {
+    ErrorMatrix::from_vec(n, (0..n * n).map(|i| f(i / n, i % n)).collect())
+}
+
+/// The total of `kind`'s assignment on `cost`, which must be a
+/// permutation.
+fn total(kind: SolverKind, cost: &ErrorMatrix) -> u64 {
+    let assignment = kind.solve(cost);
+    assert!(is_permutation(&assignment, cost.size()), "{}", kind.name());
+    cost.assignment_total(&assignment)
 }
 
 #[test]
@@ -22,19 +36,13 @@ fn exact_solvers_match_brute_force() {
     for seed in 0..48 {
         let mut rng = XorShift::new(seed);
         let cost = arb_cost_matrix(&mut rng, 7, 1000);
-        let brute = BruteForceSolver.solve(&cost).total();
-        assert_eq!(HungarianSolver.solve(&cost).total(), brute, "seed {seed}");
-        assert_eq!(
-            JonkerVolgenantSolver.solve(&cost).total(),
-            brute,
-            "seed {seed}"
-        );
-        assert_eq!(
-            AuctionSolver::default().solve(&cost).total(),
-            brute,
-            "seed {seed}"
-        );
-        assert_eq!(BlossomSolver.solve(&cost).total(), brute, "seed {seed}");
+        let brute = cost.assignment_total(&solve_brute(&cost));
+        for kind in SolverKind::ALL {
+            let assignment = kind.solve(&cost);
+            let label = format!("{} seed {seed}", kind.name());
+            assert!(is_permutation(&assignment, cost.size()), "{label}");
+            assert_eq!(cost.assignment_total(&assignment), brute, "{label}");
+        }
     }
 }
 
@@ -43,13 +51,9 @@ fn exact_solvers_agree_on_larger_instances() {
     for seed in 0..12 {
         let mut rng = XorShift::new(seed);
         let cost = arb_cost_matrix(&mut rng, 40, 100_000);
-        let h = HungarianSolver.solve(&cost).total();
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), h, "seed {seed}");
-        assert_eq!(
-            AuctionSolver::default().solve(&cost).total(),
-            h,
-            "seed {seed}"
-        );
+        let h = total(SolverKind::Hungarian, &cost);
+        assert_eq!(total(SolverKind::JonkerVolgenant, &cost), h, "seed {seed}");
+        assert_eq!(total(SolverKind::Auction, &cost), h, "seed {seed}");
     }
 }
 
@@ -58,14 +62,10 @@ fn exact_solvers_handle_heavy_ties() {
     for seed in 0..24 {
         let mut rng = XorShift::new(seed);
         let cost = arb_cost_matrix(&mut rng, 24, 3);
-        let h = HungarianSolver.solve(&cost).total();
-        assert_eq!(JonkerVolgenantSolver.solve(&cost).total(), h, "seed {seed}");
-        assert_eq!(
-            AuctionSolver::default().solve(&cost).total(),
-            h,
-            "seed {seed}"
-        );
-        assert_eq!(BlossomSolver.solve(&cost).total(), h, "seed {seed}");
+        let h = total(SolverKind::Hungarian, &cost);
+        for kind in SolverKind::ALL {
+            assert_eq!(total(kind, &cost), h, "{} seed {seed}", kind.name());
+        }
     }
 }
 
@@ -77,8 +77,8 @@ fn blossom_matches_hungarian_via_embedding() {
         let mut rng = XorShift::new(seed);
         let cost = arb_cost_matrix(&mut rng, 20, 100_000);
         assert_eq!(
-            BlossomSolver.solve(&cost).total(),
-            HungarianSolver.solve(&cost).total(),
+            total(SolverKind::Blossom, &cost),
+            total(SolverKind::Hungarian, &cost),
             "seed {seed}"
         );
     }
@@ -89,16 +89,12 @@ fn greedy_is_feasible_and_dominated() {
     for seed in 0..24 {
         let mut rng = XorShift::new(seed);
         let cost = arb_cost_matrix(&mut rng, 24, 10_000);
-        let greedy = GreedySolver.solve(&cost);
-        let opt = HungarianSolver.solve(&cost);
-        assert!(greedy.total() >= opt.total(), "seed {seed}");
-        // Feasibility: mapping is a permutation (validated inside
-        // Assignment::new, so reaching here suffices), and the inverse is
-        // consistent.
-        let inv = greedy.col_to_row();
-        for (r, &c) in greedy.row_to_col().iter().enumerate() {
-            assert_eq!(inv[c], r, "seed {seed}");
-        }
+        let greedy = solve_greedy(&cost);
+        assert!(is_permutation(&greedy, cost.size()), "seed {seed}");
+        assert!(
+            cost.assignment_total(&greedy) >= total(SolverKind::Hungarian, &cost),
+            "seed {seed}"
+        );
     }
 }
 
@@ -110,10 +106,10 @@ fn optimum_invariant_under_row_permutation() {
         let cost = arb_cost_matrix(&mut rng, 12, 1000);
         let n = cost.size();
         let perm = rng.permutation(n);
-        let permuted = CostMatrix::from_fn(n, |r, c| cost.get(perm[r], c));
+        let permuted = from_fn(n, |r, c| cost.get(perm[r], c));
         assert_eq!(
-            HungarianSolver.solve(&cost).total(),
-            HungarianSolver.solve(&permuted).total(),
+            total(SolverKind::Hungarian, &cost),
+            total(SolverKind::Hungarian, &permuted),
             "seed {seed}"
         );
     }
@@ -127,23 +123,21 @@ fn adding_constant_to_row_shifts_optimum() {
         let cost = arb_cost_matrix(&mut rng, 10, 1000);
         let delta = rng.range(1, 499) as u32;
         let n = cost.size();
-        let bumped = CostMatrix::from_fn(n, |r, c| {
+        let bumped = from_fn(n, |r, c| {
             if r == 0 {
                 cost.get(r, c) + delta
             } else {
                 cost.get(r, c)
             }
         });
-        assert_eq!(
-            HungarianSolver.solve(&bumped).total(),
-            HungarianSolver.solve(&cost).total() + u64::from(delta),
-            "seed {seed}"
-        );
-        assert_eq!(
-            JonkerVolgenantSolver.solve(&bumped).total(),
-            JonkerVolgenantSolver.solve(&cost).total() + u64::from(delta),
-            "seed {seed}"
-        );
+        for kind in [SolverKind::Hungarian, SolverKind::JonkerVolgenant] {
+            assert_eq!(
+                total(kind, &bumped),
+                total(kind, &cost) + u64::from(delta),
+                "{} seed {seed}",
+                kind.name()
+            );
+        }
     }
 }
 
@@ -155,7 +149,7 @@ fn optimum_is_lower_bounded_by_row_minima() {
         let lb: u64 = (0..cost.size())
             .map(|r| u64::from(*cost.row(r).iter().min().unwrap()))
             .sum();
-        assert!(HungarianSolver.solve(&cost).total() >= lb, "seed {seed}");
+        assert!(total(SolverKind::Hungarian, &cost) >= lb, "seed {seed}");
     }
 }
 
@@ -186,24 +180,18 @@ fn blossom_general_matches_dp_oracle() {
 
 /// JV on `cost`: a permutation, the Hungarian optimum, and the same
 /// assignment on a second call.
-fn assert_jv_exact_and_deterministic(cost: &CostMatrix, label: &str) {
-    let first = mosaic_assign::jv::solve_jv(cost);
-    let mut sorted = first.clone();
-    sorted.sort_unstable();
+fn assert_jv_exact_and_deterministic(cost: &ErrorMatrix, label: &str) {
+    let first = solve_jv(cost);
     assert!(
-        sorted.iter().copied().eq(0..cost.size()),
+        is_permutation(&first, cost.size()),
         "{label}: not a permutation"
     );
     assert_eq!(
-        cost.total(&first),
-        HungarianSolver.solve(cost).total(),
+        cost.assignment_total(&first),
+        cost.assignment_total(&solve_hungarian(cost)),
         "{label}"
     );
-    assert_eq!(
-        mosaic_assign::jv::solve_jv(cost),
-        first,
-        "{label}: nondeterministic"
-    );
+    assert_eq!(solve_jv(cost), first, "{label}: nondeterministic");
 }
 
 #[test]
@@ -226,7 +214,7 @@ fn jv_is_exact_on_duplicated_columns() {
             let mut rng = XorShift::new(seed);
             let distinct = n / k;
             let base: Vec<u32> = (0..n * distinct).map(|_| rng.next_u32() % max).collect();
-            let cost = CostMatrix::from_fn(n, |r, c| base[r * distinct + c % distinct]);
+            let cost = from_fn(n, |r, c| base[r * distinct + c % distinct]);
             assert_jv_exact_and_deterministic(&cost, &format!("seed {seed} n={n} k={k}"));
         }
     }
@@ -244,7 +232,7 @@ fn jv_is_exact_on_duplicated_rows_and_columns() {
         let base: Vec<u32> = (0..distinct * distinct)
             .map(|_| rng.next_u32() % 50)
             .collect();
-        let cost = CostMatrix::from_fn(n, |r, c| base[(r % distinct) * distinct + c % distinct]);
+        let cost = from_fn(n, |r, c| base[(r % distinct) * distinct + c % distinct]);
         assert_jv_exact_and_deterministic(&cost, &format!("seed {seed}"));
     }
 }

@@ -38,7 +38,7 @@
 
 #![forbid(unsafe_code)]
 
-use mosaic_assign::{CostMatrix, SolverKind};
+use mosaic_assign::SolverKind;
 use mosaic_bench::{figure2_pair, solver_arms};
 use mosaic_edgecolor::SwapSchedule;
 use mosaic_gpu::{DeviceSpec, GpuSim};
@@ -294,7 +294,7 @@ fn suite_rearrange(options: &Options, cases: &mut Vec<Case>) {
     }
 }
 
-fn random_cost(n: usize, seed: u64) -> CostMatrix {
+fn random_cost(n: usize, seed: u64) -> ErrorMatrix {
     let mut state = seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -302,7 +302,7 @@ fn random_cost(n: usize, seed: u64) -> CostMatrix {
         state ^= state << 17;
         (state % 100_000) as u32
     };
-    CostMatrix::from_vec(n, (0..n * n).map(|_| next()).collect())
+    ErrorMatrix::from_vec(n, (0..n * n).map(|_| next()).collect())
 }
 
 fn suite_solvers(options: &Options, cases: &mut Vec<Case>) {
@@ -313,12 +313,12 @@ fn suite_solvers(options: &Options, cases: &mut Vec<Case>) {
     };
     for &n in sizes {
         let cost = random_cost(n, 42);
-        for solver in solver_arms() {
+        for (name, solve) in solver_arms() {
             cases.push(run_case(
                 "solvers",
-                format!("random/{}/{n}", solver.name()),
+                format!("random/{name}/{n}"),
                 options.samples,
-                || solver.solve(&cost),
+                || solve(&cost),
             ));
         }
     }
@@ -327,13 +327,12 @@ fn suite_solvers(options: &Options, cases: &mut Vec<Case>) {
     let (input, target) = figure2_pair(256);
     let layout = TileLayout::with_grid(256, 16).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
-    for solver in solver_arms() {
+    for (name, solve) in solver_arms() {
         cases.push(run_case(
             "solvers",
-            format!("mosaic/{}/256", solver.name()),
+            format!("mosaic/{name}/256"),
             options.samples,
-            || solver.solve(&cost),
+            || solve(&matrix),
         ));
     }
 }

@@ -20,7 +20,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mosaic_assign::{GreedySolver, Solver, SolverKind};
+use mosaic_assign::greedy::solve_greedy;
+use mosaic_assign::SolverKind;
+use mosaic_grid::ErrorMatrix;
 use mosaic_image::synth::Scene;
 use mosaic_image::GrayImage;
 use std::time::{Duration, Instant};
@@ -92,11 +94,23 @@ pub fn figure2_pair(size: usize) -> (GrayImage, GrayImage) {
     )
 }
 
+/// One solver-ablation arm: its report name and its solve, returning
+/// `assignment[v] = u`.
+pub type SolverArm = (&'static str, Box<dyn Fn(&ErrorMatrix) -> Vec<usize>>);
+
 /// The solver-ablation arms: every exact [`SolverKind`] plus the greedy
-/// baseline, each named by [`Solver::name`].
-pub fn solver_arms() -> Vec<Box<dyn Solver + Send + Sync>> {
-    let mut arms: Vec<_> = SolverKind::ALL.into_iter().map(SolverKind::build).collect();
-    arms.push(Box::new(GreedySolver));
+/// baseline.
+pub fn solver_arms() -> Vec<SolverArm> {
+    let mut arms: Vec<SolverArm> = SolverKind::ALL
+        .into_iter()
+        .map(|kind| {
+            (
+                kind.name(),
+                Box::new(move |m: &ErrorMatrix| kind.solve(m)) as _,
+            )
+        })
+        .collect();
+    arms.push(("greedy", Box::new(solve_greedy)));
     arms
 }
 

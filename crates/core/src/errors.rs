@@ -15,11 +15,13 @@
 use crate::config::Backend;
 use mosaic_gpu::{BlockContext, DeviceSpec, GlobalBuffer, GpuSim, LaunchConfig, WorkProfile};
 use mosaic_grid::{
-    build_error_matrix, build_error_matrix_threaded_bounded_in, pack_pair, pair_error, BuildError,
-    Deadline, ErrorMatrix, LayoutError, TileLayout, TileMetric,
+    build_error_matrix_bounded, build_error_matrix_threaded_bounded_in, pack_pair, pair_error,
+    unbounded_build, BuildError, Deadline, DeadlineExceeded, ErrorMatrix, LayoutError, TileLayout,
+    TileMetric,
 };
 use mosaic_image::{Image, Pixel};
 use mosaic_pool::ThreadPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,12 +52,10 @@ pub fn step2_profile<P: Pixel>(layout: TileLayout, launches: usize) -> WorkProfi
 /// Compute the Step-2 matrix on the configured backend, dispatching the
 /// parallel backends on `pool`.
 ///
-/// The threaded backend polls `deadline` at row boundaries; the serial
-/// and simulated-GPU backends are not internally interruptible, so for
-/// those the deadline is only checked on entry (the overshoot is then one
-/// whole build — per-job deadlines in the service should pair with the
-/// threaded backend when tight bounds matter). Unbounded callers pass
-/// [`Deadline::NONE`] and `mosaic_pool::global()`.
+/// Every backend polls `deadline` once per unit of work: the serial and
+/// threaded builds before each matrix row, the simulated GPU before each
+/// block (one block is one row). The overshoot is one row per worker.
+/// Unbounded callers pass [`Deadline::NONE`] and `mosaic_pool::global()`.
 ///
 /// # Errors
 /// Returns [`BuildError::Layout`] when either image does not match
@@ -72,7 +72,10 @@ pub fn compute_error_matrix_bounded_in<P: Pixel>(
     deadline.check()?;
     let start = Instant::now();
     let (matrix, launches) = match backend {
-        Backend::Serial => (build_error_matrix(input, target, layout, metric)?, 0),
+        Backend::Serial => (
+            build_error_matrix_bounded(input, target, layout, metric, deadline)?,
+            0,
+        ),
         Backend::Threads(threads) => (
             build_error_matrix_threaded_bounded_in(
                 pool,
@@ -87,7 +90,8 @@ pub fn compute_error_matrix_bounded_in<P: Pixel>(
         ),
         Backend::GpuSim { workers } => {
             let sim = simulated_device(pool, workers);
-            (gpu_error_matrix(&sim, input, target, layout, metric)?, 1)
+            let matrix = gpu_error_matrix_bounded(&sim, input, target, layout, metric, deadline)?;
+            (matrix, 1)
         }
     };
     let trace = StepTrace {
@@ -118,20 +122,63 @@ pub fn gpu_error_matrix<P: Pixel>(
     layout: TileLayout,
     metric: TileMetric,
 ) -> Result<ErrorMatrix, LayoutError> {
+    let bounded = gpu_error_matrix_bounded(sim, input, target, layout, metric, &Deadline::NONE);
+    unbounded_build(bounded)
+}
+
+/// [`gpu_error_matrix`] under a deadline: a block that starts after
+/// `deadline` has passed skips its row, and the build fails only when a
+/// block was actually skipped.
+///
+/// # Errors
+/// Returns [`BuildError::Layout`] for the conditions of
+/// [`gpu_error_matrix`], and [`BuildError::DeadlineExceeded`] when a
+/// block was skipped.
+pub fn gpu_error_matrix_bounded<P: Pixel>(
+    sim: &GpuSim,
+    input: &Image<P>,
+    target: &Image<P>,
+    layout: TileLayout,
+    metric: TileMetric,
+    deadline: &Deadline,
+) -> Result<ErrorMatrix, BuildError> {
+    gpu_impl(sim, input, target, layout, metric, deadline, &|| ())
+}
+
+/// The shared implementation. `block_hook` runs after each block's
+/// deadline poll; production callers pass a no-op, the deadline tests
+/// inject a delay.
+// lint:allow(deadline) the launch runs the kernel once per block, and each block polls before its row
+fn gpu_impl<P: Pixel>(
+    sim: &GpuSim,
+    input: &Image<P>,
+    target: &Image<P>,
+    layout: TileLayout,
+    metric: TileMetric,
+    deadline: &Deadline,
+    block_hook: &(dyn Fn() + Sync),
+) -> Result<ErrorMatrix, BuildError> {
     let (inputs, targets) = pack_pair(input, target, layout, metric)?;
     let (tile_bytes, capacity) = (inputs.tile(0).len(), sim.device().shared_mem_per_block);
     if tile_bytes > capacity {
-        return Err(LayoutError::SharedMemoryOverflow {
+        let overflow = LayoutError::SharedMemoryOverflow {
             tile_bytes,
             capacity,
-        });
+        };
+        return Err(overflow.into());
     }
     let s = layout.tile_count();
     let matrix_out = GlobalBuffer::filled(s * s, 0u32);
+    let blocks_done = AtomicUsize::new(0);
 
     // Resolve the SIMD dispatch once, outside the lane closure.
     let k = mosaic_image::kernel::active();
     let kernel = |ctx: &mut BlockContext<'_>| {
+        // A block that starts past the deadline skips its row.
+        if deadline.expired() {
+            return;
+        }
+        block_hook();
         // One block per input tile u (§V): stage I_u in shared memory …
         let u = ctx.block_id();
         let tile = inputs.tile(u);
@@ -143,6 +190,7 @@ pub fn gpu_error_matrix<P: Pixel>(
         for (v, tv) in targets.iter().enumerate() {
             matrix_out.store(u * s + v, pair_error(k, staged, tv, metric) as u32);
         }
+        blocks_done.fetch_add(1, Ordering::Relaxed);
     };
 
     // S blocks; the per-block thread count mirrors one thread per tile
@@ -150,12 +198,16 @@ pub fn gpu_error_matrix<P: Pixel>(
     let threads_per_block = layout.pixels_per_tile().min(1024);
     sim.launch(LaunchConfig::linear(s, threads_per_block), &kernel);
 
+    if blocks_done.into_inner() < s {
+        return Err(DeadlineExceeded.into());
+    }
     Ok(ErrorMatrix::from_vec(s, matrix_out.into_vec()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_grid::build_error_matrix;
     use mosaic_image::testutil::{gray_image, rgb_image, XorShift};
     use mosaic_image::{synth, Rgb};
 
@@ -265,6 +317,43 @@ mod tests {
         );
         let quarter = TileLayout::new(256, 128).unwrap();
         assert!(gpu_error_matrix(&sim, &img, &img, quarter, TileMetric::Sad).is_ok());
+    }
+
+    /// A one-lane §V build of `synth::gradient(size)` against itself on
+    /// 16-pixel tiles whose every block outlasts its 40 ms deadline.
+    fn slow_blocks_build(size: usize) -> (Result<ErrorMatrix, BuildError>, Deadline) {
+        let img = synth::gradient(size);
+        let layout = TileLayout::new(size, 16).unwrap();
+        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 1);
+        let deadline = Deadline::after(Duration::from_millis(40));
+        let slow_block = || std::thread::sleep(Duration::from_millis(120));
+        let result = gpu_impl(
+            &sim,
+            &img,
+            &img,
+            layout,
+            TileMetric::Sad,
+            &deadline,
+            &slow_block,
+        );
+        (result, deadline)
+    }
+
+    /// A deadline that expires while the last block runs skips no block,
+    /// so the complete matrix survives …
+    #[test]
+    fn step2_deadline_gpu_expiring_after_the_last_block_returns_the_matrix() {
+        let (result, deadline) = slow_blocks_build(16); // S = 1
+        assert!(deadline.expired(), "hook must outlast the deadline");
+        let matrix = result.expect("completed work must survive a late expiry");
+        assert_eq!(matrix.get(0, 0), 0);
+    }
+
+    /// … and one that expires with blocks left skips them and fails.
+    #[test]
+    fn step2_deadline_gpu_expiring_with_blocks_left_is_cancelled() {
+        let (result, _) = slow_blocks_build(32); // S = 4
+        assert_eq!(result, Err(BuildError::DeadlineExceeded(DeadlineExceeded)));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! "Consider a weighted complete bipartite graph (V₁, V₂, E) … obtaining
 //! the best rearranged image R* is finding a matching of minimum weight."
 //! The Step-2 error matrix *is* the weight matrix of that bipartite graph
-//! (rows = input tiles, columns = target positions), so the reduction is a
-//! type conversion followed by an exact assignment solve.
+//! (rows = input tiles, columns = target positions), so the solvers read
+//! it directly and return the pipeline's `assignment[v] = u`.
 //!
 //! The paper used Blossom V as its matcher; on bipartite instances every
 //! exact solver returns the same optimum. Jobs are served by
@@ -14,14 +14,9 @@
 
 use crate::local_search::{never_exceeded, SearchOutcome};
 use mosaic_assign::greedy::solve_greedy;
-use mosaic_assign::jv::solve_jv_bounded;
-use mosaic_assign::{Assignment, CostMatrix, SolverKind};
+use mosaic_assign::{solve_jv_bounded, SolverKind};
+use mosaic_grid::assemble::is_permutation;
 use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
-
-/// Convert the Step-2 error matrix into an assignment cost matrix.
-pub fn to_cost_matrix(matrix: &ErrorMatrix) -> CostMatrix {
-    CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec())
-}
 
 /// Solve Step 3 exactly with the chosen solver.
 ///
@@ -48,25 +43,31 @@ pub fn optimal_rearrangement_bounded(
     deadline: &Deadline,
 ) -> Result<SearchOutcome, DeadlineExceeded> {
     deadline.check()?;
-    let cost = to_cost_matrix(matrix);
-    let solution = match solver {
-        SolverKind::JonkerVolgenant => Assignment::new(&cost, solve_jv_bounded(&cost, deadline)?),
-        oracle => oracle.build().solve(&cost),
+    let assignment = match solver {
+        SolverKind::JonkerVolgenant => solve_jv_bounded(matrix, deadline)?,
+        oracle => oracle.solve(matrix),
     };
-    Ok(outcome(&solution))
+    Ok(outcome(matrix, assignment))
 }
 
 /// The greedy matching baseline (not in the paper; a quality floor).
 pub fn greedy_rearrangement(matrix: &ErrorMatrix) -> SearchOutcome {
-    let cost = to_cost_matrix(matrix);
-    let row_to_col = solve_greedy(&cost);
-    outcome(&Assignment::new(&cost, row_to_col))
+    outcome(matrix, solve_greedy(matrix))
 }
 
-fn outcome(solution: &Assignment) -> SearchOutcome {
+/// Wrap a solver's `assignment` with its Eq. (2) total.
+///
+/// # Panics
+/// Panics when `assignment` is not a permutation of `0..S`.
+fn outcome(matrix: &ErrorMatrix, assignment: Vec<usize>) -> SearchOutcome {
+    let s = matrix.size();
+    assert!(
+        is_permutation(&assignment, s),
+        "assignment must be a permutation of 0..{s}"
+    );
     SearchOutcome {
-        total: solution.total(),
-        assignment: solution.col_to_row(),
+        total: matrix.assignment_total(&assignment),
+        assignment,
         sweeps: 0,
         swaps: 0,
     }
@@ -88,15 +89,25 @@ mod tests {
         ErrorMatrix::from_vec(n, (0..n * n).map(|_| next()).collect())
     }
 
+    /// Every solver's outcome is a permutation whose total is the
+    /// matrix's `assignment_total` of it.
     #[test]
-    fn cost_matrix_conversion_preserves_entries() {
-        let m = random_matrix(5, 3, 100);
-        let c = to_cost_matrix(&m);
-        for u in 0..5 {
-            for v in 0..5 {
-                assert_eq!(c.get(u, v), m.get(u, v));
-            }
+    fn every_solver_outcome_is_a_permutation_with_its_total() {
+        let m = random_matrix(9, 3, 100);
+        let outcomes = SolverKind::ALL
+            .iter()
+            .map(|&kind| (kind.name(), optimal_rearrangement(&m, kind)))
+            .chain([("greedy", greedy_rearrangement(&m))]);
+        for (name, out) in outcomes {
+            assert!(is_permutation(&out.assignment, 9), "{name}");
+            assert_eq!(out.total, m.assignment_total(&out.assignment), "{name}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn non_permutation_is_rejected() {
+        let _ = outcome(&ErrorMatrix::zeros(2), vec![0, 0]);
     }
 
     #[test]

@@ -53,13 +53,6 @@ impl GenerationReport {
         self.step1_wall + self.step2_wall + self.step3_wall
     }
 
-    /// Modeled execution time of the profiled steps on `device` (see
-    /// `mosaic_gpu::model`).
-    pub fn modeled_time(&self, device: &DeviceSpec) -> Duration {
-        let model = CostModel::new(device.clone());
-        model.estimate(&self.step2_profile.combine(&self.step3_profile))
-    }
-
     /// Modeled K40-over-host speedup for the profiled steps.
     pub fn modeled_speedup(&self) -> f64 {
         let k40 = CostModel::new(DeviceSpec::tesla_k40());
@@ -174,6 +167,5 @@ mod tests {
         let speedup = r.modeled_speedup();
         assert!(speedup.is_finite());
         assert!(speedup > 0.0);
-        assert!(r.modeled_time(&DeviceSpec::tesla_k40()) > Duration::ZERO);
     }
 }

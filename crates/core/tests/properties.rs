@@ -2,14 +2,14 @@
 //! deterministic [`mosaic_image::testutil`] PRNG (ported from the former
 //! `proptest` suite; every case reproduces from the printed seed).
 
-use mosaic_assign::jv::solve_jv;
-use mosaic_assign::{CostMatrix, HungarianSolver, Solver, SolverKind};
+use mosaic_assign::{solve_hungarian, solve_jv, SolverKind};
 use mosaic_edgecolor::SwapSchedule;
+use mosaic_grid::assemble::is_permutation;
 use mosaic_grid::{build_error_matrix, ErrorMatrix, TileLayout, TileMetric};
 use mosaic_image::synth::Scene;
 use mosaic_image::testutil::XorShift;
 use photomosaic::local_search::{is_swap_optimal, local_search, local_search_from};
-use photomosaic::optimal::{greedy_rearrangement, optimal_rearrangement, to_cost_matrix};
+use photomosaic::optimal::{greedy_rearrangement, optimal_rearrangement};
 use photomosaic::parallel_search::{parallel_search_reference, parallel_search_threads_bounded_in};
 use photomosaic::preprocess::preprocess_gray;
 use photomosaic::{Deadline, Preprocess};
@@ -114,13 +114,12 @@ fn exact_solvers_agree_via_pipeline_reduction() {
 /// The S×S SAD matrix of a 256 px mosaic on a 16×16 grid (S = 256),
 /// built the way a served job builds it: histogram-matched input, then
 /// Step 2.
-fn mosaic_cost_matrix(input: Scene, target: Scene, seed: u64) -> CostMatrix {
+fn mosaic_matrix(input: Scene, target: Scene, seed: u64) -> ErrorMatrix {
     let input = input.render(256, seed);
     let target = target.render(256, seed + 1);
     let prepared = preprocess_gray(&input, &target, Preprocess::MatchTarget);
     let layout = TileLayout::with_grid(256, 16).unwrap();
-    let matrix = build_error_matrix(&prepared, &target, layout, TileMetric::Sad).unwrap();
-    to_cost_matrix(&matrix)
+    build_error_matrix(&prepared, &target, layout, TileMetric::Sad).unwrap()
 }
 
 #[test]
@@ -129,21 +128,19 @@ fn jv_is_exact_and_deterministic_on_real_mosaic_matrices() {
     // exact solve meets large ties at every distance level.
     for (input, target) in [(Scene::Fur, Scene::Checker), (Scene::Checker, Scene::Fur)] {
         for seed in [3u64, 904] {
-            let cost = mosaic_cost_matrix(input, target, seed);
+            let matrix = mosaic_matrix(input, target, seed);
             let label = format!("{input:?}->{target:?} seed {seed}");
-            let first = solve_jv(&cost);
-            let mut sorted = first.clone();
-            sorted.sort_unstable();
+            let first = solve_jv(&matrix);
             assert!(
-                sorted.iter().copied().eq(0..cost.size()),
+                is_permutation(&first, matrix.size()),
                 "{label}: not a permutation"
             );
             assert_eq!(
-                cost.total(&first),
-                HungarianSolver.solve(&cost).total(),
+                matrix.assignment_total(&first),
+                matrix.assignment_total(&solve_hungarian(&matrix)),
                 "{label}"
             );
-            assert_eq!(solve_jv(&cost), first, "{label}: nondeterministic");
+            assert_eq!(solve_jv(&matrix), first, "{label}: nondeterministic");
         }
     }
 }

@@ -66,18 +66,6 @@ impl BlockContext<'_> {
         self.config.grid.linearize(self.block_idx)
     }
 
-    /// Grid extent.
-    #[inline]
-    pub fn grid_dim(&self) -> Dim3 {
-        self.config.grid
-    }
-
-    /// Block extent (threads per block).
-    #[inline]
-    pub fn block_dim(&self) -> Dim3 {
-        self.config.block
-    }
-
     /// Iterate all thread indices of this block, in linear order — one
     /// barrier-to-barrier phase of the CUDA kernel body.
     pub fn threads(&self) -> impl Iterator<Item = Dim3> {
@@ -169,11 +157,6 @@ impl GpuSim {
     /// Snapshot of cumulative statistics.
     pub fn stats(&self) -> ExecStats {
         lock_unpoisoned(&self.stats).clone()
-    }
-
-    /// Reset cumulative statistics.
-    pub fn reset_stats(&self) {
-        *lock_unpoisoned(&self.stats) = ExecStats::default();
     }
 
     /// Launch `kernel` over `config`. Blocks until every block has
@@ -338,8 +321,6 @@ mod tests {
         assert_eq!(stats.launches, 2);
         assert_eq!(stats.blocks, 15);
         assert_eq!(stats.threads, 40);
-        sim.reset_stats();
-        assert_eq!(sim.stats().launches, 0);
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! kernel stages one `M×M` input tile in shared memory, which fits the
 //! K40's 48 KB for every configuration in the evaluation).
 
-/// Typed shared-memory arena for one block.
+/// Shared-memory byte arena for one block.
 #[derive(Debug)]
 pub struct SharedMem {
     capacity_bytes: usize,
     used_bytes: usize,
     u8_pool: Vec<u8>,
-    u32_pool: Vec<u32>,
-    i64_pool: Vec<i64>,
 }
 
 impl SharedMem {
@@ -24,8 +22,6 @@ impl SharedMem {
             capacity_bytes,
             used_bytes: 0,
             u8_pool: Vec::new(),
-            u32_pool: Vec::new(),
-            i64_pool: Vec::new(),
         }
     }
 
@@ -47,8 +43,6 @@ impl SharedMem {
     pub fn reset(&mut self) {
         self.used_bytes = 0;
         self.u8_pool.clear();
-        self.u32_pool.clear();
-        self.i64_pool.clear();
     }
 
     fn charge(&mut self, bytes: usize) {
@@ -63,8 +57,8 @@ impl SharedMem {
 
     /// Allocate a zeroed `u8` scratch buffer.
     ///
-    /// Only one buffer per type may be live at a time (the arena hands out
-    /// the whole pool); kernels needing several regions should slice it.
+    /// Only one buffer may be live at a time (the arena hands out the
+    /// whole pool); kernels needing several regions should slice it.
     ///
     /// # Panics
     /// Panics when the allocation exceeds the device capacity.
@@ -73,28 +67,6 @@ impl SharedMem {
         self.u8_pool.resize(self.u8_pool.len() + len, 0);
         let start = self.u8_pool.len() - len;
         &mut self.u8_pool[start..]
-    }
-
-    /// Allocate a zeroed `u32` scratch buffer.
-    ///
-    /// # Panics
-    /// Panics when the allocation exceeds the device capacity.
-    pub fn alloc_u32(&mut self, len: usize) -> &mut [u32] {
-        self.charge(len * 4);
-        self.u32_pool.resize(self.u32_pool.len() + len, 0);
-        let start = self.u32_pool.len() - len;
-        &mut self.u32_pool[start..]
-    }
-
-    /// Allocate a zeroed `i64` scratch buffer.
-    ///
-    /// # Panics
-    /// Panics when the allocation exceeds the device capacity.
-    pub fn alloc_i64(&mut self, len: usize) -> &mut [i64] {
-        self.charge(len * 8);
-        self.i64_pool.resize(self.i64_pool.len() + len, 0);
-        let start = self.i64_pool.len() - len;
-        &mut self.i64_pool[start..]
     }
 }
 
@@ -113,10 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn typed_allocations_charge_bytes() {
+    fn allocations_charge_bytes() {
         let mut sm = SharedMem::new(100);
-        let _ = sm.alloc_u32(10); // 40 bytes
-        let _ = sm.alloc_i64(7); // 56 bytes
+        let _ = sm.alloc_u8(40);
+        let _ = sm.alloc_u8(56);
         assert_eq!(sm.used(), 96);
     }
 
@@ -124,7 +96,7 @@ mod tests {
     #[should_panic(expected = "shared memory overflow")]
     fn overflow_panics() {
         let mut sm = SharedMem::new(64);
-        let _ = sm.alloc_i64(9); // 72 bytes > 64
+        let _ = sm.alloc_u8(72);
     }
 
     #[test]

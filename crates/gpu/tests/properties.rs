@@ -44,7 +44,7 @@ fn block_ids_and_indices_are_consistent() {
         let kernel = |ctx: &mut BlockContext<'_>| {
             let idx = ctx.block_idx();
             // Re-linearize and store where the block thinks it is.
-            seen.store(ctx.block_id(), idx.y * ctx.grid_dim().x + idx.x);
+            seen.store(ctx.block_id(), idx.y * gx + idx.x);
         };
         sim.launch(
             LaunchConfig {
@@ -68,11 +68,11 @@ fn shared_memory_never_leaks_between_blocks() {
         let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), workers);
         let dirty = GlobalBuffer::filled(1, 0u32);
         let kernel = |ctx: &mut BlockContext<'_>| {
-            let buf = ctx.shared().alloc_u32(16);
+            let buf = ctx.shared().alloc_u8(64);
             if buf.iter().any(|&v| v != 0) {
                 dirty.fetch_add(0, 1);
             }
-            buf.fill(0xDEAD_BEEF);
+            buf.fill(0xDE);
         };
         sim.launch(LaunchConfig::linear(blocks, 8), &kernel);
         assert_eq!(dirty.load(0), 0, "seed {seed}");

@@ -101,6 +101,46 @@ fn fill_row(k: &Kernels, tile: &[u8], targets: &PackedTiles, metric: TileMetric,
     }
 }
 
+/// Fill the whole matrix rows in `rows`, row `first_row` first, on the
+/// calling thread. `deadline` is polled before each row and `row_hook`
+/// runs after the poll; returns the number of rows filled before the
+/// deadline expired.
+fn fill_rows(
+    inputs: &PackedTiles,
+    targets: &PackedTiles,
+    metric: TileMetric,
+    first_row: usize,
+    rows: &mut [u32],
+    deadline: &Deadline,
+    row_hook: &(dyn Fn() + Sync),
+) -> usize {
+    let k = kernel::active();
+    let s = targets.iter().len();
+    let mut done = 0;
+    for (offset, row) in rows.chunks_mut(s).enumerate() {
+        if deadline.expired() {
+            break;
+        }
+        row_hook();
+        fill_row(k, inputs.tile(first_row + offset), targets, metric, row);
+        done += 1;
+    }
+    done
+}
+
+/// A build run under [`Deadline::NONE`], which never expires, with its
+/// layout error unwrapped.
+///
+/// # Errors
+/// Returns the build's [`LayoutError`].
+pub fn unbounded_build<T>(result: Result<T, BuildError>) -> Result<T, LayoutError> {
+    result.map_err(|e| match e {
+        BuildError::Layout(e) => e,
+        // lint:allow(panic) callers pass Deadline::NONE, which never expires
+        BuildError::DeadlineExceeded(_) => unreachable!("unbounded deadline expired"),
+    })
+}
+
 /// Sequential error-matrix computation (the paper's CPU reference for
 /// Table II).
 ///
@@ -113,18 +153,30 @@ pub fn build_error_matrix<P: Pixel>(
     layout: TileLayout,
     metric: TileMetric,
 ) -> Result<ErrorMatrix, LayoutError> {
-    let (inputs, targets) = pack_pair(input, target, layout, metric)?;
-    let _span = mosaic_telemetry::tracer().span("error_matrix_serial");
-    let start = std::time::Instant::now();
-    let k = kernel::active();
-    let mut matrix = ErrorMatrix::zeros(layout.tile_count());
-    for (u, iu) in inputs.iter().enumerate() {
-        fill_row(k, iu, &targets, metric, matrix.row_mut(u));
-    }
-    mosaic_telemetry::registry()
-        .histogram("error_matrix_simd_us")
-        .record_duration_us(start.elapsed());
-    Ok(matrix)
+    unbounded_build(build_error_matrix_bounded(
+        input,
+        target,
+        layout,
+        metric,
+        &Deadline::NONE,
+    ))
+}
+
+/// [`build_error_matrix`] polling `deadline` before each row, on the
+/// calling thread. Worst-case overshoot is one matrix row.
+///
+/// # Errors
+/// Returns [`BuildError::Layout`] for the conditions of [`pack_pair`],
+/// and [`BuildError::DeadlineExceeded`] when `deadline` expires with
+/// rows left.
+pub fn build_error_matrix_bounded<P: Pixel>(
+    input: &Image<P>,
+    target: &Image<P>,
+    layout: TileLayout,
+    metric: TileMetric,
+    deadline: &Deadline,
+) -> Result<ErrorMatrix, BuildError> {
+    build_impl(None, input, target, layout, metric, deadline, &|| ())
 }
 
 /// The test oracle for every Step-2 builder: tile views walked row by
@@ -183,63 +235,61 @@ pub fn build_error_matrix_threaded_bounded_in<P: Pixel>(
     threads: usize,
     deadline: &Deadline,
 ) -> Result<ErrorMatrix, BuildError> {
-    build_threaded_impl(
-        pool,
-        input,
-        target,
-        layout,
-        metric,
-        threads,
-        deadline,
-        &|| (),
-    )
+    assert!(threads > 0, "at least one worker thread is required");
+    let pool = Some((pool, threads));
+    build_impl(pool, input, target, layout, metric, deadline, &|| ())
 }
 
-/// The shared implementation. `row_hook` runs after each row's deadline
-/// poll and before its errors are computed; production callers pass a
-/// no-op, the deadline regression tests inject a delay to pin down the
-/// expiry-after-completion race deterministically.
-#[allow(clippy::too_many_arguments)]
-fn build_threaded_impl<P: Pixel>(
-    pool: &ThreadPool,
+/// The shared implementation: on the calling thread when `pool` is
+/// `None`, else split across `(pool, threads)` workers. `row_hook` runs
+/// after each row's deadline poll and before its errors are computed;
+/// production callers pass a no-op, the deadline regression tests inject
+/// a delay to pin down the expiry-after-completion race
+/// deterministically.
+fn build_impl<P: Pixel>(
+    pool: Option<(&ThreadPool, usize)>,
     input: &Image<P>,
     target: &Image<P>,
     layout: TileLayout,
     metric: TileMetric,
-    threads: usize,
     deadline: &Deadline,
     row_hook: &(dyn Fn() + Sync),
 ) -> Result<ErrorMatrix, BuildError> {
-    assert!(threads > 0, "at least one worker thread is required");
     let (inputs, targets) = pack_pair(input, target, layout, metric)?;
     deadline.check()?;
-    let _span = mosaic_telemetry::tracer().span("error_matrix_threaded");
+    let span = match pool {
+        None => "error_matrix_serial",
+        Some(_) => "error_matrix_threaded",
+    };
+    let _span = mosaic_telemetry::tracer().span(span);
     let start = std::time::Instant::now();
     let s = layout.tile_count();
-    let rows_per_worker = s.div_ceil(threads);
     let mut entries = vec![0u32; s * s];
-    let rows_done = AtomicUsize::new(0);
-    let k = kernel::active();
-
-    // One pool chunk per worker's row range; each chunk is a disjoint
-    // slab of whole rows, so workers never share a row.
-    pool.parallel_for_mut(&mut entries, rows_per_worker * s, |chunk, slab| {
-        let base = chunk * rows_per_worker;
-        for (offset, row) in slab.chunks_mut(s).enumerate() {
-            if deadline.expired() {
-                return;
-            }
-            row_hook();
-            fill_row(k, inputs.tile(base + offset), &targets, metric, row);
-            rows_done.fetch_add(1, Ordering::Relaxed);
+    let fill = |first_row, rows: &mut [u32]| {
+        fill_rows(
+            &inputs, &targets, metric, first_row, rows, deadline, row_hook,
+        )
+    };
+    let rows_done = match pool {
+        None => fill(0, &mut entries),
+        Some((pool, threads)) => {
+            // One pool chunk per worker's row range; each chunk is a
+            // disjoint slab of whole rows, so workers never share a row.
+            let rows_per_worker = s.div_ceil(threads);
+            let rows_done = AtomicUsize::new(0);
+            pool.parallel_for_mut(&mut entries, rows_per_worker * s, |chunk, slab| {
+                let done = fill(chunk * rows_per_worker, slab);
+                rows_done.fetch_add(done, Ordering::Relaxed);
+            });
+            rows_done.into_inner()
         }
-    });
+    };
 
-    // Fail only when a worker actually abandoned rows. A deadline that
+    // Fail only when rows were actually abandoned. A deadline that
     // expires after the last row is computed must not discard a
     // complete, valid matrix (it used to: the old epilogue re-checked
     // the clock instead of the work).
-    if rows_done.load(Ordering::Relaxed) < s {
+    if rows_done < s {
         return Err(BuildError::DeadlineExceeded(DeadlineExceeded));
     }
     mosaic_telemetry::registry()
@@ -427,6 +477,29 @@ mod tests {
         assert!(matches!(result, Err(BuildError::Layout(_))));
     }
 
+    /// A build of `synth::gradient(size)` against itself on 16-pixel
+    /// tiles whose every row outlasts its 40 ms deadline, on the calling
+    /// thread (`pool == None`) or the given workers.
+    fn slow_rows_build(
+        pool: Option<(&ThreadPool, usize)>,
+        size: usize,
+    ) -> (Result<ErrorMatrix, BuildError>, Deadline) {
+        let img = synth::gradient(size);
+        let layout = TileLayout::new(size, 16).unwrap();
+        let deadline = Deadline::after(std::time::Duration::from_millis(40));
+        let slow_row = || std::thread::sleep(std::time::Duration::from_millis(120));
+        let result = build_impl(
+            pool,
+            &img,
+            &img,
+            layout,
+            TileMetric::Sad,
+            &deadline,
+            &slow_row,
+        );
+        (result, deadline)
+    }
+
     /// Regression: the old epilogue was `deadline.check()?` — a deadline
     /// that expired *after* every row was computed (but before the
     /// epilogue ran) discarded a complete matrix. The injected row hook
@@ -435,20 +508,8 @@ mod tests {
     /// no work was abandoned. That must be a success.
     #[test]
     fn deadline_expiring_after_all_rows_complete_is_not_an_error() {
-        let img = synth::gradient(16);
-        let layout = TileLayout::new(16, 16).unwrap(); // S = 1: one row
         let pool = mosaic_pool::ThreadPool::new(1);
-        let deadline = Deadline::after(std::time::Duration::from_millis(40));
-        let result = build_threaded_impl(
-            &pool,
-            &img,
-            &img,
-            layout,
-            TileMetric::Sad,
-            1,
-            &deadline,
-            &|| std::thread::sleep(std::time::Duration::from_millis(120)),
-        );
+        let (result, deadline) = slow_rows_build(Some((&pool, 1)), 16); // S = 1
         assert!(deadline.expired(), "hook must outlast the deadline");
         let matrix = result.expect("completed work must survive a late expiry");
         assert_eq!(matrix.get(0, 0), 0);
@@ -458,25 +519,32 @@ mod tests {
     /// second row to go, the worker really does abandon work.
     #[test]
     fn deadline_expiring_with_rows_left_is_still_cancelled() {
-        let img = synth::gradient(32);
-        let layout = TileLayout::new(32, 16).unwrap(); // S = 4
         let pool = mosaic_pool::ThreadPool::new(1);
-        let deadline = Deadline::after(std::time::Duration::from_millis(40));
-        let result = build_threaded_impl(
-            &pool,
-            &img,
-            &img,
-            layout,
-            TileMetric::Sad,
-            1,
-            &deadline,
-            &|| std::thread::sleep(std::time::Duration::from_millis(120)),
-        );
+        let (result, _) = slow_rows_build(Some((&pool, 1)), 32); // S = 4
+        assert_eq!(result, Err(BuildError::DeadlineExceeded(DeadlineExceeded)));
+    }
+
+    /// The serial build polls before every row on the calling thread, so
+    /// a deadline that expires after the last row keeps the matrix …
+    #[test]
+    fn step2_deadline_serial_expiring_after_the_last_row_returns_the_matrix() {
+        let (result, deadline) = slow_rows_build(None, 16); // S = 1
+        assert!(deadline.expired(), "hook must outlast the deadline");
+        let matrix = result.expect("completed work must survive a late expiry");
+        assert_eq!(matrix.get(0, 0), 0);
+    }
+
+    /// … and one that expires with rows left stops after the current row.
+    #[test]
+    fn step2_deadline_serial_expiring_with_rows_left_is_cancelled() {
+        let (result, _) = slow_rows_build(None, 32); // S = 4
+        assert_eq!(result, Err(BuildError::DeadlineExceeded(DeadlineExceeded)));
+        let img = synth::gradient(32);
+        let layout = TileLayout::new(32, 16).unwrap();
+        let expired = Deadline::after(std::time::Duration::ZERO);
         assert_eq!(
-            result,
-            Err(BuildError::DeadlineExceeded(
-                crate::deadline::DeadlineExceeded
-            ))
+            build_error_matrix_bounded(&img, &img, layout, TileMetric::Sad, &expired),
+            Err(BuildError::DeadlineExceeded(DeadlineExceeded))
         );
     }
 

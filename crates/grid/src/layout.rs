@@ -206,19 +206,6 @@ impl TileLayout {
         (index / self.tiles_per_side, index % self.tiles_per_side)
     }
 
-    /// Tile index of `(row, col)`.
-    ///
-    /// # Panics
-    /// Panics when either coordinate is out of range.
-    #[inline]
-    pub fn tile_index(&self, row: usize, col: usize) -> usize {
-        assert!(
-            row < self.tiles_per_side && col < self.tiles_per_side,
-            "tile ({row},{col}) out of range"
-        );
-        row * self.tiles_per_side + col
-    }
-
     /// Pixel origin `(x, y)` of tile `index`.
     #[inline]
     pub fn tile_origin(&self, index: usize) -> (usize, usize) {
@@ -320,7 +307,8 @@ mod tests {
         let l = TileLayout::new(64, 8).unwrap();
         for i in 0..l.tile_count() {
             let (r, c) = l.tile_position(i);
-            assert_eq!(l.tile_index(r, c), i);
+            assert!(r < l.tiles_per_side() && c < l.tiles_per_side());
+            assert_eq!(r * l.tiles_per_side() + c, i);
         }
     }
 

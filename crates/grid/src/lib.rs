@@ -53,8 +53,9 @@ pub mod metric;
 
 pub use assemble::assemble;
 pub use compute::{
-    build_error_matrix, build_error_matrix_scalar, build_error_matrix_threaded_bounded_in,
-    init_simd_kernels, pack_pair, BuildError,
+    build_error_matrix, build_error_matrix_bounded, build_error_matrix_scalar,
+    build_error_matrix_threaded_bounded_in, init_simd_kernels, pack_pair, unbounded_build,
+    BuildError,
 };
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use layout::{LayoutError, PackedTiles, TileLayout};

@@ -96,13 +96,6 @@ impl ErrorMatrix {
         &self.data
     }
 
-    /// Split the storage into disjoint mutable row chunks, one per row.
-    /// Used by the threaded builders to fill rows concurrently without
-    /// locks.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut [u32]> {
-        self.data.chunks_exact_mut(self.size)
-    }
-
     /// Total error of an assignment: `assignment[v] = u` means input tile
     /// `u` is placed at target position `v` (the paper's Eq. 2).
     ///
@@ -198,17 +191,6 @@ mod tests {
         let m2 = ErrorMatrix::from_vec(2, vec![3, 3, 3, 3]);
         assert_eq!(m2.swap_gain(&[0, 1], 0, 1), 0);
         let _ = m;
-    }
-
-    #[test]
-    fn rows_mut_yields_each_row_once() {
-        let mut m = small();
-        let sizes: Vec<usize> = m.rows_mut().map(|r| r.len()).collect();
-        assert_eq!(sizes, vec![3, 3, 3]);
-        for (i, row) in m.rows_mut().enumerate() {
-            row[0] = i as u32 * 100;
-        }
-        assert_eq!(m.get(2, 0), 200);
     }
 
     #[test]

@@ -115,18 +115,6 @@ impl<P: Pixel> Image<P> {
         &self.data
     }
 
-    /// Mutable access to the raw pixels, row-major.
-    #[inline]
-    pub fn pixels_mut(&mut self) -> &mut [P] {
-        &mut self.data
-    }
-
-    /// Consume the image and return its pixel vector.
-    #[inline]
-    pub fn into_pixels(self) -> Vec<P> {
-        self.data
-    }
-
     /// Pixel at `(x, y)`.
     ///
     /// # Panics

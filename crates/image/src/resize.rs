@@ -1,5 +1,4 @@
-//! Image resampling: nearest-neighbour and box-average downscale, bilinear
-//! upscale.
+//! Image resampling: box-average downscale, bilinear upscale.
 //!
 //! The tile library scales ingested photos to the store's tile size and
 //! resamples library-mosaic targets to the grid it composes on.
@@ -7,23 +6,6 @@
 use crate::error::ImageError;
 use crate::image::Image;
 use crate::pixel::Pixel;
-
-/// Nearest-neighbour resample to `new_width × new_height`.
-///
-/// # Errors
-/// Returns [`ImageError::InvalidDimensions`] for zero target dimensions.
-pub fn resize_nearest<P: Pixel>(
-    src: &Image<P>,
-    new_width: usize,
-    new_height: usize,
-) -> Result<Image<P>, ImageError> {
-    let (w, h) = src.dimensions();
-    Image::from_fn(new_width, new_height, |x, y| {
-        let sx = (x * w) / new_width;
-        let sy = (y * h) / new_height;
-        src.pixel(sx.min(w - 1), sy.min(h - 1))
-    })
-}
 
 /// Box-filter average resample — the right choice for downscaling because
 /// every source pixel contributes. Operates per channel with rounding.
@@ -130,20 +112,6 @@ mod tests {
     use crate::pixel::{Gray, Rgb};
 
     #[test]
-    fn nearest_identity_when_same_size() {
-        let img = crate::synth::gradient(16);
-        assert_eq!(resize_nearest(&img, 16, 16).unwrap(), img);
-    }
-
-    #[test]
-    fn nearest_2x_downscale_picks_corners() {
-        let img = Image::from_fn(4, 4, |x, y| Gray((y * 4 + x) as u8)).unwrap();
-        let small = resize_nearest(&img, 2, 2).unwrap();
-        assert_eq!(small.pixel(0, 0), img.pixel(0, 0));
-        assert_eq!(small.pixel(1, 1), img.pixel(2, 2));
-    }
-
-    #[test]
     fn box_downscale_averages() {
         let img = Image::from_vec(2, 2, vec![Gray(0), Gray(100), Gray(200), Gray(100)]).unwrap();
         let one = resize_box(&img, 1, 1).unwrap();
@@ -191,7 +159,6 @@ mod tests {
     #[test]
     fn zero_target_dimensions_rejected() {
         let img = crate::synth::gradient(8);
-        assert!(resize_nearest(&img, 0, 4).is_err());
         assert!(resize_box(&img, 4, 0).is_err());
         assert!(resize_bilinear(&img, 0, 0).is_err());
     }

@@ -6,7 +6,7 @@ use mosaic_image::histogram::{apply_lut, match_histogram, Histogram, LEVELS};
 use mosaic_image::io::{read_pgm, read_ppm, write_pgm, write_pgm_ascii, write_ppm};
 use mosaic_image::metrics;
 use mosaic_image::pixel::{Gray, Pixel, Rgb};
-use mosaic_image::resize::{resize_bilinear, resize_box, resize_nearest};
+use mosaic_image::resize::{resize_bilinear, resize_box};
 use mosaic_image::testutil::{gray_image, rgb_image, XorShift};
 use mosaic_image::Image;
 
@@ -159,11 +159,6 @@ fn resize_preserves_dimensions() {
         let nw = rng.range(1, 23);
         let nh = rng.range(1, 23);
         assert_eq!(
-            resize_nearest(&img, nw, nh).unwrap().dimensions(),
-            (nw, nh),
-            "seed {seed}"
-        );
-        assert_eq!(
             resize_box(&img, nw, nh).unwrap().dimensions(),
             (nw, nh),
             "seed {seed}"
@@ -186,7 +181,6 @@ fn resize_output_within_input_range() {
         let h = Histogram::of_luma(&img);
         let (lo, hi) = (h.min_value().unwrap(), h.max_value().unwrap());
         for out in [
-            resize_nearest(&img, nw, nh).unwrap(),
             resize_box(&img, nw, nh).unwrap(),
             resize_bilinear(&img, nw, nh).unwrap(),
         ] {

@@ -1,7 +1,7 @@
 //! Cross-crate integration: substrates composed directly, bypassing the
 //! pipeline facade.
 
-use mosaic_assign::{CostMatrix, HungarianSolver, JonkerVolgenantSolver, Solver};
+use mosaic_assign::{solve_hungarian, solve_jv};
 use mosaic_edgecolor::{is_exact_cover, is_proper_coloring, SwapSchedule};
 use mosaic_gpu::{DeviceSpec, GpuSim};
 use mosaic_grid::{assemble, build_error_matrix, TileLayout, TileMetric};
@@ -32,12 +32,11 @@ fn solver_on_real_error_matrix_beats_local_search_or_ties() {
     let target = synth::drapery(64, 6);
     let layout = TileLayout::with_grid(64, 8).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
-    let exact = JonkerVolgenantSolver.solve(&cost);
-    let hungarian = HungarianSolver.solve(&cost);
-    assert_eq!(exact.total(), hungarian.total());
+    let exact = matrix.assignment_total(&solve_jv(&matrix));
+    let hungarian = matrix.assignment_total(&solve_hungarian(&matrix));
+    assert_eq!(exact, hungarian);
     let approx = local_search(&matrix);
-    assert!(exact.total() <= approx.total);
+    assert!(exact <= approx.total);
 }
 
 #[test]
@@ -46,11 +45,12 @@ fn assembled_mosaic_error_equals_solver_total() {
     let target = synth::checker(64, 8, 4);
     let layout = TileLayout::with_grid(64, 8).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
-    let solution = JonkerVolgenantSolver.solve(&cost);
-    let assignment = solution.col_to_row();
+    let assignment = solve_jv(&matrix);
     let mosaic = assemble(&input, layout, &assignment).unwrap();
-    assert_eq!(metrics::sad(&mosaic, &target), solution.total());
+    assert_eq!(
+        metrics::sad(&mosaic, &target),
+        matrix.assignment_total(&assignment)
+    );
 }
 
 #[test]
