@@ -1,83 +1,129 @@
-//! Bertsekas ε-scaling auction algorithm.
+//! Bertsekas ε-scaling auction algorithm (*Annals of OR* 14, 1988), in
+//! min-cost form.
 //!
 //! Rows ("bidders") compete for columns ("objects") by raising prices.
-//! The minimization instance is flipped to maximization of
-//! `benefit = C_max − cost`, and all benefits are scaled by `n + 1` so
-//! that running the final round with `ε = 1 < (n+1)/n` guarantees the
-//! assignment is exactly optimal for integer costs (the classical
-//! ε-complementary-slackness argument).
+//! A free row bids for the column that minimises `c·(S+1) + price` and
+//! raises that column's price by the gap to the runner-up plus ε,
+//! displacing the column's owner. Costs are scaled by `S + 1` so that a
+//! phase run with `ε = 1 < (S+1)/S` ends exactly optimal for integer
+//! costs (the classical ε-complementary-slackness argument). ε starts at
+//! half the largest scaled cost and shrinks by a scaling factor per
+//! phase; each phase keeps the prices and restarts the matching.
 //!
-//! Included as a third exact solver for the solver-ablation bench: the
-//! auction's round count depends strongly on cost structure, which is
-//! interesting to contrast with Hungarian/JV on the mosaic's error
-//! matrices.
+//! `auction_phases` is that phase loop, with two callers:
+//! [`solve_auction`] runs it to ε = 1 and is a test oracle and bench
+//! arm, while [`crate::jv`] stops it at ε ≤ 8 cost units and hands its
+//! prices to the shortest-path phase as column duals. Both rely on
+//! `price_bound` to keep every scaled quantity inside `i64`.
 
-use mosaic_grid::ErrorMatrix;
+use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 
 const UNASSIGNED: usize = usize::MAX;
 
-/// Auction solve of `matrix`, returning `assignment[v] = u`. ε shrinks
-/// by `scaling_factor` (at least 2) between scaling phases.
-// Index loops mirror the textbook auction pseudo-code.
-#[allow(clippy::needless_range_loop)]
-pub fn solve_auction(matrix: &ErrorMatrix, scaling_factor: i64) -> Vec<usize> {
+/// Prices and matching after the last phase of [`auction_phases`].
+pub(crate) struct Auction {
+    /// `price[j]` of column `j`, in scaled units, at least 0.
+    pub price: Vec<i64>,
+    /// `owner[j]`: the row matched to column `j`; a permutation.
+    pub owner: Vec<usize>,
+}
+
+/// A bound on every scaled quantity the auction reaches on an `n × n`
+/// matrix whose largest entry is `c_max` (prices, bid values
+/// `c·(n+1) + price` and increments), or `None` when it does not fit in
+/// `i64`.
+///
+/// With `C = c_max·(n+1)`, every phase starts with its smallest price
+/// shifted to 0, and a bid leaves its column at most `C + ε` above the
+/// cheapest other column, so no price exceeds `3(C + ε₀) ≤ 4.5·C` and no
+/// bid value `5.5·C`. The bound is `8·C` (with `c_max` counted as at
+/// least 1). It fails only for `n ≥ 2²⁸`, a matrix far beyond memory.
+pub(crate) fn price_bound(c_max: u32, n: usize) -> Option<i64> {
+    let scale = i64::try_from(n).ok()?.checked_add(1)?;
+    i64::from(c_max.max(1)).checked_mul(scale)?.checked_mul(8)
+}
+
+/// Run ε-scaling phases on `matrix` (ε shrinking by `scaling_factor`,
+/// at least 2) through the first phase whose ε is at most `final_eps`
+/// scaled units. `deadline` is polled at the start of each phase and
+/// once every `S` bids within one. Returns `Ok(None)` when
+/// [`price_bound`] fails.
+///
+/// # Errors
+/// Returns [`DeadlineExceeded`] when `deadline` expires before the last
+/// phase ends.
+pub(crate) fn auction_phases(
+    matrix: &ErrorMatrix,
+    scaling_factor: i64,
+    final_eps: i64,
+    deadline: &Deadline,
+) -> Result<Option<Auction>, DeadlineExceeded> {
     let n = matrix.size();
-    if n == 1 {
-        return vec![0];
+    let c_max = matrix.as_slice().iter().copied().max().unwrap_or(0);
+    if price_bound(c_max, n).is_none() {
+        return Ok(None);
     }
-    let scaling_factor = scaling_factor.max(2);
     let scale = (n + 1) as i64;
-    let c_max = i64::from(matrix.as_slice().iter().copied().max().unwrap_or(0));
-    // benefit[i][j] = (C_max - cost[i][j]) * (n+1), all >= 0.
-    let benefit = |i: usize, j: usize| -> i64 { (c_max - i64::from(matrix.get(i, j))) * scale };
-
+    let scaling_factor = scaling_factor.max(2);
     let mut price = vec![0i64; n];
-    let mut col_to_row = vec![UNASSIGNED; n];
-
-    // ε starts near the largest scaled benefit and shrinks to 1.
-    let mut eps = (c_max * scale / 2).max(1);
+    let mut owner = vec![UNASSIGNED; n];
+    let mut eps = (i64::from(c_max) * scale / 2).max(1);
     loop {
-        // Restart the assignment each phase (standard ε-scaling keeps the
-        // prices, discards the matching).
-        col_to_row.iter_mut().for_each(|v| *v = UNASSIGNED);
+        deadline.check()?;
+        // Shifting every price by one amount changes no bid.
+        let floor = price.iter().copied().min().unwrap_or(0);
+        price.iter_mut().for_each(|p| *p -= floor);
+        owner.fill(UNASSIGNED);
         let mut free: Vec<usize> = (0..n).collect();
-
+        let mut bids = 0usize;
         while let Some(i) = free.pop() {
-            // Best and second-best net value for bidder i.
-            let mut best_j = 0usize;
-            let mut best_v = i64::MIN;
-            let mut second_v = i64::MIN;
-            for j in 0..n {
-                let v = benefit(i, j) - price[j];
-                if v > best_v {
-                    second_v = best_v;
-                    best_v = v;
-                    best_j = j;
-                } else if v > second_v {
-                    second_v = v;
+            bids += 1;
+            if bids.is_multiple_of(n) {
+                deadline.check()?;
+            }
+            // Best and second-best bid values of row i.
+            let (mut j1, mut w1, mut w2) = (0usize, i64::MAX, i64::MAX);
+            for (j, (&c, &p)) in matrix.row(i).iter().zip(&price).enumerate() {
+                let w = i64::from(c) * scale + p;
+                if w < w1 {
+                    w2 = w1;
+                    w1 = w;
+                    j1 = j;
+                } else if w < w2 {
+                    w2 = w;
                 }
             }
-            if second_v == i64::MIN {
-                second_v = best_v;
+            if n == 1 {
+                w2 = w1;
             }
-            // Raise the price by the bid increment.
-            price[best_j] += best_v - second_v + eps;
-            // Displace the current owner, if any.
-            let prev = col_to_row[best_j];
+            price[j1] += w2 - w1 + eps;
+            let prev = std::mem::replace(&mut owner[j1], i);
             if prev != UNASSIGNED {
                 free.push(prev);
             }
-            col_to_row[best_j] = i;
         }
-
-        if eps == 1 {
+        if eps <= final_eps {
             break;
         }
         eps = (eps / scaling_factor).max(1);
     }
+    Ok(Some(Auction { price, owner }))
+}
 
-    debug_assert!(col_to_row.iter().all(|&r| r != UNASSIGNED));
-    col_to_row
+/// Auction solve of `matrix`, returning `assignment[v] = u`. ε shrinks
+/// by `scaling_factor` (at least 2) between scaling phases.
+///
+/// # Panics
+/// Panics when the auction's prices could overflow `i64`, which needs
+/// `S ≥ 2²⁸`.
+pub fn solve_auction(matrix: &ErrorMatrix, scaling_factor: i64) -> Vec<usize> {
+    match auction_phases(matrix, scaling_factor, 1, &Deadline::NONE) {
+        Ok(Some(auction)) => auction.owner,
+        // lint:allow(panic) no S × S matrix with S ≥ 2^28 fits in memory
+        Ok(None) => panic!("auction prices overflow i64 at S = {}", matrix.size()),
+        // lint:allow(panic) Deadline::NONE never expires
+        Err(DeadlineExceeded) => unreachable!("unbounded deadline expired"),
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +195,20 @@ mod tests {
     fn all_zero_matrix_terminates() {
         let cost = from_fn(10, |_, _| 0);
         assert_eq!(total(&cost, 4), 0);
+    }
+
+    #[test]
+    fn price_bound_holds_exactly_up_to_its_boundary() {
+        // 8 · u32::MAX · 2^28 = 2^63 − 2^31 fits; one more row of scale
+        // overflows.
+        let last = (1usize << 28) - 1;
+        assert_eq!(
+            price_bound(u32::MAX, last),
+            Some((8 * i64::from(u32::MAX)) << 28)
+        );
+        assert_eq!(price_bound(u32::MAX, last + 1), None);
+        assert_eq!(price_bound(0, 3), Some(32));
+        assert_eq!(price_bound(1, usize::MAX), None);
     }
 
     #[test]

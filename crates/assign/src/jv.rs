@@ -1,63 +1,47 @@
-//! Jonker–Volgenant algorithm (LAPJV, 1987).
+//! Jonker–Volgenant algorithm (LAPJV, 1987) seeded by an ε-scaling
+//! auction.
 //!
-//! The classical three-phase dense LAP solver:
+//! Two phases:
 //!
-//! 1. **Column reduction** — set `v[j]` to the column minimum and match
-//!    the minimizing row (lowest index on ties) while it is still free,
-//!    columns right to left. The minima are gathered in one row-major
-//!    pass over the matrix, so the reads are contiguous;
-//! 2. **Reduction transfer + augmenting row reduction** — two sweeps over
-//!    the free rows that either match them on a cheapest column (displacing
-//!    the current owner) or tighten the column potentials;
-//! 3. **Augmentation** — for each remaining free row, LAPJV's column-list
-//!    Dijkstra over reduced costs. A permutation of the columns is split
-//!    into READY (distance final), SCAN (at the current minimum distance,
-//!    not yet scanned) and TODO. When SCAN is empty, one pass moves every
-//!    TODO column at the new minimum into SCAN, and the search ends if one
-//!    of them is unassigned. Scanning a column relaxes only the TODO
-//!    columns; one that drops to the minimum joins SCAN, or ends the search
-//!    at once if it is unassigned. The dual update `v[j] += d[j] − μ`
-//!    touches only READY columns.
+//! 1. **Auction prefix**, in place of LAPJV's column reduction and
+//!    augmenting row reduction: Bertsekas's ε-scaling auction
+//!    ([`crate::auction`], factor 4) on `c·(S+1) + price`, stopped after
+//!    the first phase with ε ≤ 8 cost units. Its prices become the column
+//!    duals `v[j] = −⌊price[j]/(S+1)⌋`. Of its matches only those tight
+//!    against their row minimum of `c − v` are kept, and every other row
+//!    is left free. The kept matches have zero reduced cost, so the duals
+//!    are feasible for the augmentation by construction. When the
+//!    auction's prices could overflow `i64`, the prefix is skipped and
+//!    every row is free, which is still exact;
+//! 2. **Augmentation** (LAPJV's Phase 3) — for each free row, LAPJV's
+//!    column-list Dijkstra over reduced costs. A permutation of the
+//!    columns is split into READY (distance final), SCAN (at the current
+//!    minimum distance, not yet scanned) and TODO. When SCAN is empty, one
+//!    pass moves every TODO column at the new minimum into SCAN, and the
+//!    search ends if one of them is unassigned. Scanning a column relaxes
+//!    only the TODO columns; one that drops to the minimum joins SCAN, or
+//!    ends the search at once if it is unassigned. The dual update
+//!    `v[j] += d[j] − μ` touches only READY columns.
 //!
 //! Exact: returns the same optimum as [`crate::hungarian`] (tested against
-//! it and the brute-force oracle), typically with far fewer augmentation
-//! phases thanks to the cheap initialization — which is why the JV family
-//! is the practical default for dense instances like the paper's S×S error
+//! it and the brute-force oracle); assignments may differ from other
+//! solvers' only where optima tie. The auction's prices leave short
+//! augmenting paths even where many rows stay free, which is why this is
+//! the practical default for dense instances like the paper's S×S error
 //! matrices.
 //!
-//! [`solve_jv_bounded`] polls a [`Deadline`] once per Phase-3 free row, the
-//! solve's unit of work; the polls never change the assignment.
+//! [`solve_jv_bounded`] polls a [`Deadline`] at each auction phase, once
+//! every `S` bids within a phase, and before each free-row augmentation;
+//! the polls never change the assignment.
 
+use crate::auction::{auction_phases, Auction};
 use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 
 const UNASSIGNED: usize = usize::MAX;
 
-/// First and second minima of `cost[i][j] - v[j]` over all columns.
-/// Returns `(u1, j1, u2, j2)`; `j2 == j1` only when `n == 1`.
-fn two_minima(matrix: &ErrorMatrix, v: &[i64], i: usize) -> (i64, usize, i64, usize) {
-    let row = matrix.row(i);
-    let mut u1 = i64::MAX;
-    let mut u2 = i64::MAX;
-    let mut j1 = 0usize;
-    let mut j2 = 0usize;
-    for (j, &c) in row.iter().enumerate() {
-        let r = i64::from(c) - v[j];
-        if r < u1 {
-            u2 = u1;
-            j2 = j1;
-            u1 = r;
-            j1 = j;
-        } else if r < u2 {
-            u2 = r;
-            j2 = j;
-        }
-    }
-    if row.len() == 1 {
-        u2 = u1;
-        j2 = j1;
-    }
-    (u1, j1, u2, j2)
-}
+/// The auction prefix stops after the first phase with ε at most this
+/// many cost units.
+const PREFIX_EPS_UNITS: i64 = 8;
 
 /// Solve `matrix` exactly, returning `assignment[v] = u`.
 pub fn solve_jv(matrix: &ErrorMatrix) -> Vec<usize> {
@@ -68,110 +52,81 @@ pub fn solve_jv(matrix: &ErrorMatrix) -> Vec<usize> {
     }
 }
 
-/// [`solve_jv`] that polls `deadline` before each Phase-3 augmentation.
+/// Whether `(i, j)` has zero reduced cost: `c[i][j] − v[j]` is the
+/// minimum of row `i`.
+fn is_tight(matrix: &ErrorMatrix, v: &[i64], i: usize, j: usize) -> bool {
+    let row = matrix.row(i);
+    let min = row.iter().zip(v).map(|(&c, &vj)| i64::from(c) - vj).min();
+    min == Some(i64::from(row[j]) - v[j])
+}
+
+/// [`solve_jv`] that polls `deadline` during the auction prefix and
+/// before each augmentation.
 ///
 /// # Errors
 /// Returns [`DeadlineExceeded`] when `deadline` expires before the last
 /// free row is augmented.
-// Index loops mirror the published LAPJV pseudo-code; iterator forms would
-// obscure the correspondence.
-#[allow(clippy::needless_range_loop)]
 pub fn solve_jv_bounded(
     matrix: &ErrorMatrix,
     deadline: &Deadline,
 ) -> Result<Vec<usize>, DeadlineExceeded> {
+    let scale = (matrix.size() + 1) as i64;
+    let final_eps = PREFIX_EPS_UNITS.saturating_mul(scale);
+    let auction = auction_phases(matrix, 4, final_eps, deadline)?;
+    let (mut x, mut y, mut v) = keep_tight_matches(matrix, auction.as_ref(), scale);
+    augment(matrix, &mut x, &mut y, &mut v, deadline)?;
+    Ok(y)
+}
+
+/// The augmentation's starting state from the auction prefix: column
+/// duals `v[j] = −⌊price[j]/scale⌋` and, of the auction's matches, only
+/// those tight against their row minimum of `c − v`, so the
+/// augmentation's reduced costs start non-negative on every matched edge.
+/// Returns `(x, y, v)` with `x` row → column and `y` its inverse; without
+/// an auction every row is free and `v = 0`.
+fn keep_tight_matches(
+    matrix: &ErrorMatrix,
+    auction: Option<&Auction>,
+    scale: i64,
+) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
     let n = matrix.size();
-    let mut x = vec![UNASSIGNED; n]; // row -> col
-    let mut y = vec![UNASSIGNED; n]; // col -> row
-    let mut v = vec![i64::MAX; n];
-
-    // Phase 1: column reduction. The column minima are gathered row by
-    // row (contiguous reads); a strict `<` keeps the lowest row index on
-    // ties. Columns are then matched right to left to their minimizing
-    // row while that row is still free.
-    let mut imin = vec![0usize; n];
-    for i in 0..n {
-        for (j, &c) in matrix.row(i).iter().enumerate() {
-            let c = i64::from(c);
-            if c < v[j] {
-                v[j] = c;
-                imin[j] = i;
+    let mut x = vec![UNASSIGNED; n];
+    let mut y = vec![UNASSIGNED; n];
+    let mut v = vec![0i64; n];
+    if let Some(auction) = auction {
+        for (vj, &p) in v.iter_mut().zip(&auction.price) {
+            *vj = -(p / scale);
+        }
+        for (j, &i) in auction.owner.iter().enumerate() {
+            if is_tight(matrix, &v, i, j) {
+                x[i] = j;
+                y[j] = i;
             }
         }
     }
-    for j in (0..n).rev() {
-        let i = imin[j];
-        if x[i] == UNASSIGNED {
-            x[i] = j;
-            y[j] = i;
-        }
-    }
+    (x, y, v)
+}
 
-    // Phase 1b: reduction transfer — for rows matched in phase 1, shift
-    // slack from their matched column so later Dijkstra runs start tighter.
-    for i in 0..n {
-        let j1 = x[i];
-        if j1 != UNASSIGNED && n > 1 {
-            let mut min2 = i64::MAX;
-            for j in 0..n {
-                if j != j1 {
-                    min2 = min2.min(i64::from(matrix.get(i, j)) - v[j]);
-                }
-            }
-            v[j1] -= min2 - (i64::from(matrix.get(i, j1)) - v[j1]);
-        }
-    }
-
-    let mut free: Vec<usize> = (0..n).filter(|&i| x[i] == UNASSIGNED).collect();
-
-    // Phase 2: augmenting row reduction, two sweeps.
-    for _sweep in 0..2 {
-        let mut k = 0usize;
-        let mut next_free: Vec<usize> = Vec::new();
-        // Safety bound: each strict dual decrease is at least 1 for integer
-        // costs, and total decrease is bounded; this cap only guards
-        // against implementation bugs.
-        let mut guard = 0usize;
-        let guard_cap = 16 * n * n + 64;
-        while k < free.len() {
-            guard += 1;
-            if guard > guard_cap {
-                debug_assert!(false, "augmenting row reduction failed to converge");
-                next_free.extend_from_slice(&free[k..]);
-                break;
-            }
-            let i = free[k];
-            k += 1;
-            let (u1, mut j1, u2, j2) = two_minima(matrix, &v, i);
-            let mut i0 = y[j1];
-            if u1 < u2 {
-                // Tighten j1 so its reduced cost matches the runner-up.
-                v[j1] -= u2 - u1;
-            } else if i0 != UNASSIGNED {
-                // Tie and j1 taken: take the runner-up column instead.
-                j1 = j2;
-                i0 = y[j1];
-            }
-            x[i] = j1;
-            y[j1] = i;
-            if i0 != UNASSIGNED {
-                x[i0] = UNASSIGNED;
-                if u1 < u2 {
-                    // Re-process the displaced row immediately.
-                    k -= 1;
-                    free[k] = i0;
-                } else {
-                    next_free.push(i0);
-                }
-            }
-        }
-        free = next_free;
-        if free.is_empty() {
-            break;
-        }
-    }
-
-    // Phase 3: shortest augmenting path for each remaining free row.
+/// LAPJV's augmentation: a shortest augmenting path for each row that
+/// `x` (row → column, inverse `y`) leaves free, starting from column
+/// duals `v` under which every matched edge is tight at its row minimum.
+/// Polls `deadline` before each free row.
+// Index loops mirror the published LAPJV pseudo-code; iterator forms would
+// obscure the correspondence.
+#[allow(clippy::needless_range_loop)]
+fn augment(
+    matrix: &ErrorMatrix,
+    x: &mut [usize],
+    y: &mut [usize],
+    v: &mut [i64],
+    deadline: &Deadline,
+) -> Result<(), DeadlineExceeded> {
+    let n = matrix.size();
+    debug_assert!(
+        (0..n).all(|i| x[i] == UNASSIGNED || is_tight(matrix, v, i, x[i])),
+        "a matched edge has a positive reduced cost"
+    );
+    let free: Vec<usize> = (0..n).filter(|&i| x[i] == UNASSIGNED).collect();
     // `cols` is a permutation of the columns split into READY `[..lo]`
     // (scanned, distance final), SCAN `[lo..hi]` (distance == the current
     // minimum `mu`, not yet scanned) and TODO `[hi..]`. A swap into SCAN
@@ -254,7 +209,7 @@ pub fn solve_jv_bounded(
     }
 
     debug_assert!(y.iter().all(|&i| i != UNASSIGNED));
-    Ok(y)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -318,7 +273,8 @@ mod tests {
 
     #[test]
     fn heavy_ties_are_handled() {
-        // Many identical entries exercise the tie branches of phase 2.
+        // Many identical entries: tied bids in the auction prefix and tied
+        // scan lists in the augmentation.
         let mut state = 7u64;
         let mut next = move || {
             state ^= state << 13;
@@ -374,18 +330,54 @@ mod tests {
         };
         let far = Deadline::after(std::time::Duration::from_secs(3600));
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let mut stopped = 0;
-        for &n in &[8usize, 17, 40, 64] {
+        for &n in &[2usize, 8, 17, 40, 64] {
             let data: Vec<u32> = (0..n * n).map(|_| (next() % 3) as u32).collect();
             let cost = ErrorMatrix::from_vec(n, data);
-            let unbounded = solve_jv(&cost);
-            assert_eq!(solve_jv_bounded(&cost, &far), Ok(unbounded.clone()));
-            // Only instances that reach Phase 3 poll the deadline at all.
-            match solve_jv_bounded(&cost, &expired) {
-                Err(DeadlineExceeded) => stopped += 1,
-                Ok(assignment) => assert_eq!(assignment, unbounded, "n={n}"),
-            }
+            assert_eq!(solve_jv_bounded(&cost, &far), Ok(solve_jv(&cost)), "n={n}");
+            // The auction prefix polls before its first phase.
+            assert_eq!(
+                solve_jv_bounded(&cost, &expired),
+                Err(DeadlineExceeded),
+                "n={n}"
+            );
         }
-        assert!(stopped > 0, "no instance reached the Phase-3 poll");
+    }
+
+    /// The augmentation alone, from every row free and `v = 0`: what
+    /// runs when the auction's prices could overflow `i64`.
+    fn augment_from_scratch(cost: &ErrorMatrix) -> Vec<usize> {
+        let (mut x, mut y, mut v) = keep_tight_matches(cost, None, 1);
+        assert_eq!(
+            augment(cost, &mut x, &mut y, &mut v, &Deadline::NONE),
+            Ok(())
+        );
+        y
+    }
+
+    #[test]
+    fn augmentation_without_the_prefix_is_exact() {
+        let mut state = 0x5CA1_AB1E_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for &(n, max) in &[(1usize, 9u64), (2, 9), (7, 500), (40, 3), (64, 100_000)] {
+            let data: Vec<u32> = (0..n * n).map(|_| (next() % max) as u32).collect();
+            let cost = ErrorMatrix::from_vec(n, data);
+            let assignment = augment_from_scratch(&cost);
+            assert_eq!(
+                checked_total(&cost, &assignment),
+                optimal_total(&cost),
+                "n={n}"
+            );
+        }
+        let extreme = from_fn(8, |r, c| u32::MAX - ((r + c) % 2) as u32);
+        let assignment = augment_from_scratch(&extreme);
+        assert_eq!(
+            checked_total(&extreme, &assignment),
+            optimal_total(&extreme)
+        );
     }
 }

@@ -9,13 +9,15 @@
 //!
 //! * [`hungarian`] — Kuhn–Munkres via successive shortest augmenting paths
 //!   with potentials, O(S³) (the paper's refs [11][12]);
-//! * [`jv`] — Jonker–Volgenant (LAPJV): column reduction, augmenting row
-//!   reduction, then shortest-path augmentation; same optimum, faster in
-//!   practice. The one solver that serves jobs: [`jv::solve_jv_bounded`]
-//!   polls a job [`mosaic_grid::Deadline`] before every augmentation. The
-//!   other exact solvers are its test oracles and bench comparisons;
+//! * [`jv`] — Jonker–Volgenant (LAPJV) shortest-path augmentation, seeded
+//!   by an ε-scaling auction prefix; same optimum, faster in practice. The
+//!   one solver that serves jobs: [`jv::solve_jv_bounded`] polls a job
+//!   [`mosaic_grid::Deadline`] at each auction phase, every `S` bids and
+//!   before every augmentation. The other exact solvers are its test
+//!   oracles and bench comparisons;
 //! * [`auction`] — Bertsekas ε-scaling auction; exact for integer costs
-//!   once ε < 1/n (achieved by scaling costs by n+1);
+//!   once ε < 1/n (achieved by scaling costs by n+1). Its phase loop is
+//!   also JV's prefix;
 //! * [`greedy`] — global greedy matching, the quality baseline;
 //! * [`brute`] — O(n·n!) exhaustive search, the test oracle for small n;
 //! * [`sparse`] — exact rectangular matching over pruned candidate lists,

@@ -7,7 +7,8 @@ use mosaic_assign::brute::solve_brute;
 use mosaic_assign::greedy::solve_greedy;
 use mosaic_assign::{solve_hungarian, solve_jv, SolverKind};
 use mosaic_grid::assemble::is_permutation;
-use mosaic_grid::ErrorMatrix;
+use mosaic_grid::{build_error_matrix, ErrorMatrix, TileLayout, TileMetric};
+use mosaic_image::synth::Scene;
 use mosaic_image::testutil::XorShift;
 
 fn arb_cost_matrix(rng: &mut XorShift, max_n: usize, max_cost: u32) -> ErrorMatrix {
@@ -223,7 +224,7 @@ fn jv_is_exact_on_duplicated_columns() {
 #[test]
 fn jv_is_exact_on_duplicated_rows_and_columns() {
     // Copied rows as well: rows tie on every column, so most of them
-    // stay free after column reduction and reach the augmentation.
+    // stay free after the auction prefix and reach the augmentation.
     for seed in 0..6 {
         let n = 64;
         let k = 4;
@@ -234,5 +235,24 @@ fn jv_is_exact_on_duplicated_rows_and_columns() {
             .collect();
         let cost = from_fn(n, |r, c| base[(r % distinct) * distinct + c % distinct]);
         assert_jv_exact_and_deterministic(&cost, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn jv_is_exact_on_rendered_mosaic_matrices() {
+    // Real Step-2 matrices at S = 256 (256 px, 16 px tiles): popular
+    // target tiles and ties leave most rows free after the auction
+    // prefix, so the augmentation does real work.
+    let layout = TileLayout::with_grid(256, 16).unwrap();
+    for (input, target) in [
+        (Scene::Fur, Scene::Checker),
+        (Scene::Portrait, Scene::Drapery),
+    ] {
+        let (a, b) = (input.render(256, 11), target.render(256, 12));
+        for metric in [TileMetric::Sad, TileMetric::Ssd] {
+            let cost = build_error_matrix(&a, &b, layout, metric).unwrap();
+            let label = format!("{}->{} {}", input.name(), target.name(), metric.name());
+            assert_jv_exact_and_deterministic(&cost, &label);
+        }
     }
 }

@@ -31,8 +31,9 @@ pub fn optimal_rearrangement(matrix: &ErrorMatrix, solver: SolverKind) -> Search
 }
 
 /// [`optimal_rearrangement`] under a deadline. Jonker–Volgenant polls it
-/// before each free-row augmentation; the oracle solvers check it only
-/// on entry.
+/// at each phase of its auction prefix, once every `S` bids within a
+/// phase and before each free-row augmentation; the oracle solvers check
+/// it only on entry.
 ///
 /// # Errors
 /// Returns [`DeadlineExceeded`] when `deadline` expires before the solve

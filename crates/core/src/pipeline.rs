@@ -113,11 +113,11 @@ pub fn generate<P: MosaicPixel>(
 /// job its per-server pool, sized by `--workers`), with cooperative
 /// cancellation and Step-2 matrix reuse.
 ///
-/// `deadline` is polled at sweep boundaries of the Step-3 searches, at
-/// each free-row augmentation of the Jonker–Volgenant solve and at every
-/// Step-2 row (a block of the simulated GPU) on every backend, so a
-/// pathological job stops within one such unit of work (one row per
-/// worker) of the deadline.
+/// `deadline` is polled at sweep boundaries of the Step-3 searches; at
+/// each auction phase, every `S` bids and each free-row augmentation of
+/// the Jonker–Volgenant solve; and at every Step-2 row (a block of the
+/// simulated GPU) on every backend, so a pathological job stops within
+/// one such unit of work (one row per worker) of the deadline.
 /// Step 1, the greedy baseline and the oracle solvers only check the
 /// deadline before they start.
 ///

@@ -127,6 +127,12 @@ passed_gate() {
     fi
 }
 
+# Every crate's own unit, integration and doc tests. The root
+# `cargo test` above runs only the root package's test binaries, so
+# without this the tests of mosaic-gpu, mosaic-service, mosaic-gateway,
+# mosaic-cli, mosaic-lint and mosaic-telemetry would gate nothing.
+passed_gate 813 "workspace tests" --workspace
+
 # Wire codec: the run-based JSON string codec, the table hex codec and
 # the block newline scan must match their per-character test oracles
 # on the deterministic fuzz inputs.
@@ -141,9 +147,9 @@ passed_gate 2 "gateway verbatim-forwarding tests" --test gateway_fleet verbatim_
 passed_gate 1 "synth size-bound decode tests" -p photomosaic --lib synth_size_bound
 passed_gate 1 "synth size-bound fleet tests" --test gateway_fleet synth_size_bound
 
-# An exact optimal job polls the per-job deadline before every
-# Jonker-Volgenant augmentation, so an S = 4096 solve from the wire
-# cannot hold a worker for seconds past the deadline.
+# An exact optimal job polls the per-job deadline at every auction
+# phase, every S bids and before every Jonker-Volgenant augmentation, so
+# an S = 4096 solve from the wire cannot hold a worker past the deadline.
 passed_gate 1 "optimal deadline test" --test service_integration fault_optimal
 
 # Step 2 polls the job deadline on every backend: the serial build
@@ -211,8 +217,9 @@ fi
 
 # Assignment-solver suite: every exact solver (JV above all, which
 # serves `Optimal` jobs) is checked against the Hungarian and
-# brute-force oracles, including the tie-heavy instances that reach
-# JV's batched shortest-path search. Passed-count floor, summed over the
+# brute-force oracles, including the tie-heavy instances and rendered
+# mosaic matrices that leave most rows to JV's shortest-path search after
+# its auction prefix. Passed-count floor, summed over the
 # crate's unit, integration and doc tests, against vacuous green runs.
 echo "==> cargo test -q --offline -p mosaic-assign"
 assign_out=$(cargo test -q --offline -p mosaic-assign 2>&1) || {
@@ -222,8 +229,8 @@ assign_out=$(cargo test -q --offline -p mosaic-assign 2>&1) || {
 echo "$assign_out" | grep '^test result:'
 assign_passed=$(echo "$assign_out" | grep '^test result:' |
     sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-if [ "${assign_passed:-0}" -lt 67 ]; then
-    echo "error: expected at least 67 mosaic-assign tests, ran ${assign_passed:-0}" >&2
+if [ "${assign_passed:-0}" -lt 70 ]; then
+    echo "error: expected at least 70 mosaic-assign tests, ran ${assign_passed:-0}" >&2
     exit 1
 fi
 

@@ -458,10 +458,11 @@ fn fault_stalled_worker_hits_the_deadline_while_others_drain() {
     server.join();
 }
 
-/// An exact `optimal` job at S = 4096 holds a worker for seconds of
-/// Jonker–Volgenant augmentation, yet still honours the per-job deadline:
-/// the solve polls it before every free-row augmentation, so the only
-/// worker answers `deadline_exceeded` and is then free for the next job.
+/// An exact `optimal` job at S = 4096 holds a worker for a
+/// Jonker–Volgenant solve far longer than its deadline, yet still honours
+/// it: the solve polls it at every auction phase, every `S` bids and
+/// before every free-row augmentation, so the only worker answers
+/// `deadline_exceeded` and is then free for the next job.
 ///
 /// The deadline has to land inside Step 3. Step 2 of this job takes about
 /// 0.15 s optimised but about 4 s in an unoptimised test build, so the
