@@ -10,9 +10,9 @@
 //!   mosaic matrices (DESIGN.md §5);
 //! * `ablations` — metric / preprocess / Algorithm-1 descent / end-to-end
 //!   backend sweeps;
-//! * `search` — Algorithm 2 on the persistent `mosaic-pool` workers vs
-//!   the pre-pool scoped-thread dispatch (kept verbatim here as the
-//!   baseline), full-search and per-sweep, at S = 256 and S = 1024;
+//! * `search` — Algorithm 2 as one gang call on the persistent
+//!   `mosaic-pool` workers (2 and 4 lanes) vs the single-thread
+//!   reference, full-search and per-sweep, at S = 256 and S = 1024;
 //! * `tilelib` — clustered candidate pruning vs the dense rectangular
 //!   optimum at library sizes 256/512/1024, plus the published
 //!   pruned-vs-optimal cost ratio (permille) at each size.
@@ -390,55 +390,15 @@ fn suite_ablations(options: &Options, cases: &mut Vec<Case>) {
     }
 }
 
-/// The scoped-thread Algorithm-2 dispatch the threaded search shipped
-/// with before the `mosaic-pool` rewiring, kept verbatim as the
-/// measured baseline: every occupied group of every sweep spawns `threads`
-/// OS threads, so a full search costs O(groups × sweeps × threads)
-/// spawns. Returns the sweep count so callers can derive per-sweep cost.
-fn scoped_search_sweeps(matrix: &ErrorMatrix, schedule: &SwapSchedule, threads: usize) -> usize {
-    let s = matrix.size();
-    let mut assignment: Vec<usize> = (0..s).collect();
-    let mut sweeps = 0usize;
-    let mut decisions: Vec<bool> = Vec::new();
-    loop {
-        sweeps += 1;
-        let mut swapped = false;
-        for group in schedule.occupied_groups() {
-            decisions.clear();
-            decisions.resize(group.len(), false);
-            let chunk = group.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let assignment = &assignment;
-                for (pairs, flags) in group.chunks(chunk).zip(decisions.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (&(p, q), flag) in pairs.iter().zip(flags.iter_mut()) {
-                            *flag = matrix.swap_gain(assignment, p, q) > 0;
-                        }
-                    });
-                }
-            });
-            for (&(p, q), &doit) in group.iter().zip(&decisions) {
-                if doit {
-                    assignment.swap(p, q);
-                    swapped = true;
-                }
-            }
-        }
-        if !swapped {
-            break;
-        }
-    }
-    sweeps
-}
-
 /// Derive a `<kind>-sweep/...` case from a full-search case: the same
 /// samples divided by the (deterministic) sweep count, so the exposition
 /// reports amortized per-sweep cost next to end-to-end cost.
-fn per_sweep_case(full: &Case, kind: &str, s: usize, threads: usize, sweeps: usize) -> Case {
+fn per_sweep_case(full: &Case, sweeps: usize) -> Case {
     let sweeps = sweeps.max(1) as u64;
+    let (kind, rest) = full.name.split_once('/').unwrap_or((&full.name, ""));
     Case {
         suite: full.suite,
-        name: format!("{kind}-sweep/s{s}/t{threads}"),
+        name: format!("{kind}-sweep/{rest}"),
         min: full.min / sweeps as u32,
         mean: full.mean / sweeps as u32,
         samples: full.samples,
@@ -449,42 +409,45 @@ fn per_sweep_case(full: &Case, kind: &str, s: usize, threads: usize, sweeps: usi
 fn suite_search(options: &Options, cases: &mut Vec<Case>) {
     let size = 256;
     let (input, target) = figure2_pair(size);
-    let threads = 4usize;
-    // Grid 16 -> S = 256, grid 32 -> S = 1024 (the acceptance scale: at
-    // S = 1024 the scoped baseline pays 1023 groups x 4 spawns per sweep).
+    // Grid 16 -> S = 256, grid 32 -> S = 1024 (the acceptance scale: 1023
+    // color groups per sweep, each one barrier of the pool's gang).
     for grid in [16usize, 32] {
         let layout = TileLayout::with_grid(size, grid).unwrap();
         let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
         let schedule = SwapSchedule::for_tiles(matrix.size());
         let s = matrix.size();
-        // Both strategies make identical decisions, so both converge in
-        // the same number of sweeps; measure it once, untimed.
-        let sweeps = scoped_search_sweeps(&matrix, &schedule, threads);
-        let scoped = run_case(
+        // Every arm makes the reference's decisions and so converges in
+        // its sweep count; check that once, untimed.
+        let reference = parallel_search_reference(&matrix, &schedule);
+        let pooled = |threads: usize| {
+            parallel_search_threads_bounded_in(
+                mosaic_pool::global(),
+                &matrix,
+                &schedule,
+                threads,
+                &Deadline::NONE,
+            )
+            .unwrap()
+        };
+        let mut arms = vec![run_case(
             "search",
-            format!("scoped/s{s}/t{threads}"),
+            format!("reference/s{s}"),
             options.samples,
-            || scoped_search_sweeps(&matrix, &schedule, threads),
-        );
-        let pooled = run_case(
-            "search",
-            format!("pool/s{s}/t{threads}"),
-            options.samples,
-            || {
-                parallel_search_threads_bounded_in(
-                    mosaic_pool::global(),
-                    &matrix,
-                    &schedule,
-                    threads,
-                    &Deadline::NONE,
-                )
-                .unwrap()
-            },
-        );
-        cases.push(per_sweep_case(&scoped, "scoped", s, threads, sweeps));
-        cases.push(per_sweep_case(&pooled, "pool", s, threads, sweeps));
-        cases.push(scoped);
-        cases.push(pooled);
+            || parallel_search_reference(&matrix, &schedule),
+        )];
+        for threads in [2usize, 4] {
+            assert_eq!(pooled(threads), reference, "pool diverged at t={threads}");
+            arms.push(run_case(
+                "search",
+                format!("pool/s{s}/t{threads}"),
+                options.samples,
+                || pooled(threads),
+            ));
+        }
+        for arm in arms {
+            cases.push(per_sweep_case(&arm, reference.outcome.sweeps));
+            cases.push(arm);
+        }
     }
 }
 

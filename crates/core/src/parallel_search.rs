@@ -9,22 +9,28 @@
 //!
 //! Three execution strategies share one sweep loop (deadline poll,
 //! sweep span, sweep/launch/swap counts, convergence test) and differ
-//! only in how they run one color group; they are tested for
-//! bit-equality of results:
+//! only in how they run one sweep; they are tested for bit-equality of
+//! results:
 //!
 //! * [`parallel_search_reference`] — groups executed on one thread, the
 //!   specification;
-//! * [`parallel_search_threads_bounded_in`] — each group's pairs split
-//!   across the persistent `mosaic-pool` workers (one batch per group, no
-//!   per-group thread spawns);
+//! * [`parallel_search_threads_bounded_in`] — one `mosaic-pool` gang call
+//!   for the whole search: each color group is one gang phase, whose
+//!   chunks the lanes claim and apply in place, with the gang's barrier
+//!   between groups (no pool dispatch per group);
 //! * [`parallel_search_gpu`] — one simulated kernel launch per group, the
-//!   paper's GPU implementation.
+//!   paper's GPU implementation, all launches in one device session.
+//!
+//! The scoped-thread dispatch the threaded strategy used before the pool
+//! (threads spawned per group, decisions applied serially) survives as a
+//! test oracle below.
 
 use crate::local_search::{never_exceeded, SearchOutcome};
-use mosaic_edgecolor::SwapSchedule;
-use mosaic_gpu::{BlockContext, GlobalBuffer, GpuSim, LaunchConfig, WorkProfile};
+use mosaic_edgecolor::{Group, SwapSchedule};
+use mosaic_gpu::{BlockContext, GlobalBuffer, GpuSim, LaunchConfig, Session, WorkProfile};
 use mosaic_grid::{Deadline, DeadlineExceeded, ErrorMatrix};
 use mosaic_pool::ThreadPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A [`SearchOutcome`] plus the kernel-launch count the GPU path would
 /// issue (used for the analytic device model; identical across backends
@@ -81,30 +87,29 @@ impl Sweeps {
 
 /// The sweep loop of Algorithm 2, shared by every backend: sweep the
 /// occupied color groups in order until a whole sweep swaps nothing.
-/// `group_step` runs one group against the backend's assignment and
-/// returns how many swaps it made. The deadline is polled before every
-/// sweep, so overshoot past an expiry is at most one sweep.
+/// `sweep` runs the groups of one sweep, in order, against the
+/// backend's assignment and returns how many swaps it made. The deadline
+/// is polled before every sweep, so overshoot past an expiry is at most
+/// one sweep.
 fn run_sweeps(
     matrix: &ErrorMatrix,
     schedule: &SwapSchedule,
     deadline: &Deadline,
-    mut group_step: impl FnMut(&[(usize, usize)]) -> usize,
+    mut sweep: impl FnMut() -> usize,
 ) -> Result<Sweeps, DeadlineExceeded> {
     assert_eq!(
         schedule.tiles(),
         matrix.size(),
         "schedule must be built for S = matrix size"
     );
+    let groups = schedule.occupied_groups().count();
     let mut counts = Sweeps::default();
     loop {
         deadline.check()?;
         let _sweep = mosaic_telemetry::tracer().span("parallel_search_sweep");
         counts.sweeps += 1;
-        let mut swapped = 0;
-        for group in schedule.occupied_groups() {
-            counts.launches += 1;
-            swapped += group_step(group);
-        }
+        counts.launches += groups;
+        let swapped = sweep();
         counts.swaps += swapped;
         if swapped == 0 {
             return Ok(counts);
@@ -134,32 +139,67 @@ pub fn parallel_search_reference_bounded(
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
     let mut assignment: Vec<usize> = (0..matrix.size()).collect();
-    let counts = run_sweeps(matrix, schedule, deadline, |group| {
-        reference_group(matrix, &mut assignment, group)
+    let counts = run_sweeps(matrix, schedule, deadline, || {
+        reference_sweep(matrix, schedule, &mut assignment)
     })?;
     Ok(counts.outcome(matrix, assignment))
 }
 
-/// One group of the reference execution: test and apply each pair's swap
-/// in order.
-fn reference_group(
+/// One sweep of the reference execution: test and apply each pair's
+/// swap, groups in order, pairs in order.
+fn reference_sweep(
     matrix: &ErrorMatrix,
+    schedule: &SwapSchedule,
     assignment: &mut [usize],
-    group: &[(usize, usize)],
 ) -> usize {
     let mut swaps = 0;
-    for &(p, q) in group {
-        if matrix.swap_gain(assignment, p, q) > 0 {
-            assignment.swap(p, q);
+    for group in schedule.occupied_groups() {
+        for (p, q) in group.pairs(0..group.len()) {
+            if matrix.swap_gain(assignment, p, q) > 0 {
+                assignment.swap(p, q);
+                swaps += 1;
+            }
+        }
+    }
+    swaps
+}
+
+/// Pairs `[index · len, (index + 1) · len)` of `group`, clipped to it.
+fn chunk_of(group: Group, index: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let start = (index * len).min(group.len());
+    group.pairs(start..(start + len).min(group.len()))
+}
+
+/// Test and apply the swaps of `pairs` (disjoint pairs of one group)
+/// against the shared assignment; returns how many swapped. Every
+/// backend but the reference runs its groups through here.
+fn swap_pairs(
+    matrix: &ErrorMatrix,
+    assignment: &GlobalBuffer<usize>,
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> usize {
+    let s = matrix.size();
+    let errors = matrix.as_slice();
+    let mut swaps = 0;
+    for (p, q) in pairs {
+        let u = assignment.load(p);
+        let v = assignment.load(q);
+        let before = i64::from(errors[u * s + p]) + i64::from(errors[v * s + q]);
+        let after = i64::from(errors[v * s + p]) + i64::from(errors[u * s + q]);
+        if before > after {
+            assignment.store(p, v);
+            assignment.store(q, u);
             swaps += 1;
         }
     }
     swaps
 }
 
-/// Multi-core CPU execution on `pool`: within each group, pair decisions
-/// are computed by `threads` workers (one pool batch per color group),
-/// then the vertex-disjoint swaps are applied. Produces exactly the
+/// Multi-core CPU execution on `pool`: one gang call of `threads` lanes
+/// for the whole search. Every color group is one gang phase of
+/// `threads` chunks; a lane tests and applies the swaps of the chunks it
+/// claims, and the gang's barrier separates consecutive groups. The
+/// pairs of a group are vertex-disjoint, so this produces exactly the
 /// reference result. Unbounded callers pass `mosaic_pool::global()` and
 /// [`Deadline::NONE`].
 ///
@@ -176,57 +216,34 @@ pub fn parallel_search_threads_bounded_in(
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
     assert!(threads > 0, "at least one worker thread is required");
-    let mut assignment: Vec<usize> = (0..matrix.size()).collect();
-    let mut decisions: Vec<bool> = Vec::new();
-    let counts = run_sweeps(matrix, schedule, deadline, |group| {
-        decisions.clear();
-        decisions.resize(group.len(), false);
-        let chunk = group.len().div_ceil(threads);
-        let current = &assignment;
-        pool.parallel_for_mut(&mut decisions, chunk, |index, flags| {
-            decide_swaps(
-                matrix,
-                current,
-                &group[index * chunk..][..flags.len()],
-                flags,
-            );
-        });
-        apply_swaps(&mut assignment, group, &decisions)
-    })?;
-    Ok(counts.outcome(matrix, assignment))
-}
-
-/// Decide, for one pool chunk of a group, which pairs' swaps gain.
-fn decide_swaps(
-    matrix: &ErrorMatrix,
-    assignment: &[usize],
-    pairs: &[(usize, usize)],
-    flags: &mut [bool],
-) {
-    for (&(p, q), flag) in pairs.iter().zip(flags) {
-        *flag = matrix.swap_gain(assignment, p, q) > 0;
-    }
-}
-
-/// Apply a group's decided (vertex-disjoint) swaps; returns how many.
-fn apply_swaps(assignment: &mut [usize], group: &[(usize, usize)], decisions: &[bool]) -> usize {
-    let mut swaps = 0;
-    for (&(p, q), &doit) in group.iter().zip(decisions) {
-        if doit {
-            assignment.swap(p, q);
-            swaps += 1;
+    let groups: Vec<Group> = schedule.occupied_groups().collect();
+    let assignment = GlobalBuffer::from_vec((0..matrix.size()).collect());
+    let swapped = AtomicUsize::new(0);
+    let chunk = |phase: usize, index: usize| {
+        let group = groups[phase % groups.len()];
+        let len = group.len().div_ceil(threads);
+        let swaps = swap_pairs(matrix, &assignment, chunk_of(group, index, len));
+        if swaps > 0 {
+            swapped.fetch_add(swaps, Ordering::Relaxed);
         }
-    }
-    swaps
+    };
+    let counts = pool.gang(threads, chunk, |gang| {
+        run_sweeps(matrix, schedule, deadline, || {
+            gang.run(groups.len(), threads);
+            swapped.swap(0, Ordering::Relaxed)
+        })
+    })?;
+    Ok(counts.outcome(matrix, assignment.into_vec()))
 }
 
 /// Pairs each simulated block processes in the GPU path.
 const PAIRS_PER_BLOCK: usize = 128;
 
 /// §V execution: one kernel launch per color group on the simulated
-/// device, the assignment living in global memory. Produces exactly the
-/// reference result (pairs within a group are disjoint, so concurrent
-/// execution order cannot matter).
+/// device, the assignment living in global memory. All launches of a
+/// search share one device session. Produces exactly the reference
+/// result (pairs within a group are disjoint, so concurrent execution
+/// order cannot matter).
 pub fn parallel_search_gpu(
     sim: &GpuSim,
     matrix: &ErrorMatrix,
@@ -252,49 +269,47 @@ pub fn parallel_search_gpu_bounded(
     schedule: &SwapSchedule,
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
+    let groups: Vec<Group> = schedule.occupied_groups().collect();
     let assignment = GlobalBuffer::from_vec((0..matrix.size()).collect());
-    let counts = run_sweeps(matrix, schedule, deadline, |group| {
-        gpu_group(sim, matrix, &assignment, group)
+    // The kernel's arguments: the group this launch sweeps, and the
+    // sweep's swap count.
+    let launch_group = GlobalBuffer::filled(1, 0usize);
+    let swapped = GlobalBuffer::filled(1, 0usize);
+    let kernel = |ctx: &mut BlockContext<'_>| {
+        let group = groups[launch_group.load(0)];
+        let pairs = chunk_of(group, ctx.block_id(), PAIRS_PER_BLOCK);
+        let swaps = swap_pairs(matrix, &assignment, pairs);
+        if swaps > 0 {
+            swapped.fetch_add(0, swaps);
+        }
+    };
+    let counts = sim.session(&kernel, |session| {
+        run_sweeps(matrix, schedule, deadline, || {
+            launch_sweep(session, &groups, &launch_group, &swapped)
+        })
     })?;
     Ok(counts.outcome(matrix, assignment.into_vec()))
 }
 
-/// One group of the §V execution: a single kernel launch whose blocks
-/// each test and apply `PAIRS_PER_BLOCK` pairs against the assignment in
-/// device global memory.
-fn gpu_group(
-    sim: &GpuSim,
-    matrix: &ErrorMatrix,
-    assignment: &GlobalBuffer<usize>,
-    group: &[(usize, usize)],
+/// One sweep of the §V execution: a launch per occupied group, whose
+/// index the kernel reads from `launch_group`. Returns (and clears) the
+/// swaps the sweep's launches counted into `swapped`.
+fn launch_sweep(
+    session: &Session<'_>,
+    groups: &[Group],
+    launch_group: &GlobalBuffer<usize>,
+    swapped: &GlobalBuffer<usize>,
 ) -> usize {
-    let s = matrix.size();
-    let errors = matrix.as_slice();
-    let blocks = group.len().div_ceil(PAIRS_PER_BLOCK);
-    let swap_counts = GlobalBuffer::filled(blocks, 0usize);
-    let kernel = |ctx: &mut BlockContext<'_>| {
-        let b = ctx.block_id();
-        let start = b * PAIRS_PER_BLOCK;
-        let end = (start + PAIRS_PER_BLOCK).min(group.len());
-        let mut local_swaps = 0usize;
-        for &(p, q) in &group[start..end] {
-            let u = assignment.load(p);
-            let v = assignment.load(q);
-            let before = i64::from(errors[u * s + p]) + i64::from(errors[v * s + q]);
-            let after = i64::from(errors[v * s + p]) + i64::from(errors[u * s + q]);
-            if before > after {
-                assignment.store(p, v);
-                assignment.store(q, u);
-                local_swaps += 1;
-            }
-        }
-        swap_counts.store(b, local_swaps);
-    };
-    sim.launch(
-        LaunchConfig::linear(blocks, PAIRS_PER_BLOCK.min(group.len())),
-        &kernel,
-    );
-    swap_counts.into_vec().iter().sum()
+    for (index, group) in groups.iter().enumerate() {
+        launch_group.store(0, index);
+        session.launch(LaunchConfig::linear(
+            group.len().div_ceil(PAIRS_PER_BLOCK),
+            PAIRS_PER_BLOCK.min(group.len()),
+        ));
+    }
+    let swaps = swapped.load(0);
+    swapped.store(0, 0);
+    swaps
 }
 
 #[cfg(test)]
@@ -363,6 +378,7 @@ mod tests {
             let mut swapped = false;
             for group in schedule.occupied_groups() {
                 launches += 1;
+                let group: Vec<(usize, usize)> = group.pairs(0..group.len()).collect();
                 decisions.clear();
                 decisions.resize(group.len(), false);
                 let chunk = group.len().div_ceil(threads);

@@ -34,5 +34,5 @@ pub mod schedule;
 pub mod verify;
 
 pub use circle::complete_graph_coloring;
-pub use schedule::SwapSchedule;
+pub use schedule::{Group, Pairs, SwapSchedule};
 pub use verify::{is_exact_cover, is_proper_coloring};

@@ -113,9 +113,11 @@ impl<T: GlobalWord> GlobalBuffer<T> {
     }
 
     /// Download the buffer back to a host vector (requires exclusive
-    /// ownership — i.e. all launches touching it have completed).
+    /// ownership — i.e. all launches touching it have completed). Each
+    /// atomic word has its plain word's size and alignment, so the
+    /// collect reuses the buffer's allocation instead of copying it.
     pub fn into_vec(self) -> Vec<T> {
-        self.cells.iter().map(|c| T::load(c)).collect()
+        self.cells.into_iter().map(|c| T::load(&c)).collect()
     }
 
     /// Copy the buffer to a host vector without consuming it.

@@ -11,6 +11,11 @@
 //! * the launch returns only when every block has finished — the
 //!   kernel-boundary barrier Algorithm 2 relies on between color groups.
 //!
+//! A [`Session`] launches one kernel many times on lanes recruited once
+//! from the pool (a `mosaic-pool` gang): each launch is one gang phase
+//! with one ticket per block, so the barrier between launches is atomic,
+//! not a pool dispatch. [`GpuSim::launch`] is a one-launch session.
+//!
 //! Threads *within* a block are simulated by iterating thread indices
 //! sequentially inside the block body ([`BlockContext::threads`]). That
 //! preserves CUDA's semantics for kernels whose threads are independent
@@ -21,8 +26,8 @@ use crate::device::DeviceSpec;
 use crate::dim::Dim3;
 use crate::shared::SharedMem;
 use crate::stats::{ExecStats, LaunchRecord};
-use mosaic_pool::ThreadPool;
-use mosaic_telemetry::{lock_unpoisoned, registry, tracer};
+use mosaic_pool::{Gang, ThreadPool};
+use mosaic_telemetry::{lock_unpoisoned, registry, tracer, Counter, Gauge, Histogram};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -100,9 +105,10 @@ impl<F: Fn(&mut BlockContext<'_>) + Sync> Kernel for F {
 /// The simulated device executor.
 ///
 /// Worker lanes are dispatched onto a persistent [`ThreadPool`] — by
-/// default the process-wide `mosaic_pool::global()` — so repeated
-/// launches (one per color group per sweep in Algorithm 2) reuse the
-/// same OS threads instead of spawning a fresh scope every time.
+/// default the process-wide `mosaic_pool::global()`. A [`Session`] holds
+/// its lanes for many launches (one per color group per sweep in
+/// Algorithm 2), so a launch costs an atomic barrier, not a pool
+/// dispatch.
 pub struct GpuSim {
     device: DeviceSpec,
     workers: usize,
@@ -160,67 +166,160 @@ impl GpuSim {
     }
 
     /// Launch `kernel` over `config`. Blocks until every block has
-    /// executed (the kernel-boundary barrier).
+    /// executed (the kernel-boundary barrier). A one-launch
+    /// [`session`](Self::session).
     ///
     /// # Panics
     /// Propagates panics from kernel blocks.
     pub fn launch<K: Kernel>(&self, config: LaunchConfig, kernel: &K) -> LaunchRecord {
+        let lanes = self.workers.min(config.grid.count()).max(1);
+        self.session_on(lanes, kernel, |session| session.launch(config))
+    }
+
+    /// Open a device session for `kernel` and run `body` on it: every
+    /// [`Session::launch`] in `body` runs `kernel` on the session's lanes,
+    /// which stay recruited from one pool dispatch until `body` returns.
+    /// A kernel that needs per-launch arguments reads them from
+    /// [`crate::GlobalBuffer`]s that `body` writes between launches.
+    ///
+    /// # Panics
+    /// Propagates panics from kernel blocks and from `body`.
+    pub fn session<K: Kernel, R>(&self, kernel: &K, body: impl FnOnce(&Session<'_>) -> R) -> R {
+        self.session_on(self.workers, kernel, body)
+    }
+
+    fn session_on<K: Kernel, R>(
+        &self,
+        lanes: usize,
+        kernel: &K,
+        body: impl FnOnce(&Session<'_>) -> R,
+    ) -> R {
+        let slot = LaunchSlot::default();
+        let metrics = LaunchMetrics::lookup();
+        // Every launch is one gang phase with one chunk per block, so the
+        // lanes claim blocks one at a time, in any order.
+        self.pool.gang(
+            lanes,
+            |_launch, block| slot.run_block(block, self.device.shared_mem_per_block, kernel),
+            |gang| {
+                body(&Session {
+                    sim: self,
+                    slot: &slot,
+                    gang,
+                    metrics: &metrics,
+                })
+            },
+        )
+    }
+}
+
+/// An open device session: a fixed kernel, launched any number of
+/// times on lanes held for the whole session. See [`GpuSim::session`].
+pub struct Session<'a> {
+    sim: &'a GpuSim,
+    slot: &'a LaunchSlot,
+    gang: &'a Gang<'a>,
+    metrics: &'a LaunchMetrics,
+}
+
+impl Session<'_> {
+    /// Launch the session's kernel over `config`. Blocks until every
+    /// block has executed (the kernel-boundary barrier), then records
+    /// the launch in the simulator's statistics and the `gpu_*` metrics.
+    ///
+    /// # Panics
+    /// Propagates panics from kernel blocks.
+    pub fn launch(&self, config: LaunchConfig) -> LaunchRecord {
         let _span = tracer().span("gpu_launch");
         let start = Instant::now();
         let total_blocks = config.grid.count();
-        let next_block = AtomicUsize::new(0);
-        let shared_peak = AtomicUsize::new(0);
-
-        if total_blocks > 0 {
-            // One pool chunk per worker lane; lanes race to claim blocks
-            // from the shared counter exactly as the scoped threads did.
-            // A single lane runs inline on the caller, preserving strict
-            // block order for sequential-semantics users.
-            let lanes = self.workers.min(total_blocks);
-            self.pool.parallel_for(lanes, |_lane| {
-                let mut shared = SharedMem::new(self.device.shared_mem_per_block);
-                let mut max_used = 0usize;
-                loop {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= total_blocks {
-                        break;
-                    }
-                    shared.reset();
-                    let mut ctx = BlockContext {
-                        block_idx: config.grid.delinearize(b),
-                        config,
-                        shared: &mut shared,
-                    };
-                    kernel.block(&mut ctx);
-                    max_used = max_used.max(shared.used());
-                }
-                shared_peak.fetch_max(max_used, Ordering::Relaxed);
-            });
-        }
-
+        self.slot.prepare(config);
+        self.gang.run(1, total_blocks);
         let record = LaunchRecord {
             blocks: total_blocks,
             threads: total_blocks * config.block.count(),
-            shared_bytes: shared_peak.load(Ordering::Relaxed),
+            shared_bytes: self.slot.shared_peak.load(Ordering::Relaxed),
             wall: start.elapsed(),
         };
-        lock_unpoisoned(&self.stats).record(&record);
-
-        let metrics = registry();
-        metrics.counter("gpu_launches_total").inc();
-        metrics
-            .counter("gpu_blocks_total")
-            .add(record.blocks as u64);
-        metrics
-            .counter("gpu_threads_total")
-            .add(record.threads as u64);
-        metrics
-            .gauge("gpu_shared_bytes_peak")
-            .fetch_max(record.shared_bytes as i64);
-        metrics
-            .histogram("gpu_launch_wall_us")
-            .record_duration_us(record.wall);
+        lock_unpoisoned(&self.sim.stats).record(&record);
+        self.metrics.record(&record);
         record
+    }
+}
+
+/// The launch a session is running, shared with its lanes. The session
+/// rewrites it only between launches, when no lane is inside one.
+#[derive(Default)]
+struct LaunchSlot {
+    grid: [AtomicUsize; 3],
+    block: [AtomicUsize; 3],
+    shared_peak: AtomicUsize,
+}
+
+impl LaunchSlot {
+    fn prepare(&self, config: LaunchConfig) {
+        for (cells, dim) in [(&self.grid, config.grid), (&self.block, config.block)] {
+            for (cell, extent) in cells.iter().zip([dim.x, dim.y, dim.z]) {
+                cell.store(extent, Ordering::Relaxed);
+            }
+        }
+        self.shared_peak.store(0, Ordering::Relaxed);
+    }
+
+    fn config(&self) -> LaunchConfig {
+        let dim = |cells: &[AtomicUsize; 3]| {
+            let [x, y, z] = cells.each_ref().map(|c| c.load(Ordering::Relaxed));
+            Dim3 { x, y, z }
+        };
+        LaunchConfig {
+            grid: dim(&self.grid),
+            block: dim(&self.block),
+        }
+    }
+
+    /// Execute block `b` of the current launch in a fresh shared-memory
+    /// arena.
+    fn run_block<K: Kernel>(&self, b: usize, shared_capacity: usize, kernel: &K) {
+        let config = self.config();
+        let mut shared = SharedMem::new(shared_capacity);
+        kernel.block(&mut BlockContext {
+            block_idx: config.grid.delinearize(b),
+            config,
+            shared: &mut shared,
+        });
+        if shared.used() > 0 {
+            self.shared_peak.fetch_max(shared.used(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The `gpu_*` metric handles, looked up once per session.
+struct LaunchMetrics {
+    launches: Arc<Counter>,
+    blocks: Arc<Counter>,
+    threads: Arc<Counter>,
+    shared_peak: Arc<Gauge>,
+    wall: Arc<Histogram>,
+}
+
+impl LaunchMetrics {
+    fn lookup() -> Self {
+        let metrics = registry();
+        LaunchMetrics {
+            launches: metrics.counter("gpu_launches_total"),
+            blocks: metrics.counter("gpu_blocks_total"),
+            threads: metrics.counter("gpu_threads_total"),
+            shared_peak: metrics.gauge("gpu_shared_bytes_peak"),
+            wall: metrics.histogram("gpu_launch_wall_us"),
+        }
+    }
+
+    fn record(&self, record: &LaunchRecord) {
+        self.launches.inc();
+        self.blocks.add(record.blocks as u64);
+        self.threads.add(record.threads as u64);
+        self.shared_peak.fetch_max(record.shared_bytes as i64);
+        self.wall.record_duration_us(record.wall);
     }
 }
 

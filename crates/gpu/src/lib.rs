@@ -16,9 +16,10 @@
 //! * [`global`] — global-memory buffers with CUDA-like relaxed-atomic
 //!   access, shareable across blocks;
 //! * [`launch`] — the [`launch::Kernel`] trait and [`launch::GpuSim`]
-//!   executor: blocks are scheduled over a scoped worker pool, the
-//!   launch returns only when every block finished (the kernel-boundary
-//!   barrier of Algorithm 2);
+//!   executor: blocks are scheduled over lanes of a persistent worker
+//!   pool, and a launch returns only when every block finished (the
+//!   kernel-boundary barrier of Algorithm 2); a [`launch::Session`] keeps
+//!   its lanes across many launches of one kernel;
 //! * [`stats`] — per-launch and cumulative execution counters;
 //! * [`model`] — an analytic throughput model that converts a measured
 //!   work profile into an estimated K40 execution time, used by the
@@ -54,7 +55,7 @@ pub mod stats;
 pub use device::DeviceSpec;
 pub use dim::Dim3;
 pub use global::GlobalBuffer;
-pub use launch::{BlockContext, GpuSim, Kernel, LaunchConfig};
+pub use launch::{BlockContext, GpuSim, Kernel, LaunchConfig, Session};
 pub use model::{CostModel, WorkProfile};
 pub use shared::SharedMem;
 pub use stats::{ExecStats, LaunchRecord};

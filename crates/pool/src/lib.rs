@@ -42,14 +42,25 @@
 //! boundaries exactly as the scoped-thread code did — the pool itself has
 //! no deadline opinion, so `mosaic-grid` semantics are unchanged.
 //!
+//! A computation that needs a barrier between many short phases (Algorithm
+//! 2's color groups, the simulated GPU's launches) runs as one
+//! [`ThreadPool::gang`] instead of one batch per phase: the lanes are
+//! recruited once and the phases are separated by an atomic barrier that
+//! waits for claimed work, not for lanes.
+//!
 //! # Safety
 //!
 //! Executing borrowed closures on persistent threads requires erasing the
 //! closure lifetime at the dispatch boundary. The soundness argument is
-//! the same as `std::thread::scope`'s: [`ThreadPool::parallel_for`] does
-//! not return until every chunk of its batch has finished running (the
-//! completion count is observed under the pool mutex), so the erased
-//! reference never outlives the frame that owns the closure.
+//! the same as `std::thread::scope`'s: the one dispatch path behind
+//! [`ThreadPool::parallel_for`] and [`ThreadPool::gang`] does not return
+//! until every chunk of its batch has finished running (the completion
+//! count is observed under the pool mutex), so the erased reference never
+//! outlives the frame that owns the closure.
+
+mod gang;
+
+pub use gang::Gang;
 
 use mosaic_telemetry::{lock_unpoisoned, registry};
 use std::any::Any;
@@ -97,6 +108,7 @@ struct PoolMetrics {
     task_us: Arc<mosaic_telemetry::Histogram>,
     queue_depth: Arc<mosaic_telemetry::Gauge>,
     spawns_avoided: Arc<mosaic_telemetry::Counter>,
+    gang_parks: Arc<mosaic_telemetry::Counter>,
 }
 
 struct Shared {
@@ -144,6 +156,7 @@ impl ThreadPool {
                 task_us: registry().histogram("pool_task_us"),
                 queue_depth: registry().gauge("pool_queue_depth"),
                 spawns_avoided: registry().counter("pool_spawns_avoided_total"),
+                gang_parks: registry().counter("pool_gang_parks_total"),
             },
         });
         let mut handles = Vec::with_capacity(threads);
@@ -188,30 +201,48 @@ impl ThreadPool {
         }
         if chunks == 1 {
             // One chunk gains nothing from a round-trip through the
-            // queue; run it on the caller, preserving strict ordering
-            // for single-lane users (e.g. the GpuSim sequential test).
+            // queue; run it on the caller.
             self.shared.metrics.spawns_avoided.inc();
             task(0);
             return;
         }
-        let erased: &(dyn Fn(usize) + Sync) = &task;
+        if let (_, Some(payload)) = self.dispatch(chunks, &task, || ()) {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Enqueue `chunks` calls of `task` for the workers, run `alongside`
+    /// on the calling thread, then help drive the batch until every chunk
+    /// has completed. Returns `alongside`'s outcome and the first chunk
+    /// panic; a panic in `alongside` is caught so that the batch still
+    /// drains before the borrow of `task` ends.
+    pub(crate) fn dispatch<R>(
+        &self,
+        chunks: usize,
+        task: &(dyn Fn(usize) + Sync),
+        alongside: impl FnOnce() -> R,
+    ) -> (std::thread::Result<R>, Option<Payload>) {
         // The reference is handed to worker threads, but this function
         // does not return until `drive` observes the batch fully
         // completed under the pool mutex, so the borrow of `task`
         // strictly outlives every use.
         // SAFETY: only the *lifetime* of the reference is stretched (the
         // pointee type is unchanged); the barrier above bounds all uses.
-        let erased: TaskRef = unsafe { std::mem::transmute(erased) };
+        let erased: TaskRef = unsafe { std::mem::transmute(task) };
         let id = {
             let mut state = self.lock();
             if state.shutdown {
                 // The pool is gone; degrade to the serial reference
                 // semantics instead of dropping work on the floor.
                 drop(state);
+                let value = catch_unwind(AssertUnwindSafe(alongside));
+                let mut payload = None;
                 for chunk in 0..chunks {
-                    task(chunk);
+                    if let Err(panic) = run_chunk(erased, chunk, &self.shared.metrics) {
+                        payload.get_or_insert(panic);
+                    }
                 }
-                return;
+                return (value, payload);
             }
             let id = state.next_id;
             state.next_id += 1;
@@ -228,9 +259,8 @@ impl ThreadPool {
             id
         };
         self.shared.work_ready.notify_all();
-        if let Some(payload) = self.drive(id) {
-            resume_unwind(payload);
-        }
+        let value = catch_unwind(AssertUnwindSafe(alongside));
+        (value, self.drive(id))
     }
 
     /// Split `data` into consecutive chunks of `chunk_len` elements (the

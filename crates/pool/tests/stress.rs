@@ -161,3 +161,157 @@ fn parallel_for_visits_every_chunk_exactly_once_under_contention() {
         handle.join().expect("submitter panicked");
     }
 }
+
+/// Run `f` on a fresh thread and fail (instead of hanging the suite)
+/// when it has not finished within `limit`.
+fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+    });
+    match rx.recv_timeout(limit) {
+        Ok(Ok(value)) => value,
+        Ok(Err(payload)) => std::panic::resume_unwind(payload),
+        Err(_) => panic!("did not finish within {limit:?}"),
+    }
+}
+
+#[test]
+fn gang_completes_on_the_submitter_while_every_worker_is_held() {
+    // Both workers (and the holder's own submitting thread) sit inside
+    // another batch. The gang's barrier waits for claimed work, not for
+    // lanes, so the calling thread runs every phase alone.
+    within(std::time::Duration::from_secs(60), || {
+        let pool = Arc::new(ThreadPool::new(2));
+        let held = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let holder = {
+            let (pool, held, release) =
+                (Arc::clone(&pool), Arc::clone(&held), Arc::clone(&release));
+            std::thread::spawn(move || {
+                pool.parallel_for(3, |_chunk| {
+                    held.fetch_add(1, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                });
+            })
+        };
+        while held.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        pool.gang(
+            3,
+            |_phase, _chunk| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    caller,
+                    "a held worker ran a lane"
+                );
+                calls.fetch_add(1, Ordering::SeqCst);
+            },
+            |gang| {
+                gang.run(200, 3);
+                gang.run(100, 2);
+            },
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 200 * 3 + 100 * 2);
+        release.store(true, Ordering::SeqCst);
+        holder.join().expect("holder panicked");
+    });
+}
+
+#[test]
+fn gang_lane_panic_reraises_on_the_submitter_and_the_pool_survives() {
+    within(std::time::Duration::from_secs(60), || {
+        let pool = ThreadPool::new(2);
+        let caller = std::thread::current().id();
+        // Only helper lanes panic, so the payload that reaches the
+        // submitter is a helper's own. The caller's chunks sleep, which
+        // leaves the helpers work to claim.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.gang(
+                3,
+                |phase, _chunk| {
+                    if std::thread::current().id() == caller {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    } else if phase >= 3 {
+                        panic!("helper lane exploded");
+                    }
+                },
+                |gang| gang.run(1000, 3),
+            )
+        }));
+        let payload = result.expect_err("the submitter must observe the helper's panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("helper lane exploded"),
+            "the helper's own payload must reach the submitter"
+        );
+
+        // A panic on the calling thread's own chunk, mid-phase.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.gang(
+                3,
+                |phase, chunk| {
+                    if phase == 7 && chunk == 1 {
+                        panic!("chunk 1 of phase 7 exploded");
+                    }
+                },
+                |gang| gang.run(50, 4),
+            )
+        }));
+        let payload = result.expect_err("a panicking chunk must fail its gang");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("chunk 1 of phase 7 exploded")
+        );
+
+        // The same pool serves the next batch and the next gang.
+        let after = AtomicUsize::new(0);
+        pool.parallel_for(6, |_chunk| {
+            after.fetch_add(1, Ordering::Relaxed);
+        });
+        pool.gang(
+            3,
+            |_phase, _chunk| {
+                after.fetch_add(1, Ordering::Relaxed);
+            },
+            |gang| gang.run(10, 3),
+        );
+        assert_eq!(after.load(Ordering::Relaxed), 6 + 30);
+    });
+}
+
+#[test]
+fn gang_driver_panic_ends_the_gang_and_releases_its_lanes() {
+    within(std::time::Duration::from_secs(60), || {
+        let pool = ThreadPool::new(2);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.gang(
+                3,
+                |_phase, _chunk| {},
+                |gang| {
+                    gang.run(20, 3);
+                    panic!("driver gave up");
+                },
+            )
+        }));
+        let payload = result.expect_err("the driver's panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("driver gave up")
+        );
+        // Both workers are free again: three chunks meet at a barrier
+        // only if the workers and the submitter all run one.
+        let meet = std::sync::Barrier::new(3);
+        pool.parallel_for(3, |_chunk| {
+            meet.wait();
+        });
+    });
+}

@@ -57,8 +57,8 @@ fn assembled_mosaic_error_equals_solver_total() {
 fn schedule_used_by_search_is_a_valid_coloring() {
     let s = 144; // 12x12 tiles
     let sched = SwapSchedule::for_tiles(s);
-    assert!(is_proper_coloring(sched.groups(), s));
-    assert!(is_exact_cover(sched.groups(), s));
+    assert!(is_proper_coloring(&sched.groups(), s));
+    assert!(is_exact_cover(&sched.groups(), s));
 }
 
 #[test]
