@@ -6,7 +6,6 @@
 //! with precise messages.
 
 use mosaic_assign::SolverKind;
-use mosaic_gateway::RoutePolicy;
 use mosaic_grid::TileMetric;
 use mosaic_service::protocol::ops;
 use mosaic_tilelib::{LibraryParams, TilelibError};
@@ -119,8 +118,6 @@ pub enum Command {
         addr: String,
         /// Backend addresses to route across (non-empty).
         backends: Vec<String>,
-        /// Backend selection policy.
-        policy: RoutePolicy,
         /// Back-off hint sent with typed refusals.
         retry_ms: u64,
         /// Largest client frame accepted, in bytes (0 = unlimited).
@@ -148,8 +145,6 @@ pub enum Command {
         queue: usize,
         /// Error-matrix LRU capacity per backend.
         cache: usize,
-        /// Backend selection policy.
-        policy: RoutePolicy,
     },
     /// `mosaic submit` — talk to a running server.
     Submit {
@@ -305,18 +300,6 @@ fn parse_scene(v: &str) -> Result<mosaic_image::synth::Scene, CliError> {
                 "--scene expects portrait|regatta|fur|drapery|plasma|checker, got {v:?}"
             ))
         })
-}
-
-/// The `--policy` flag shared by `gateway` and `fleet`.
-fn parse_policy(flags: &Flags) -> Result<RoutePolicy, CliError> {
-    match flags.optional("policy") {
-        None => Ok(RoutePolicy::Rendezvous),
-        Some(v) => RoutePolicy::parse(v).ok_or_else(|| {
-            CliError(format!(
-                "--policy expects rendezvous|round-robin, got {v:?}"
-            ))
-        }),
-    }
 }
 
 /// Shared pipeline-configuration flags (`generate` and `submit`).
@@ -518,7 +501,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             flags.check_known(&[
                 "addr",
                 "backends",
-                "policy",
                 "retry-ms",
                 "max-frame-bytes",
                 "io-timeout-ms",
@@ -542,7 +524,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     .unwrap_or("127.0.0.1:7744")
                     .to_string(),
                 backends,
-                policy: parse_policy(&flags)?,
                 retry_ms: flags.number("retry-ms", 50)? as u64,
                 max_frame_bytes: flags.number("max-frame-bytes", 16 * 1024 * 1024)?,
                 io_timeout_ms: flags.number("io-timeout-ms", 30_000)? as u64,
@@ -554,7 +535,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         }
         "fleet" => {
             let flags = split_flags(rest)?;
-            flags.check_known(&["addr", "backends", "workers", "queue", "cache", "policy"])?;
+            flags.check_known(&["addr", "backends", "workers", "queue", "cache"])?;
             let backends = flags.number("backends", 2)?;
             if backends == 0 {
                 return Err(CliError("--backends must be positive".into()));
@@ -572,7 +553,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 workers: flags.number("workers", 2)?.max(1),
                 queue,
                 cache: flags.number("cache", 8)?,
-                policy: parse_policy(&flags)?,
             })
         }
         ops::SUBMIT => {
@@ -992,7 +972,6 @@ mod tests {
         let Command::Gateway {
             addr,
             backends,
-            policy,
             retry_ms,
             max_frame_bytes,
             io_timeout_ms,
@@ -1006,33 +985,30 @@ mod tests {
         };
         assert_eq!(addr, "127.0.0.1:7744");
         assert_eq!(backends, vec!["127.0.0.1:7733"]);
-        assert_eq!(policy, RoutePolicy::Rendezvous);
         assert_eq!((retry_ms, max_frame_bytes), (50, 16 * 1024 * 1024));
         assert_eq!((io_timeout_ms, backend_timeout_ms), (30_000, 10_000));
         assert_eq!((max_connections, hops, probe_ms), (64, 2, 500));
 
         let Command::Gateway {
             backends,
-            policy,
             hops,
             probe_ms,
             ..
         } = parse(&argv(
-            "gateway --backends h:1,h:2,h:3 --policy round-robin --hops 3 --probe-ms 100",
+            "gateway --backends h:1,h:2,h:3 --hops 3 --probe-ms 100",
         ))
         .unwrap()
         else {
             panic!("wrong command");
         };
         assert_eq!(backends, vec!["h:1", "h:2", "h:3"]);
-        assert_eq!(policy, RoutePolicy::RoundRobin);
         assert_eq!((hops, probe_ms), (3, 100));
 
-        // Backends are required, the policy word is validated, and
-        // --hops is floored at one.
+        // Backends are required, routing is always rendezvous (there is
+        // no --policy), and --hops is floored at one.
         assert!(parse(&argv("gateway")).is_err());
         assert!(parse(&argv("gateway --backends ,")).is_err());
-        assert!(parse(&argv("gateway --backends h:1 --policy random")).is_err());
+        assert!(parse(&argv("gateway --backends h:1 --policy rendezvous")).is_err());
         let Command::Gateway { hops, .. } =
             parse(&argv("gateway --backends h:1 --hops 0")).unwrap()
         else {
@@ -1049,26 +1025,21 @@ mod tests {
             workers,
             queue,
             cache,
-            policy,
         } = parse(&argv("fleet")).unwrap()
         else {
             panic!("wrong command");
         };
         assert_eq!(addr, "127.0.0.1:7744");
         assert_eq!((backends, workers, queue, cache), (2, 2, 16, 8));
-        assert_eq!(policy, RoutePolicy::Rendezvous);
 
         let Command::Fleet {
-            backends,
-            workers,
-            policy,
-            ..
-        } = parse(&argv("fleet --backends 4 --workers 1 --policy round-robin")).unwrap()
+            backends, workers, ..
+        } = parse(&argv("fleet --backends 4 --workers 1")).unwrap()
         else {
             panic!("wrong command");
         };
         assert_eq!((backends, workers), (4, 1));
-        assert_eq!(policy, RoutePolicy::RoundRobin);
+        assert!(parse(&argv("fleet --policy rendezvous")).is_err());
 
         assert!(parse(&argv("fleet --backends 0")).is_err());
         assert!(parse(&argv("fleet --queue 0")).is_err());

@@ -165,7 +165,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
         Command::Gateway {
             addr,
             backends,
-            policy,
             retry_ms,
             max_frame_bytes,
             io_timeout_ms,
@@ -178,7 +177,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             let gateway = Gateway::start(GatewayConfig {
                 addr,
                 backends,
-                policy,
                 retry_after_ms: retry_ms,
                 max_frame_bytes,
                 io_timeout_ms,
@@ -190,9 +188,8 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             })
             .map_err(|e| CliError(format!("failed to start gateway: {e}")))?;
             println!(
-                "mosaic gateway listening on {} ({count} backends, {} routing)",
-                gateway.local_addr(),
-                policy.name()
+                "mosaic gateway listening on {} ({count} backends, rendezvous routing)",
+                gateway.local_addr()
             );
             gateway.join();
             Ok("gateway stopped".to_string())
@@ -203,7 +200,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             workers,
             queue,
             cache,
-            policy,
         } => {
             let backend_configs = (0..backends)
                 .map(|_| ServiceConfig {
@@ -217,7 +213,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 backend_configs,
                 GatewayConfig {
                     addr,
-                    policy,
                     ..GatewayConfig::default()
                 },
             )
@@ -226,9 +221,8 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 .map(|i| fleet.backend_addr(i).to_string())
                 .collect();
             println!(
-                "mosaic fleet: gateway {} ({} routing) over backends {}",
+                "mosaic fleet: gateway {} (rendezvous routing) over backends {}",
                 fleet.gateway_addr(),
-                policy.name(),
                 addrs.join(", ")
             );
             fleet.serve();
@@ -744,7 +738,6 @@ mod tests {
                 workers: 1,
                 queue: 8,
                 cache: 4,
-                policy: mosaic_gateway::RoutePolicy::Rendezvous,
             })
         });
         let mut attempts = 0;
@@ -788,7 +781,6 @@ mod tests {
             action: SubmitAction::GatewayInfo,
         })
         .unwrap();
-        assert!(msg.contains("\"policy\":\"rendezvous\""), "{msg}");
         assert!(msg.contains("\"healthy\""), "{msg}");
 
         let msg = execute(Command::Submit {

@@ -55,11 +55,11 @@ USAGE:
                   [--io-timeout-ms <n>] [--max-connections <n>]
                   [--job-deadline-ms <n>]
   mosaic gateway  --backends <host:port,host:port,...> [--addr <host:port>]
-                  [--policy rendezvous|round-robin] [--hops <n>] [--probe-ms <n>]
+                  [--hops <n>] [--probe-ms <n>]
                   [--retry-ms <n>] [--max-frame-bytes <n>] [--io-timeout-ms <n>]
                   [--backend-timeout-ms <n>] [--max-connections <n>]
   mosaic fleet    [--backends <n>] [--addr <host:port>] [--workers <n>]
-                  [--queue <n>] [--cache <n>] [--policy rendezvous|round-robin]
+                  [--queue <n>] [--cache <n>]
   mosaic submit   --addr <host:port>
                   [--op job|library|stats|metrics|ping|gateway|shutdown]
                   job: --input <pgm> | --input-scene <name> [--input-seed <n>]

@@ -85,12 +85,6 @@ impl SwapSchedule {
     pub fn pair_count(&self) -> usize {
         self.occupied_groups().map(|g| g.len()).sum()
     }
-
-    /// Size of the largest group (the paper's per-kernel parallelism,
-    /// `⌊S/2⌋`).
-    pub fn max_group_len(&self) -> usize {
-        self.occupied_groups().map(|g| g.len()).max().unwrap_or(0)
-    }
 }
 
 /// One color group of a [`SwapSchedule`]: vertex-disjoint tile pairs,
@@ -278,11 +272,16 @@ mod tests {
         let _ = group.pairs(0..5);
     }
 
+    /// Size of the largest group: the paper's per-kernel parallelism.
+    fn max_group_len(sched: &SwapSchedule) -> usize {
+        sched.occupied_groups().map(|g| g.len()).max().unwrap_or(0)
+    }
+
     #[test]
     fn max_group_len_is_floor_s_over_2() {
-        assert_eq!(SwapSchedule::for_tiles(16).max_group_len(), 8);
-        assert_eq!(SwapSchedule::for_tiles(9).max_group_len(), 4);
-        assert_eq!(SwapSchedule::for_tiles(1).max_group_len(), 0);
+        assert_eq!(max_group_len(&SwapSchedule::for_tiles(16)), 8);
+        assert_eq!(max_group_len(&SwapSchedule::for_tiles(9)), 4);
+        assert_eq!(max_group_len(&SwapSchedule::for_tiles(1)), 0);
     }
 
     #[test]
@@ -297,7 +296,7 @@ mod tests {
         // S = 64 x 64, the paper's largest configuration.
         let sched = SwapSchedule::for_tiles(4096);
         assert_eq!(sched.pair_count(), 4096 * 4095 / 2);
-        assert_eq!(sched.max_group_len(), 2048);
+        assert_eq!(max_group_len(&sched), 2048);
         assert!(is_proper_coloring(&sched.groups(), 4096));
     }
 }

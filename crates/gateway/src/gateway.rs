@@ -56,7 +56,7 @@ use mosaic_telemetry::lock_unpoisoned;
 use photomosaic::Json;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,38 +64,6 @@ use std::time::{Duration, Instant};
 /// Backend responses larger than this are treated as protocol errors —
 /// same generous-but-bounded ceiling the client crate uses.
 const MAX_BACKEND_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
-
-/// How a job picks its backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// Rendezvous (HRW) hashing on the spec's cache key: identical
-    /// specs always land on the same backend, so its `MatrixCache`
-    /// serves Step 2. The production policy.
-    Rendezvous,
-    /// Rotate through backends regardless of the spec. Spreads load but
-    /// scatters cache affinity; exists as the control arm for affinity
-    /// measurements and benches.
-    RoundRobin,
-}
-
-impl RoutePolicy {
-    /// The snapshot/CLI word for this policy.
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutePolicy::Rendezvous => "rendezvous",
-            RoutePolicy::RoundRobin => "round-robin",
-        }
-    }
-
-    /// Parse the words produced by [`name`](Self::name).
-    pub fn parse(text: &str) -> Option<RoutePolicy> {
-        match text {
-            "rendezvous" => Some(RoutePolicy::Rendezvous),
-            "round-robin" => Some(RoutePolicy::RoundRobin),
-            _ => None,
-        }
-    }
-}
 
 /// Gateway tuning knobs. The hardening knobs treat `0` as "unlimited"
 /// exactly like [`mosaic_service::ServiceConfig`].
@@ -105,8 +73,6 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Backend addresses. Must be non-empty.
     pub backends: Vec<String>,
-    /// Backend selection policy.
-    pub policy: RoutePolicy,
     /// Back-off hint sent with every typed refusal.
     pub retry_after_ms: u64,
     /// Per-request frame cap for client connections (0 = unlimited).
@@ -130,7 +96,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
-            policy: RoutePolicy::Rendezvous,
             retry_after_ms: 50,
             max_frame_bytes: 16 * 1024 * 1024,
             io_timeout_ms: 30_000,
@@ -168,7 +133,6 @@ struct Shared {
     /// Job frames for the forwarder threads; closed on shutdown, so the
     /// forwarders drain it and exit.
     forwards: JobQueue<Forward>,
-    rr_cursor: AtomicUsize,
 }
 
 impl Shared {
@@ -210,7 +174,6 @@ impl Shared {
             // Unbounded in itself: each connection has at most one job
             // in flight, so the connection cap bounds it.
             forwards: JobQueue::new(usize::MAX),
-            rr_cursor: AtomicUsize::new(0),
         };
         Ok((shared, listener))
     }
@@ -228,19 +191,6 @@ impl Shared {
         let health = |b: &Backend| lock_unpoisoned(&b.health).is_routable();
         let routable = self.backends.iter().filter(|b| health(b)).count();
         (routable, self.backends.len(), self.connections.open())
-    }
-
-    /// Candidate indices for one job, best first, before health
-    /// filtering.
-    fn route_order(&self, key: u64) -> Vec<usize> {
-        match self.config.policy {
-            RoutePolicy::Rendezvous => rendezvous_order(&self.seeds, key),
-            RoutePolicy::RoundRobin => {
-                let n = self.backends.len();
-                let start = self.rr_cursor.fetch_add(1, Ordering::Relaxed) % n.max(1);
-                (0..n).map(|i| (start + i) % n).collect()
-            }
-        }
     }
 
     /// The `gateway` op payload: routing table plus per-backend health.
@@ -264,7 +214,6 @@ impl Shared {
         let addr = self.connections.local_addr().to_string();
         Json::obj([
             ("addr", Json::from(addr.as_str())),
-            ("policy", Json::from(self.config.policy.name())),
             ("max_hops", Json::from(self.config.max_hops.max(1))),
             ("backends", Json::Arr(backends)),
         ])
@@ -468,7 +417,7 @@ enum Attempt {
 fn route_submit(shared: &Shared, mut request: Vec<u8>, key: u64) -> Vec<u8> {
     let started = Instant::now();
     request.push(b'\n');
-    let order = shared.route_order(key);
+    let order = rendezvous_order(&shared.seeds, key);
     let routable: Vec<usize> = order
         .iter()
         .copied()
@@ -648,35 +597,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn route_policy_words_roundtrip() {
-        for policy in [RoutePolicy::Rendezvous, RoutePolicy::RoundRobin] {
-            assert_eq!(RoutePolicy::parse(policy.name()), Some(policy));
-        }
-        assert_eq!(RoutePolicy::parse("random"), None);
-    }
-
-    #[test]
     fn gateway_refuses_an_empty_backend_list() {
         match Gateway::start(GatewayConfig::default()) {
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
             Ok(_) => panic!("an empty backend list must not start"),
         }
-    }
-
-    #[test]
-    fn round_robin_rotates_through_every_backend() {
-        let (shared, _listener) = Shared::bind(GatewayConfig {
-            backends: vec!["a".into(), "b".into(), "c".into()],
-            policy: RoutePolicy::RoundRobin,
-            ..GatewayConfig::default()
-        })
-        .unwrap();
-        // Same key every time; round-robin must still rotate the head.
-        let heads: Vec<usize> = (0..6).map(|_| shared.route_order(9)[0]).collect();
-        assert_eq!(heads, vec![0, 1, 2, 0, 1, 2]);
-        // Every order is a permutation.
-        let mut order = shared.route_order(9);
-        order.sort_unstable();
-        assert_eq!(order, vec![0, 1, 2]);
     }
 }

@@ -53,7 +53,7 @@ pub mod metrics;
 pub mod routing;
 
 pub use fleet::{Fleet, FleetCacheStats};
-pub use gateway::{Gateway, GatewayConfig, RoutePolicy};
+pub use gateway::{Gateway, GatewayConfig};
 pub use health::{BackendState, HealthCell, HealthPolicy};
 pub use metrics::GatewayMetrics;
 pub use routing::{backend_seed, hrw_score, rendezvous_order};

@@ -2,28 +2,28 @@
 //!
 //! The execution contract mirrors CUDA §V of the paper:
 //!
-//! * a launch enumerates `grid.count()` blocks;
+//! * a launch runs a 1-D grid of `blocks` blocks, as every kernel of the
+//!   paper does (one block per tile pair in Step 2, one per swap of a
+//!   colour group in Step 3);
 //! * blocks run concurrently (here: over lanes of a persistent
 //!   `mosaic-pool` worker pool) in an unspecified order, so kernels must
 //!   not assume any inter-block ordering;
-//! * each block owns a private [`SharedMem`] arena, reset between blocks;
+//! * each block owns a private [`SharedMem`] arena;
 //! * global memory is shared ([`crate::GlobalBuffer`], relaxed atomics);
 //! * the launch returns only when every block has finished — the
 //!   kernel-boundary barrier Algorithm 2 relies on between color groups.
 //!
 //! A [`Session`] launches one kernel many times on lanes recruited once
-//! from the pool (a `mosaic-pool` gang): each launch is one gang phase
-//! with one ticket per block, so the barrier between launches is atomic,
-//! not a pool dispatch. [`GpuSim::launch`] is a one-launch session.
+//! from the pool (a `mosaic-pool` gang): each launch is one gang phase,
+//! and a block's id is its ticket's chunk, so the barrier between
+//! launches is atomic, not a pool dispatch. [`GpuSim::launch`] is a
+//! one-launch session.
 //!
-//! Threads *within* a block are simulated by iterating thread indices
-//! sequentially inside the block body ([`BlockContext::threads`]). That
-//! preserves CUDA's semantics for kernels whose threads are independent
-//! between `__syncthreads()` barriers: run each phase as a separate
-//! `threads()` sweep, which is exactly a barrier-to-barrier schedule.
+//! A block's threads are not simulated one by one: a kernel body covers
+//! the work of all `threads_per_block` threads, which only the launch
+//! statistics count.
 
 use crate::device::DeviceSpec;
-use crate::dim::Dim3;
 use crate::shared::SharedMem;
 use crate::stats::{ExecStats, LaunchRecord};
 use mosaic_pool::{Gang, ThreadPool};
@@ -32,50 +32,36 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Grid/block geometry of one launch.
+/// The 1-D grid of one launch.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LaunchConfig {
-    /// Number of blocks, per dimension.
-    pub grid: Dim3,
-    /// Number of threads per block, per dimension.
-    pub block: Dim3,
+    /// Number of blocks.
+    pub blocks: usize,
+    /// Number of threads per block.
+    pub threads_per_block: usize,
 }
 
 impl LaunchConfig {
-    /// 1-D grid of 1-D blocks.
+    /// `blocks` blocks of `threads_per_block` threads each.
     pub fn linear(blocks: usize, threads_per_block: usize) -> Self {
         LaunchConfig {
-            grid: Dim3::linear(blocks),
-            block: Dim3::linear(threads_per_block),
+            blocks,
+            threads_per_block,
         }
     }
 }
 
 /// Per-block execution context handed to kernels.
 pub struct BlockContext<'a> {
-    block_idx: Dim3,
-    config: LaunchConfig,
+    block_id: usize,
     shared: &'a mut SharedMem,
 }
 
 impl BlockContext<'_> {
     /// This block's index within the grid.
     #[inline]
-    pub fn block_idx(&self) -> Dim3 {
-        self.block_idx
-    }
-
-    /// Linearized block index.
-    #[inline]
     pub fn block_id(&self) -> usize {
-        self.config.grid.linearize(self.block_idx)
-    }
-
-    /// Iterate all thread indices of this block, in linear order — one
-    /// barrier-to-barrier phase of the CUDA kernel body.
-    pub fn threads(&self) -> impl Iterator<Item = Dim3> {
-        let dim = self.config.block;
-        (0..dim.count()).map(move |i| dim.delinearize(i))
+        self.block_id
     }
 
     /// The block's shared-memory arena.
@@ -172,7 +158,7 @@ impl GpuSim {
     /// # Panics
     /// Propagates panics from kernel blocks.
     pub fn launch<K: Kernel>(&self, config: LaunchConfig, kernel: &K) -> LaunchRecord {
-        let lanes = self.workers.min(config.grid.count()).max(1);
+        let lanes = self.workers.min(config.blocks).max(1);
         self.session_on(lanes, kernel, |session| session.launch(config))
     }
 
@@ -194,17 +180,26 @@ impl GpuSim {
         kernel: &K,
         body: impl FnOnce(&Session<'_>) -> R,
     ) -> R {
-        let slot = LaunchSlot::default();
+        let shared_peak = AtomicUsize::new(0);
         let metrics = LaunchMetrics::lookup();
         // Every launch is one gang phase with one chunk per block, so the
         // lanes claim blocks one at a time, in any order.
         self.pool.gang(
             lanes,
-            |_launch, block| slot.run_block(block, self.device.shared_mem_per_block, kernel),
+            |_launch, block_id| {
+                let mut shared = SharedMem::new(self.device.shared_mem_per_block);
+                kernel.block(&mut BlockContext {
+                    block_id,
+                    shared: &mut shared,
+                });
+                if shared.used() > 0 {
+                    shared_peak.fetch_max(shared.used(), Ordering::Relaxed);
+                }
+            },
             |gang| {
                 body(&Session {
                     sim: self,
-                    slot: &slot,
+                    shared_peak: &shared_peak,
                     gang,
                     metrics: &metrics,
                 })
@@ -217,7 +212,8 @@ impl GpuSim {
 /// times on lanes held for the whole session. See [`GpuSim::session`].
 pub struct Session<'a> {
     sim: &'a GpuSim,
-    slot: &'a LaunchSlot,
+    /// The largest shared-memory use of any block of the current launch.
+    shared_peak: &'a AtomicUsize,
     gang: &'a Gang<'a>,
     metrics: &'a LaunchMetrics,
 }
@@ -232,64 +228,17 @@ impl Session<'_> {
     pub fn launch(&self, config: LaunchConfig) -> LaunchRecord {
         let _span = tracer().span("gpu_launch");
         let start = Instant::now();
-        let total_blocks = config.grid.count();
-        self.slot.prepare(config);
-        self.gang.run(1, total_blocks);
+        self.shared_peak.store(0, Ordering::Relaxed);
+        self.gang.run(1, config.blocks);
         let record = LaunchRecord {
-            blocks: total_blocks,
-            threads: total_blocks * config.block.count(),
-            shared_bytes: self.slot.shared_peak.load(Ordering::Relaxed),
+            blocks: config.blocks,
+            threads: config.blocks * config.threads_per_block,
+            shared_bytes: self.shared_peak.load(Ordering::Relaxed),
             wall: start.elapsed(),
         };
         lock_unpoisoned(&self.sim.stats).record(&record);
         self.metrics.record(&record);
         record
-    }
-}
-
-/// The launch a session is running, shared with its lanes. The session
-/// rewrites it only between launches, when no lane is inside one.
-#[derive(Default)]
-struct LaunchSlot {
-    grid: [AtomicUsize; 3],
-    block: [AtomicUsize; 3],
-    shared_peak: AtomicUsize,
-}
-
-impl LaunchSlot {
-    fn prepare(&self, config: LaunchConfig) {
-        for (cells, dim) in [(&self.grid, config.grid), (&self.block, config.block)] {
-            for (cell, extent) in cells.iter().zip([dim.x, dim.y, dim.z]) {
-                cell.store(extent, Ordering::Relaxed);
-            }
-        }
-        self.shared_peak.store(0, Ordering::Relaxed);
-    }
-
-    fn config(&self) -> LaunchConfig {
-        let dim = |cells: &[AtomicUsize; 3]| {
-            let [x, y, z] = cells.each_ref().map(|c| c.load(Ordering::Relaxed));
-            Dim3 { x, y, z }
-        };
-        LaunchConfig {
-            grid: dim(&self.grid),
-            block: dim(&self.block),
-        }
-    }
-
-    /// Execute block `b` of the current launch in a fresh shared-memory
-    /// arena.
-    fn run_block<K: Kernel>(&self, b: usize, shared_capacity: usize, kernel: &K) {
-        let config = self.config();
-        let mut shared = SharedMem::new(shared_capacity);
-        kernel.block(&mut BlockContext {
-            block_idx: config.grid.delinearize(b),
-            config,
-            shared: &mut shared,
-        });
-        if shared.used() > 0 {
-            self.shared_peak.fetch_max(shared.used(), Ordering::Relaxed);
-        }
     }
 }
 
@@ -347,27 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_iterate_full_block() {
-        let sim = sim();
-        let out = GlobalBuffer::filled(4, 0u32);
-        let kernel = |ctx: &mut BlockContext<'_>| {
-            let mut count = 0u32;
-            for _tid in ctx.threads() {
-                count += 1;
-            }
-            out.store(ctx.block_id(), count);
-        };
-        sim.launch(
-            LaunchConfig {
-                grid: Dim3::linear(4),
-                block: Dim3::plane(8, 4),
-            },
-            &kernel,
-        );
-        assert!(out.to_vec().iter().all(|&v| v == 32));
-    }
-
-    #[test]
     fn shared_memory_is_private_and_reset() {
         let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 3);
         let dirty = GlobalBuffer::filled(1, 0u32);
@@ -380,26 +308,6 @@ mod tests {
         };
         sim.launch(LaunchConfig::linear(64, 1), &kernel);
         assert_eq!(dirty.load(0), 0, "shared memory leaked between blocks");
-    }
-
-    #[test]
-    fn two_d_grids_enumerate_all_indices() {
-        let sim = sim();
-        let out = GlobalBuffer::filled(6 * 5, 0u32);
-        let kernel = |ctx: &mut BlockContext<'_>| {
-            let idx = ctx.block_idx();
-            out.store(idx.y * 6 + idx.x, (idx.x + 10 * idx.y) as u32);
-        };
-        sim.launch(
-            LaunchConfig {
-                grid: Dim3::plane(6, 5),
-                block: Dim3::linear(1),
-            },
-            &kernel,
-        );
-        let v = out.to_vec();
-        assert_eq!(v[0], 0);
-        assert_eq!(v[6 * 4 + 5], 5 + 40);
     }
 
     #[test]

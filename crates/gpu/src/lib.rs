@@ -1,14 +1,13 @@
 //! A CUDA-style execution model simulated on a CPU thread pool.
 //!
 //! §V of the paper specifies its parallel algorithms *in the CUDA model*:
-//! a kernel launch runs a grid of blocks, each block owns fast shared
+//! a kernel launch runs a 1-D grid of blocks, each block owns fast shared
 //! memory and many threads, all blocks see global memory, and the only
 //! global synchronization point is the end of a kernel launch. The paper's
 //! Tesla K40 is not available here, so this crate reproduces that model
 //! faithfully enough for the algorithms to be expressed identically (see
 //! DESIGN.md §2):
 //!
-//! * [`dim`] — `Dim3` grid/block geometry;
 //! * [`device`] — device descriptions with a [`device::DeviceSpec::tesla_k40`]
 //!   preset matching the paper's hardware;
 //! * [`shared`] — per-block shared memory with the device's capacity limit
@@ -16,8 +15,8 @@
 //! * [`global`] — global-memory buffers with CUDA-like relaxed-atomic
 //!   access, shareable across blocks;
 //! * [`launch`] — the [`launch::Kernel`] trait and [`launch::GpuSim`]
-//!   executor: blocks are scheduled over lanes of a persistent worker
-//!   pool, and a launch returns only when every block finished (the
+//!   executor: a launch is one phase of a `mosaic-pool` gang with one
+//!   ticket per block, and returns only when every block finished (the
 //!   kernel-boundary barrier of Algorithm 2); a [`launch::Session`] keeps
 //!   its lanes across many launches of one kernel;
 //! * [`stats`] — per-launch and cumulative execution counters;
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod device;
-pub mod dim;
 pub mod global;
 pub mod launch;
 pub mod model;
@@ -53,7 +51,6 @@ pub mod shared;
 pub mod stats;
 
 pub use device::DeviceSpec;
-pub use dim::Dim3;
 pub use global::GlobalBuffer;
 pub use launch::{BlockContext, GpuSim, Kernel, LaunchConfig, Session};
 pub use model::{CostModel, WorkProfile};

@@ -37,14 +37,6 @@ impl SharedMem {
         self.capacity_bytes
     }
 
-    /// Reset the arena for the next block. Contents are cleared — CUDA
-    /// shared memory is undefined across blocks, and zeroing keeps runs
-    /// deterministic.
-    pub fn reset(&mut self) {
-        self.used_bytes = 0;
-        self.u8_pool.clear();
-    }
-
     fn charge(&mut self, bytes: usize) {
         let new_used = self.used_bytes + bytes;
         assert!(
@@ -97,17 +89,6 @@ mod tests {
     fn overflow_panics() {
         let mut sm = SharedMem::new(64);
         let _ = sm.alloc_u8(72);
-    }
-
-    #[test]
-    fn reset_clears_usage_and_contents() {
-        let mut sm = SharedMem::new(64);
-        let buf = sm.alloc_u8(8);
-        buf.fill(0xFF);
-        sm.reset();
-        assert_eq!(sm.used(), 0);
-        let buf = sm.alloc_u8(8);
-        assert!(buf.iter().all(|&b| b == 0), "stale contents leaked");
     }
 
     #[test]

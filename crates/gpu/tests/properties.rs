@@ -8,53 +8,19 @@ use mosaic_image::testutil::XorShift;
 
 #[test]
 fn every_block_runs_exactly_once() {
-    for seed in 0..48 {
-        let mut rng = XorShift::new(seed);
-        let gx = rng.range(1, 11);
-        let gy = rng.range(1, 5);
-        let gz = rng.range(1, 3);
-        let workers = rng.range(1, 5);
-        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), workers);
-        let total = gx * gy * gz;
-        let counts = GlobalBuffer::filled(total, 0u32);
-        let kernel = |ctx: &mut BlockContext<'_>| {
-            counts.fetch_add(ctx.block_id(), 1);
-        };
-        let rec = sim.launch(
-            LaunchConfig {
-                grid: mosaic_gpu::Dim3::new(gx, gy, gz),
-                block: mosaic_gpu::Dim3::linear(4),
-            },
-            &kernel,
-        );
-        assert_eq!(rec.blocks, total, "seed {seed}");
-        assert!(counts.to_vec().iter().all(|&c| c == 1), "seed {seed}");
-    }
-}
-
-#[test]
-fn block_ids_and_indices_are_consistent() {
-    for seed in 0..24 {
-        let mut rng = XorShift::new(seed);
-        let gx = rng.range(1, 9);
-        let gy = rng.range(1, 9);
-        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 3);
-        let grid = mosaic_gpu::Dim3::plane(gx, gy);
-        let seen = GlobalBuffer::filled(gx * gy, 0usize);
-        let kernel = |ctx: &mut BlockContext<'_>| {
-            let idx = ctx.block_idx();
-            // Re-linearize and store where the block thinks it is.
-            seen.store(ctx.block_id(), idx.y * gx + idx.x);
-        };
-        sim.launch(
-            LaunchConfig {
-                grid,
-                block: mosaic_gpu::Dim3::linear(1),
-            },
-            &kernel,
-        );
-        for (i, v) in seen.to_vec().into_iter().enumerate() {
-            assert_eq!(i, v, "seed {seed}");
+    for workers in 1..=4 {
+        for blocks in [0, 1, 2, 7, 31, 127, 128, 129, 500] {
+            let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), workers);
+            let counts = GlobalBuffer::filled(blocks, 0u32);
+            let kernel = |ctx: &mut BlockContext<'_>| {
+                counts.fetch_add(ctx.block_id(), 1);
+            };
+            let rec = sim.launch(LaunchConfig::linear(blocks, 4), &kernel);
+            assert_eq!(rec.blocks, blocks, "{blocks} blocks on {workers} lanes");
+            assert!(
+                counts.to_vec().iter().all(|&c| c == 1),
+                "{blocks} blocks on {workers} lanes"
+            );
         }
     }
 }

@@ -49,11 +49,6 @@ impl Deadline {
         Deadline { at: Some(instant) }
     }
 
-    /// Whether this deadline can ever expire.
-    pub fn is_unbounded(&self) -> bool {
-        self.at.is_none()
-    }
-
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         self.at.is_some_and(|at| Instant::now() >= at)
@@ -98,7 +93,6 @@ mod tests {
     #[test]
     fn none_never_expires() {
         let d = Deadline::NONE;
-        assert!(d.is_unbounded());
         assert!(!d.expired());
         assert!(d.check().is_ok());
         assert_eq!(d.remaining(), None);
@@ -107,7 +101,6 @@ mod tests {
     #[test]
     fn zero_budget_expires_immediately() {
         let d = Deadline::after(Duration::ZERO);
-        assert!(!d.is_unbounded());
         assert!(d.expired());
         assert_eq!(d.check(), Err(DeadlineExceeded));
         assert_eq!(d.remaining(), Some(Duration::ZERO));
@@ -116,7 +109,6 @@ mod tests {
     #[test]
     fn far_future_deadline_is_bounded_but_live() {
         let d = Deadline::after(Duration::from_secs(3600));
-        assert!(!d.is_unbounded());
         assert!(!d.expired());
         assert!(d.check().is_ok());
         assert!(d.remaining().is_some_and(|r| r > Duration::from_secs(3000)));
@@ -124,8 +116,8 @@ mod tests {
 
     #[test]
     fn after_millis_zero_is_unbounded() {
-        assert!(Deadline::after_millis(0).is_unbounded());
-        assert!(!Deadline::after_millis(50).is_unbounded());
+        assert_eq!(Deadline::after_millis(0), Deadline::NONE);
+        assert!(Deadline::after_millis(50).remaining().is_some());
     }
 
     #[test]

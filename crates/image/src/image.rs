@@ -140,21 +140,6 @@ impl<P: Pixel> Image<P> {
         }
     }
 
-    /// Store `p` at `(x, y)`.
-    ///
-    /// # Panics
-    /// Panics when out of bounds.
-    #[inline]
-    pub fn set_pixel(&mut self, x: usize, y: usize, p: P) {
-        assert!(
-            x < self.width && y < self.height,
-            "pixel ({x},{y}) out of bounds for {}x{}",
-            self.width,
-            self.height
-        );
-        self.data[y * self.width + x] = p;
-    }
-
     /// Borrow one row of pixels.
     #[inline]
     pub fn row(&self, y: usize) -> &[P] {
@@ -383,7 +368,7 @@ mod tests {
     #[test]
     fn set_and_apply() {
         let mut img = GrayImage::black(4, 4).unwrap();
-        img.set_pixel(2, 1, Gray(200));
+        img.row_mut(1)[2] = Gray(200);
         assert_eq!(img.pixel(2, 1), Gray(200));
         img.apply(|p| Gray(p.0.saturating_add(10)));
         assert_eq!(img.pixel(2, 1), Gray(210));

@@ -1,11 +1,10 @@
-//! Gangs: one pool dispatch that serves a whole phased computation.
+//! Gangs: the one way the pool runs work.
 //!
-//! [`ThreadPool::parallel_for`] is one lock-and-notify round trip per
-//! batch. Algorithm 2 needs a barrier between ~1000 colour groups per
-//! sweep, and a round trip per group costs more than the group's work.
-//! [`ThreadPool::gang`] recruits its helper lanes once, for the whole
-//! call, and separates the phases of the computation with an atomic
-//! barrier instead of a batch.
+//! A gang is a phased computation with a barrier between phases, run on
+//! the calling thread plus helper lanes recruited once for the whole
+//! call. Algorithm 2 runs ~1000 colour groups per sweep as one gang, the
+//! simulated GPU runs one kernel launch per phase, and
+//! [`ThreadPool::parallel_for`] is a gang of one phase.
 //!
 //! # Tickets, not lanes
 //!
@@ -16,34 +15,35 @@
 //! there first. A ticket may be claimed only once every ticket of the
 //! earlier phases has *completed* (the done-count has reached the
 //! ticket's phase start), so a lane never holds claimed work while it
-//! waits at a barrier. The
-//! barrier thus waits for claimed work, never for lanes to arrive: a lane
-//! the pool never starts (its workers are busy with another batch, the
-//! gang asked for more lanes than the pool has, or the OS refused a
-//! worker spawn) claims nothing, and the lanes that did start, the
-//! calling thread among them, run its share.
+//! waits at a barrier. The barrier thus waits for claimed work, never
+//! for lanes to arrive: a lane the pool never starts (its workers are
+//! busy with other gangs, the gang asked for more lanes than the pool
+//! has, or the OS refused a worker spawn) claims nothing, and the lanes
+//! that did start, the calling thread among them, run its share.
 //!
 //! # Waiting
 //!
 //! A lane with nothing claimable spins for [`SPIN_BUDGET`], then parks
-//! on the gang's condvar. Whoever completes a phase, publishes phases,
-//! closes the gang or poisons it wakes the parked lanes, and takes the
-//! condvar's lock only when a lane is parked. The wake-up cannot be lost:
-//! a parking lane counts itself in `sleepers` under the lock and then
-//! re-checks its condition, and every waker changes the state and then
-//! reads `sleepers`, all in one sequentially consistent order.
+//! on the gang's condvar. Whoever completes a phase, publishes phases or
+//! closes the gang wakes the parked lanes, and takes the condvar's lock
+//! only when a lane is parked. The wake-up cannot be lost: a parking lane
+//! counts itself in `sleepers` under the lock and then re-checks its
+//! condition, and every waker changes the state and then reads
+//! `sleepers`, all in one sequentially consistent order.
 //!
 //! # Panics
 //!
-//! A panicking ticket poisons the gang: the remaining lanes stop
-//! claiming, the driver's [`Gang::run`] unwinds, and [`ThreadPool::gang`]
-//! re-raises the lane's own payload on the calling thread once every
-//! helper has left. The pool's workers survive and serve the next batch.
+//! A lane catches each ticket's panic and keeps the first payload. The
+//! panicking ticket still counts as done, and claims are capped at the
+//! end of its phase: the rest of that phase runs, no later phase opens,
+//! and [`Gang::run`] re-raises the payload on the driver. The pool's
+//! workers survive and serve the next gang.
 
 use crate::ThreadPool;
 use mosaic_telemetry::{lock_unpoisoned, Counter};
+use std::any::Any;
 use std::cell::Cell;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -58,10 +58,6 @@ const SPIN_BUDGET: Duration = Duration::from_micros(50);
 /// Spins between clock reads while a lane waits. Between reads the lane
 /// also yields, so a peer sharing its CPU gets to finish its ticket.
 const SPINS_PER_CLOCK_READ: u32 = 64;
-
-/// What [`Gang::run`] raises on the driver when a helper lane's ticket
-/// panicked; [`ThreadPool::gang`] swaps in the lane's own payload.
-struct LanePanicked;
 
 /// The work function of a gang: `work(phase, chunk)`.
 type Work<'a> = &'a (dyn Fn(usize, usize) + Sync);
@@ -88,10 +84,13 @@ struct GangState {
     next: AtomicUsize,
     /// Tickets completed.
     done: AtomicUsize,
+    /// No ticket at or past this one is claimed: the end of the first
+    /// phase in which a ticket panicked (`usize::MAX` until then).
+    cap: AtomicUsize,
+    /// The first panicking ticket's payload, for [`Gang::run`] to raise.
+    payload: Mutex<Option<Box<dyn Any + Send>>>,
     /// Set when the driver returns: helpers leave once nothing is left.
     closed: AtomicBool,
-    /// Set when a ticket panicked: every lane leaves.
-    poisoned: AtomicBool,
     /// Lanes parked (or about to park) on `wake`.
     sleepers: AtomicUsize,
     park: Mutex<()>,
@@ -108,7 +107,9 @@ impl GangState {
     /// completed, so a lane that read them across such a change holds a
     /// stale ticket number: it may see the ticket before the run's first
     /// (and reads again), and otherwise its compare-exchange in
-    /// [`claim`](Self::claim) fails.
+    /// [`claim`](Self::claim) fails. `cap` is read after `done`: a
+    /// ticket that panicked lowers `cap` before it counts as done, so a
+    /// lane that sees its phase complete also sees the cap.
     fn open_ticket(&self) -> Option<(usize, Ticket)> {
         loop {
             let end = self.published.load(SeqCst);
@@ -121,7 +122,7 @@ impl GangState {
                 continue;
             };
             let phase_start = ticket - offset % chunks;
-            if self.done.load(SeqCst) < phase_start {
+            if self.done.load(SeqCst) < phase_start || ticket >= self.cap.load(SeqCst) {
                 return None;
             }
             let claim = Ticket {
@@ -147,30 +148,30 @@ impl GangState {
         }
     }
 
-    /// Run one claimed ticket and count it done; completing a phase
-    /// wakes the parked lanes.
+    /// Run one claimed ticket and count it done, a panicking one too;
+    /// completing a phase wakes the parked lanes.
     fn execute(&self, work: Work<'_>, ticket: Ticket) {
-        let poison = PoisonOnUnwind(self);
-        work(ticket.phase, ticket.chunk);
-        std::mem::forget(poison);
+        let outcome = catch_unwind(AssertUnwindSafe(|| work(ticket.phase, ticket.chunk)));
+        if let Err(payload) = outcome {
+            self.cap.fetch_min(ticket.phase_end, SeqCst);
+            lock_unpoisoned(&self.payload).get_or_insert(payload);
+        }
         if self.done.fetch_add(1, SeqCst) + 1 == ticket.phase_end {
             self.wake_all();
         }
     }
 
-    /// Work as a lane until `finished` holds (or the gang is poisoned).
+    /// Work as a lane until `finished` holds.
     fn serve(&self, work: Work<'_>, finished: impl Fn(&Self) -> bool) {
         loop {
             if let Some(ticket) = self.claim() {
                 self.execute(work, ticket);
                 continue;
             }
-            if finished(self) || self.poisoned.load(SeqCst) {
+            if finished(self) {
                 return;
             }
-            self.wait_until(|| {
-                self.open_ticket().is_some() || finished(self) || self.poisoned.load(SeqCst)
-            });
+            self.wait_until(|| self.open_ticket().is_some() || finished(self));
         }
     }
 
@@ -216,16 +217,6 @@ impl GangState {
     }
 }
 
-/// Poisons the gang if the ticket it guards unwinds.
-struct PoisonOnUnwind<'a>(&'a GangState);
-
-impl Drop for PoisonOnUnwind<'_> {
-    fn drop(&mut self) {
-        self.0.poisoned.store(true, SeqCst);
-        self.0.wake_all();
-    }
-}
-
 /// Closes the gang when the driver returns or unwinds.
 struct CloseOnDrop<'a>(&'a GangState);
 
@@ -252,7 +243,10 @@ impl Gang<'_> {
     /// from there.
     ///
     /// # Panics
-    /// Unwinds when a ticket panics, on this thread or on a helper lane.
+    /// When a ticket panics, on this thread or on a helper lane, the
+    /// rest of its phase still runs, no later phase opens, and this
+    /// re-raises that ticket's payload. A driver that catches it gets no
+    /// further phases run.
     pub fn run(&self, phases: usize, chunks: usize) {
         let state = self.state;
         let first_phase = self.phases.get();
@@ -269,17 +263,23 @@ impl Gang<'_> {
         let end = first + phases * chunks;
         state.published.store(end, SeqCst);
         state.wake_all();
-        state.serve(self.work, |state| state.done.load(SeqCst) >= end);
-        if state.poisoned.load(SeqCst) {
-            resume_unwind(Box::new(LanePanicked));
+        state.serve(self.work, |state| {
+            state.done.load(SeqCst) >= end.min(state.cap.load(SeqCst))
+        });
+        // The cap moves only when a ticket panicked, which keeps the
+        // payload's lock off every launch that did not.
+        if state.cap.load(SeqCst) != usize::MAX {
+            if let Some(payload) = lock_unpoisoned(&state.payload).take() {
+                resume_unwind(payload);
+            }
         }
     }
 }
 
 impl ThreadPool {
-    /// Run a phased computation on up to `lanes` lanes with one pool
-    /// dispatch: the calling thread plus at most `lanes - 1` pool workers,
-    /// recruited once for the whole call.
+    /// Run a phased computation on up to `lanes` lanes: the calling
+    /// thread plus at most `lanes - 1` pool workers, recruited once for
+    /// the whole call.
     ///
     /// `driver` runs on the calling thread and publishes work with
     /// [`Gang::run`]. Each chunk of a published phase is one call
@@ -290,9 +290,9 @@ impl ThreadPool {
     /// lanes have left.
     ///
     /// # Panics
-    /// Panics when `lanes` is zero. A panic in `work` or `driver` ends
-    /// the gang and is re-raised here once every helper lane has left; a
-    /// panic in `work` on a helper re-raises that lane's payload.
+    /// Panics when `lanes` is zero. A panic in `work` reaches the driver
+    /// through [`Gang::run`]; a panic in `driver` ends the gang and is
+    /// re-raised here once every helper lane has left.
     pub fn gang<W, D, R>(&self, lanes: usize, work: W, driver: D) -> R
     where
         W: Fn(usize, usize) + Sync,
@@ -306,8 +306,9 @@ impl ThreadPool {
             run_chunks: AtomicUsize::new(1),
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
+            cap: AtomicUsize::new(usize::MAX),
+            payload: Mutex::new(None),
             closed: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
             park: Mutex::new(()),
             wake: Condvar::new(),
@@ -319,20 +320,11 @@ impl ThreadPool {
             phases: Cell::new(0),
         };
         let helpers = (lanes - 1).min(self.threads());
-        if helpers == 0 {
-            return driver(&gang);
-        }
-        let helper = |_lane: usize| state.serve(&work, GangState::is_closed);
-        let (outcome, lane_panic) = self.dispatch(helpers, &helper, || {
+        let lane = || state.serve(&work, GangState::is_closed);
+        self.with_lanes(helpers, &lane, || {
             let _close = CloseOnDrop(&state);
             driver(&gang)
-        });
-        match (outcome, lane_panic) {
-            (Ok(value), None) => value,
-            (Ok(_), Some(lane)) => resume_unwind(lane),
-            (Err(panic), Some(lane)) if panic.is::<LanePanicked>() => resume_unwind(lane),
-            (Err(panic), _) => resume_unwind(panic),
-        }
+        })
     }
 }
 

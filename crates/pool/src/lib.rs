@@ -3,11 +3,9 @@
 //!
 //! The paper's GPU path (§V) amortizes launch cost by reusing one device
 //! across a kernel launch per color group; the CPU analogue is reusing one
-//! set of OS threads across every batch. Before this crate, each parallel
-//! stage called `std::thread::scope` per invocation — for the parallel
-//! swap search that is O(color-groups × sweeps × threads) spawns per job.
-//! [`ThreadPool`] spawns its workers once and then dispatches borrowed
-//! (non-`'static`) closures to them as chunk-indexed batches:
+//! set of OS threads across every parallel call. [`ThreadPool`] spawns its
+//! workers once and then lends them, as *lanes*, to borrowed
+//! (non-`'static`) closures:
 //!
 //! ```
 //! let pool = mosaic_pool::ThreadPool::new(2);
@@ -23,109 +21,92 @@
 //!
 //! # Design
 //!
-//! One mutex guards the whole pool state (a FIFO of live batches plus a
-//! parking list of finished batch ids); two condvars signal "work is
-//! available" (to workers) and "a batch completed" (to submitters).
-//! Submitters *help*: after enqueueing, the calling thread claims chunks
-//! of its own batch alongside the workers, then blocks only for chunks
-//! still running elsewhere. This keeps a 1-core pool (or a pool whose
-//! workers are busy with other batches) deadlock-free — every batch can
-//! always be driven to completion by its own submitter — and it means
-//! nested `parallel_for` calls from inside a task cannot wedge either.
+//! Every parallel call is a [`ThreadPool::gang`]: the calling thread plus
+//! up to `lanes - 1` pool workers claim chunks of a sequence of phases
+//! from one atomic counter (see the `gang` module). `parallel_for` is a
+//! gang with one phase of `chunks` chunks.
 //!
-//! A panic inside a task poisons *the batch, not the process*: the first
-//! payload is captured and re-raised on the submitting thread once the
-//! batch drains; the workers survive and keep serving later batches.
+//! The pool itself only recruits lanes. One mutex guards a queue of
+//! *calls*, one per running gang that asked for helpers: a worker takes a
+//! lane of the oldest call that still wants one and runs the gang's lane
+//! body until the gang closes. The caller works as a lane too, so a
+//! gang whose helpers never arrive (a 1-core pool, workers busy in other
+//! gangs, a nested call from inside a chunk) still finishes, on its
+//! caller alone; that is what keeps nested calls deadlock-free.
+//!
+//! A panicking chunk fails *its call, not the process*: the gang re-raises
+//! the first payload on the calling thread, and the workers survive to
+//! serve later calls.
 //!
 //! Deadlines stay cooperative: tasks capture `&Deadline` (or any other
 //! cancellation token) in their closure and poll it at chunk/row/sweep
-//! boundaries exactly as the scoped-thread code did — the pool itself has
-//! no deadline opinion, so `mosaic-grid` semantics are unchanged.
-//!
-//! A computation that needs a barrier between many short phases (Algorithm
-//! 2's color groups, the simulated GPU's launches) runs as one
-//! [`ThreadPool::gang`] instead of one batch per phase: the lanes are
-//! recruited once and the phases are separated by an atomic barrier that
-//! waits for claimed work, not for lanes.
+//! boundaries — the pool itself has no deadline opinion.
 //!
 //! # Safety
 //!
-//! Executing borrowed closures on persistent threads requires erasing the
-//! closure lifetime at the dispatch boundary. The soundness argument is
-//! the same as `std::thread::scope`'s: the one dispatch path behind
-//! [`ThreadPool::parallel_for`] and [`ThreadPool::gang`] does not return
-//! until every chunk of its batch has finished running (the completion
-//! count is observed under the pool mutex), so the erased reference never
-//! outlives the frame that owns the closure.
+//! Running a borrowed lane body on persistent threads requires erasing its
+//! lifetime where the call is queued. The soundness argument is the same
+//! as `std::thread::scope`'s: [`ThreadPool::gang`] withdraws its call and
+//! waits until every worker that took one of its lanes has left it before
+//! it returns or unwinds, so the erased reference never outlives the frame
+//! that owns the body.
 
 mod gang;
 
 pub use gang::Gang;
 
 use mosaic_telemetry::{lock_unpoisoned, registry};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// What a panicking task leaves behind for the submitter to re-raise.
-type Payload = Box<dyn Any + Send + 'static>;
+/// A lifetime-erased borrow of a gang's lane body. See the crate-level
+/// Safety section: the borrow is dead before the gang returns.
+type LaneRef = &'static (dyn Fn() + Sync);
 
-/// A lifetime-erased borrow of the batch body. See the crate-level
-/// Safety section: the borrow is dead before `parallel_for` returns.
-type TaskRef = &'static (dyn Fn(usize) + Sync);
-
-/// One submitted `parallel_for` call: `chunks` indexed invocations of
-/// `task`, dispatched at most once each.
-struct Batch {
+/// One gang's request for helper lanes.
+struct Call {
     id: u64,
-    task: TaskRef,
-    /// Total chunk count.
-    chunks: usize,
-    /// Next unclaimed chunk index (`== chunks` when fully claimed).
-    next: usize,
-    /// Chunks claimed but not yet completed, plus unclaimed ones.
-    pending: usize,
-    /// First panic payload observed in this batch, if any.
-    payload: Option<Payload>,
+    lane: LaneRef,
+    /// Lanes still wanted; a worker takes one by decrementing it.
+    wanted: usize,
+    /// Workers running `lane` right now.
+    inside: usize,
 }
 
 /// Everything guarded by the pool mutex.
 struct State {
-    /// Live batches in submission order; claims scan front to back.
-    batches: VecDeque<Batch>,
-    /// Fully drained batches waiting for their submitter to collect.
-    finished: Vec<(u64, Option<Payload>)>,
+    /// Calls in submission order; workers serve the oldest first.
+    calls: VecDeque<Call>,
     next_id: u64,
     shutdown: bool,
 }
 
-/// Cached metric handles — looked up once so the per-chunk path never
+/// Cached metric handles — looked up once so the recruit path never
 /// touches the registry's interning lock.
 struct PoolMetrics {
     task_us: Arc<mosaic_telemetry::Histogram>,
     queue_depth: Arc<mosaic_telemetry::Gauge>,
-    spawns_avoided: Arc<mosaic_telemetry::Counter>,
     gang_parks: Arc<mosaic_telemetry::Counter>,
 }
 
 struct Shared {
     state: Mutex<State>,
-    /// Signalled when a batch is enqueued or shutdown is flagged.
+    /// Signalled when a call wants lanes or shutdown is flagged.
     work_ready: Condvar,
-    /// Signalled when a batch fully drains.
-    batch_done: Condvar,
+    /// Signalled when the last worker leaves a withdrawn call.
+    lane_left: Condvar,
     metrics: PoolMetrics,
 }
 
 /// A persistent worker pool with a scoped, chunk-indexed dispatch API.
 ///
-/// Construction spawns the workers once; every subsequent
-/// [`parallel_for`](Self::parallel_for) is lock-and-notify only. Dropping
-/// the pool (or calling [`shutdown`](Self::shutdown)) drains in-flight
-/// batches and joins the workers.
+/// Construction spawns the workers once; every later call is
+/// lock-and-notify only. Dropping the pool (or calling
+/// [`shutdown`](Self::shutdown)) lets running calls finish and joins the
+/// workers.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     threads: usize,
@@ -136,8 +117,8 @@ impl ThreadPool {
     /// Spawn a pool with `threads` persistent workers.
     ///
     /// If the OS refuses to spawn some workers the pool still functions
-    /// with however many it got — even zero, because submitters help
-    /// drive their own batches.
+    /// with however many it got — even zero, because callers work as
+    /// lanes of their own calls.
     ///
     /// # Panics
     /// Panics when `threads == 0`.
@@ -145,17 +126,15 @@ impl ThreadPool {
         assert!(threads > 0, "a pool needs at least one worker thread");
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                batches: VecDeque::new(),
-                finished: Vec::new(),
+                calls: VecDeque::new(),
                 next_id: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
+            lane_left: Condvar::new(),
             metrics: PoolMetrics {
                 task_us: registry().histogram("pool_task_us"),
                 queue_depth: registry().gauge("pool_queue_depth"),
-                spawns_avoided: registry().counter("pool_spawns_avoided_total"),
                 gang_parks: registry().counter("pool_gang_parks_total"),
             },
         });
@@ -183,84 +162,24 @@ impl ThreadPool {
     }
 
     /// Run `task(0) .. task(chunks - 1)`, each exactly once, distributed
-    /// across the pool's workers and the calling thread. Returns when
-    /// every chunk has completed.
+    /// across the pool's workers and the calling thread: a one-phase
+    /// [`gang`](Self::gang). Returns when every chunk has completed.
     ///
     /// The closure may borrow from the caller's stack; see the crate
     /// docs for why that is sound.
     ///
     /// # Panics
-    /// If any chunk panics, the first payload is re-raised here after
-    /// the whole batch has drained (no chunk is left running).
+    /// If any chunk panics, the other chunks still run and the first
+    /// payload is re-raised here once all of them have finished.
     pub fn parallel_for<F>(&self, chunks: usize, task: F)
     where
         F: Fn(usize) + Sync,
     {
-        if chunks == 0 {
-            return;
-        }
-        if chunks == 1 {
-            // One chunk gains nothing from a round-trip through the
-            // queue; run it on the caller.
-            self.shared.metrics.spawns_avoided.inc();
-            task(0);
-            return;
-        }
-        if let (_, Some(payload)) = self.dispatch(chunks, &task, || ()) {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Enqueue `chunks` calls of `task` for the workers, run `alongside`
-    /// on the calling thread, then help drive the batch until every chunk
-    /// has completed. Returns `alongside`'s outcome and the first chunk
-    /// panic; a panic in `alongside` is caught so that the batch still
-    /// drains before the borrow of `task` ends.
-    pub(crate) fn dispatch<R>(
-        &self,
-        chunks: usize,
-        task: &(dyn Fn(usize) + Sync),
-        alongside: impl FnOnce() -> R,
-    ) -> (std::thread::Result<R>, Option<Payload>) {
-        // The reference is handed to worker threads, but this function
-        // does not return until `drive` observes the batch fully
-        // completed under the pool mutex, so the borrow of `task`
-        // strictly outlives every use.
-        // SAFETY: only the *lifetime* of the reference is stretched (the
-        // pointee type is unchanged); the barrier above bounds all uses.
-        let erased: TaskRef = unsafe { std::mem::transmute(task) };
-        let id = {
-            let mut state = self.lock();
-            if state.shutdown {
-                // The pool is gone; degrade to the serial reference
-                // semantics instead of dropping work on the floor.
-                drop(state);
-                let value = catch_unwind(AssertUnwindSafe(alongside));
-                let mut payload = None;
-                for chunk in 0..chunks {
-                    if let Err(panic) = run_chunk(erased, chunk, &self.shared.metrics) {
-                        payload.get_or_insert(panic);
-                    }
-                }
-                return (value, payload);
-            }
-            let id = state.next_id;
-            state.next_id += 1;
-            state.batches.push_back(Batch {
-                id,
-                task: erased,
-                chunks,
-                next: 0,
-                pending: chunks,
-                payload: None,
-            });
-            self.shared.metrics.queue_depth.add(chunks as i64);
-            self.shared.metrics.spawns_avoided.add(chunks as u64);
-            id
-        };
-        self.shared.work_ready.notify_all();
-        let value = catch_unwind(AssertUnwindSafe(alongside));
-        (value, self.drive(id))
+        self.gang(
+            chunks.max(1),
+            |_, chunk| task(chunk),
+            |gang| gang.run(1, chunks),
+        );
     }
 
     /// Split `data` into consecutive chunks of `chunk_len` elements (the
@@ -298,10 +217,75 @@ impl ThreadPool {
         });
     }
 
-    /// Flag the pool for shutdown, drain every already-submitted batch,
-    /// and join the workers. Idempotent; `parallel_for` calls that race
-    /// past (or arrive after) the flag run inline on their caller, so no
-    /// submitter is ever stranded.
+    /// Run `body` on the calling thread while up to `helpers` idle workers
+    /// each run `lane` once; return `body`'s outcome (re-raising its
+    /// panic) after every worker that took a lane has left it. `body`
+    /// must make `lane` return, as a gang's close does; `lane` must not
+    /// unwind, because its worker then never reports that it left.
+    fn with_lanes<R>(
+        &self,
+        helpers: usize,
+        lane: &(dyn Fn() + Sync),
+        body: impl FnOnce() -> R,
+    ) -> R {
+        let metrics = &self.shared.metrics;
+        let id = {
+            let mut state = self.lock();
+            if helpers == 0 || state.shutdown {
+                // No lanes to recruit: the caller runs the whole call.
+                drop(state);
+                return body();
+            }
+            // The reference is handed to worker threads, but this
+            // function does not return until the call below is withdrawn
+            // and no worker is inside it, both observed under the pool
+            // mutex, so the borrow of `lane` strictly outlives every use.
+            // SAFETY: only the *lifetime* of the reference is stretched
+            // (the pointee type is unchanged); the barrier above bounds
+            // all uses.
+            let lane: LaneRef = unsafe { std::mem::transmute(lane) };
+            let id = state.next_id;
+            state.next_id += 1;
+            state.calls.push_back(Call {
+                id,
+                lane,
+                wanted: helpers,
+                inside: 0,
+            });
+            metrics.queue_depth.add(helpers as i64);
+            id
+        };
+        for _ in 0..helpers {
+            self.shared.work_ready.notify_one();
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(body));
+        // Withdraw the call, then wait until no worker is inside it. Only
+        // this caller removes it, so it is found on every pass.
+        let mut state = self.lock();
+        while let Some(at) = state.calls.iter().position(|call| call.id == id) {
+            let call = &mut state.calls[at];
+            metrics
+                .queue_depth
+                .add(-(std::mem::take(&mut call.wanted) as i64));
+            if call.inside == 0 {
+                state.calls.remove(at);
+                break;
+            }
+            state = self
+                .shared
+                .lane_left
+                .wait(state)
+                // lint:allow(lock) Condvar::wait re-acquires internally; this is the same policy inlined
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(state);
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    /// Flag the pool for shutdown and join the workers once they have
+    /// left the calls they are serving. Idempotent; calls that arrive
+    /// after the flag run on their caller alone, so no caller is ever
+    /// stranded.
     pub fn shutdown(&self) {
         {
             let mut state = self.lock();
@@ -317,33 +301,6 @@ impl ThreadPool {
     fn lock(&self) -> MutexGuard<'_, State> {
         lock_unpoisoned(&self.shared.state)
     }
-
-    /// Help execute our own batch, then wait for it to drain; returns
-    /// the first panic payload, if any chunk panicked.
-    fn drive(&self, id: u64) -> Option<Payload> {
-        let mut state = self.lock();
-        loop {
-            if let Some((task, chunk, _)) = claim(&mut state, Some(id), &self.shared.metrics) {
-                drop(state);
-                let outcome = run_chunk(task, chunk, &self.shared.metrics);
-                state = self.lock();
-                if complete(&mut state, id, outcome) {
-                    self.shared.batch_done.notify_all();
-                }
-                continue;
-            }
-            if let Some(at) = state.finished.iter().position(|(fid, _)| *fid == id) {
-                let (_, payload) = state.finished.swap_remove(at);
-                return payload;
-            }
-            state = self
-                .shared
-                .batch_done
-                .wait(state)
-                // lint:allow(lock) Condvar::wait re-acquires internally; this is the same policy inlined
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
 }
 
 impl Drop for ThreadPool {
@@ -352,68 +309,29 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Claim the next unclaimed chunk, scanning batches in FIFO order. With
-/// `only` set, claims are restricted to that batch (submitters drive
-/// their own work, never a stranger's — that bound is what makes nested
-/// submission deadlock-free).
-fn claim(
-    state: &mut State,
-    only: Option<u64>,
-    metrics: &PoolMetrics,
-) -> Option<(TaskRef, usize, u64)> {
-    let batch = state
-        .batches
-        .iter_mut()
-        .filter(|b| only.is_none_or(|id| b.id == id))
-        .find(|b| b.next < b.chunks)?;
-    let chunk = batch.next;
-    batch.next += 1;
-    metrics.queue_depth.add(-1);
-    Some((batch.task, chunk, batch.id))
-}
-
-/// Record one chunk's completion; returns true when the batch is fully
-/// drained (and moved to the finished list).
-fn complete(state: &mut State, id: u64, outcome: Result<(), Payload>) -> bool {
-    let Some(at) = state.batches.iter().position(|b| b.id == id) else {
-        return false;
-    };
-    let batch = &mut state.batches[at];
-    batch.pending -= 1;
-    if let Err(payload) = outcome {
-        // Keep the first payload; later ones are indistinguishable
-        // cascade noise by the time the submitter re-raises.
-        batch.payload.get_or_insert(payload);
-    }
-    if batch.pending > 0 {
-        return false;
-    }
-    let Some(done) = state.batches.remove(at) else {
-        return false;
-    };
-    state.finished.push((done.id, done.payload));
-    true
-}
-
-/// Run one chunk under panic containment and record its wall time.
-fn run_chunk(task: TaskRef, chunk: usize, metrics: &PoolMetrics) -> Result<(), Payload> {
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| task(chunk)));
-    metrics.task_us.record_duration_us(start.elapsed());
-    outcome
-}
-
-/// The persistent worker body: claim, run, repeat; park when idle; exit
-/// once shutdown is flagged and nothing is left to claim.
+/// The persistent worker body: take a lane of the oldest call that wants
+/// one, run it, repeat; park when idle; exit once shutdown is flagged and
+/// no call wants a lane.
 fn worker_loop(shared: &Shared) {
+    let metrics = &shared.metrics;
     let mut state = lock_unpoisoned(&shared.state);
     loop {
-        if let Some((task, chunk, id)) = claim(&mut state, None, &shared.metrics) {
+        if let Some(call) = state.calls.iter_mut().find(|call| call.wanted > 0) {
+            call.wanted -= 1;
+            call.inside += 1;
+            let (id, lane) = (call.id, call.lane);
+            metrics.queue_depth.add(-1);
             drop(state);
-            let outcome = run_chunk(task, chunk, &shared.metrics);
+            let start = Instant::now();
+            lane();
+            metrics.task_us.record_duration_us(start.elapsed());
             state = lock_unpoisoned(&shared.state);
-            if complete(&mut state, id, outcome) {
-                shared.batch_done.notify_all();
+            // The caller removes its call only once no worker is inside.
+            if let Some(call) = state.calls.iter_mut().find(|call| call.id == id) {
+                call.inside -= 1;
+                if call.inside == 0 && call.wanted == 0 {
+                    shared.lane_left.notify_all();
+                }
             }
             continue;
         }

@@ -315,3 +315,37 @@ fn gang_driver_panic_ends_the_gang_and_releases_its_lanes() {
         });
     });
 }
+
+#[test]
+fn gang_panic_finishes_its_phase_and_opens_no_later_one() {
+    within(std::time::Duration::from_secs(60), || {
+        let pool = ThreadPool::new(2);
+        for lanes in [1, 3] {
+            let runs: Vec<AtomicUsize> = (0..3 * 4).map(|_| AtomicUsize::new(0)).collect();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.gang(
+                    lanes,
+                    |phase, chunk| {
+                        runs[phase * 4 + chunk].fetch_add(1, Ordering::SeqCst);
+                        if (phase, chunk) == (1, 0) {
+                            panic!("ticket (1, 0) exploded");
+                        }
+                    },
+                    |gang| gang.run(3, 4),
+                )
+            }));
+            let payload = result.expect_err("the panicking ticket must fail its gang");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("ticket (1, 0) exploded"),
+                "lanes {lanes}"
+            );
+            let runs: Vec<usize> = runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+            assert_eq!(
+                runs,
+                [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0],
+                "lanes {lanes}: phases 0 and 1 run once each, phase 2 never"
+            );
+        }
+    });
+}

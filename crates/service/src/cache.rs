@@ -84,11 +84,10 @@ impl ComputeGuard<'_> {
         // Release the pending key and insert in one critical section,
         // so no other worker can observe "neither pending nor cached"
         // and restart the computation we just finished.
+        // A pending key is never cached: `begin` marks a key pending
+        // only when it missed, and only this guard can insert it.
         let mut inner = lock_unpoisoned(&self.cache.inner);
         inner.pending.retain(|k| *k != key);
-        if let Some(pos) = inner.entries.iter().position(|(k, _)| *k == key) {
-            inner.entries.remove(pos);
-        }
         inner.entries.push_front((key, matrix));
         while inner.entries.len() > self.cache.capacity {
             inner.entries.pop_back();
@@ -114,7 +113,7 @@ impl Drop for ComputeGuard<'_> {
 
 impl MatrixCache {
     /// Cache at most `capacity` matrices; `0` disables caching (every
-    /// lookup misses, inserts are dropped).
+    /// lookup misses, fulfilled matrices are dropped).
     pub fn new(capacity: usize) -> Self {
         MatrixCache {
             inner: Mutex::new(Inner {
@@ -179,47 +178,6 @@ impl MatrixCache {
         self.capacity
     }
 
-    /// Look up `key`, counting a hit or miss and refreshing recency on
-    /// hit. A capacity-0 (disabled) cache answers `None` without taking
-    /// the lock or counting a miss — a server run with caching off must
-    /// report a zeroed hit rate, not a 0% one.
-    pub fn get(&self, key: u64) -> Option<Arc<ErrorMatrix>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut inner = self.lock();
-        match inner.entries.iter().position(|(k, _)| *k == key) {
-            Some(pos) => {
-                inner.hits += 1;
-                // lint:allow(panic) pos came from position() on the same deque under the same lock
-                let entry = inner.entries.remove(pos).expect("position just found");
-                let matrix = Arc::clone(&entry.1);
-                inner.entries.push_front(entry);
-                Some(matrix)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert (or refresh) `key`, evicting the least-recently-used entry
-    /// beyond capacity.
-    pub fn insert(&self, key: u64, matrix: Arc<ErrorMatrix>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        if let Some(pos) = inner.entries.iter().position(|(k, _)| *k == key) {
-            inner.entries.remove(pos);
-        }
-        inner.entries.push_front((key, matrix));
-        while inner.entries.len() > self.capacity {
-            inner.entries.pop_back();
-        }
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
@@ -243,12 +201,28 @@ mod tests {
         Arc::new(ErrorMatrix::from_vec(n, vec![fill; n * n]))
     }
 
+    /// `begin` as a plain lookup: the matrix on a hit, `None` on a miss
+    /// (whose guard is dropped unfulfilled).
+    fn lookup(cache: &MatrixCache, key: u64) -> Option<Arc<ErrorMatrix>> {
+        match cache.begin(key) {
+            Lookup::Hit(matrix) => Some(matrix),
+            Lookup::Miss(_) => None,
+        }
+    }
+
+    /// Cache `matrix` under a key that must miss.
+    fn fill(cache: &MatrixCache, key: u64, matrix: Arc<ErrorMatrix>) {
+        match cache.begin(key) {
+            Lookup::Miss(guard) => guard.fulfil(matrix),
+            Lookup::Hit(_) => panic!("key {key} is already cached"),
+        }
+    }
+
     #[test]
     fn hit_and_miss_counting() {
         let cache = MatrixCache::new(4);
-        assert!(cache.get(1).is_none());
-        cache.insert(1, matrix(2, 7));
-        let got = cache.get(1).expect("inserted entry");
+        fill(&cache, 1, matrix(2, 7));
+        let got = lookup(&cache, 1).expect("fulfilled entry");
         assert_eq!(got.get(0, 0), 7);
         assert_eq!(
             cache.stats(),
@@ -263,35 +237,38 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let cache = MatrixCache::new(2);
-        cache.insert(1, matrix(2, 1));
-        cache.insert(2, matrix(2, 2));
+        fill(&cache, 1, matrix(2, 1));
+        fill(&cache, 2, matrix(2, 2));
         // Touch 1 so 2 becomes the LRU entry.
-        assert!(cache.get(1).is_some());
-        cache.insert(3, matrix(2, 3));
-        assert!(cache.get(2).is_none(), "2 was least recently used");
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
+        assert!(lookup(&cache, 1).is_some());
+        fill(&cache, 3, matrix(2, 3));
+        assert!(lookup(&cache, 2).is_none(), "2 was least recently used");
+        assert!(lookup(&cache, 1).is_some());
+        assert!(lookup(&cache, 3).is_some());
         assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
-    fn reinsert_refreshes_instead_of_duplicating() {
+    fn hit_refreshes_instead_of_duplicating() {
         let cache = MatrixCache::new(2);
-        cache.insert(1, matrix(2, 1));
-        cache.insert(2, matrix(2, 2));
-        cache.insert(1, matrix(2, 10)); // refresh: 2 is now LRU
-        cache.insert(3, matrix(2, 3));
-        assert_eq!(cache.get(1).unwrap().get(0, 0), 10);
-        assert!(cache.get(2).is_none());
+        fill(&cache, 1, matrix(2, 1));
+        fill(&cache, 2, matrix(2, 2));
+        // Two hits on 1 move it to the front once: 2 is now LRU.
+        assert!(lookup(&cache, 1).is_some());
+        assert!(lookup(&cache, 1).is_some());
+        assert_eq!(cache.stats().entries, 2);
+        fill(&cache, 3, matrix(2, 3));
+        assert_eq!(lookup(&cache, 1).unwrap().get(0, 0), 1);
+        assert!(lookup(&cache, 2).is_none());
         assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = MatrixCache::new(0);
-        cache.insert(1, matrix(2, 1));
-        assert!(cache.get(1).is_none());
-        assert!(cache.get(2).is_none());
+        fill(&cache, 1, matrix(2, 1));
+        assert!(lookup(&cache, 1).is_none());
+        assert!(lookup(&cache, 2).is_none());
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         // Disabled means *disabled*: lookups on a capacity-0 cache must
@@ -340,7 +317,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         drop(guard); // leader fails (deadline, error): key released
         waiter.join().unwrap();
-        assert_eq!(cache.get(7).unwrap().get(0, 0), 3);
+        assert_eq!(lookup(&cache, 7).unwrap().get(0, 0), 3);
     }
 
     #[test]
@@ -350,7 +327,10 @@ mod tests {
             panic!("disabled cache can only miss");
         };
         guard.fulfil(matrix(2, 1));
-        assert!(cache.get(1).is_none(), "nothing is stored when disabled");
+        assert!(
+            lookup(&cache, 1).is_none(),
+            "nothing is stored when disabled"
+        );
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         // A second begin must not block on the first one's key.
@@ -360,10 +340,10 @@ mod tests {
     #[test]
     fn shared_entries_survive_eviction() {
         let cache = MatrixCache::new(1);
-        cache.insert(1, matrix(2, 5));
-        let held = cache.get(1).unwrap();
-        cache.insert(2, matrix(2, 6)); // evicts key 1
-        assert!(cache.get(1).is_none());
+        fill(&cache, 1, matrix(2, 5));
+        let held = lookup(&cache, 1).unwrap();
+        fill(&cache, 2, matrix(2, 6)); // evicts key 1
+        assert!(lookup(&cache, 1).is_none());
         assert_eq!(held.get(1, 1), 5, "the Arc keeps the matrix alive");
     }
 }

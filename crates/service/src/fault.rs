@@ -81,16 +81,6 @@ impl FaultPlan {
         }
     }
 
-    /// How many injected stalls remain unclaimed.
-    pub fn stalls_remaining(&self) -> u64 {
-        self.stall_budget.load(Ordering::SeqCst)
-    }
-
-    /// How many injected rejection-socket setsockopt failures remain.
-    pub fn reject_sockopt_failures_remaining(&self) -> u64 {
-        self.reject_sockopt_budget.load(Ordering::SeqCst)
-    }
-
     /// Claim one rejection-socket setsockopt failure, if any remain.
     pub(crate) fn take_reject_sockopt_failure(&self) -> bool {
         claim(&self.reject_sockopt_budget)
@@ -218,11 +208,9 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let plan = FaultPlan::none();
-        assert_eq!(plan.stalls_remaining(), 0);
         assert!(plan.take_stall().is_none());
         assert_eq!(plan.crashes_remaining(), 0);
         assert!(!plan.take_crash());
-        assert_eq!(plan.reject_sockopt_failures_remaining(), 0);
         assert!(!plan.take_reject_sockopt_failure());
     }
 
@@ -232,7 +220,7 @@ mod tests {
         let clone = plan.clone();
         assert!(clone.take_reject_sockopt_failure());
         assert!(!plan.take_reject_sockopt_failure());
-        assert_eq!(plan.reject_sockopt_failures_remaining(), 0);
+        assert!(!clone.take_reject_sockopt_failure());
         // A sockopt plan injects neither stalls nor crashes.
         assert!(plan.take_stall().is_none());
         assert!(!plan.take_crash());
@@ -254,11 +242,10 @@ mod tests {
     #[test]
     fn stall_budget_counts_down_and_stops() {
         let plan = FaultPlan::stall_first_jobs(2, 30);
-        assert_eq!(plan.stalls_remaining(), 2);
         assert_eq!(plan.take_stall(), Some(Duration::from_millis(30)));
         assert_eq!(plan.take_stall(), Some(Duration::from_millis(30)));
         assert_eq!(plan.take_stall(), None);
-        assert_eq!(plan.stalls_remaining(), 0);
+        assert_eq!(plan.take_stall(), None);
     }
 
     #[test]
@@ -267,7 +254,7 @@ mod tests {
         let clone = plan.clone();
         assert!(clone.take_stall().is_some());
         assert!(plan.take_stall().is_none());
-        assert_eq!(plan.stalls_remaining(), 0);
+        assert!(clone.take_stall().is_none());
     }
 
     #[test]
@@ -278,6 +265,14 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(plan.take_stall().is_none());
-        assert_eq!(plan.stalls_remaining(), 5, "budget is not consumed");
+        // The budget is not consumed: with a stall length, all 5 remain.
+        let plan = FaultPlan {
+            stall_ms: 10,
+            ..plan
+        };
+        for _ in 0..5 {
+            assert_eq!(plan.take_stall(), Some(Duration::from_millis(10)));
+        }
+        assert_eq!(plan.take_stall(), None);
     }
 }

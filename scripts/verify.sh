@@ -180,10 +180,14 @@ stress_out=$(cargo test -q --offline -p mosaic-pool --test stress 2>&1) || {
 stress_summary=$(echo "$stress_out" | grep '^test result:' | tail -1)
 echo "$stress_summary"
 stress_passed=$(echo "$stress_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${stress_passed:-0}" -lt 6 ]; then
-    echo "error: expected at least 6 pool stress tests, ran ${stress_passed:-0}" >&2
+if [ "${stress_passed:-0}" -lt 10 ]; then
+    echo "error: expected at least 10 pool stress tests, ran ${stress_passed:-0}" >&2
     exit 1
 fi
+
+# The one panic contract: a panicking gang ticket finishes its phase,
+# opens no later one, and its own payload reaches the caller.
+passed_gate 1 "gang phase panic" -p mosaic-pool --test stress gang_panic
 
 # Tile-library suite: the content-addressed store, clustering, pruning
 # and rectangular sparse solve carry the `library` job kind end to end,
