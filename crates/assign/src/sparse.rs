@@ -399,14 +399,13 @@ mod tests {
         ErrorMatrix::from_vec(n, (0..n * n).map(|_| next()).collect())
     }
 
+    /// Per-row `(column, cost)` candidate lists plus the dense cost rows
+    /// they were drawn from.
+    type RectLists = (Vec<Vec<(usize, u32)>>, Vec<Vec<u32>>);
+
     /// Rectangular random candidate lists: `rows × cols`, each row keeps
     /// its `k` cheapest columns of a dense random rectangle.
-    fn random_rect_lists(
-        rows: usize,
-        cols: usize,
-        k: usize,
-        seed: u64,
-    ) -> (Vec<Vec<(usize, u32)>>, Vec<Vec<u32>>) {
+    fn random_rect_lists(rows: usize, cols: usize, k: usize, seed: u64) -> RectLists {
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;

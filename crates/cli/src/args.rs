@@ -6,12 +6,15 @@
 //! with precise messages.
 
 use mosaic_assign::SolverKind;
+use mosaic_gateway::GatewayConfig;
 use mosaic_grid::TileMetric;
-use mosaic_service::protocol::ops;
+use mosaic_service::protocol::{ops, Request};
+use mosaic_service::ServiceConfig;
 use mosaic_tilelib::{LibraryParams, TilelibError};
 use photomosaic::{Algorithm, Backend, Preprocess};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// User-facing CLI failure.
 #[derive(Debug)]
@@ -44,7 +47,7 @@ impl From<TilelibError> for CliError {
 }
 
 /// A fully parsed command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Command {
     /// `mosaic generate`.
     Generate {
@@ -92,59 +95,18 @@ pub enum Command {
         out: String,
     },
     /// `mosaic serve` — run the batch mosaic server.
-    Serve {
-        /// Bind address (`host:port`; port 0 picks an ephemeral port).
-        addr: String,
-        /// Worker threads.
-        workers: usize,
-        /// Bounded queue capacity.
-        queue: usize,
-        /// Error-matrix LRU capacity.
-        cache: usize,
-        /// Back-off hint sent with queue-full rejections.
-        retry_ms: u64,
-        /// Largest request frame accepted, in bytes (0 = unlimited).
-        max_frame_bytes: usize,
-        /// Socket read/write deadline in milliseconds (0 = none).
-        io_timeout_ms: u64,
-        /// Concurrent connection cap (0 = unlimited).
-        max_connections: usize,
-        /// Per-job execution deadline in milliseconds (0 = none).
-        job_deadline_ms: u64,
-    },
+    Serve(ServiceConfig),
     /// `mosaic gateway` — route jobs across an existing backend fleet.
-    Gateway {
-        /// Bind address (`host:port`; port 0 picks an ephemeral port).
-        addr: String,
-        /// Backend addresses to route across (non-empty).
-        backends: Vec<String>,
-        /// Back-off hint sent with typed refusals.
-        retry_ms: u64,
-        /// Largest client frame accepted, in bytes (0 = unlimited).
-        max_frame_bytes: usize,
-        /// Client socket deadline in milliseconds (0 = none).
-        io_timeout_ms: u64,
-        /// Per-backend connect/IO deadline in milliseconds (0 = none).
-        backend_timeout_ms: u64,
-        /// Concurrent client-connection cap (0 = unlimited).
-        max_connections: usize,
-        /// Distinct backends tried per job before giving up.
-        hops: usize,
-        /// Health-probe period in milliseconds (0 disables probing).
-        probe_ms: u64,
-    },
+    Gateway(GatewayConfig),
     /// `mosaic fleet` — spin up N backends plus a gateway in one process.
     Fleet {
-        /// Gateway bind address.
-        addr: String,
-        /// Number of backend servers to start.
-        backends: usize,
-        /// Worker threads per backend.
-        workers: usize,
-        /// Bounded queue capacity per backend.
-        queue: usize,
-        /// Error-matrix LRU capacity per backend.
-        cache: usize,
+        /// One config per backend server.
+        backends: Vec<ServiceConfig>,
+        /// The gateway in front of them; [`Fleet::start`] fills in its
+        /// backend list.
+        ///
+        /// [`Fleet::start`]: mosaic_gateway::Fleet::start
+        gateway: GatewayConfig,
     },
     /// `mosaic submit` — talk to a running server.
     Submit {
@@ -185,7 +147,7 @@ pub enum ImageArg {
 }
 
 /// The operation `mosaic submit` performs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SubmitAction {
     /// Submit one job (or a load-generation batch of identical jobs).
     Job {
@@ -213,16 +175,9 @@ pub enum SubmitAction {
         /// Clustered-pruning parameters.
         params: LibraryParams,
     },
-    /// Fetch aggregate metrics (JSON).
-    Stats,
-    /// Fetch the Prometheus-style text exposition.
-    Metrics,
-    /// Liveness check.
-    Ping,
-    /// Fetch a gateway's routing table and per-backend health.
-    GatewayInfo,
-    /// Ask the server to shut down gracefully.
-    Shutdown,
+    /// A control op (`stats`, `metrics`, `ping`, `gateway`, `shutdown`),
+    /// sent as its wire request.
+    Control(Request),
 }
 
 struct Flags {
@@ -261,12 +216,27 @@ impl Flags {
         self.values.get(name).map(String::as_str)
     }
 
+    /// Overwrite `into` with `--name`'s value when the flag is given.
+    fn set<T: FromStr>(&self, name: &str, into: &mut T) -> Result<(), CliError> {
+        if let Some(v) = self.optional(name) {
+            *into = v
+                .parse()
+                .map_err(|_| CliError(format!("--{name} expects a number, got {v:?}")))?;
+        }
+        Ok(())
+    }
+
     fn number(&self, name: &str, default: usize) -> Result<usize, CliError> {
-        match self.optional(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| CliError(format!("--{name} expects a number, got {v:?}"))),
+        let mut value = default;
+        self.set(name, &mut value)?;
+        Ok(value)
+    }
+
+    /// [`number`](Self::number), rejecting 0.
+    fn positive(&self, name: &str, default: usize) -> Result<usize, CliError> {
+        match self.number(name, default)? {
+            0 => Err(CliError(format!("--{name} must be positive"))),
+            n => Ok(n),
         }
     }
 
@@ -339,10 +309,7 @@ fn parse_config(flags: &Flags) -> Result<photomosaic::MosaicConfig, CliError> {
         Some(v) => parse_metric(v)?,
         None => TileMetric::Sad,
     };
-    let grid = flags.number("grid", 32)?;
-    if grid == 0 {
-        return Err(CliError("--grid must be positive".into()));
-    }
+    let grid = flags.positive("grid", 32)?;
     Ok(photomosaic::MosaicBuilder::new()
         .grid(grid)
         .metric(metric)
@@ -405,6 +372,44 @@ fn parse_image_arg(flags: &Flags, role: &str) -> Result<ImageArg, CliError> {
     }
 }
 
+/// Where `gateway` and `fleet` listen unless `--addr` says otherwise.
+const GATEWAY_ADDR: &str = "127.0.0.1:7744";
+
+/// The connection-listener flags `serve` and `gateway` share.
+const LISTENER_FLAGS: [&str; 5] = [
+    "addr",
+    "retry-ms",
+    "max-frame-bytes",
+    "io-timeout-ms",
+    "max-connections",
+];
+
+/// Apply the [`LISTENER_FLAGS`] to the fields of the config being built;
+/// a flag left out keeps that config's value.
+fn parse_listener(
+    flags: &Flags,
+    addr: &mut String,
+    retry_after_ms: &mut u64,
+    max_frame_bytes: &mut usize,
+    io_timeout_ms: &mut u64,
+    max_connections: &mut usize,
+) -> Result<(), CliError> {
+    flags.set("addr", addr)?;
+    flags.set("retry-ms", retry_after_ms)?;
+    flags.set("max-frame-bytes", max_frame_bytes)?;
+    flags.set("io-timeout-ms", io_timeout_ms)?;
+    flags.set("max-connections", max_connections)
+}
+
+/// The backend flags `serve` and `fleet` share: `--workers` (floored at
+/// one), `--queue` (positive) and `--cache`.
+fn parse_workers(flags: &Flags, config: &mut ServiceConfig) -> Result<(), CliError> {
+    flags.set("workers", &mut config.workers)?;
+    config.workers = config.workers.max(1);
+    config.queue_capacity = flags.positive("queue", config.queue_capacity)?;
+    flags.set("cache", &mut config.cache_capacity)
+}
+
 /// Parse a full argument vector (without the program name).
 ///
 /// # Errors
@@ -450,10 +455,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         "ingest" => {
             let flags = split_flags(rest)?;
             flags.check_known(&["store", "from", "tile"])?;
-            let tile = flags.number("tile", 16)?;
-            if tile == 0 {
-                return Err(CliError("--tile must be positive".into()));
-            }
+            let tile = flags.positive("tile", 16)?;
             Ok(Command::Ingest {
                 store: flags.require("store")?.to_string(),
                 from: flags.require("from")?.to_string(),
@@ -462,53 +464,33 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         }
         "serve" => {
             let flags = split_flags(rest)?;
-            flags.check_known(&[
-                "addr",
-                "workers",
-                "queue",
-                "cache",
-                "retry-ms",
-                "max-frame-bytes",
-                "io-timeout-ms",
-                "max-connections",
-                "job-deadline-ms",
-            ])?;
-            let default_workers = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(2);
-            let workers = flags.number("workers", default_workers)?.max(1);
-            let queue = flags.number("queue", 16)?;
-            if queue == 0 {
-                return Err(CliError("--queue must be positive".into()));
-            }
-            Ok(Command::Serve {
-                addr: flags
-                    .optional("addr")
-                    .unwrap_or("127.0.0.1:7733")
-                    .to_string(),
-                workers,
-                queue,
-                cache: flags.number("cache", 8)?,
-                retry_ms: flags.number("retry-ms", 50)? as u64,
-                max_frame_bytes: flags.number("max-frame-bytes", 16 * 1024 * 1024)?,
-                io_timeout_ms: flags.number("io-timeout-ms", 30_000)? as u64,
-                max_connections: flags.number("max-connections", 64)?,
-                job_deadline_ms: flags.number("job-deadline-ms", 60_000)? as u64,
-            })
+            let mut known = vec!["workers", "queue", "cache", "job-deadline-ms"];
+            known.extend(LISTENER_FLAGS);
+            flags.check_known(&known)?;
+            let mut config = ServiceConfig {
+                addr: "127.0.0.1:7733".to_string(),
+                workers: std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(2),
+                ..ServiceConfig::default()
+            };
+            parse_listener(
+                &flags,
+                &mut config.addr,
+                &mut config.retry_after_ms,
+                &mut config.max_frame_bytes,
+                &mut config.io_timeout_ms,
+                &mut config.max_connections,
+            )?;
+            parse_workers(&flags, &mut config)?;
+            flags.set("job-deadline-ms", &mut config.job_deadline_ms)?;
+            Ok(Command::Serve(config))
         }
         ops::GATEWAY => {
             let flags = split_flags(rest)?;
-            flags.check_known(&[
-                "addr",
-                "backends",
-                "retry-ms",
-                "max-frame-bytes",
-                "io-timeout-ms",
-                "backend-timeout-ms",
-                "max-connections",
-                "hops",
-                "probe-ms",
-            ])?;
+            let mut known = vec!["backends", "backend-timeout-ms", "hops", "probe-ms"];
+            known.extend(LISTENER_FLAGS);
+            flags.check_known(&known)?;
             let backends: Vec<String> = flags
                 .require("backends")?
                 .split(',')
@@ -518,41 +500,39 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             if backends.is_empty() {
                 return Err(CliError("--backends expects at least one host:port".into()));
             }
-            Ok(Command::Gateway {
-                addr: flags
-                    .optional("addr")
-                    .unwrap_or("127.0.0.1:7744")
-                    .to_string(),
+            let mut config = GatewayConfig {
+                addr: GATEWAY_ADDR.to_string(),
                 backends,
-                retry_ms: flags.number("retry-ms", 50)? as u64,
-                max_frame_bytes: flags.number("max-frame-bytes", 16 * 1024 * 1024)?,
-                io_timeout_ms: flags.number("io-timeout-ms", 30_000)? as u64,
-                backend_timeout_ms: flags.number("backend-timeout-ms", 10_000)? as u64,
-                max_connections: flags.number("max-connections", 64)?,
-                hops: flags.number("hops", 2)?.max(1),
-                probe_ms: flags.number("probe-ms", 500)? as u64,
-            })
+                ..GatewayConfig::default()
+            };
+            parse_listener(
+                &flags,
+                &mut config.addr,
+                &mut config.retry_after_ms,
+                &mut config.max_frame_bytes,
+                &mut config.io_timeout_ms,
+                &mut config.max_connections,
+            )?;
+            flags.set("backend-timeout-ms", &mut config.backend_timeout_ms)?;
+            flags.set("hops", &mut config.max_hops)?;
+            config.max_hops = config.max_hops.max(1);
+            flags.set("probe-ms", &mut config.probe_interval_ms)?;
+            Ok(Command::Gateway(config))
         }
         "fleet" => {
             let flags = split_flags(rest)?;
             flags.check_known(&["addr", "backends", "workers", "queue", "cache"])?;
-            let backends = flags.number("backends", 2)?;
-            if backends == 0 {
-                return Err(CliError("--backends must be positive".into()));
-            }
-            let queue = flags.number("queue", 16)?;
-            if queue == 0 {
-                return Err(CliError("--queue must be positive".into()));
-            }
+            let count = flags.positive("backends", 2)?;
+            let mut backend = ServiceConfig::default();
+            parse_workers(&flags, &mut backend)?;
+            let mut gateway = GatewayConfig {
+                addr: GATEWAY_ADDR.to_string(),
+                ..GatewayConfig::default()
+            };
+            flags.set("addr", &mut gateway.addr)?;
             Ok(Command::Fleet {
-                addr: flags
-                    .optional("addr")
-                    .unwrap_or("127.0.0.1:7744")
-                    .to_string(),
-                backends,
-                workers: flags.number("workers", 2)?.max(1),
-                queue,
-                cache: flags.number("cache", 8)?,
+                backends: vec![backend; count],
+                gateway,
             })
         }
         ops::SUBMIT => {
@@ -563,14 +543,17 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 // The `--op` control words are the wire ops themselves.
                 ops::STATS | ops::METRICS | ops::PING | ops::GATEWAY | ops::SHUTDOWN => {
                     flags.check_known(&["addr", "op"])?;
-                    let action = match op {
-                        ops::STATS => SubmitAction::Stats,
-                        ops::METRICS => SubmitAction::Metrics,
-                        ops::PING => SubmitAction::Ping,
-                        ops::GATEWAY => SubmitAction::GatewayInfo,
-                        _ => SubmitAction::Shutdown,
+                    let request = match op {
+                        ops::STATS => Request::Stats,
+                        ops::METRICS => Request::Metrics,
+                        ops::PING => Request::Ping,
+                        ops::GATEWAY => Request::GatewayInfo,
+                        _ => Request::Shutdown,
                     };
-                    Ok(Command::Submit { addr, action })
+                    Ok(Command::Submit {
+                        addr,
+                        action: SubmitAction::Control(request),
+                    })
                 }
                 ops::LIBRARY => {
                     let mut known = vec![
@@ -586,10 +569,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     ];
                     known.extend(LIBRARY_FLAGS);
                     flags.check_known(&known)?;
-                    let size = flags.number("size", 256)?;
-                    if size == 0 {
-                        return Err(CliError("--size must be positive".into()));
-                    }
+                    let size = flags.positive("size", 256)?;
                     Ok(Command::Submit {
                         addr,
                         action: SubmitAction::Library {
@@ -616,10 +596,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     ];
                     known.extend(CONFIG_FLAGS);
                     flags.check_known(&known)?;
-                    let size = flags.number("size", 256)?;
-                    if size == 0 {
-                        return Err(CliError("--size must be positive".into()));
-                    }
+                    let size = flags.positive("size", 256)?;
                     Ok(Command::Submit {
                         addr,
                         action: SubmitAction::Job {
@@ -641,10 +618,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             let flags = split_flags(rest)?;
             flags.check_known(&["scene", "size", "seed", "out"])?;
             let scene = parse_scene(flags.require("scene")?)?;
-            let size = flags.number("size", 512)?;
-            if size == 0 {
-                return Err(CliError("--size must be positive".into()));
-            }
+            let size = flags.positive("size", 512)?;
             Ok(Command::Synth {
                 scene,
                 size,
@@ -687,9 +661,9 @@ mod tests {
 
     #[test]
     fn empty_and_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+        assert!(matches!(parse(&[]).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("help")).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("--help")).unwrap(), Command::Help));
     }
 
     #[test]
@@ -802,74 +776,62 @@ mod tests {
 
     #[test]
     fn compare_and_info_take_positionals() {
-        assert_eq!(
-            parse(&argv("compare a.pgm b.pgm")).unwrap(),
-            Command::Compare {
-                a: "a.pgm".into(),
-                b: "b.pgm".into()
-            }
-        );
+        let Command::Compare { a, b } = parse(&argv("compare a.pgm b.pgm")).unwrap() else {
+            panic!("wrong command");
+        };
+        assert_eq!((a.as_str(), b.as_str()), ("a.pgm", "b.pgm"));
         assert!(parse(&argv("compare a.pgm")).is_err());
-        assert_eq!(
-            parse(&argv("info a.pgm")).unwrap(),
-            Command::Info {
-                path: "a.pgm".into()
-            }
-        );
+        let Command::Info { path } = parse(&argv("info a.pgm")).unwrap() else {
+            panic!("wrong command");
+        };
+        assert_eq!(path, "a.pgm");
         assert!(parse(&argv("info")).is_err());
     }
 
     #[test]
     fn serve_defaults_and_flags() {
-        let Command::Serve {
-            addr,
-            workers,
-            queue,
-            cache,
-            retry_ms,
-            max_frame_bytes,
-            io_timeout_ms,
-            max_connections,
-            job_deadline_ms,
-        } = parse(&argv("serve")).unwrap()
-        else {
+        let Command::Serve(config) = parse(&argv("serve")).unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(addr, "127.0.0.1:7733");
-        assert!(workers >= 1);
-        assert_eq!((queue, cache, retry_ms), (16, 8, 50));
-        assert_eq!(max_frame_bytes, 16 * 1024 * 1024);
-        assert_eq!(io_timeout_ms, 30_000);
-        assert_eq!(max_connections, 64);
-        assert_eq!(job_deadline_ms, 60_000);
+        assert_eq!(config.addr, "127.0.0.1:7733");
+        assert!(config.workers >= 1);
+        assert_eq!(
+            (
+                config.queue_capacity,
+                config.cache_capacity,
+                config.retry_after_ms
+            ),
+            (16, 8, 50)
+        );
+        assert_eq!(config.max_frame_bytes, 16 * 1024 * 1024);
+        assert_eq!(config.io_timeout_ms, 30_000);
+        assert_eq!(config.max_connections, 64);
+        assert_eq!(config.job_deadline_ms, 60_000);
 
-        let Command::Serve {
-            addr,
-            workers,
-            queue,
-            cache,
-            retry_ms,
-            max_frame_bytes,
-            io_timeout_ms,
-            max_connections,
-            job_deadline_ms,
-        } = parse(&argv(
+        let Command::Serve(config) = parse(&argv(
             "serve --addr 0.0.0.0:9000 --workers 3 --queue 4 --cache 2 --retry-ms 10 \
              --max-frame-bytes 1024 --io-timeout-ms 500 --max-connections 2 \
              --job-deadline-ms 750",
         ))
-        .unwrap()
-        else {
+        .unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(addr, "0.0.0.0:9000");
-        assert_eq!((workers, queue, cache, retry_ms), (3, 4, 2, 10));
+        assert_eq!(config.addr, "0.0.0.0:9000");
         assert_eq!(
             (
-                max_frame_bytes,
-                io_timeout_ms,
-                max_connections,
-                job_deadline_ms
+                config.workers,
+                config.queue_capacity,
+                config.cache_capacity,
+                config.retry_after_ms
+            ),
+            (3, 4, 2, 10)
+        );
+        assert_eq!(
+            (
+                config.max_frame_bytes,
+                config.io_timeout_ms,
+                config.max_connections,
+                config.job_deadline_ms
             ),
             (1024, 500, 2, 750),
         );
@@ -881,27 +843,20 @@ mod tests {
 
     #[test]
     fn serve_hardening_zero_means_unlimited() {
-        let Command::Serve {
-            max_frame_bytes,
-            io_timeout_ms,
-            max_connections,
-            job_deadline_ms,
-            ..
-        } = parse(&argv(
+        let Command::Serve(config) = parse(&argv(
             "serve --max-frame-bytes 0 --io-timeout-ms 0 --max-connections 0 \
              --job-deadline-ms 0",
         ))
-        .unwrap()
-        else {
+        .unwrap() else {
             panic!("wrong command");
         };
         // 0 is the documented "off" value for every hardening knob.
         assert_eq!(
             (
-                max_frame_bytes,
-                io_timeout_ms,
-                max_connections,
-                job_deadline_ms
+                config.max_frame_bytes,
+                config.io_timeout_ms,
+                config.max_connections,
+                config.job_deadline_ms
             ),
             (0, 0, 0, 0),
         );
@@ -969,76 +924,95 @@ mod tests {
 
     #[test]
     fn gateway_defaults_and_flags() {
-        let Command::Gateway {
-            addr,
-            backends,
-            retry_ms,
-            max_frame_bytes,
-            io_timeout_ms,
-            backend_timeout_ms,
-            max_connections,
-            hops,
-            probe_ms,
-        } = parse(&argv("gateway --backends 127.0.0.1:7733")).unwrap()
+        let Command::Gateway(config) = parse(&argv("gateway --backends 127.0.0.1:7733")).unwrap()
         else {
             panic!("wrong command");
         };
-        assert_eq!(addr, "127.0.0.1:7744");
-        assert_eq!(backends, vec!["127.0.0.1:7733"]);
-        assert_eq!((retry_ms, max_frame_bytes), (50, 16 * 1024 * 1024));
-        assert_eq!((io_timeout_ms, backend_timeout_ms), (30_000, 10_000));
-        assert_eq!((max_connections, hops, probe_ms), (64, 2, 500));
+        assert_eq!(config.addr, "127.0.0.1:7744");
+        assert_eq!(config.backends, vec!["127.0.0.1:7733"]);
+        assert_eq!(
+            (config.retry_after_ms, config.max_frame_bytes),
+            (50, 16 * 1024 * 1024)
+        );
+        assert_eq!(
+            (config.io_timeout_ms, config.backend_timeout_ms),
+            (30_000, 10_000)
+        );
+        assert_eq!(
+            (
+                config.max_connections,
+                config.max_hops,
+                config.probe_interval_ms
+            ),
+            (64, 2, 500)
+        );
 
-        let Command::Gateway {
-            backends,
-            hops,
-            probe_ms,
-            ..
-        } = parse(&argv(
+        let Command::Gateway(config) = parse(&argv(
             "gateway --backends h:1,h:2,h:3 --hops 3 --probe-ms 100",
         ))
-        .unwrap()
-        else {
+        .unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(backends, vec!["h:1", "h:2", "h:3"]);
-        assert_eq!((hops, probe_ms), (3, 100));
+        assert_eq!(config.backends, vec!["h:1", "h:2", "h:3"]);
+        assert_eq!((config.max_hops, config.probe_interval_ms), (3, 100));
+
+        // The listener flags are the ones `serve` takes.
+        let Command::Gateway(config) = parse(&argv(
+            "gateway --backends h:1 --addr 0.0.0.0:9001 --retry-ms 7 --max-frame-bytes 99 \
+             --io-timeout-ms 11 --max-connections 5 --backend-timeout-ms 13",
+        ))
+        .unwrap() else {
+            panic!("wrong command");
+        };
+        assert_eq!(config.addr, "0.0.0.0:9001");
+        assert_eq!(
+            (
+                config.retry_after_ms,
+                config.max_frame_bytes,
+                config.io_timeout_ms,
+                config.max_connections,
+                config.backend_timeout_ms
+            ),
+            (7, 99, 11, 5, 13)
+        );
 
         // Backends are required, routing is always rendezvous (there is
         // no --policy), and --hops is floored at one.
         assert!(parse(&argv("gateway")).is_err());
         assert!(parse(&argv("gateway --backends ,")).is_err());
         assert!(parse(&argv("gateway --backends h:1 --policy rendezvous")).is_err());
-        let Command::Gateway { hops, .. } =
-            parse(&argv("gateway --backends h:1 --hops 0")).unwrap()
+        let Command::Gateway(config) = parse(&argv("gateway --backends h:1 --hops 0")).unwrap()
         else {
             panic!("wrong command");
         };
-        assert_eq!(hops, 1);
+        assert_eq!(config.max_hops, 1);
     }
 
     #[test]
     fn fleet_defaults_and_flags() {
-        let Command::Fleet {
-            addr,
-            backends,
-            workers,
-            queue,
-            cache,
-        } = parse(&argv("fleet")).unwrap()
-        else {
+        let Command::Fleet { backends, gateway } = parse(&argv("fleet")).unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(addr, "127.0.0.1:7744");
-        assert_eq!((backends, workers, queue, cache), (2, 2, 16, 8));
+        assert_eq!(gateway.addr, "127.0.0.1:7744");
+        assert_eq!(backends.len(), 2);
+        for backend in &backends {
+            assert_eq!(
+                (
+                    backend.workers,
+                    backend.queue_capacity,
+                    backend.cache_capacity
+                ),
+                (2, 16, 8)
+            );
+        }
 
-        let Command::Fleet {
-            backends, workers, ..
-        } = parse(&argv("fleet --backends 4 --workers 1")).unwrap()
+        let Command::Fleet { backends, .. } =
+            parse(&argv("fleet --backends 4 --workers 1")).unwrap()
         else {
             panic!("wrong command");
         };
-        assert_eq!((backends, workers), (4, 1));
+        assert_eq!(backends.len(), 4);
+        assert!(backends.iter().all(|b| b.workers == 1));
         assert!(parse(&argv("fleet --policy rendezvous")).is_err());
 
         assert!(parse(&argv("fleet --backends 0")).is_err());
@@ -1049,21 +1023,19 @@ mod tests {
     #[test]
     fn submit_control_ops_and_errors() {
         let ops = [
-            ("stats", SubmitAction::Stats),
-            ("metrics", SubmitAction::Metrics),
-            ("ping", SubmitAction::Ping),
-            ("gateway", SubmitAction::GatewayInfo),
-            ("shutdown", SubmitAction::Shutdown),
+            ("stats", Request::Stats),
+            ("metrics", Request::Metrics),
+            ("ping", Request::Ping),
+            ("gateway", Request::GatewayInfo),
+            ("shutdown", Request::Shutdown),
         ];
         for (name, expected) in ops {
             let cmd = parse(&argv(&format!("submit --addr h:1 --op {name}"))).unwrap();
-            assert_eq!(
-                cmd,
-                Command::Submit {
-                    addr: "h:1".into(),
-                    action: expected
-                }
-            );
+            let Command::Submit { addr, action } = cmd else {
+                panic!("wrong command");
+            };
+            assert_eq!(addr, "h:1");
+            assert_eq!(action, SubmitAction::Control(expected));
         }
         // Missing address, unknown op, image-source conflicts.
         assert!(parse(&argv("submit --op ping")).is_err());
@@ -1135,14 +1107,14 @@ mod tests {
 
     #[test]
     fn ingest_parses_store_from_and_tile() {
-        let cmd = parse(&argv("ingest --store /tiles --from /photos --tile 8")).unwrap();
+        let Command::Ingest { store, from, tile } =
+            parse(&argv("ingest --store /tiles --from /photos --tile 8")).unwrap()
+        else {
+            panic!("wrong command");
+        };
         assert_eq!(
-            cmd,
-            Command::Ingest {
-                store: "/tiles".into(),
-                from: "/photos".into(),
-                tile: 8,
-            }
+            (store.as_str(), from.as_str(), tile),
+            ("/tiles", "/photos", 8)
         );
         let Command::Ingest { tile, .. } =
             parse(&argv("ingest --store /tiles --from /photos")).unwrap()

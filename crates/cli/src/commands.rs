@@ -1,16 +1,16 @@
 //! Command execution for the `mosaic` binary.
 
 use crate::args::{CliError, Command, ImageArg, SubmitAction};
-use mosaic_gateway::{Fleet, Gateway, GatewayConfig};
+use mosaic_gateway::{Fleet, Gateway};
 use mosaic_image::histogram::Histogram;
 use mosaic_image::io::{load_pgm, save_pgm};
 use mosaic_image::metrics;
 use mosaic_pool::ThreadPool;
 use mosaic_service::protocol::{self, Response};
-use mosaic_service::{run_load, Client, Server, ServiceConfig};
+use mosaic_service::{run_load, Client, Server};
 use mosaic_telemetry as telemetry;
 use mosaic_tilelib::{execute_library, LibraryJobSpec, TileStore};
-use photomosaic::{ImageSource, JobResult, JobSpec, Json};
+use photomosaic::{Deadline, ImageSource, JobResult, JobSpec, Json};
 
 /// Execute a parsed command, returning the text to print on success.
 ///
@@ -80,7 +80,7 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2);
             let pool = ThreadPool::new(workers);
-            let result = execute_library(&spec, &pool);
+            let result = execute_library(&spec, &pool, &Deadline::NONE);
             pool.shutdown();
             let result = result?;
             save_pgm(&out, &result.image)?;
@@ -129,30 +129,11 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 metrics::ssim(&ia, &ib),
             ))
         }
-        Command::Serve {
-            addr,
-            workers,
-            queue,
-            cache,
-            retry_ms,
-            max_frame_bytes,
-            io_timeout_ms,
-            max_connections,
-            job_deadline_ms,
-        } => {
-            let server = Server::start(ServiceConfig {
-                addr,
-                workers,
-                queue_capacity: queue,
-                cache_capacity: cache,
-                retry_after_ms: retry_ms,
-                max_frame_bytes,
-                io_timeout_ms,
-                max_connections,
-                job_deadline_ms,
-                ..ServiceConfig::default()
-            })
-            .map_err(|e| CliError(format!("failed to start server: {e}")))?;
+        Command::Serve(config) => {
+            let (workers, queue, cache) =
+                (config.workers, config.queue_capacity, config.cache_capacity);
+            let server = Server::start(config)
+                .map_err(|e| CliError(format!("failed to start server: {e}")))?;
             // Print the address immediately — with port 0 the caller
             // cannot know it, and `join` blocks until shutdown.
             println!(
@@ -162,31 +143,10 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             server.join();
             Ok("server stopped".to_string())
         }
-        Command::Gateway {
-            addr,
-            backends,
-            retry_ms,
-            max_frame_bytes,
-            io_timeout_ms,
-            backend_timeout_ms,
-            max_connections,
-            hops,
-            probe_ms,
-        } => {
-            let count = backends.len();
-            let gateway = Gateway::start(GatewayConfig {
-                addr,
-                backends,
-                retry_after_ms: retry_ms,
-                max_frame_bytes,
-                io_timeout_ms,
-                backend_timeout_ms,
-                max_connections,
-                max_hops: hops,
-                probe_interval_ms: probe_ms,
-                health: mosaic_gateway::HealthPolicy::default(),
-            })
-            .map_err(|e| CliError(format!("failed to start gateway: {e}")))?;
+        Command::Gateway(config) => {
+            let count = config.backends.len();
+            let gateway = Gateway::start(config)
+                .map_err(|e| CliError(format!("failed to start gateway: {e}")))?;
             println!(
                 "mosaic gateway listening on {} ({count} backends, rendezvous routing)",
                 gateway.local_addr()
@@ -194,29 +154,9 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             gateway.join();
             Ok("gateway stopped".to_string())
         }
-        Command::Fleet {
-            addr,
-            backends,
-            workers,
-            queue,
-            cache,
-        } => {
-            let backend_configs = (0..backends)
-                .map(|_| ServiceConfig {
-                    workers,
-                    queue_capacity: queue,
-                    cache_capacity: cache,
-                    ..ServiceConfig::default()
-                })
-                .collect();
-            let fleet = Fleet::start(
-                backend_configs,
-                GatewayConfig {
-                    addr,
-                    ..GatewayConfig::default()
-                },
-            )
-            .map_err(|e| CliError(format!("failed to start fleet: {e}")))?;
+        Command::Fleet { backends, gateway } => {
+            let fleet = Fleet::start(backends, gateway)
+                .map_err(|e| CliError(format!("failed to start fleet: {e}")))?;
             let addrs: Vec<String> = (0..fleet.backend_count())
                 .map(|i| fleet.backend_addr(i).to_string())
                 .collect();
@@ -276,13 +216,6 @@ fn unexpected(response: &Response) -> CliError {
 
 fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
     match action {
-        SubmitAction::Ping => {
-            let mut client = Client::connect(addr).map_err(io_err)?;
-            match client.ping().map_err(io_err)? {
-                Response::Pong => Ok(protocol::kinds::PONG.to_string()),
-                other => Err(unexpected(&other)),
-            }
-        }
         SubmitAction::Library {
             target,
             size,
@@ -322,32 +255,15 @@ fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
                 other => Err(unexpected(&other)),
             }
         }
-        SubmitAction::Stats => {
+        SubmitAction::Control(request) => {
             let mut client = Client::connect(addr).map_err(io_err)?;
-            match client.stats().map_err(io_err)? {
+            match client.request(&request).map_err(io_err)? {
+                Response::Pong => Ok(protocol::kinds::PONG.to_string()),
                 Response::Stats { stats } => Ok(stats.encode()),
-                other => Err(unexpected(&other)),
-            }
-        }
-        SubmitAction::Metrics => {
-            let mut client = Client::connect(addr).map_err(io_err)?;
-            match client.metrics().map_err(io_err)? {
                 Response::Metrics { text } => Ok(text),
-                other => Err(unexpected(&other)),
-            }
-        }
-        SubmitAction::GatewayInfo => {
-            let mut client = Client::connect(addr).map_err(io_err)?;
-            match client.gateway_info().map_err(io_err)? {
                 Response::Gateway { gateway } => Ok(gateway.encode()),
-                Response::Error { message } => Err(CliError(format!("server error: {message}"))),
-                other => Err(unexpected(&other)),
-            }
-        }
-        SubmitAction::Shutdown => {
-            let mut client = Client::connect(addr).map_err(io_err)?;
-            match client.shutdown().map_err(io_err)? {
                 Response::ShuttingDown => Ok("server is shutting down".to_string()),
+                Response::Error { message } => Err(CliError(format!("server error: {message}"))),
                 other => Err(unexpected(&other)),
             }
         }
@@ -421,7 +337,10 @@ fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_gateway::GatewayConfig;
     use mosaic_image::synth::Scene;
+    use mosaic_service::protocol::Request;
+    use mosaic_service::ServiceConfig;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -565,17 +484,14 @@ mod tests {
         let addr = format!("127.0.0.1:{port}");
         let serve_addr = addr.clone();
         let server = std::thread::spawn(move || {
-            execute(Command::Serve {
+            execute(Command::Serve(ServiceConfig {
                 addr: serve_addr,
                 workers: 2,
-                queue: 8,
-                cache: 4,
-                retry_ms: 10,
-                max_frame_bytes: 16 * 1024 * 1024,
-                io_timeout_ms: 30_000,
-                max_connections: 64,
-                job_deadline_ms: 60_000,
-            })
+                queue_capacity: 8,
+                cache_capacity: 4,
+                retry_after_ms: 10,
+                ..ServiceConfig::default()
+            }))
         });
         let mut attempts = 0;
         loop {
@@ -591,7 +507,7 @@ mod tests {
 
         let msg = execute(Command::Submit {
             addr: addr.clone(),
-            action: SubmitAction::Ping,
+            action: SubmitAction::Control(Request::Ping),
         })
         .unwrap();
         assert_eq!(msg, "pong");
@@ -646,14 +562,14 @@ mod tests {
 
         let msg = execute(Command::Submit {
             addr: addr.clone(),
-            action: SubmitAction::Stats,
+            action: SubmitAction::Control(Request::Stats),
         })
         .unwrap();
         assert!(msg.contains("\"completed\""), "{msg}");
 
         let msg = execute(Command::Submit {
             addr: addr.clone(),
-            action: SubmitAction::Metrics,
+            action: SubmitAction::Control(Request::Metrics),
         })
         .unwrap();
         assert!(
@@ -664,7 +580,7 @@ mod tests {
 
         let msg = execute(Command::Submit {
             addr: addr.clone(),
-            action: SubmitAction::Shutdown,
+            action: SubmitAction::Control(Request::Shutdown),
         })
         .unwrap();
         assert!(msg.contains("shutting down"), "{msg}");
@@ -732,12 +648,18 @@ mod tests {
         let addr = format!("127.0.0.1:{port}");
         let fleet_addr = addr.clone();
         let fleet = std::thread::spawn(move || {
-            execute(Command::Fleet {
-                addr: fleet_addr,
-                backends: 2,
+            let backend = ServiceConfig {
                 workers: 1,
-                queue: 8,
-                cache: 4,
+                queue_capacity: 8,
+                cache_capacity: 4,
+                ..ServiceConfig::default()
+            };
+            execute(Command::Fleet {
+                backends: vec![backend; 2],
+                gateway: GatewayConfig {
+                    addr: fleet_addr,
+                    ..GatewayConfig::default()
+                },
             })
         });
         let mut attempts = 0;
@@ -778,14 +700,14 @@ mod tests {
 
         let msg = execute(Command::Submit {
             addr: addr.clone(),
-            action: SubmitAction::GatewayInfo,
+            action: SubmitAction::Control(Request::GatewayInfo),
         })
         .unwrap();
         assert!(msg.contains("\"healthy\""), "{msg}");
 
         let msg = execute(Command::Submit {
             addr: addr.clone(),
-            action: SubmitAction::Shutdown,
+            action: SubmitAction::Control(Request::Shutdown),
         })
         .unwrap();
         assert!(msg.contains("shutting down"), "{msg}");
@@ -798,7 +720,7 @@ mod tests {
         let server = Server::start(ServiceConfig::default()).unwrap();
         let err = execute(Command::Submit {
             addr: server.local_addr().to_string(),
-            action: SubmitAction::GatewayInfo,
+            action: SubmitAction::Control(Request::GatewayInfo),
         })
         .unwrap_err();
         assert!(err.to_string().contains("backend"), "{err}");

@@ -17,6 +17,10 @@
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency policy
 //! keeps external crates to the approved offline list); see [`args`].
+//! `serve`, `gateway` and `fleet` parse straight into the `ServiceConfig`
+//! and `GatewayConfig` they start, from those structs' own defaults; the
+//! CLI owns only the listen addresses and `serve --workers`. `submit`'s
+//! control ops go out as their wire `Request`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -76,20 +76,20 @@ pub fn compute_error_matrix_bounded_in<P: Pixel>(
             build_error_matrix_bounded(input, target, layout, metric, deadline)?,
             0,
         ),
-        Backend::Threads(threads) => (
+        Backend::Threads(_) => (
             build_error_matrix_threaded_bounded_in(
                 pool,
                 input,
                 target,
                 layout,
                 metric,
-                threads.max(1),
+                backend_lanes(pool, backend),
                 deadline,
             )?,
             0,
         ),
-        Backend::GpuSim { workers } => {
-            let sim = simulated_device(pool, workers);
+        Backend::GpuSim { .. } => {
+            let sim = simulated_device(pool, backend);
             let matrix = gpu_error_matrix_bounded(&sim, input, target, layout, metric, deadline)?;
             (matrix, 1)
         }
@@ -101,10 +101,27 @@ pub fn compute_error_matrix_bounded_in<P: Pixel>(
     Ok((matrix, trace))
 }
 
-/// The simulated Tesla K40 behind [`Backend::GpuSim`], its lanes drawn
-/// from `pool` (`workers` defaults to the pool's thread count).
-pub(crate) fn simulated_device(pool: &Arc<ThreadPool>, workers: Option<usize>) -> GpuSim {
-    let lanes = workers.unwrap_or_else(|| pool.threads());
+/// The lanes `backend` runs Step 2 and Step 3 on, drawn from `pool`.
+/// The one place a lane count from the wire is resolved: a requested
+/// count (`Threads(n)`, `GpuSim { workers: Some(n) }`) is clamped to
+/// `1..=pool.threads() + 1`, the most lanes a gang runs at once (the
+/// pool's threads plus the caller), so no count can ask for more work
+/// items than the pool can run or for none at all. An unset `GpuSim`
+/// count uses the pool's threads, and `Serial` runs on the caller.
+pub(crate) fn backend_lanes(pool: &ThreadPool, backend: Backend) -> usize {
+    match backend {
+        Backend::Serial => 1,
+        Backend::Threads(n) | Backend::GpuSim { workers: Some(n) } => {
+            n.clamp(1, pool.threads() + 1)
+        }
+        Backend::GpuSim { workers: None } => pool.threads(),
+    }
+}
+
+/// The simulated Tesla K40 behind [`Backend::GpuSim`], running
+/// [`backend_lanes`] lanes on `pool`.
+pub(crate) fn simulated_device(pool: &Arc<ThreadPool>, backend: Backend) -> GpuSim {
+    let lanes = backend_lanes(pool, backend);
     GpuSim::with_pool(DeviceSpec::tesla_k40(), Arc::clone(pool), lanes)
 }
 

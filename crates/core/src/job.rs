@@ -42,6 +42,24 @@ pub enum ImageSource {
 }
 
 impl ImageSource {
+    /// Feed this source's identity into a job key: the recipe of a synth
+    /// source, the size and bytes of a literal one.
+    pub fn hash_into(&self, h: &mut Fnv1a) {
+        match self {
+            ImageSource::Synth { scene, size, seed } => {
+                h.write_bytes(b"synth");
+                h.write_bytes(scene.name().as_bytes());
+                h.write_u64(*size as u64);
+                h.write_u64(*seed);
+            }
+            ImageSource::Pixels { size, pixels } => {
+                h.write_bytes(b"pixels");
+                h.write_u64(*size as u64);
+                h.write_bytes(pixels);
+            }
+        }
+    }
+
     /// Materialize the image.
     ///
     /// # Errors
@@ -171,9 +189,9 @@ impl JobSpec {
     /// compares preprocessed input tiles against target tiles under the
     /// metric; omitting either would alias distinct matrices.
     pub fn cache_key(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        hash_source(&mut h, &self.input);
-        hash_source(&mut h, &self.target);
+        let mut h = Fnv1a::default();
+        self.input.hash_into(&mut h);
+        self.target.hash_into(&mut h);
         h.write_u64(self.config.grid as u64);
         h.write_bytes(self.config.preprocess.name().as_bytes());
         h.write_bytes(self.config.metric.name().as_bytes());
@@ -290,52 +308,43 @@ impl JobResult {
     }
 }
 
-fn hash_source(h: &mut Fnv1a, source: &ImageSource) {
-    match source {
-        ImageSource::Synth { scene, size, seed } => {
-            h.write_bytes(b"synth");
-            h.write_bytes(scene.name().as_bytes());
-            h.write_u64(*size as u64);
-            h.write_u64(*seed);
-        }
-        ImageSource::Pixels { size, pixels } => {
-            h.write_bytes(b"pixels");
-            h.write_u64(*size as u64);
-            h.write_bytes(pixels);
-        }
-    }
-}
-
-/// FNV-1a 64-bit hasher (std's `DefaultHasher` is not guaranteed stable
-/// across releases; cache keys should be).
-struct Fnv1a {
+/// FNV-1a 64-bit hasher behind every job key: [`JobSpec::cache_key`]
+/// and the tile library's routing key (std's `DefaultHasher` is not
+/// guaranteed stable across releases; keys that route jobs and name
+/// cached matrices should be).
+pub struct Fnv1a {
     state: u64,
 }
 
-impl Fnv1a {
-    fn new() -> Self {
+impl Default for Fnv1a {
+    fn default() -> Self {
         Fnv1a {
             state: 0xcbf2_9ce4_8422_2325,
         }
     }
+}
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+impl Fnv1a {
+    /// Hash `bytes`, then their length, so concatenations cannot
+    /// collide trivially.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        // Length terminator so concatenations can't collide trivially.
         self.write_u64(bytes.len() as u64);
     }
 
-    fn write_u64(&mut self, v: u64) {
+    /// Hash the little-endian bytes of `v`.
+    pub fn write_u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    fn finish(&self) -> u64 {
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
         self.state
     }
 }
@@ -575,6 +584,26 @@ mod tests {
             seed: 0,
         };
         assert!(zero.resolve().is_err());
+    }
+
+    /// Cache keys route jobs (the gateway's rendezvous placement) and
+    /// name cached matrices, so their values must not drift: these are
+    /// the keys of one synth spec and one literal-pixel spec.
+    #[test]
+    fn cache_key_pinned_values() {
+        assert_eq!(sample_spec().cache_key(), 0x9c3f_6a5d_756d_0286);
+        let pixels = JobSpec {
+            input: ImageSource::Pixels {
+                size: 4,
+                pixels: (0..16).collect(),
+            },
+            target: ImageSource::Pixels {
+                size: 4,
+                pixels: (0..16).rev().collect(),
+            },
+            config: MosaicBuilder::new().grid(2).metric(TileMetric::Ssd).build(),
+        };
+        assert_eq!(pixels.cache_key(), 0xc2d6_50d6_bfed_0a87);
     }
 
     #[test]

@@ -198,9 +198,12 @@ fn swap_pairs(
 /// Multi-core CPU execution on `pool`: one gang call of `threads` lanes
 /// for the whole search. Every color group is one gang phase of
 /// `threads` chunks; a lane tests and applies the swaps of the chunks it
-/// claims, and the gang's barrier separates consecutive groups. The
-/// pairs of a group are vertex-disjoint, so this produces exactly the
-/// reference result. Unbounded callers pass `mosaic_pool::global()` and
+/// claims, and the gang's barrier separates consecutive groups. A gang
+/// runs at most `pool.threads() + 1` lanes at once, so `threads` is
+/// capped there: a larger count would only publish empty chunks, each a
+/// ticket to claim between deadline polls. The pairs of a group are
+/// vertex-disjoint, so this produces exactly the reference result for
+/// every `threads`. Unbounded callers pass `mosaic_pool::global()` and
 /// [`Deadline::NONE`].
 ///
 /// # Errors
@@ -216,6 +219,7 @@ pub fn parallel_search_threads_bounded_in(
     deadline: &Deadline,
 ) -> Result<ParallelOutcome, DeadlineExceeded> {
     assert!(threads > 0, "at least one worker thread is required");
+    let threads = threads.min(pool.threads() + 1);
     let groups: Vec<Group> = schedule.occupied_groups().collect();
     let assignment = GlobalBuffer::from_vec((0..matrix.size()).collect());
     let swapped = AtomicUsize::new(0);
@@ -414,6 +418,20 @@ mod tests {
             },
             launches,
         }
+    }
+
+    /// A thread count far past the pool's lanes publishes no more chunks
+    /// than the gang can run: 2^20 used to publish 2^20 (mostly empty)
+    /// chunks per colour group and blow a 200 ms deadline at S = 64.
+    #[test]
+    fn huge_thread_count_stays_inside_the_deadline() {
+        let m = random_matrix(64, 64, 10_000);
+        let sched = SwapSchedule::for_tiles(64);
+        let pool = mosaic_pool::ThreadPool::new(2);
+        let deadline = Deadline::after_millis(200);
+        let huge = parallel_search_threads_bounded_in(&pool, &m, &sched, 1 << 20, &deadline);
+        pool.shutdown();
+        assert_eq!(huge, Ok(parallel_search_reference(&m, &sched)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! deadline and Step-2 matrix reuse.
 
 use crate::config::{Algorithm, Backend, MosaicConfig};
-use crate::errors::{compute_error_matrix_bounded_in, simulated_device, StepTrace};
+use crate::errors::{backend_lanes, compute_error_matrix_bounded_in, simulated_device, StepTrace};
 use crate::local_search::{local_search_bounded, SearchOutcome};
 use crate::optimal::{greedy_rearrangement, optimal_rearrangement_bounded};
 use crate::parallel_search::{
@@ -282,11 +282,15 @@ fn run_step3(
             let schedule = SwapSchedule::for_tiles(s);
             let result = match config.backend {
                 Backend::Serial => parallel_search_reference_bounded(matrix, &schedule, deadline)?,
-                Backend::Threads(t) => {
-                    parallel_search_threads_bounded_in(pool, matrix, &schedule, t.max(1), deadline)?
-                }
-                Backend::GpuSim { workers } => parallel_search_gpu_bounded(
-                    &simulated_device(pool, workers),
+                Backend::Threads(_) => parallel_search_threads_bounded_in(
+                    pool,
+                    matrix,
+                    &schedule,
+                    backend_lanes(pool, config.backend),
+                    deadline,
+                )?,
+                Backend::GpuSim { .. } => parallel_search_gpu_bounded(
+                    &simulated_device(pool, config.backend),
                     matrix,
                     &schedule,
                     deadline,

@@ -1,10 +1,10 @@
 //! Per-backend health as a pure state machine.
 //!
 //! ```text
-//!            consecutive failures ≥ suspect_after
+//!            consecutive failures ≥ SUSPECT_AFTER (1)
 //!   Healthy ────────────────────────────────────▶ Suspect
 //!      ▲                                            │
-//!      │ any success                                │ failures ≥ down_after
+//!      │ any success                                │ failures ≥ DOWN_AFTER (3)
 //!      │                                            ▼
 //!   Probing ◀──────── probe tick ────────────── Down
 //!      │  probe ok → Healthy · probe fail → Down  ▲
@@ -19,10 +19,17 @@
 //! whole machine is unit-testable; the gateway drives one cell per
 //! backend under a mutex.
 
+/// Consecutive failures that turn a Healthy backend Suspect.
+const SUSPECT_AFTER: u32 = 1;
+
+/// Consecutive failures that turn a routable backend Down.
+const DOWN_AFTER: u32 = 3;
+
 /// Where a backend sits in the health lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendState {
     /// Serving normally.
+    #[default]
     Healthy,
     /// Some consecutive failures; still routed, watched closely.
     Suspect,
@@ -44,43 +51,16 @@ impl BackendState {
     }
 }
 
-/// Thresholds for the state machine.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthPolicy {
-    /// Consecutive failures that turn Healthy into Suspect.
-    pub suspect_after: u32,
-    /// Consecutive failures that turn Suspect into Down.
-    pub down_after: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            suspect_after: 1,
-            down_after: 3,
-        }
-    }
-}
-
 /// One backend's health cell: current state plus the consecutive-
-/// failure streak that drives the transitions.
-#[derive(Clone, Debug)]
+/// failure streak that drives the transitions. The default is a fresh,
+/// healthy cell.
+#[derive(Clone, Debug, Default)]
 pub struct HealthCell {
     state: BackendState,
     consecutive_failures: u32,
-    policy: HealthPolicy,
 }
 
 impl HealthCell {
-    /// A fresh, healthy cell.
-    pub fn new(policy: HealthPolicy) -> HealthCell {
-        HealthCell {
-            state: BackendState::Healthy,
-            consecutive_failures: 0,
-            policy,
-        }
-    }
-
     /// The current state.
     pub fn state(&self) -> BackendState {
         self.state
@@ -113,8 +93,8 @@ impl HealthCell {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         self.state = match self.state {
             BackendState::Down | BackendState::Probing => BackendState::Down,
-            _ if self.consecutive_failures >= self.policy.down_after => BackendState::Down,
-            _ if self.consecutive_failures >= self.policy.suspect_after => BackendState::Suspect,
+            _ if self.consecutive_failures >= DOWN_AFTER => BackendState::Down,
+            _ if self.consecutive_failures >= SUSPECT_AFTER => BackendState::Suspect,
             unchanged => unchanged,
         };
     }
@@ -144,7 +124,7 @@ mod tests {
     use super::*;
 
     fn cell() -> HealthCell {
-        HealthCell::new(HealthPolicy::default())
+        HealthCell::default()
     }
 
     #[test]
@@ -220,22 +200,6 @@ mod tests {
         assert_eq!(c.state(), BackendState::Down);
         // The stale probe's failure result cannot resurrect anything.
         c.on_probe_result(false);
-        assert_eq!(c.state(), BackendState::Down);
-    }
-
-    #[test]
-    fn custom_thresholds_are_honored() {
-        let mut c = HealthCell::new(HealthPolicy {
-            suspect_after: 2,
-            down_after: 5,
-        });
-        c.on_failure();
-        assert_eq!(c.state(), BackendState::Healthy, "below suspect_after");
-        c.on_failure();
-        assert_eq!(c.state(), BackendState::Suspect);
-        for _ in 0..3 {
-            c.on_failure();
-        }
         assert_eq!(c.state(), BackendState::Down);
     }
 

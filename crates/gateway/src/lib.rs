@@ -54,6 +54,6 @@ pub mod routing;
 
 pub use fleet::{Fleet, FleetCacheStats};
 pub use gateway::{Gateway, GatewayConfig};
-pub use health::{BackendState, HealthCell, HealthPolicy};
+pub use health::{BackendState, HealthCell};
 pub use metrics::GatewayMetrics;
 pub use routing::{backend_seed, hrw_score, rendezvous_order};

@@ -98,21 +98,22 @@ pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
             ));
         }
 
-        if !f.loops.is_empty() && !refs.iter().any(|&at| inside_any(at, &f.loops)) {
-            if !file.allowed(Rule::DeadlinePropagation, fn_line) {
-                findings.push(
-                    file.finding(
-                        Rule::DeadlinePropagation,
-                        f.name_at,
-                        format!(
-                            "`{}` loops without polling `{param}`; check the deadline inside \
-                             row/sweep loops so the bound stays observable",
-                            f.name
-                        ),
-                    )
-                    .warn(),
-                );
-            }
+        if !f.loops.is_empty()
+            && !refs.iter().any(|&at| inside_any(at, &f.loops))
+            && !file.allowed(Rule::DeadlinePropagation, fn_line)
+        {
+            findings.push(
+                file.finding(
+                    Rule::DeadlinePropagation,
+                    f.name_at,
+                    format!(
+                        "`{}` loops without polling `{param}`; check the deadline inside \
+                         row/sweep loops so the bound stays observable",
+                        f.name
+                    ),
+                )
+                .warn(),
+            );
         }
     }
 }

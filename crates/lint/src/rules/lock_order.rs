@@ -105,9 +105,7 @@ pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
             // so both halves of the AB-BA pair are in the message.
             let back = edges
                 .iter()
-                .find(|((f2, t2), _)| {
-                    f2 == to && reach[t2].contains(from) || (f2 == to && t2 == from)
-                })
+                .find(|((f2, t2), _)| f2 == to && (t2 == from || reach[t2].contains(from)))
                 .map(|(_, (o2, _))| {
                     let f = &model.workspace.files[o2.file];
                     format!("{}:{}", f.rel_path, f.line_of(o2.at))

@@ -119,7 +119,7 @@ fn check_metric_names(workspace: &Workspace, findings: &mut Vec<Finding>) {
                 if !(lit.value.ends_with("_total") || lit.value.ends_with("_us")) {
                     continue;
                 }
-                if documented.iter().any(|d| *d == lit.value) {
+                if documented.contains(&lit.value) {
                     continue;
                 }
                 let line = file.line_of(at);

@@ -377,8 +377,7 @@ pub fn canon_lock(file: &SourceFile, arg: &str) -> String {
     let field = flat
         .split('.')
         .map(str::trim)
-        .filter(|seg| !seg.is_empty() && *seg != "self")
-        .last()
+        .rfind(|seg| !seg.is_empty() && *seg != "self")
         .unwrap_or("lock")
         .to_string();
     let parts: Vec<&str> = file.rel_path.split('/').collect();
@@ -675,13 +674,13 @@ fn collect_loops(file: &SourceFile) -> Vec<(usize, usize)> {
 fn matching_close(file: &SourceFile, open: usize, open_b: u8, close_b: u8) -> Option<usize> {
     let bytes = file.text.as_bytes();
     let mut depth = 0usize;
-    for i in open..bytes.len() {
+    for (i, &b) in bytes.iter().enumerate().skip(open) {
         if file.lexed.classes[i] != crate::lexer::Class::Code {
             continue;
         }
-        if bytes[i] == open_b {
+        if b == open_b {
             depth += 1;
-        } else if bytes[i] == close_b {
+        } else if b == close_b {
             depth -= 1;
             if depth == 0 {
                 return Some(i);
@@ -810,11 +809,11 @@ fn temporary_hold_end(file: &SourceFile, from: usize, body_end: usize) -> usize 
     let bytes = file.text.as_bytes();
     let mut paren = 0isize;
     let mut brace = 0isize;
-    for i in from..body_end.min(bytes.len()) {
+    for (i, &b) in bytes.iter().enumerate().take(body_end).skip(from) {
         if file.lexed.classes[i] != crate::lexer::Class::Code {
             continue;
         }
-        match bytes[i] {
+        match b {
             b'(' => paren += 1,
             b')' => {
                 paren -= 1;
@@ -841,11 +840,11 @@ fn temporary_hold_end(file: &SourceFile, from: usize, body_end: usize) -> usize 
 fn enclosing_block_end(file: &SourceFile, from: usize, body_end: usize) -> usize {
     let bytes = file.text.as_bytes();
     let mut depth = 0isize;
-    for i in from..body_end.min(bytes.len()) {
+    for (i, &b) in bytes.iter().enumerate().take(body_end).skip(from) {
         if file.lexed.classes[i] != crate::lexer::Class::Code {
             continue;
         }
-        match bytes[i] {
+        match b {
             b'{' => depth += 1,
             b'}' => {
                 depth -= 1;

@@ -196,9 +196,10 @@ pub struct LoadSummary {
 /// Drive a server with `specs`, `concurrency` connections at a time
 /// (client mode for load generation). Spec `i` is handled by connection
 /// `i % concurrency`; each job is retried on rejection up to 40 times.
-/// Lanes run on the process-wide `mosaic-pool` workers, so repeated load
-/// sessions (the bench harness runs many) reuse threads instead of
-/// spawning a scope per call.
+/// Every connection with specs runs on its own scoped thread, at most
+/// `min(concurrency, specs.len())` of them, so all of them are open at
+/// once. They block on sockets, so they stay off the compute pool, whose
+/// gangs run at most `threads() + 1` lanes at once.
 ///
 /// # Errors
 /// Propagates connection failures; per-job errors are counted in the
@@ -217,12 +218,8 @@ pub fn run_load(
 
     let run_lane = |lane: usize| -> std::io::Result<LoadSummary> {
         let mut lane_summary = LoadSummary::default();
-        let lane_specs: Vec<&JobSpec> = specs.iter().skip(lane).step_by(concurrency).collect();
-        if lane_specs.is_empty() {
-            return Ok(lane_summary);
-        }
         let mut client = Client::connect(addr)?;
-        for spec in lane_specs {
+        for spec in specs.iter().skip(lane).step_by(concurrency) {
             match client.submit_with_retry(spec, 40) {
                 Ok((Response::Result { result }, rejections)) => {
                     lane_summary.completed += 1;
@@ -250,16 +247,27 @@ pub fn run_load(
         Ok(lane_summary)
     };
 
-    // One pool chunk per lane; each writes only its own slot.
-    let mut lanes: Vec<Option<std::io::Result<LoadSummary>>> = Vec::new();
-    lanes.resize_with(concurrency, || None);
-    mosaic_pool::global().parallel_for_mut(&mut lanes, 1, |lane, slot| {
-        slot[0] = Some(run_lane(lane));
+    let lanes: Vec<std::io::Result<LoadSummary>> = std::thread::scope(|scope| {
+        let run_lane = &run_lane;
+        let handles: Vec<_> = (0..concurrency.min(specs.len()))
+            .map(|lane| {
+                std::thread::Builder::new()
+                    .name(format!("mosaic-load-{lane}"))
+                    .spawn_scoped(scope, move || run_lane(lane))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| match handle?.join() {
+                Ok(lane) => lane,
+                Err(_) => Err(std::io::Error::other("load lane panicked")),
+            })
+            .collect()
     });
 
     let mut summary = LoadSummary::default();
-    for slot in lanes {
-        let lane = slot.unwrap_or_else(|| Err(std::io::Error::other("load lane skipped")))?;
+    for lane in lanes {
+        let lane = lane?;
         summary.completed += lane.completed;
         summary.rejections += lane.rejections;
         summary.failed += lane.failed;
@@ -311,6 +319,69 @@ mod tests {
         assert!(summary.cache_hits >= 5, "{summary:?}");
         server.shutdown();
         server.join();
+    }
+
+    /// Load lanes block on their sockets, so every one must be connected
+    /// at once: a scripted server withholds its replies until
+    /// `available_parallelism() + 2` connections are open (or 5 s pass)
+    /// and records how many were open when it released them.
+    #[test]
+    fn load_lanes_are_all_connected_at_once() {
+        use std::io::{BufRead, Write};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        use std::sync::Arc;
+
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()) + 2;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        // Connections open when the replies were released (0 = withheld).
+        let released_at = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let script = {
+            let (accepted, released_at, stop) =
+                (accepted.clone(), released_at.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let withhold_until = Instant::now() + Duration::from_secs(5);
+                for stream in listener.incoming() {
+                    if stop.load(SeqCst) {
+                        return;
+                    }
+                    let (accepted, released_at) = (accepted.clone(), released_at.clone());
+                    std::thread::spawn(move || {
+                        let stream = stream.unwrap();
+                        let release = || {
+                            let open = accepted.load(SeqCst);
+                            let _ = released_at.compare_exchange(0, open, SeqCst, SeqCst);
+                        };
+                        if accepted.fetch_add(1, SeqCst) + 1 >= lanes {
+                            release();
+                        }
+                        while released_at.load(SeqCst) == 0 && Instant::now() < withhold_until {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        release();
+                        let mut reader = BufReader::new(&stream);
+                        let mut line = String::new();
+                        while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                            let reply = Response::Error {
+                                message: "scripted".to_string(),
+                            };
+                            (&stream).write_all(&reply.to_line()).unwrap();
+                            line.clear();
+                        }
+                    });
+                }
+            })
+        };
+
+        let specs: Vec<JobSpec> = (0..lanes as u64).map(spec).collect();
+        let summary = run_load(addr, &specs, lanes).unwrap();
+        stop.store(true, SeqCst);
+        let _ = TcpStream::connect(addr);
+        script.join().unwrap();
+        assert_eq!(summary.failed, lanes as u64, "{summary:?}");
+        assert_eq!(released_at.load(SeqCst), lanes, "lanes open at once");
     }
 
     #[test]

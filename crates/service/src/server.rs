@@ -334,7 +334,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             JobPayload::Generate(spec) => {
                 execute(spec, shared, queue_wait_ms, &deadline).unwrap_or_else(|failure| failure)
             }
-            JobPayload::Library(spec) => execute_library_job(spec, shared, queue_wait_ms),
+            JobPayload::Library(spec) => {
+                execute_library_job(spec, shared, queue_wait_ms, &deadline)
+            }
         };
         // A front-end that gave up on this job (client gone) is not an
         // error; `ReplyTo::send` drops the reply in that case.
@@ -342,16 +344,18 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Run a library job on the shared compute pool and render the outcome
-/// for the wire. Library results are deliberately never cached: the
-/// store path stays constant while its contents can change between
-/// ingests, so a key-based cache would serve stale mosaics.
+/// Run a library job on the shared compute pool under the job's
+/// deadline and render the outcome for the wire. Library results are
+/// deliberately never cached: the store path stays constant while its
+/// contents can change between ingests, so a key-based cache would
+/// serve stale mosaics.
 fn execute_library_job(
     spec: &LibraryJobSpec,
     shared: &Arc<Shared>,
     queue_wait_ms: f64,
+    deadline: &Deadline,
 ) -> Response {
-    match execute_library(spec, &shared.compute_pool) {
+    match execute_library(spec, &shared.compute_pool, deadline) {
         Ok(mut result) => {
             shared.metrics.library_job_completed();
             if let Json::Obj(pairs) = &mut result.report {
@@ -360,6 +364,12 @@ fn execute_library_job(
             }
             Response::Result {
                 result: result.to_json(),
+            }
+        }
+        Err(TilelibError::DeadlineExceeded) => {
+            shared.metrics.job_deadline_exceeded();
+            Response::DeadlineExceeded {
+                deadline_ms: shared.config.job_deadline_ms,
             }
         }
         Err(TilelibError::Infeasible { cells, tiles }) => {

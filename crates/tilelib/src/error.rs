@@ -1,10 +1,12 @@
 //! Typed tile-library errors.
 //!
 //! The service maps these onto wire kinds: [`TilelibError::Infeasible`]
-//! becomes the library-infeasible response and every other variant the
-//! store-error response (see `mosaic-service`'s protocol registry — the
+//! becomes the library-infeasible response,
+//! [`TilelibError::DeadlineExceeded`] the deadline-exceeded response, and
+//! every other variant the store-error response (see `mosaic-service`'s protocol registry — the
 //! wire words themselves are deliberately not spelled here).
 
+use mosaic_grid::DeadlineExceeded;
 use std::fmt;
 
 /// Everything that can go wrong in the tile-library subsystem.
@@ -24,14 +26,26 @@ pub enum TilelibError {
     },
     /// Parameters are inconsistent (zero grid, tile-size mismatch, …).
     Config(String),
+    /// The job's deadline expired before its last stage.
+    DeadlineExceeded,
 }
 
 impl TilelibError {
     /// True for the variants the service reports as a store error (all
-    /// but [`TilelibError::Infeasible`], which carries structure of its
-    /// own on the wire).
+    /// but [`TilelibError::Infeasible`] and
+    /// [`TilelibError::DeadlineExceeded`], which have wire kinds of
+    /// their own).
     pub fn is_store(&self) -> bool {
-        !matches!(self, TilelibError::Infeasible { .. })
+        !matches!(
+            self,
+            TilelibError::Infeasible { .. } | TilelibError::DeadlineExceeded
+        )
+    }
+}
+
+impl From<DeadlineExceeded> for TilelibError {
+    fn from(_: DeadlineExceeded) -> Self {
+        TilelibError::DeadlineExceeded
     }
 }
 
@@ -45,6 +59,7 @@ impl fmt::Display for TilelibError {
                 "library of {tiles} tiles cannot cover {cells} cells injectively"
             ),
             TilelibError::Config(msg) => write!(f, "config: {msg}"),
+            TilelibError::DeadlineExceeded => write!(f, "{DeadlineExceeded}"),
         }
     }
 }
@@ -69,5 +84,6 @@ mod tests {
         assert!(e.to_string().contains('9'));
         assert!(TilelibError::Ingest("x".into()).is_store());
         assert!(TilelibError::Config("y".into()).is_store());
+        assert!(!TilelibError::DeadlineExceeded.is_store());
     }
 }

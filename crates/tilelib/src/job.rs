@@ -13,6 +13,7 @@
 
 use crate::error::TilelibError;
 use mosaic_grid::TileMetric;
+use photomosaic::job::Fnv1a;
 use photomosaic::{ImageSource, Json};
 
 /// Tuning knobs of the clustered pruning pipeline.
@@ -131,20 +132,8 @@ impl LibraryJobSpec {
     /// contents can change between ingests without the path changing,
     /// so library results are deliberately never cached by key.
     pub fn cache_key(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        match &self.target {
-            ImageSource::Synth { scene, size, seed } => {
-                h.write_bytes(b"synth");
-                h.write_bytes(scene.name().as_bytes());
-                h.write_u64(*size as u64);
-                h.write_u64(*seed);
-            }
-            ImageSource::Pixels { size, pixels } => {
-                h.write_bytes(b"pixels");
-                h.write_u64(*size as u64);
-                h.write_bytes(pixels);
-            }
-        }
+        let mut h = Fnv1a::default();
+        self.target.hash_into(&mut h);
         h.write_bytes(self.store.as_bytes());
         h.write_u64(self.params.grid as u64);
         h.write_u64(self.params.clusters as u64);
@@ -187,40 +176,6 @@ impl LibraryJobSpec {
             store,
             params,
         })
-    }
-}
-
-/// FNV-1a 64-bit hasher, byte-compatible with the one `photomosaic`
-/// uses for generation jobs (kept local because that one is private).
-struct Fnv1a {
-    state: u64,
-}
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Length terminator so concatenations can't collide trivially.
-        self.write_u64(bytes.len() as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
     }
 }
 
@@ -298,21 +253,44 @@ mod tests {
         assert_ne!(other.cache_key(), key);
     }
 
+    /// The routing key places library jobs on backends, so its values
+    /// must not drift: these are the keys of one synth-target spec and
+    /// one literal-pixel-target spec.
+    #[test]
+    fn cache_key_pinned_values() {
+        assert_eq!(sample().cache_key(), 0x4629_8b71_9c06_a125);
+        let mut pixels = sample();
+        pixels.target = ImageSource::Pixels {
+            size: 4,
+            pixels: (0..16).collect(),
+        };
+        assert_eq!(pixels.cache_key(), 0x2b3d_22de_0160_517b);
+    }
+
     #[test]
     fn validation_rejects_zero_knobs() {
-        let mut p = LibraryParams::default();
-        assert!(p.validate().is_ok());
-        p.grid = 0;
-        assert!(p.validate().is_err());
-        let mut p = LibraryParams::default();
-        p.clusters = 0;
-        assert!(p.validate().is_err());
-        let mut p = LibraryParams::default();
-        p.top_clusters = 0;
-        assert!(p.validate().is_err());
-        let mut p = LibraryParams::default();
-        p.feature_grid = 0;
-        assert!(p.validate().is_err());
+        let defaults = LibraryParams::default();
+        assert!(defaults.validate().is_ok());
+        for zeroed in [
+            LibraryParams {
+                grid: 0,
+                ..defaults
+            },
+            LibraryParams {
+                clusters: 0,
+                ..defaults
+            },
+            LibraryParams {
+                top_clusters: 0,
+                ..defaults
+            },
+            LibraryParams {
+                feature_grid: 0,
+                ..defaults
+            },
+        ] {
+            assert!(zeroed.validate().is_err(), "{zeroed:?}");
+        }
     }
 
     #[test]

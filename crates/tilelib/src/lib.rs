@@ -25,7 +25,7 @@
 //! use mosaic_image::synth::Scene;
 //! use mosaic_pool::ThreadPool;
 //! use mosaic_tilelib::{execute_library, LibraryJobSpec, LibraryParams, TileStore};
-//! use photomosaic::ImageSource;
+//! use photomosaic::{Deadline, ImageSource};
 //!
 //! let root = std::env::temp_dir().join("tilelib_doc_example");
 //! let _ = std::fs::remove_dir_all(&root);
@@ -41,7 +41,7 @@
 //!     params: LibraryParams { grid: 3, clusters: 4, ..LibraryParams::default() },
 //! };
 //! let pool = ThreadPool::new(2);
-//! let result = execute_library(&spec, &pool).unwrap();
+//! let result = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
 //! pool.shutdown();
 //! assert_eq!(result.image.dimensions(), (24, 24));
 //! assert_eq!(result.assignment.len(), 9);

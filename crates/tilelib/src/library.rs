@@ -3,6 +3,8 @@
 //! `execute_library` runs the full pruned pipeline on a caller-provided
 //! `ThreadPool`: load the store → descriptors → seeded k-means →
 //! clustered candidate scoring → rectangular sparse solve → assembly.
+//! The job's deadline is polled before each of those stages, so a job
+//! overshoots an expiry by at most one stage.
 //! Every stage is timed into a `tilelib_*` histogram (DESIGN.md §9) and
 //! the returned report carries cell/tile/candidate counts plus the
 //! sparse total, so benches and the service can expose them uniformly.
@@ -16,22 +18,28 @@ use crate::kmeans::kmeans;
 use crate::prune::scored_candidates;
 use crate::store::TileStore;
 use mosaic_assign::{solve_sparse_rect, SparseCostMatrix, SparseInstanceError};
+use mosaic_grid::Deadline;
 use mosaic_image::resize::{resize_bilinear, resize_box};
 use mosaic_image::GrayImage;
 use mosaic_pool::ThreadPool;
 use mosaic_telemetry::registry;
 use photomosaic::{assemble_from_tiles, JobResult, Json};
 
-/// Run a library job to completion on `pool`.
+/// Run a library job to completion on `pool`, polling `deadline`
+/// before each stage. Callers without a bound pass [`Deadline::NONE`].
 ///
 /// # Errors
 /// Typed [`TilelibError`]s: store/ingest problems, invalid parameters,
-/// or a library smaller than the cell count.
+/// a library smaller than the cell count, or
+/// [`TilelibError::DeadlineExceeded`] when `deadline` expires before the
+/// last stage starts.
 pub fn execute_library(
     spec: &LibraryJobSpec,
     pool: &ThreadPool,
+    deadline: &Deadline,
 ) -> Result<JobResult, TilelibError> {
     spec.params.validate()?;
+    deadline.check()?;
     let store = TileStore::open(&spec.store)?;
     let (digests, tiles) = store.load_all()?;
     let grid = spec.params.grid;
@@ -70,6 +78,7 @@ pub fn execute_library(
         .map_err(|e| TilelibError::Config(format!("cell extraction: {e:?}")))?;
 
     // Stage 1: descriptors for tiles and cells.
+    deadline.check()?;
     let start = Instant::now();
     let tile_features = batch_features(&tiles, spec.params.feature_grid, pool);
     let cell_features = batch_features(&cell_images, spec.params.feature_grid, pool);
@@ -78,6 +87,7 @@ pub fn execute_library(
         .record_duration_us(start.elapsed());
 
     // Stage 2: seeded clustering of the library.
+    deadline.check()?;
     let start = Instant::now();
     let clustering = kmeans(&tile_features, spec.params.clusters, spec.params.seed, pool);
     registry()
@@ -85,6 +95,7 @@ pub fn execute_library(
         .record_duration_us(start.elapsed());
 
     // Stage 3: clustered candidate scoring.
+    deadline.check()?;
     let start = Instant::now();
     let lists = scored_candidates(
         &cell_images,
@@ -98,13 +109,10 @@ pub fn execute_library(
     registry()
         .histogram("tilelib_prune_us")
         .record_duration_us(start.elapsed());
-    let per_cell = registry().histogram("tilelib_candidates_per_cell");
-    for list in &lists {
-        per_cell.record(list.len() as u64);
-    }
-    let candidates_total: usize = lists.iter().map(Vec::len).sum();
+    let candidates_total = record_candidates(&lists);
 
     // Stage 4: rectangular sparse solve on the pruned instance.
+    deadline.check()?;
     let start = Instant::now();
     let sparse =
         SparseCostMatrix::from_candidates_rect(cells, tiles.len(), &lists, |cell, tile| {
@@ -129,6 +137,7 @@ pub fn execute_library(
         .sum();
 
     // Stage 5: assembly from the winning tiles.
+    deadline.check()?;
     let image = assemble_from_tiles(&tiles, &assignment, grid).map_err(TilelibError::Config)?;
 
     let report = Json::obj([
@@ -148,6 +157,16 @@ pub fn execute_library(
         assignment,
         report,
     })
+}
+
+/// Record each cell's candidate count on `tilelib_candidates_per_cell`
+/// and return their sum.
+fn record_candidates(lists: &[Vec<(usize, u32)>]) -> usize {
+    let per_cell = registry().histogram("tilelib_candidates_per_cell");
+    for list in lists {
+        per_cell.record(list.len() as u64);
+    }
+    lists.iter().map(Vec::len).sum()
 }
 
 /// First digest of the library walk (a cheap fingerprint of which store
@@ -220,7 +239,7 @@ mod tests {
         let store = seeded_store("e2e", 40, 8);
         let spec = spec_for(&store, 4);
         let pool = ThreadPool::new(2);
-        let result = execute_library(&spec, &pool).unwrap();
+        let result = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
         pool.shutdown();
         assert_eq!(result.image.dimensions(), (32, 32));
         assert_eq!(result.assignment.len(), 16);
@@ -238,10 +257,10 @@ mod tests {
         let store = seeded_store("deterministic", 30, 8);
         let spec = spec_for(&store, 4);
         let pool1 = ThreadPool::new(1);
-        let a = execute_library(&spec, &pool1).unwrap();
+        let a = execute_library(&spec, &pool1, &Deadline::NONE).unwrap();
         pool1.shutdown();
         let pool4 = ThreadPool::new(4);
-        let b = execute_library(&spec, &pool4).unwrap();
+        let b = execute_library(&spec, &pool4, &Deadline::NONE).unwrap();
         pool4.shutdown();
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.image, b.image);
@@ -252,7 +271,7 @@ mod tests {
         let store = seeded_store("too_small", 5, 8);
         let spec = spec_for(&store, 4); // needs 16 tiles, has 5
         let pool = ThreadPool::new(1);
-        let err = execute_library(&spec, &pool).unwrap_err();
+        let err = execute_library(&spec, &pool, &Deadline::NONE).unwrap_err();
         pool.shutdown();
         assert_eq!(
             err,
@@ -275,7 +294,7 @@ mod tests {
             params: LibraryParams::default(),
         };
         let pool = ThreadPool::new(1);
-        let err = execute_library(&spec, &pool).unwrap_err();
+        let err = execute_library(&spec, &pool, &Deadline::NONE).unwrap_err();
         pool.shutdown();
         assert!(err.is_store(), "{err}");
     }
@@ -289,9 +308,9 @@ mod tests {
         let mut spec = spec_for(&store, 3);
         let pool = ThreadPool::new(2);
         spec.params.top_clusters = spec.params.clusters;
-        let exact = execute_library(&spec, &pool).unwrap();
+        let exact = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
         spec.params.top_clusters = 1;
-        let pruned = execute_library(&spec, &pool).unwrap();
+        let pruned = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
         pool.shutdown();
         let exact_cost = exact.report.get("total_error").unwrap().as_u64().unwrap();
         let pruned_cost = pruned.report.get("total_error").unwrap().as_u64().unwrap();

@@ -18,7 +18,7 @@ run cargo build --release --offline
 run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test -q --offline
 run cargo fmt --check
-run cargo clippy --offline --all-targets -- -D warnings
+run cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The telemetry crate's API examples are doctests; make sure they
 # actually run (a crate-level cfg or harness slip that ignores them
@@ -131,7 +131,7 @@ passed_gate() {
 # `cargo test` above runs only the root package's test binaries, so
 # without this the tests of mosaic-gpu, mosaic-service, mosaic-gateway,
 # mosaic-cli, mosaic-lint and mosaic-telemetry would gate nothing.
-passed_gate 813 "workspace tests" --workspace
+passed_gate 821 "workspace tests" --workspace
 
 # Wire codec: the run-based JSON string codec, the table hex codec and
 # the block newline scan must match their per-character test oracles
@@ -151,6 +151,24 @@ passed_gate 1 "synth size-bound fleet tests" --test gateway_fleet synth_size_bou
 # phase, every S bids and before every Jonker-Volgenant augmentation, so
 # an S = 4096 solve from the wire cannot hold a worker past the deadline.
 passed_gate 1 "optimal deadline test" --test service_integration fault_optimal
+
+# A library job polls the per-job deadline before each stage, so a
+# stalled library job is answered `deadline_exceeded` like a generation
+# job.
+passed_gate 1 "library deadline test" --test service_integration fault_library_deadline
+
+# A lane count from the wire (`threads`, `gpu-sim` `workers`) is clamped
+# to the compute pool's lanes: 2^40 threads neither hangs a worker nor
+# changes the result, and 0 gpu-sim workers no longer kills one.
+passed_gate 2 "lane-count bound tests" --test service_integration fault_lane_count
+passed_gate 1 "bounded search chunk test" -p photomosaic --lib huge_thread_count
+
+# Load lanes block on sockets, so run_load keeps every one of them
+# connected at once instead of queueing them on the compute pool.
+passed_gate 1 "load lane test" -p mosaic-service --lib load_lanes
+
+# Job keys route jobs across the fleet; both hash to pinned values.
+passed_gate 2 "pinned cache-key tests" -p photomosaic -p mosaic-tilelib --lib cache_key_pinned
 
 # Step 2 polls the job deadline on every backend: the serial build
 # before each row on the calling thread, the simulated GPU before each

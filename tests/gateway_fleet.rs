@@ -4,7 +4,7 @@
 //! flood behaviour, typed refusals, and the cache-affinity argument
 //! for rendezvous routing.
 
-use mosaic_gateway::{Fleet, Gateway, GatewayConfig, HealthPolicy};
+use mosaic_gateway::{Fleet, Gateway, GatewayConfig};
 use mosaic_image::synth::Scene;
 use mosaic_service::protocol::Response;
 use mosaic_service::server::ServiceConfig;
@@ -263,27 +263,26 @@ fn fault_dead_fleet_draws_typed_routing_refusals() {
         probe_interval_ms: 0,
         backend_timeout_ms: 1_000,
         retry_after_ms: 9,
-        health: HealthPolicy {
-            suspect_after: 1,
-            down_after: 1,
-        },
         ..GatewayConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(gateway.local_addr()).unwrap();
     let job = spec(Scene::Portrait, 400, 4);
 
-    // Both backends start Healthy: the job burns both hops on dead
-    // connects and reports the last casualty.
-    match client.submit(&job).unwrap() {
-        Response::BackendDown {
-            backend,
-            retry_after_ms,
-        } => {
-            assert!(backend.starts_with("127.0.0.1:"), "{backend}");
-            assert_eq!(retry_after_ms, 9);
+    // Both backends start Healthy: each job burns both hops on dead
+    // connects and reports the last casualty. A backend is Down after
+    // three consecutive failures, so that takes three jobs.
+    for attempt in 0..3 {
+        match client.submit(&job).unwrap() {
+            Response::BackendDown {
+                backend,
+                retry_after_ms,
+            } => {
+                assert!(backend.starts_with("127.0.0.1:"), "{backend}");
+                assert_eq!(retry_after_ms, 9);
+            }
+            other => panic!("attempt {attempt}: expected backend_down, got {other:?}"),
         }
-        other => panic!("expected backend_down, got {other:?}"),
     }
 
     // Now both are Down: nothing is routable, the last-resort attempt

@@ -11,6 +11,7 @@ use mosaic_service::fault::{
 use mosaic_service::protocol::Response;
 use mosaic_service::server::{Server, ServiceConfig};
 use mosaic_service::{Client, FaultPlan};
+use mosaic_tilelib::{LibraryJobSpec, LibraryParams, TileStore};
 use photomosaic::{Algorithm, Backend, ImageSource, JobResult, JobSpec, Json, MosaicBuilder};
 use std::time::Duration;
 
@@ -514,6 +515,126 @@ fn fault_optimal_respects_job_deadline() {
     decode_result(client.submit(&spec(Scene::Fur, 61, 4)).unwrap());
     client.shutdown().unwrap();
     server.join();
+}
+
+/// Submit `jobs` in order on one connection and collect the replies,
+/// failing the test instead of hanging when a worker never answers.
+fn replies_within(addr: std::net::SocketAddr, jobs: Vec<JobSpec>, what: &str) -> Vec<Response> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let replies = Client::connect(addr)
+            .and_then(|mut client| jobs.iter().map(|job| client.submit(job)).collect());
+        let _ = tx.send(replies);
+    });
+    let replies = rx
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("no reply within 10 s: {what}"))
+        .unwrap();
+    submitter.join().expect("client thread panicked");
+    replies
+}
+
+/// A `threads` count from the wire is bounded by the server's compute
+/// pool: 2^40 used to publish 2^40 chunks per colour group and hold the
+/// worker for days; now it runs the lanes the pool has and returns the
+/// same assignment as `threads: 2`.
+#[test]
+fn fault_lane_count_huge_threads_is_bounded_by_the_pool() {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let job = |threads: usize| {
+        let mut job = spec(Scene::Drapery, 80, 8);
+        job.config.backend = Backend::Threads(threads);
+        job.config.algorithm = Algorithm::ParallelSearch;
+        job
+    };
+    let replies = replies_within(addr, vec![job(1_099_511_627_776), job(2)], "threads 2^40");
+    let huge = decode_result(replies[0].clone());
+    let two = decode_result(replies[1].clone());
+    assert_eq!(huge.assignment, two.assignment);
+
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.join();
+}
+
+/// `gpu-sim` with `"workers": 0` used to trip the simulator's
+/// at-least-one-worker assertion and kill the only worker, so neither
+/// that job nor the next was answered. The lane count is floored at one.
+#[test]
+fn fault_lane_count_zero_gpu_workers_is_a_served_job() {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let mut zero = spec(Scene::Portrait, 81, 4);
+    zero.config.backend = Backend::GpuSim { workers: Some(0) };
+    let replies = replies_within(
+        addr,
+        vec![zero, spec(Scene::Fur, 82, 4)],
+        "gpu-sim workers 0",
+    );
+    for reply in replies {
+        decode_result(reply);
+    }
+
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.join();
+}
+
+/// A library job honours the per-job deadline like a generation job: a
+/// stall that spends the budget before the first stage draws
+/// `deadline_exceeded` (counted on the hardening counter), and the next
+/// library job on the same worker completes.
+#[test]
+fn fault_library_deadline_cancels_a_stalled_library_job() {
+    let root = std::env::temp_dir()
+        .join("mosaic_service_integration")
+        .join(format!("library_deadline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = TileStore::create(&root, 8).unwrap();
+    let mut seed = 0;
+    while store.len().unwrap() < 12 {
+        store.insert(&Scene::Plasma.render(8, seed)).unwrap();
+        seed += 1;
+    }
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        job_deadline_ms: 100,
+        faults: FaultPlan::stall_first_jobs(1, 300),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let library = LibraryJobSpec {
+        target: ImageSource::Synth {
+            scene: Scene::Portrait,
+            size: 24,
+            seed: 1,
+        },
+        store: root.display().to_string(),
+        params: LibraryParams {
+            grid: 3,
+            clusters: 4,
+            ..LibraryParams::default()
+        },
+    };
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.submit_library(&library).unwrap(),
+        Response::DeadlineExceeded { deadline_ms: 100 }
+    );
+    assert_eq!(hardening_counter(&mut client, "deadline_exceeded"), 1);
+    let result = decode_result(client.submit_library(&library).unwrap());
+    assert_eq!(result.assignment.len(), 9);
+
+    client.shutdown().unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// SSD on one 512×512 tile can exceed a `u32` matrix entry, and one
