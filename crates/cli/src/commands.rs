@@ -5,7 +5,6 @@ use mosaic_gateway::{Fleet, Gateway};
 use mosaic_image::histogram::Histogram;
 use mosaic_image::io::{load_pgm, save_pgm};
 use mosaic_image::metrics;
-use mosaic_pool::ThreadPool;
 use mosaic_service::protocol::{self, Response};
 use mosaic_service::{run_load, Client, Server};
 use mosaic_telemetry as telemetry;
@@ -76,13 +75,7 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 store,
                 params,
             };
-            let workers = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(2);
-            let pool = ThreadPool::new(workers);
-            let result = execute_library(&spec, &pool, &Deadline::NONE);
-            pool.shutdown();
-            let result = result?;
+            let result = execute_library(&spec, mosaic_pool::global(), &Deadline::NONE)?;
             save_pgm(&out, &result.image)?;
             let count = |key: &str| result.report.get(key).and_then(Json::as_u64).unwrap_or(0);
             Ok(format!(
@@ -210,8 +203,28 @@ fn io_err(e: std::io::Error) -> CliError {
     CliError(format!("service error: {e}"))
 }
 
-fn unexpected(response: &Response) -> CliError {
-    CliError(format!("unexpected response: {response:?}"))
+/// The error for any reply but the one asked for, in plain words.
+fn refusal(response: Response) -> CliError {
+    CliError(match response {
+        Response::Rejected { retry_after_ms } => {
+            format!("rejected (server retry-after {retry_after_ms} ms)")
+        }
+        Response::Error { message } => format!("server error: {message}"),
+        Response::StoreError { message } => format!("store error: {message}"),
+        Response::LibraryInfeasible { cells, tiles } => {
+            format!("library infeasible: {cells} cells but only {tiles} tiles in the store")
+        }
+        Response::DeadlineExceeded { deadline_ms: ms } => format!("deadline exceeded ({ms} ms)"),
+        Response::FrameTooLarge { max_frame_bytes: n } => format!("frame over the {n}-byte limit"),
+        Response::BackendDown {
+            backend,
+            retry_after_ms,
+        } => format!("backend {backend} is down (gateway retry-after {retry_after_ms} ms)"),
+        Response::NoBackendAvailable { retry_after_ms } => {
+            format!("no backend available (gateway retry-after {retry_after_ms} ms)")
+        }
+        other => format!("unexpected response: {other:?}"),
+    })
 }
 
 fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
@@ -242,17 +255,7 @@ fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
                         count("total_error"),
                     ))
                 }
-                Response::StoreError { message } => {
-                    Err(CliError(format!("store error: {message}")))
-                }
-                Response::LibraryInfeasible { cells, tiles } => Err(CliError(format!(
-                    "library infeasible: {cells} cells but only {tiles} tiles in the store"
-                ))),
-                Response::Rejected { retry_after_ms } => Err(CliError(format!(
-                    "rejected (server retry-after {retry_after_ms} ms)"
-                ))),
-                Response::Error { message } => Err(CliError(format!("server error: {message}"))),
-                other => Err(unexpected(&other)),
+                other => Err(refusal(other)),
             }
         }
         SubmitAction::Control(request) => {
@@ -263,8 +266,7 @@ fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
                 Response::Metrics { text } => Ok(text),
                 Response::Gateway { gateway } => Ok(gateway.encode()),
                 Response::ShuttingDown => Ok("server is shutting down".to_string()),
-                Response::Error { message } => Err(CliError(format!("server error: {message}"))),
-                other => Err(unexpected(&other)),
+                other => Err(refusal(other)),
             }
         }
         SubmitAction::Job {
@@ -312,10 +314,7 @@ fn submit(addr: &str, action: SubmitAction) -> Result<String, CliError> {
                     Response::Rejected { retry_after_ms } => Err(CliError(format!(
                         "rejected after retries (server retry-after {retry_after_ms} ms)"
                     ))),
-                    Response::Error { message } => {
-                        Err(CliError(format!("server error: {message}")))
-                    }
-                    other => Err(unexpected(&other)),
+                    other => Err(refusal(other)),
                 }
             } else {
                 let specs = vec![spec; jobs];
@@ -749,6 +748,44 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("square"), "{err}");
+    }
+
+    /// A typed refusal reaches the user by name: a job stalled past the
+    /// server's deadline reads as the deadline with its length.
+    #[test]
+    fn submit_names_a_deadline_refusal() {
+        let server = Server::start(ServiceConfig {
+            workers: 1,
+            job_deadline_ms: 100,
+            faults: mosaic_service::FaultPlan::stall_first_jobs(1, 300),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let err = execute(Command::Submit {
+            addr: server.local_addr().to_string(),
+            action: SubmitAction::Job {
+                input: ImageArg::Scene {
+                    scene: Scene::Portrait,
+                    seed: 1,
+                },
+                target: ImageArg::Scene {
+                    scene: Scene::Fur,
+                    seed: 2,
+                },
+                size: 16,
+                config: photomosaic::MosaicBuilder::new().grid(4).build(),
+                jobs: 1,
+                connections: 1,
+            },
+        })
+        .unwrap_err();
+        let text = err.to_string();
+        assert!(
+            text.contains("deadline") && text.contains("100 ms"),
+            "{text}"
+        );
+        server.shutdown();
+        server.join();
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// ([`mosaic_image::kernel::active`]); calling this at pool/server
 /// startup means no worker thread ever pays the `std::arch` feature
 /// probe mid-request. The resolved level is published on the
-/// `kernel_dispatch` gauge (0 = scalar, 1 = SSE4.1, 2 = AVX2) and
+/// `kernel_dispatch` gauge (0 = scalar, 2 = AVX2) and
 /// returned for logs.
 pub fn init_simd_kernels() -> mosaic_image::kernel::SimdLevel {
     let level = mosaic_image::kernel::active().level();

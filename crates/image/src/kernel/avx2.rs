@@ -1,10 +1,12 @@
 //! AVX2 SAD/SSD kernels: 32-byte lanes, with a 16-byte SSE step for
 //! mid-size tails.
 //!
-//! Same shape as [`super::sse41`] at double width: SAD via
-//! `_mm256_sad_epu8` into four u64 lanes, SSD via the
-//! saturating-subtract abs-diff, `_mm256_madd_epi16` squaring, and a
-//! periodic drain of the i32 accumulator. Rows between 16 and 31 bytes
+//! SAD rides `_mm256_sad_epu8`, which sums the absolute differences of
+//! each 8-byte group into a u64 lane; the lanes accumulate losslessly in
+//! `_mm256_add_epi64`. SSD takes the byte absolute difference with the
+//! saturating-subtract-both-ways idiom, widens it to u16 and squares
+//! pairwise with `_mm256_madd_epi16` into i32 lanes, which drain to a
+//! `u64` total before they can overflow. Rows between 16 and 31 bytes
 //! past the last 32-byte chunk (e.g. the 16-byte gray rows of an M=16
 //! tile) are handled with one 128-bit step before the scalar tail, so
 //! short tile edges still vectorize under the AVX2 table.

@@ -10,18 +10,18 @@
 //! through one [`Kernels`] dispatch table, so the three scalar copies
 //! that used to live in those call sites can no longer drift apart.
 //!
-//! Three implementations are provided and selected **once per process**:
+//! Two implementations are provided and selected **once per process**:
 //!
 //! * [`scalar`] — the portable reference, kept verbatim as the test
-//!   oracle (the same oracle pattern as the scoped-vs-pool search);
-//! * [`sse41`] — 16-byte lanes via `_mm_sad_epu8` / `_mm_madd_epi16`;
-//! * [`avx2`] — 32-byte lanes via the 256-bit forms of the same idiom.
+//!   oracle, and the fallback on hosts without AVX2;
+//! * [`avx2`] — 32-byte lanes via `_mm256_sad_epu8` /
+//!   `_mm256_madd_epi16`, with one 16-byte step for mid-size tails.
 //!
 //! [`active`] performs `std::arch` feature detection on first use and
 //! caches the winning table in a `OnceLock`; the service calls it at
 //! server startup (publishing the `kernel_dispatch` gauge) so detection
-//! never races a hot path. All three paths are bit-identical by
-//! construction — the SIMD paths fall back to the scalar tail for bytes
+//! never races a hot path. Both paths are bit-identical by
+//! construction — the AVX2 path falls back to the scalar tail for bytes
 //! past the last full lane, never read past row ends (every wide load is
 //! taken from a `chunks_exact` window), and are pinned to the oracle by
 //! the differential tests in `tests/simd_differential.rs`.
@@ -30,8 +30,6 @@ pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub mod sse41;
 
 use std::sync::OnceLock;
 
@@ -39,10 +37,8 @@ use std::sync::OnceLock;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Portable scalar loop — the oracle, and the fallback on hosts
-    /// without SSE4.1 (or off x86_64 entirely).
+    /// without AVX2 (or off x86_64 entirely).
     Scalar,
-    /// 128-bit SSE4.1 lanes (16 bytes per step).
-    Sse41,
     /// 256-bit AVX2 lanes (32 bytes per step).
     Avx2,
 }
@@ -52,17 +48,15 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse41 => "sse4.1",
             SimdLevel::Avx2 => "avx2",
         }
     }
 
     /// Stable numeric code for the `kernel_dispatch` gauge
-    /// (0 = scalar, 1 = SSE4.1, 2 = AVX2).
+    /// (0 = scalar, 2 = AVX2; code 1 is retired and never reused).
     pub fn code(self) -> u8 {
         match self {
             SimdLevel::Scalar => 0,
-            SimdLevel::Sse41 => 1,
             SimdLevel::Avx2 => 2,
         }
     }
@@ -95,19 +89,6 @@ impl Kernels {
         &SCALAR
     }
 
-    /// The SSE4.1 table, when this host supports it.
-    pub fn sse41() -> Option<Kernels> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("sse4.1") {
-            return Some(Kernels {
-                level: SimdLevel::Sse41,
-                sad: sad_sse41,
-                ssd: ssd_sse41,
-            });
-        }
-        None
-    }
-
     /// The AVX2 table, when this host supports it.
     pub fn avx2() -> Option<Kernels> {
         #[cfg(target_arch = "x86_64")]
@@ -121,11 +102,9 @@ impl Kernels {
         None
     }
 
-    /// Detect the widest table this host supports.
+    /// Detect the table this host runs: AVX2, else scalar.
     pub fn detect() -> Kernels {
-        Kernels::avx2()
-            .or_else(Kernels::sse41)
-            .unwrap_or(*Kernels::scalar())
+        Kernels::avx2().unwrap_or(*Kernels::scalar())
     }
 
     /// The instruction set this table dispatches to.
@@ -165,22 +144,6 @@ pub fn active() -> &'static Kernels {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn sad_sse41(a: &[u8], b: &[u8]) -> u64 {
-    // SAFETY: this fn pointer is only installed by `Kernels::sse41` after
-    // `is_x86_feature_detected!("sse4.1")` returned true on this host, and
-    // `Kernels::sad` asserted `a.len() == b.len()` before calling it.
-    unsafe { sse41::sad(a, b) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn ssd_sse41(a: &[u8], b: &[u8]) -> u64 {
-    // SAFETY: this fn pointer is only installed by `Kernels::sse41` after
-    // `is_x86_feature_detected!("sse4.1")` returned true on this host, and
-    // `Kernels::ssd` asserted `a.len() == b.len()` before calling it.
-    unsafe { sse41::ssd(a, b) }
-}
-
-#[cfg(target_arch = "x86_64")]
 fn sad_avx2(a: &[u8], b: &[u8]) -> u64 {
     // SAFETY: this fn pointer is only installed by `Kernels::avx2` after
     // `is_x86_feature_detected!("avx2")` returned true on this host, and
@@ -217,11 +180,8 @@ mod tests {
 
     #[test]
     fn level_codes_are_ordered_and_distinct() {
-        let levels = [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2];
-        for pair in levels.windows(2) {
-            assert!(pair[0].code() < pair[1].code());
-            assert_ne!(pair[0].name(), pair[1].name());
-        }
+        assert!(SimdLevel::Scalar.code() < SimdLevel::Avx2.code());
+        assert_ne!(SimdLevel::Scalar.name(), SimdLevel::Avx2.name());
     }
 
     #[test]
@@ -243,7 +203,6 @@ mod tests {
     #[cfg(not(target_arch = "x86_64"))]
     fn off_x86_the_dispatch_is_scalar() {
         assert_eq!(active().level(), SimdLevel::Scalar);
-        assert!(Kernels::sse41().is_none());
         assert!(Kernels::avx2().is_none());
     }
 }

@@ -19,7 +19,7 @@
 //! * [`resize`] — resampling for the tile library's ingest and assembly;
 //! * [`metrics`] — MSE/PSNR/SSIM quality metrics used in EXPERIMENTS.md;
 //! * [`kernel`] — runtime-dispatched SAD/SSD byte-row kernels
-//!   (scalar / SSE4.1 / AVX2) behind a process-wide dispatch table.
+//!   (scalar / AVX2) behind a process-wide dispatch table.
 //!
 //! Everything is deterministic: the synthetic generators use a local
 //! xorshift PRNG seeded explicitly, so experiment outputs are reproducible
@@ -36,10 +36,10 @@
 //! assert_eq!(read_pgm(&bytes).unwrap(), img);
 //! ```
 
-// `deny` rather than `forbid`: the SIMD kernel layer and the
-// `Pixel::row_bytes` layout casts carry the only `#[allow(unsafe_code)]`
-// overrides, each with a SAFETY proof checked by mosaic-lint's
-// unsafe-hygiene rule.
+// `deny` rather than `forbid`: the AVX2 kernel layer (3 `unsafe fn`
+// kernels, 2 dispatch wrappers) and the 2 `Pixel::row_bytes` layout
+// casts carry the only `#[allow(unsafe_code)]` overrides, each with a
+// SAFETY proof checked by mosaic-lint's unsafe-hygiene rule.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -2,7 +2,7 @@
 //! oracle.
 //!
 //! The kernel layer's correctness claim is exact: for every input, the
-//! dispatched table (SSE4.1 or AVX2 when the host has them) returns
+//! dispatched table (AVX2 when the host has it) returns
 //! **bit-identical** sums to the scalar reference. These tests drive
 //! that claim with the workspace's deterministic xorshift generator
 //! across every tile-edge length the pipeline can produce — including
@@ -28,7 +28,6 @@ fn random_row(rng: &mut XorShift, len: usize) -> Vec<u8> {
 /// Every kernel table the host can build, dispatched one included.
 fn all_tables() -> Vec<Kernels> {
     let mut tables = vec![*Kernels::scalar(), *kernel::active()];
-    tables.extend(Kernels::sse41());
     tables.extend(Kernels::avx2());
     tables
 }
@@ -165,16 +164,14 @@ fn image_metrics_sad_matches_pixel_reference() {
     }
 }
 
-/// On x86_64 CI hosts the dispatched level must be at least SSE4.1 in
-/// practice; either way the dispatched table must agree with whatever
-/// explicit table its level names.
+/// On x86_64 the dispatched table must agree with whatever explicit
+/// table its level names (AVX2 in practice, scalar without it).
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn dispatched_table_matches_its_explicit_constructor() {
     let active = kernel::active();
     let same = match active.level() {
         SimdLevel::Scalar => *Kernels::scalar(),
-        SimdLevel::Sse41 => Kernels::sse41().expect("dispatched sse4.1 must be constructible"),
         SimdLevel::Avx2 => Kernels::avx2().expect("dispatched avx2 must be constructible"),
     };
     let mut rng = XorShift::new(7);
@@ -191,6 +188,5 @@ fn dispatched_table_matches_its_explicit_constructor() {
 #[cfg(not(target_arch = "x86_64"))]
 fn off_x86_dispatch_is_the_scalar_oracle() {
     assert_eq!(kernel::active().level(), SimdLevel::Scalar);
-    assert!(Kernels::sse41().is_none());
     assert!(Kernels::avx2().is_none());
 }

@@ -44,8 +44,12 @@
 //!
 //! # Safety
 //!
-//! Running a borrowed lane body on persistent threads requires erasing its
-//! lifetime where the call is queued. The soundness argument is the same
+//! The crate's one unchecked operation is the lifetime-erasing transmute
+//! in `with_lanes`; [`ThreadPool::parallel_for_mut`] hands out its
+//! disjoint chunks safely, through a mutex-guarded `chunks_mut`.
+//!
+//! Running a borrowed lane body on persistent threads requires erasing
+//! its lifetime where the call is queued. The soundness argument is the same
 //! as `std::thread::scope`'s: [`ThreadPool::gang`] withdraws its call and
 //! waits until every worker that took one of its lanes has left it before
 //! it returns or unwinds, so the erased reference never outlives the frame
@@ -196,24 +200,18 @@ impl ThreadPool {
         F: Fn(usize, &mut [T]) + Sync,
     {
         assert!(chunk_len > 0, "chunk_len must be positive");
-        let len = data.len();
-        if len == 0 {
+        if data.is_empty() {
             return;
         }
-        let chunks = len.div_ceil(chunk_len);
-        let base = SendPtr(data.as_mut_ptr());
-        self.parallel_for(chunks, move |chunk| {
-            let start = chunk * chunk_len;
-            let take = chunk_len.min(len - start);
-            let first = base;
-            // Chunk indices are in 0..chunks and each is dispatched
-            // exactly once (see `parallel_for`), so the ranges
-            // [start, start + take) partition 0..len without overlap.
-            // SAFETY: each element is reborrowed mutably by at most one
-            // concurrent task (disjoint ranges, per above), within the
-            // caller's exclusive `&mut data` borrow.
-            let items = unsafe { std::slice::from_raw_parts_mut(first.0.add(start), take) };
-            task(chunk, items);
+        let chunks = data.len().div_ceil(chunk_len);
+        // One ticket per chunk: each takes the next `(index, chunk)` and
+        // drops the guard before running `task`.
+        let next = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+        self.parallel_for(chunks, |_| {
+            let claimed = lock_unpoisoned(&next).next();
+            if let Some((chunk, items)) = claimed {
+                task(chunk, items);
+            }
         });
     }
 
@@ -345,25 +343,6 @@ fn worker_loop(shared: &Shared) {
             .unwrap_or_else(PoisonError::into_inner);
     }
 }
-
-/// A raw pointer that may cross threads. Used only to derive disjoint
-/// sub-slices inside [`ThreadPool::parallel_for_mut`].
-struct SendPtr<T>(*mut T);
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: the pointer is only dereferenced through disjoint, bounds-
-// checked sub-slices (one per chunk index), mirroring how `&mut [T]`
-// itself is Send when T is.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: sharing the wrapper only shares the address; each task derives
-// a disjoint exclusive slice from it, so concurrent access never aliases.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// The process-wide shared pool, sized to the machine's available
 /// parallelism. Stages that are not handed an explicit pool (the CLI

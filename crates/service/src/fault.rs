@@ -11,7 +11,10 @@
 //!   worker that claims a crash makes the server sever that job's
 //!   connection with no response and go dark (listener closed, later
 //!   connects refused), emulating a process killed mid-run — exactly
-//!   what a gateway's failover and health machinery must absorb.
+//!   what a gateway's failover and health machinery must absorb. A
+//!   plan can also make the first N jobs *panic*
+//!   ([`FaultPlan::panic_first_jobs`]), which the worker must answer
+//!   and survive.
 //! * Hostile-client helpers ([`probe_oversized_frame`],
 //!   [`stalled_connection_is_closed`], [`disconnect_mid_frame`]) — each
 //!   performs one scripted attack against a live server and reports what
@@ -37,6 +40,7 @@ pub struct FaultPlan {
     stall_ms: u64,
     stall_budget: Arc<AtomicU64>,
     crash_budget: Arc<AtomicU64>,
+    panic_budget: Arc<AtomicU64>,
     reject_sockopt_budget: Arc<AtomicU64>,
 }
 
@@ -69,6 +73,16 @@ impl FaultPlan {
         }
     }
 
+    /// Panic inside each of the first `jobs` jobs a worker picks up, as
+    /// a bug in a pipeline stage would. The worker must answer the job
+    /// with an error and go on serving.
+    pub fn panic_first_jobs(jobs: u64) -> FaultPlan {
+        FaultPlan {
+            panic_budget: Arc::new(AtomicU64::new(jobs)),
+            ..FaultPlan::default()
+        }
+    }
+
     /// Make arming the write deadline on each of the first `sockets`
     /// over-capacity rejection sockets fail, as a hostile kernel/socket
     /// state would. The front-end must treat that as fatal for the
@@ -94,6 +108,11 @@ impl FaultPlan {
     /// Claim one crash from the budget, if the plan has any left.
     pub(crate) fn take_crash(&self) -> bool {
         claim(&self.crash_budget)
+    }
+
+    /// Claim one injected panic from the budget, if the plan has any left.
+    pub(crate) fn take_panic(&self) -> bool {
+        claim(&self.panic_budget)
     }
 
     /// Claim one stall from the budget, if the plan has any left.
@@ -211,6 +230,7 @@ mod tests {
         assert!(plan.take_stall().is_none());
         assert_eq!(plan.crashes_remaining(), 0);
         assert!(!plan.take_crash());
+        assert!(!plan.take_panic());
         assert!(!plan.take_reject_sockopt_failure());
     }
 

@@ -36,6 +36,7 @@ use mosaic_pool::ThreadPool;
 use mosaic_tilelib::{execute_library, LibraryJobSpec, TilelibError};
 use photomosaic::{generate_bounded_in, Deadline, GenerateError, JobResult, JobSpec, Json};
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -330,14 +331,28 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Some(stall) = shared.config.faults.take_stall() {
             std::thread::sleep(stall);
         }
-        let response = match &job.payload {
-            JobPayload::Generate(spec) => {
-                execute(spec, shared, queue_wait_ms, &deadline).unwrap_or_else(|failure| failure)
+        // A panic anywhere in the job (a helper lane's panic is re-raised
+        // here by its gang) fails this job, not the worker: it is answered
+        // and counted like any failed job, and the loop serves on.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if shared.config.faults.take_panic() {
+                // lint:allow(panic) an injected fault, caught just below
+                panic!("injected job panic");
             }
-            JobPayload::Library(spec) => {
-                execute_library_job(spec, shared, queue_wait_ms, &deadline)
+            match &job.payload {
+                JobPayload::Generate(spec) => execute(spec, shared, queue_wait_ms, &deadline)
+                    .unwrap_or_else(|failure| failure),
+                JobPayload::Library(spec) => {
+                    execute_library_job(spec, shared, queue_wait_ms, &deadline)
+                }
             }
-        };
+        }));
+        let response = outcome.unwrap_or_else(|_| {
+            shared.metrics.job_failed();
+            Response::Error {
+                message: "the job panicked; the server logged its panic message".to_string(),
+            }
+        });
         // A front-end that gave up on this job (client gone) is not an
         // error; `ReplyTo::send` drops the reply in that case.
         job.reply.send(Reply::Response(response));

@@ -11,6 +11,27 @@ run() {
     "$@"
 }
 
+# passed_gate MIN WHAT CARGO_TEST_ARGS... — run one test selection and
+# fail unless at least MIN tests passed, summed over every test binary
+# it ran, so a renamed or filtered-out suite cannot pass vacuously.
+passed_gate() {
+    gate_min=$1
+    gate_what=$2
+    shift 2
+    echo "==> cargo test -q --offline $*"
+    gate_out=$(cargo test -q --offline "$@" 2>&1) || {
+        echo "$gate_out"
+        exit 1
+    }
+    echo "$gate_out" | grep '^test result:'
+    gate_passed=$(echo "$gate_out" | grep '^test result:' |
+        sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
+    if [ "${gate_passed:-0}" -lt "$gate_min" ]; then
+        echo "error: expected at least $gate_min $gate_what, ran ${gate_passed:-0}" >&2
+        exit 1
+    fi
+}
+
 run cargo build --release --offline
 # perfbench/ is its own Cargo package, so the workspace build never
 # compiles it; build it here so a core or grid API change cannot break
@@ -43,38 +64,14 @@ fi
 
 # Fault-injection suite: the hardening layer must hold up against
 # scripted hostile clients (oversized frames, slowloris, floods,
-# mid-frame disconnects, stalled workers). A hard gate with a passed
-# count so a renamed or filtered-out suite cannot pass vacuously.
-echo "==> cargo test -q --offline --test service_integration fault_"
-fault_out=$(cargo test -q --offline --test service_integration fault_ 2>&1) || {
-    echo "$fault_out"
-    exit 1
-}
-fault_summary=$(echo "$fault_out" | grep '^test result:' | tail -1)
-echo "$fault_summary"
-fault_passed=$(echo "$fault_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${fault_passed:-0}" -lt 5 ]; then
-    echo "error: expected at least 5 fault-injection tests, ran ${fault_passed:-0}" >&2
-    exit 1
-fi
+# mid-frame disconnects, stalled workers, panicking jobs).
+passed_gate 5 "fault-injection tests" --test service_integration fault_
 
 # Front-end differential suite: the epoll service and the gateway must
 # stay byte-identical to the threaded oracle across the fault scripts
 # (unterminated final frame and a half-close with a job in flight
-# included), and both must hold the 1000-idle-connection soak. Same passed-count protection against a
-# renamed or filtered-out suite.
-echo "==> cargo test -q --offline --test frontend_differential"
-frontend_out=$(cargo test -q --offline --test frontend_differential 2>&1) || {
-    echo "$frontend_out"
-    exit 1
-}
-frontend_summary=$(echo "$frontend_out" | grep '^test result:' | tail -1)
-echo "$frontend_summary"
-frontend_passed=$(echo "$frontend_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${frontend_passed:-0}" -lt 8 ]; then
-    echo "error: expected at least 8 front-end differential tests, ran ${frontend_passed:-0}" >&2
-    exit 1
-fi
+# included), and both must hold the 1000-idle-connection soak.
+passed_gate 8 "front-end differential tests" --test frontend_differential
 
 # The front-end's telemetry names, as the service and the gateway
 # register them, must be promised to dashboards: each must appear in
@@ -91,47 +88,14 @@ done
 echo "==> DESIGN.md §9 documents every front-end telemetry name"
 
 # Fleet fault suite: the gateway must survive backend death mid-job,
-# floods, and whole-fleet outages with typed refusals. Same passed-count
-# protection as the service fault gate.
-echo "==> cargo test -q --offline --test gateway_fleet fault_"
-fleet_out=$(cargo test -q --offline --test gateway_fleet fault_ 2>&1) || {
-    echo "$fleet_out"
-    exit 1
-}
-fleet_summary=$(echo "$fleet_out" | grep '^test result:' | tail -1)
-echo "$fleet_summary"
-fleet_passed=$(echo "$fleet_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${fleet_passed:-0}" -lt 3 ]; then
-    echo "error: expected at least 3 fleet fault tests, ran ${fleet_passed:-0}" >&2
-    exit 1
-fi
-
-# passed_gate MIN WHAT CARGO_TEST_ARGS... — run one test selection and
-# fail unless at least MIN tests passed, summed over every test binary
-# it ran, so a renamed or filtered-out suite cannot pass vacuously.
-passed_gate() {
-    gate_min=$1
-    gate_what=$2
-    shift 2
-    echo "==> cargo test -q --offline $*"
-    gate_out=$(cargo test -q --offline "$@" 2>&1) || {
-        echo "$gate_out"
-        exit 1
-    }
-    echo "$gate_out" | grep '^test result:'
-    gate_passed=$(echo "$gate_out" | grep '^test result:' |
-        sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-    if [ "${gate_passed:-0}" -lt "$gate_min" ]; then
-        echo "error: expected at least $gate_min $gate_what, ran ${gate_passed:-0}" >&2
-        exit 1
-    fi
-}
+# floods, and whole-fleet outages with typed refusals.
+passed_gate 3 "fleet fault tests" --test gateway_fleet fault_
 
 # Every crate's own unit, integration and doc tests. The root
 # `cargo test` above runs only the root package's test binaries, so
 # without this the tests of mosaic-gpu, mosaic-service, mosaic-gateway,
 # mosaic-cli, mosaic-lint and mosaic-telemetry would gate nothing.
-passed_gate 821 "workspace tests" --workspace
+passed_gate 824 "workspace tests" --workspace
 
 # Wire codec: the run-based JSON string codec, the table hex codec and
 # the block newline scan must match their per-character test oracles
@@ -156,6 +120,10 @@ passed_gate 1 "optimal deadline test" --test service_integration fault_optimal
 # stalled library job is answered `deadline_exceeded` like a generation
 # job.
 passed_gate 1 "library deadline test" --test service_integration fault_library_deadline
+
+# A job that panics is answered `error` and counted failed, and its
+# worker serves the next job, on both front-ends.
+passed_gate 2 "job panic tests" --test service_integration fault_job_panic
 
 # A lane count from the wire (`threads`, `gpu-sim` `workers`) is clamped
 # to the compute pool's lanes: 2^40 threads neither hangs a worker nor
@@ -187,21 +155,8 @@ passed_gate 2 "u32-overflow regression tests" -p photomosaic -p mosaic-grid --li
 passed_gate 1 "u32-overflow service test" --test service_integration fault_overflowing
 
 # Pool stress suite: the persistent worker pool underpins every
-# parallel stage, so its shutdown/panic/raggedness invariants get the
-# same vacuous-pass protection as the fault suite — a passed count, not
-# just a green exit.
-echo "==> cargo test -q --offline -p mosaic-pool --test stress"
-stress_out=$(cargo test -q --offline -p mosaic-pool --test stress 2>&1) || {
-    echo "$stress_out"
-    exit 1
-}
-stress_summary=$(echo "$stress_out" | grep '^test result:' | tail -1)
-echo "$stress_summary"
-stress_passed=$(echo "$stress_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${stress_passed:-0}" -lt 10 ]; then
-    echo "error: expected at least 10 pool stress tests, ran ${stress_passed:-0}" >&2
-    exit 1
-fi
+# parallel stage, so its shutdown/panic/raggedness invariants are gated.
+passed_gate 10 "pool stress tests" -p mosaic-pool --test stress
 
 # The one panic contract: a panicking gang ticket finishes its phase,
 # opens no later one, and its own payload reaches the caller.
@@ -210,87 +165,31 @@ passed_gate 1 "gang phase panic" -p mosaic-pool --test stress gang_panic
 # Tile-library suite: the content-addressed store, clustering, pruning
 # and rectangular sparse solve carry the `library` job kind end to end,
 # so both the crate's own tests and the thousand-tile acceptance
-# workload get passed-count floors against vacuous green runs.
-echo "==> cargo test -q --offline -p mosaic-tilelib"
-tilelib_out=$(cargo test -q --offline -p mosaic-tilelib 2>&1) || {
-    echo "$tilelib_out"
-    exit 1
-}
-echo "$tilelib_out" | grep '^test result:'
-tilelib_passed=$(echo "$tilelib_out" | grep '^test result:' |
-    sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-if [ "${tilelib_passed:-0}" -lt 30 ]; then
-    echo "error: expected at least 30 tilelib tests, ran ${tilelib_passed:-0}" >&2
-    exit 1
-fi
+# workload are gated.
+passed_gate 30 "tilelib tests" -p mosaic-tilelib
 
-echo "==> cargo test -q --offline --test tilelib_library"
-library_out=$(cargo test -q --offline --test tilelib_library 2>&1) || {
-    echo "$library_out"
-    exit 1
-}
-library_summary=$(echo "$library_out" | grep '^test result:' | tail -1)
-echo "$library_summary"
-library_passed=$(echo "$library_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${library_passed:-0}" -lt 1 ]; then
-    echo "error: the thousand-tile library acceptance test did not run" >&2
-    exit 1
-fi
+passed_gate 1 "thousand-tile library acceptance tests" --test tilelib_library
 
 # Assignment-solver suite: every exact solver (JV above all, which
 # serves `Optimal` jobs) is checked against the Hungarian and
 # brute-force oracles, including the tie-heavy instances and rendered
 # mosaic matrices that leave most rows to JV's shortest-path search after
-# its auction prefix. Passed-count floor, summed over the
-# crate's unit, integration and doc tests, against vacuous green runs.
-echo "==> cargo test -q --offline -p mosaic-assign"
-assign_out=$(cargo test -q --offline -p mosaic-assign 2>&1) || {
-    echo "$assign_out"
-    exit 1
-}
-echo "$assign_out" | grep '^test result:'
-assign_passed=$(echo "$assign_out" | grep '^test result:' |
-    sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-if [ "${assign_passed:-0}" -lt 70 ]; then
-    echo "error: expected at least 70 mosaic-assign tests, ran ${assign_passed:-0}" >&2
-    exit 1
-fi
+# its auction prefix. The floor counts the crate's unit, integration
+# and doc tests.
+passed_gate 70 "mosaic-assign tests" -p mosaic-assign
 
 # The sort-free swap schedule must stay bit-identical to the sorted
 # circle-method oracle (every Algorithm-2 decision depends on it).
-echo "==> cargo test -q --offline -p mosaic-edgecolor sort_free_groups_match_the_sorted_oracle"
-oracle_out=$(cargo test -q --offline -p mosaic-edgecolor sort_free_groups_match_the_sorted_oracle 2>&1) || {
-    echo "$oracle_out"
-    exit 1
-}
-oracle_passed=$(echo "$oracle_out" | grep '^test result:' |
-    sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-echo "schedule oracle tests passed: ${oracle_passed:-0}"
-if [ "${oracle_passed:-0}" -lt 1 ]; then
-    echo "error: the swap-schedule oracle test did not run" >&2
-    exit 1
-fi
+passed_gate 1 "swap-schedule oracle tests" -p mosaic-edgecolor sort_free_groups_match_the_sorted_oracle
 
 # SIMD differential suite: the dispatched SAD/SSD kernels must stay
-# bit-identical to the scalar oracle on every tile-edge length. A hard
-# gate with a passed count so a renamed or filtered-out suite cannot
-# pass vacuously.
-echo "==> cargo test -q --offline -p mosaic-image --test simd_differential"
-simd_out=$(cargo test -q --offline -p mosaic-image --test simd_differential 2>&1) || {
-    echo "$simd_out"
-    exit 1
-}
-simd_summary=$(echo "$simd_out" | grep '^test result:' | tail -1)
-echo "$simd_summary"
-simd_passed=$(echo "$simd_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${simd_passed:-0}" -lt 5 ]; then
-    echo "error: expected at least 5 SIMD differential tests, ran ${simd_passed:-0}" >&2
-    exit 1
-fi
+# bit-identical to the scalar oracle on every tile-edge length.
+passed_gate 5 "SIMD differential tests" -p mosaic-image --test simd_differential
 
-# Published benchmark artifacts: the committed root BENCH_search.json
-# must exist and hold the pool-vs-scoped comparison (parsed with the
-# workspace's own Json reader by tests/bench_artifacts.rs).
+# Published benchmark artifacts: the committed root BENCH_*.json files
+# must exist and hold well-formed suites (BENCH_search.json: the
+# reference search against the pool at 2 and 4 threads), parsed with the
+# workspace's own Json reader by tests/bench_artifacts.rs.
 for artifact in BENCH_search.json BENCH_tilelib.json BENCH_error_matrix.json; do
     if [ ! -f "$artifact" ]; then
         suite=$(echo "$artifact" | sed 's/^BENCH_//; s/\.json$//')

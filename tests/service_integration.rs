@@ -10,7 +10,7 @@ use mosaic_service::fault::{
 };
 use mosaic_service::protocol::Response;
 use mosaic_service::server::{Server, ServiceConfig};
-use mosaic_service::{Client, FaultPlan};
+use mosaic_service::{Client, FaultPlan, FrontEnd};
 use mosaic_tilelib::{LibraryJobSpec, LibraryParams, TileStore};
 use photomosaic::{Algorithm, Backend, ImageSource, JobResult, JobSpec, Json, MosaicBuilder};
 use std::time::Duration;
@@ -585,6 +585,48 @@ fn fault_lane_count_zero_gpu_workers_is_a_served_job() {
 
     Client::connect(addr).unwrap().shutdown().unwrap();
     server.join();
+}
+
+/// A job that panics is answered `error` and its worker survives: on a
+/// 1-worker server, the same spec sent again is served, and the panic
+/// is counted as one failed job with nothing left in flight.
+fn job_panic_is_answered_on(front_end: FrontEnd) {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        front_end,
+        faults: FaultPlan::panic_first_jobs(1),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let job = spec(Scene::Portrait, 83, 4);
+    let replies = replies_within(addr, vec![job.clone(), job], "job panic");
+    let Response::Error { message } = &replies[0] else {
+        panic!("expected an error, got {:?}", replies[0]);
+    };
+    assert!(message.contains("panicked"), "{message}");
+    decode_result(replies[1].clone());
+
+    let mut client = Client::connect(addr).unwrap();
+    let Response::Stats { stats } = client.stats().unwrap() else {
+        panic!("expected stats");
+    };
+    let jobs = stats.get("jobs").unwrap();
+    for (key, want) in [("failed", 1), ("completed", 1), ("in_flight", 0)] {
+        assert_eq!(jobs.get(key).and_then(Json::as_u64), Some(want), "{key}");
+    }
+    client.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn fault_job_panic_is_answered_and_the_worker_survives() {
+    job_panic_is_answered_on(FrontEnd::default());
+}
+
+#[test]
+fn fault_job_panic_is_answered_and_the_worker_survives_threaded() {
+    job_panic_is_answered_on(FrontEnd::Threaded);
 }
 
 /// A library job honours the per-job deadline like a generation job: a
