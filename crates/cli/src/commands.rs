@@ -8,7 +8,7 @@ use mosaic_image::metrics;
 use mosaic_service::protocol::{self, Response};
 use mosaic_service::{run_load, Client, Server};
 use mosaic_telemetry as telemetry;
-use mosaic_tilelib::{execute_library, LibraryJobSpec, TileStore};
+use mosaic_tilelib::{execute_library, uncached_clustering, LibraryJobSpec, TileStore};
 use photomosaic::{Deadline, ImageSource, JobResult, JobSpec, Json};
 
 /// Execute a parsed command, returning the text to print on success.
@@ -75,7 +75,14 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 store,
                 params,
             };
-            let result = execute_library(&spec, mosaic_pool::global(), &Deadline::NONE)?;
+            let snapshot = TileStore::open(&spec.store)?.snapshot()?;
+            let result = execute_library(
+                &spec,
+                &snapshot,
+                uncached_clustering,
+                mosaic_pool::global(),
+                &Deadline::NONE,
+            )?;
             save_pgm(&out, &result.image)?;
             let count = |key: &str| result.report.get(key).and_then(Json::as_u64).unwrap_or(0);
             Ok(format!(

@@ -408,9 +408,10 @@ enum Attempt {
 /// bytes — by its routing key: walk the candidate list, forward,
 /// classify, and return the reply line. For generation jobs the
 /// key is the spec's cache key (backend `MatrixCache` affinity); for
-/// library jobs it is the spec's routing key (store/target affinity —
-/// backends never cache library results, but stable routing keeps one
-/// backend's page cache warm for a given store).
+/// library jobs it is the spec's routing key, a hash of target, store
+/// and params, so jobs on one store spread across backends. Backends
+/// never cache library results; each keeps its own warm entry of every
+/// store generation it has served.
 fn route_submit(shared: &Shared, mut request: Vec<u8>, key: u64) -> Vec<u8> {
     let started = Instant::now();
     request.push(b'\n');

@@ -315,6 +315,37 @@ mod tests {
     use super::*;
     use crate::histogram::Histogram;
 
+    /// FNV-1a over every pixel of one scene's renders at each golden
+    /// size and seed, in that order.
+    fn golden_hash(scene: Scene) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for size in [7, 64, 257, 512] {
+            for seed in [1, 9001] {
+                for pixel in scene.render(size, seed).pixels() {
+                    hash = (hash ^ u64::from(pixel.0)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// Every render is pinned pixel for pixel: a faster renderer must
+    /// reproduce these hashes exactly.
+    #[test]
+    fn golden_render_hashes_are_pinned() {
+        let pinned = [
+            (Scene::Portrait, 0xbd3f_882f_21cf_a213),
+            (Scene::Regatta, 0xb7ab_c33a_f4e2_f149),
+            (Scene::Fur, 0x2177_8253_0da2_79d4),
+            (Scene::Drapery, 0x1a69_474c_8ddb_c8e5),
+            (Scene::Plasma, 0x0df9_1181_fdef_b5ca),
+            (Scene::Checker, 0x59f0_dce3_1b25_a5a7),
+        ];
+        for (scene, want) in pinned {
+            assert_eq!(golden_hash(scene), want, "{scene:?} renders changed");
+        }
+    }
+
     #[test]
     fn xorshift_is_deterministic_and_nonconstant() {
         let mut a = XorShift64::new(42);

@@ -1,18 +1,26 @@
-//! LRU cache for Step-2 error matrices, keyed by
-//! [`JobSpec::cache_key`](photomosaic::JobSpec::cache_key).
+//! Single-flight LRU caches for values a server derives from job
+//! inputs and can reuse across jobs.
 //!
-//! The matrix is the expensive part of a job (`S² × M²` pixel
-//! comparisons), and it depends only on the (input, target, grid,
-//! preprocess, metric) tuple — not on the Step-3 algorithm or backend —
-//! so repeated submissions of the same images reuse it across jobs.
-//! Entries are `Arc`s: a worker can hold a matrix while another job
+//! One generic [`Cache`] serves three instances:
+//!
+//! * [`MatrixCache`] — Step-2 error matrices keyed by
+//!   [`JobSpec::cache_key`](photomosaic::JobSpec::cache_key). The matrix
+//!   is the expensive part of a job (`S² × M²` pixel comparisons), and it
+//!   depends only on the (input, target, grid, preprocess, metric) tuple
+//!   — not on the Step-3 algorithm or backend — so repeated submissions
+//!   of the same images reuse it across jobs.
+//! * the server's tile-store and clustering caches, which keep a library
+//!   store's verified tiles and their k-means clusterings per store
+//!   generation (see `server`).
+//!
+//! Entries are `Arc`s: a worker can hold a value while another job
 //! evicts it.
 //!
-//! Lookups are *single-flight* ([`MatrixCache::begin`]): when several
-//! identical jobs are in flight at once, exactly one worker computes
-//! the matrix while the others wait for it and then hit — without this,
-//! a burst of same-key submissions thundering-herds the expensive Step
-//! 2 and every one of them misses.
+//! Lookups are *single-flight* ([`Cache::begin`]): when several jobs
+//! need the same key at once, exactly one worker computes the value
+//! while the others wait for it and then hit — without this, a burst of
+//! same-key submissions thundering-herds the expensive computation and
+//! every one of them misses.
 
 use mosaic_grid::ErrorMatrix;
 use mosaic_telemetry::lock_unpoisoned;
@@ -22,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Hit/miss counters, as observed at some instant.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a matrix.
+    /// Lookups that found a value.
     pub hits: u64,
     /// Lookups that did not.
     pub misses: u64,
@@ -30,65 +38,68 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-struct Inner {
+struct Inner<K, V> {
     // Most-recently-used entry at the front. Linear scan — capacities are
-    // small (the value is a full S²-entry matrix, so dozens at most).
-    entries: VecDeque<(u64, Arc<ErrorMatrix>)>,
-    // Keys whose matrix is being computed right now by some worker;
+    // small (a value is a full S²-entry matrix or a whole tile store, so
+    // dozens at most).
+    entries: VecDeque<(K, Arc<V>)>,
+    // Keys whose value is being computed right now by some worker;
     // `begin` waits on these instead of duplicating the computation.
-    pending: Vec<u64>,
+    pending: Vec<K>,
     hits: u64,
     misses: u64,
 }
 
-/// Thread-safe LRU map from cache key to shared error matrix.
-pub struct MatrixCache {
-    inner: Mutex<Inner>,
+/// Thread-safe single-flight LRU map from key to shared value.
+pub struct Cache<K, V> {
+    inner: Mutex<Inner<K, V>>,
     /// Signalled whenever a pending key resolves (fulfilled or
-    /// abandoned), so waiters in [`MatrixCache::begin`] re-check.
+    /// abandoned), so waiters in [`Cache::begin`] re-check.
     ready: Condvar,
     capacity: usize,
 }
 
+/// The Step-2 error-matrix cache, keyed by `JobSpec::cache_key`.
+pub type MatrixCache = Cache<u64, ErrorMatrix>;
+
 /// Outcome of a single-flight lookup.
-pub enum Lookup<'a> {
-    /// The matrix was cached (possibly after waiting out another
+pub enum Lookup<'a, K: PartialEq, V> {
+    /// The value was cached (possibly after waiting out another
     /// worker's in-flight computation of the same key).
-    Hit(Arc<ErrorMatrix>),
+    Hit(Arc<V>),
     /// The caller is the designated computer for this key: compute the
-    /// matrix and [`fulfil`](ComputeGuard::fulfil) the guard. Dropping
+    /// value and [`fulfil`](ComputeGuard::fulfil) the guard. Dropping
     /// the guard without fulfilling (failure, deadline expiry) releases
     /// the key so a waiter can claim the computation instead.
-    Miss(ComputeGuard<'a>),
+    Miss(ComputeGuard<'a, K, V>),
 }
 
-/// Exclusive right to compute one key's matrix; see [`Lookup::Miss`].
-pub struct ComputeGuard<'a> {
-    cache: &'a MatrixCache,
-    key: u64,
+/// Exclusive right to compute one key's value; see [`Lookup::Miss`].
+pub struct ComputeGuard<'a, K: PartialEq, V> {
+    cache: &'a Cache<K, V>,
+    key: K,
     /// False for a disabled (capacity-0) cache, where nothing is
     /// tracked and the guard is inert.
     tracked: bool,
     done: bool,
 }
 
-impl ComputeGuard<'_> {
-    /// Publish the computed matrix: inserts it, releases the pending
+impl<K: PartialEq + Clone, V> ComputeGuard<'_, K, V> {
+    /// Publish the computed value: inserts it, releases the pending
     /// key, and wakes every worker waiting on it.
-    pub fn fulfil(mut self, matrix: Arc<ErrorMatrix>) {
+    pub fn fulfil(mut self, value: Arc<V>) {
         self.done = true;
         if !self.tracked {
             return;
         }
-        let key = self.key;
         // Release the pending key and insert in one critical section,
         // so no other worker can observe "neither pending nor cached"
         // and restart the computation we just finished.
         // A pending key is never cached: `begin` marks a key pending
         // only when it missed, and only this guard can insert it.
         let mut inner = lock_unpoisoned(&self.cache.inner);
-        inner.pending.retain(|k| *k != key);
-        inner.entries.push_front((key, matrix));
+        inner.pending.retain(|k| *k != self.key);
+        inner.entries.push_front((self.key.clone(), value));
         while inner.entries.len() > self.cache.capacity {
             inner.entries.pop_back();
         }
@@ -97,12 +108,12 @@ impl ComputeGuard<'_> {
     }
 }
 
-impl Drop for ComputeGuard<'_> {
+impl<K: PartialEq, V> Drop for ComputeGuard<'_, K, V> {
     fn drop(&mut self) {
         if self.done || !self.tracked {
             return;
         }
-        // Abandoned without a matrix: release the key and let a waiter
+        // Abandoned without a value: release the key and let a waiter
         // claim the computation, otherwise they would sleep forever.
         let mut inner = lock_unpoisoned(&self.cache.inner);
         inner.pending.retain(|k| *k != self.key);
@@ -111,11 +122,11 @@ impl Drop for ComputeGuard<'_> {
     }
 }
 
-impl MatrixCache {
-    /// Cache at most `capacity` matrices; `0` disables caching (every
-    /// lookup misses, fulfilled matrices are dropped).
+impl<K: PartialEq + Clone, V> Cache<K, V> {
+    /// Cache at most `capacity` values; `0` disables caching (every
+    /// lookup misses, fulfilled values are dropped).
     pub fn new(capacity: usize) -> Self {
-        MatrixCache {
+        Cache {
             inner: Mutex::new(Inner {
                 entries: VecDeque::new(),
                 pending: Vec::new(),
@@ -127,14 +138,14 @@ impl MatrixCache {
         }
     }
 
-    /// Single-flight lookup: a hit returns the matrix (counting a hit);
+    /// Single-flight lookup: a hit returns the value (counting a hit);
     /// a miss returns the exclusive [`ComputeGuard`] for the key
     /// (counting a miss). If another worker already holds the key's
     /// guard, this call *blocks* until that computation resolves, then
     /// hits on its result — or claims the guard itself if the
     /// computation was abandoned. A capacity-0 (disabled) cache returns
     /// an inert guard immediately and counts nothing.
-    pub fn begin(&self, key: u64) -> Lookup<'_> {
+    pub fn begin(&self, key: K) -> Lookup<'_, K, V> {
         if self.capacity == 0 {
             return Lookup::Miss(ComputeGuard {
                 cache: self,
@@ -149,13 +160,13 @@ impl MatrixCache {
                 inner.hits += 1;
                 // lint:allow(panic) pos came from position() on the same deque under the same lock
                 let entry = inner.entries.remove(pos).expect("position just found");
-                let matrix = Arc::clone(&entry.1);
+                let value = Arc::clone(&entry.1);
                 inner.entries.push_front(entry);
-                return Lookup::Hit(matrix);
+                return Lookup::Hit(value);
             }
             if !inner.pending.contains(&key) {
                 inner.misses += 1;
-                inner.pending.push(key);
+                inner.pending.push(key.clone());
                 return Lookup::Miss(ComputeGuard {
                     cache: self,
                     key,
@@ -173,7 +184,28 @@ impl MatrixCache {
         }
     }
 
-    /// Maximum number of cached matrices.
+    /// The value for `key`, computed by `compute` on a miss (and only
+    /// then) and cached unless it fails. A failure caches nothing, so the
+    /// next lookup computes afresh.
+    ///
+    /// # Errors
+    /// Whatever `compute` returns.
+    pub fn get_or_try_insert_with<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        match self.begin(key) {
+            Lookup::Hit(value) => Ok(value),
+            Lookup::Miss(guard) => {
+                let value = Arc::new(compute()?);
+                guard.fulfil(Arc::clone(&value));
+                Ok(value)
+            }
+        }
+    }
+
+    /// Maximum number of cached values.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -188,7 +220,7 @@ impl MatrixCache {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<K, V>> {
         lock_unpoisoned(&self.inner)
     }
 }
@@ -335,6 +367,27 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         // A second begin must not block on the first one's key.
         assert!(matches!(cache.begin(1), Lookup::Miss(_)));
+    }
+
+    #[test]
+    fn failed_computations_are_not_cached() {
+        let cache: Cache<(String, u64), u32> = Cache::new(2);
+        let key = || ("store".to_string(), 3);
+        let failed = cache.get_or_try_insert_with(key(), || Err("corrupt object"));
+        assert_eq!(failed.unwrap_err(), "corrupt object");
+        assert_eq!(cache.stats().entries, 0);
+        let value = cache.get_or_try_insert_with(key(), || Ok::<_, ()>(5));
+        assert_eq!(*value.unwrap(), 5);
+        let value = cache.get_or_try_insert_with(key(), || Err(()));
+        assert_eq!(*value.unwrap(), 5, "a hit never calls compute");
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 2,
+                entries: 1
+            }
+        );
     }
 
     #[test]

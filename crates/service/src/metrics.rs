@@ -24,6 +24,10 @@ pub struct ServiceMetrics {
     in_flight: Arc<Gauge>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
+    store_hits: Arc<Counter>,
+    store_misses: Arc<Counter>,
+    clustering_hits: Arc<Counter>,
+    clustering_misses: Arc<Counter>,
     queue_wait_us: Arc<Histogram>,
     step1_us: Arc<Histogram>,
     step2_us: Arc<Histogram>,
@@ -44,6 +48,10 @@ impl Default for ServiceMetrics {
             in_flight: registry.gauge("service_jobs_in_flight"),
             cache_hits: registry.counter("service_cache_hits_total"),
             cache_misses: registry.counter("service_cache_misses_total"),
+            store_hits: registry.counter("service_store_cache_hits_total"),
+            store_misses: registry.counter("service_store_cache_misses_total"),
+            clustering_hits: registry.counter("service_clustering_cache_hits_total"),
+            clustering_misses: registry.counter("service_clustering_cache_misses_total"),
             queue_wait_us: registry.histogram("service_queue_wait_us"),
             step1_us: registry.histogram("service_step1_us"),
             step2_us: registry.histogram("service_step2_us"),
@@ -117,11 +125,19 @@ impl ServiceMetrics {
 
     /// A Step-2 matrix cache lookup resolved as a hit or a miss.
     pub fn cache_lookup(&self, hit: bool) {
-        if hit {
-            self.cache_hits.inc();
-        } else {
-            self.cache_misses.inc();
-        }
+        count_lookup(hit, &self.cache_hits, &self.cache_misses);
+    }
+
+    /// A library job found its tile store's verified contents warm
+    /// (`hit`) or loaded them.
+    pub fn store_lookup(&self, hit: bool) {
+        count_lookup(hit, &self.store_hits, &self.store_misses);
+    }
+
+    /// A library job found its k-means clustering warm (`hit`) or
+    /// computed it.
+    pub fn clustering_lookup(&self, hit: bool) {
+        count_lookup(hit, &self.clustering_hits, &self.clustering_misses);
     }
 
     /// Jobs currently being executed by workers.
@@ -276,6 +292,14 @@ impl ConnectionMetrics {
             ("connections_open", Json::from(open)),
             ("wakeups", Json::from(self.wakeups.get())),
         ])
+    }
+}
+
+fn count_lookup(hit: bool, hits: &Counter, misses: &Counter) {
+    if hit {
+        hits.inc();
+    } else {
+        misses.inc();
     }
 }
 

@@ -11,7 +11,8 @@
 //!        ▼                               │
 //!  bounded JobQueue ──pop──▶ worker pool (fixed size)
 //!                                  │
-//!                            MatrixCache (LRU)
+//!              single-flight LRU caches: error matrices,
+//!              tile-store snapshots, k-means clusterings
 //! ```
 //!
 //! Invariants:
@@ -24,19 +25,27 @@
 //!   ([`JobSpec::cache_key`]), so a hit may skip Step 2 entirely and the
 //!   result is bit-identical to an uncached run (backends are
 //!   bit-identical by construction, so a matrix computed under one
-//!   backend is valid for every other).
+//!   backend is valid for every other);
+//! * a library job reuses a store's verified tiles only under the
+//!   store's current generation (`StoreKey`), and a clustering only for
+//!   that store entry and the same feature grid, cluster count and seed
+//!   (`ClusteringKey`), so warm replies are byte-identical to cold ones.
 
-use crate::cache::MatrixCache;
+use crate::cache::{Cache, MatrixCache};
 use crate::fault::FaultPlan;
 use crate::frontend::{Connections, FrontEnd, Handler, Reply, ReplyTo};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{Request, Response};
 use crate::queue::{JobQueue, PushError};
 use mosaic_pool::ThreadPool;
-use mosaic_tilelib::{execute_library, LibraryJobSpec, TilelibError};
+use mosaic_tilelib::{
+    execute_library, Clustering, LibraryJobSpec, StoreSnapshot, TileStore, TilelibError,
+};
 use photomosaic::{generate_bounded_in, Deadline, GenerateError, JobResult, JobSpec, Json};
+use std::convert::Infallible;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -53,7 +62,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Error-matrix LRU capacity (0 disables caching).
+    /// Capacity of each server cache — error matrices, tile-store
+    /// snapshots and clusterings — in entries (0 disables all three).
     pub cache_capacity: usize,
     /// Back-off hint sent with queue-full rejections.
     pub retry_after_ms: u64,
@@ -113,9 +123,33 @@ struct Job {
     reply: ReplyTo,
 }
 
+/// Identity of one tile store's contents: a store is only ever read
+/// through the generation it had when the job opened it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct StoreKey {
+    /// Canonical root, so two spellings of one path share an entry.
+    root: PathBuf,
+    generation: u64,
+    tile: usize,
+}
+
+/// Everything a k-means clustering of a store depends on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ClusteringKey {
+    store: StoreKey,
+    feature_grid: usize,
+    clusters: usize,
+    seed: u64,
+}
+
 struct Shared {
     queue: JobQueue<Job>,
     cache: MatrixCache,
+    /// Verified tile-store contents, each hash-checked once on load. An
+    /// older generation is never looked up again and ages out.
+    stores: Cache<StoreKey, StoreSnapshot>,
+    /// K-means clusterings of those contents.
+    clusterings: Cache<ClusteringKey, Clustering>,
     metrics: ServiceMetrics,
     config: ServiceConfig,
     connections: Connections,
@@ -239,6 +273,8 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
             cache: MatrixCache::new(config.cache_capacity),
+            stores: Cache::new(config.cache_capacity),
+            clusterings: Cache::new(config.cache_capacity),
             metrics,
             connections,
             compute_pool: Arc::new(ThreadPool::new(config.workers.max(1))),
@@ -361,16 +397,16 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// Run a library job on the shared compute pool under the job's
 /// deadline and render the outcome for the wire. Library results are
-/// deliberately never cached: the store path stays constant while its
-/// contents can change between ingests, so a key-based cache would
-/// serve stale mosaics.
+/// never cached — each job has its own target — but the store's
+/// verified tiles and their clusterings are kept per store generation,
+/// so a warm job pays only for its target.
 fn execute_library_job(
     spec: &LibraryJobSpec,
     shared: &Arc<Shared>,
     queue_wait_ms: f64,
     deadline: &Deadline,
 ) -> Response {
-    match execute_library(spec, &shared.compute_pool, deadline) {
+    match run_library(spec, shared, deadline) {
         Ok(mut result) => {
             shared.metrics.library_job_completed();
             if let Json::Obj(pairs) = &mut result.report {
@@ -407,6 +443,51 @@ fn execute_library_job(
             }
         }
     }
+}
+
+/// Open the job's store, take its snapshot and clustering from the
+/// caches (loading or computing them on a miss), and run the job.
+fn run_library(
+    spec: &LibraryJobSpec,
+    shared: &Shared,
+    deadline: &Deadline,
+) -> Result<JobResult, TilelibError> {
+    deadline.check()?;
+    // Opening reads the generation, which must come before the snapshot
+    // lists the objects (see `mosaic_tilelib::store`).
+    let store = TileStore::open(&spec.store)?;
+    let root = std::fs::canonicalize(store.root())
+        .map_err(|e| TilelibError::Store(format!("resolve {}: {e}", store.root().display())))?;
+    let key = StoreKey {
+        root,
+        generation: store.generation(),
+        tile: store.tile_size(),
+    };
+    let mut hit = true;
+    let snapshot = shared.stores.get_or_try_insert_with(key.clone(), || {
+        hit = false;
+        store.snapshot()
+    });
+    shared.metrics.store_lookup(hit);
+    let snapshot = snapshot?;
+    let clustering_key = ClusteringKey {
+        store: key,
+        feature_grid: spec.params.feature_grid,
+        clusters: spec.params.clusters,
+        seed: spec.params.seed,
+    };
+    let clustering = |compute: &dyn Fn() -> Clustering| {
+        let mut hit = true;
+        let Ok(clustering) = shared
+            .clusterings
+            .get_or_try_insert_with(clustering_key, || {
+                hit = false;
+                Ok::<_, Infallible>(compute())
+            });
+        shared.metrics.clustering_lookup(hit);
+        clustering
+    };
+    execute_library(spec, &snapshot, clustering, &shared.compute_pool, deadline)
 }
 
 /// Run a generation job. A job that produced no result is answered with
@@ -473,6 +554,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use mosaic_image::synth::Scene;
+    use mosaic_tilelib::TileStore;
     use photomosaic::{Backend, ImageSource, MosaicBuilder};
 
     fn small_spec(seed: u64) -> JobSpec {
@@ -590,7 +672,7 @@ mod tests {
 
     #[test]
     fn library_jobs_run_and_surface_typed_errors() {
-        use mosaic_tilelib::{LibraryParams, TileStore};
+        use mosaic_tilelib::LibraryParams;
 
         // A store of 20 distinct flat tiles (levels are unique, so the
         // content digests are too).
@@ -660,6 +742,105 @@ mod tests {
         ));
         client.shutdown().unwrap();
         server.join();
+    }
+
+    /// A fresh store of `tiles` distinct tiles under the test temp dir.
+    fn library_store(name: &str, tiles: usize) -> (std::path::PathBuf, TileStore) {
+        let root = std::env::temp_dir()
+            .join("mosaic_service_tests")
+            .join(format!("{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = TileStore::create(&root, 8).unwrap();
+        let mut seed = 0;
+        while store.len().unwrap() < tiles {
+            store.insert(&Scene::Fur.render(8, seed)).unwrap();
+            seed += 1;
+        }
+        (root, store)
+    }
+
+    fn library_spec(root: &std::path::Path, target_seed: u64) -> LibraryJobSpec {
+        LibraryJobSpec {
+            target: ImageSource::Synth {
+                scene: Scene::Portrait,
+                size: 32,
+                seed: target_seed,
+            },
+            store: root.display().to_string(),
+            params: mosaic_tilelib::LibraryParams {
+                grid: 4,
+                clusters: 4,
+                ..mosaic_tilelib::LibraryParams::default()
+            },
+        }
+    }
+
+    #[test]
+    fn warm_store_concurrent_cold_jobs_load_once_and_cluster_once() {
+        let (root, _store) = library_store("warm_concurrent", 30);
+        let server = Server::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        // Two targets, one store and one clustering. Whether the jobs
+        // overlap (the second waits on the first's load) or not, exactly
+        // one of them fills each cache and the other hits.
+        std::thread::scope(|scope| {
+            let jobs: Vec<_> = [1, 2]
+                .map(|seed| {
+                    let spec = library_spec(&root, seed);
+                    scope.spawn(move || Client::connect(addr).unwrap().submit_library(&spec))
+                })
+                .into_iter()
+                .collect();
+            for job in jobs {
+                assert!(matches!(job.join().unwrap(), Ok(Response::Result { .. })));
+            }
+        });
+        let once = crate::cache::CacheStats {
+            hits: 1,
+            misses: 1,
+            entries: 1,
+        };
+        assert_eq!(server.shared.stores.stats(), once);
+        assert_eq!(server.shared.clusterings.stats(), once);
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn warm_store_deadline_still_cancels_a_warm_job() {
+        let (root, _store) = library_store("warm_deadline", 20);
+        let server = Server::start(ServiceConfig {
+            workers: 1,
+            job_deadline_ms: 100,
+            faults: FaultPlan::stall_first_jobs(1, 300),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let spec = library_spec(&root, 1);
+        // Warm both caches through the job path itself, off the wire, so
+        // the stalled job below is the first one a worker picks up.
+        let warmed = execute_library_job(&spec, &server.shared, 0.0, &Deadline::NONE);
+        assert!(matches!(warmed, Response::Result { .. }), "{warmed:?}");
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(
+            client.submit_library(&spec).unwrap(),
+            Response::DeadlineExceeded { deadline_ms: 100 }
+        );
+        // The next warm job runs within the deadline, off the caches.
+        assert!(matches!(
+            client.submit_library(&spec).unwrap(),
+            Response::Result { .. }
+        ));
+        let stores = server.shared.stores.stats();
+        assert_eq!((stores.hits, stores.misses), (1, 1));
+        client.shutdown().unwrap();
+        server.join();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1,22 +1,32 @@
 //! End-to-end library mosaic execution.
 //!
 //! `execute_library` runs the full pruned pipeline on a caller-provided
-//! `ThreadPool`: load the store → descriptors → seeded k-means →
-//! clustered candidate scoring → rectangular sparse solve → assembly.
-//! The job's deadline is polled before each of those stages, so a job
-//! overshoots an expiry by at most one stage.
-//! Every stage is timed into a `tilelib_*` histogram (DESIGN.md §9) and
-//! the returned report carries cell/tile/candidate counts plus the
-//! sparse total, so benches and the service can expose them uniformly.
+//! `ThreadPool` over an already loaded [`StoreSnapshot`]: target cells →
+//! descriptors → seeded k-means → clustered candidate scoring →
+//! rectangular sparse solve → assembly. The job's deadline is polled
+//! before each of those stages, so a job overshoots an expiry by at most
+//! one stage.
+//!
+//! The store's contents and its clustering are pure functions of the
+//! store, so a caller may reuse them across jobs: it loads the snapshot
+//! itself and decides, through the `clustering` argument, whether the
+//! tile descriptors and k-means run at all. The server keeps both warm
+//! per store generation; the CLI passes [`uncached_clustering`].
+//! Every stage that runs is timed into a `tilelib_*` histogram
+//! (DESIGN.md §9) and the returned report carries cell/tile/candidate
+//! counts plus the sparse total, so benches and the service can expose
+//! them uniformly.
 
-use std::time::Instant;
+use std::cell::Cell;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::error::TilelibError;
 use crate::features::batch_features;
 use crate::job::LibraryJobSpec;
-use crate::kmeans::kmeans;
+use crate::kmeans::{kmeans, Clustering};
 use crate::prune::scored_candidates;
-use crate::store::TileStore;
+use crate::store::StoreSnapshot;
 use mosaic_assign::{solve_sparse_rect, SparseCostMatrix, SparseInstanceError};
 use mosaic_grid::Deadline;
 use mosaic_image::resize::{resize_bilinear, resize_box};
@@ -25,23 +35,36 @@ use mosaic_pool::ThreadPool;
 use mosaic_telemetry::registry;
 use photomosaic::{assemble_from_tiles, JobResult, Json};
 
-/// Run a library job to completion on `pool`, polling `deadline`
-/// before each stage. Callers without a bound pass [`Deadline::NONE`].
+/// The `clustering` argument of [`execute_library`] for callers without
+/// a cache: compute the clustering every time.
+pub fn uncached_clustering(compute: &dyn Fn() -> Clustering) -> Arc<Clustering> {
+    Arc::new(compute())
+}
+
+/// Run a library job over `store` (the snapshot of `spec.store`) to
+/// completion on `pool`, polling `deadline` before each stage. Callers
+/// without a bound pass [`Deadline::NONE`].
+///
+/// `clustering` obtains the k-means clustering of the store's tiles
+/// under the job's `feature_grid`, `clusters` and `seed`: it either
+/// returns one it has kept from an earlier job on the same snapshot or
+/// calls the `compute` it is handed, which computes the tile descriptors
+/// and runs k-means.
 ///
 /// # Errors
-/// Typed [`TilelibError`]s: store/ingest problems, invalid parameters,
-/// a library smaller than the cell count, or
-/// [`TilelibError::DeadlineExceeded`] when `deadline` expires before the
-/// last stage starts.
+/// Typed [`TilelibError`]s: invalid parameters, a library smaller than
+/// the cell count, or [`TilelibError::DeadlineExceeded`] when `deadline`
+/// expires before the last stage starts.
 pub fn execute_library(
     spec: &LibraryJobSpec,
+    store: &StoreSnapshot,
+    clustering: impl FnOnce(&dyn Fn() -> Clustering) -> Arc<Clustering>,
     pool: &ThreadPool,
     deadline: &Deadline,
 ) -> Result<JobResult, TilelibError> {
     spec.params.validate()?;
     deadline.check()?;
-    let store = TileStore::open(&spec.store)?;
-    let (digests, tiles) = store.load_all()?;
+    let tiles = &store.tiles;
     let grid = spec.params.grid;
     let cells = grid * grid;
     if tiles.len() < cells {
@@ -56,7 +79,7 @@ pub fn execute_library(
         .target
         .resolve()
         .map_err(|e| TilelibError::Config(format!("target: {e}")))?;
-    let tile_size = store.tile_size();
+    let tile_size = store.tile_size;
     let wanted = grid * tile_size;
     let target = if target.width() == wanted {
         target
@@ -77,22 +100,31 @@ pub fn execute_library(
         .collect::<Result<_, _>>()
         .map_err(|e| TilelibError::Config(format!("cell extraction: {e:?}")))?;
 
-    // Stage 1: descriptors for tiles and cells.
+    // Stage 1: descriptors for the cells.
     deadline.check()?;
     let start = Instant::now();
-    let tile_features = batch_features(&tiles, spec.params.feature_grid, pool);
     let cell_features = batch_features(&cell_images, spec.params.feature_grid, pool);
+    let cell_feature_time = start.elapsed();
+
+    // Stage 2: seeded clustering of the library. Its tile descriptors
+    // count as feature time, so `tilelib_feature_us` gets one sample per
+    // job: the cells, plus the tiles when the clustering was computed.
+    deadline.check()?;
+    let tile_feature_time = Cell::new(Duration::ZERO);
+    let clustering = clustering(&|| {
+        let start = Instant::now();
+        let tile_features = batch_features(tiles, spec.params.feature_grid, pool);
+        tile_feature_time.set(start.elapsed());
+        let start = Instant::now();
+        let clustering = kmeans(&tile_features, spec.params.clusters, spec.params.seed, pool);
+        registry()
+            .histogram("tilelib_kmeans_us")
+            .record_duration_us(start.elapsed());
+        clustering
+    });
     registry()
         .histogram("tilelib_feature_us")
-        .record_duration_us(start.elapsed());
-
-    // Stage 2: seeded clustering of the library.
-    deadline.check()?;
-    let start = Instant::now();
-    let clustering = kmeans(&tile_features, spec.params.clusters, spec.params.seed, pool);
-    registry()
-        .histogram("tilelib_kmeans_us")
-        .record_duration_us(start.elapsed());
+        .record_duration_us(cell_feature_time + tile_feature_time.get());
 
     // Stage 3: clustered candidate scoring.
     deadline.check()?;
@@ -100,7 +132,7 @@ pub fn execute_library(
     let lists = scored_candidates(
         &cell_images,
         &cell_features,
-        &tiles,
+        tiles,
         &clustering,
         spec.params.top_clusters,
         spec.params.metric,
@@ -138,7 +170,7 @@ pub fn execute_library(
 
     // Stage 5: assembly from the winning tiles.
     deadline.check()?;
-    let image = assemble_from_tiles(&tiles, &assignment, grid).map_err(TilelibError::Config)?;
+    let image = assemble_from_tiles(tiles, &assignment, grid).map_err(TilelibError::Config)?;
 
     let report = Json::obj([
         ("cells", Json::from(cells)),
@@ -150,7 +182,7 @@ pub fn execute_library(
         ("total_error", Json::from(total_cost)),
         ("metric", Json::from(spec.params.metric.name())),
         ("tile_size", Json::from(tile_size)),
-        ("store_digest_head", head_digest(&digests)),
+        ("store_digest_head", head_digest(&store.digests)),
     ]);
     Ok(JobResult {
         image,
@@ -192,6 +224,7 @@ fn map_instance_error(e: SparseInstanceError) -> TilelibError {
 mod tests {
     use super::*;
     use crate::job::LibraryParams;
+    use crate::store::TileStore;
     use mosaic_grid::TileMetric;
     use mosaic_image::synth::Scene;
     use photomosaic::ImageSource;
@@ -213,6 +246,12 @@ mod tests {
             seed += 1;
         }
         store
+    }
+
+    /// A cold run, as `mosaic generate --library` does it.
+    fn run(spec: &LibraryJobSpec, pool: &ThreadPool) -> Result<JobResult, TilelibError> {
+        let store = TileStore::open(&spec.store)?.snapshot()?;
+        execute_library(spec, &store, uncached_clustering, pool, &Deadline::NONE)
     }
 
     fn spec_for(store: &TileStore, grid: usize) -> LibraryJobSpec {
@@ -239,7 +278,7 @@ mod tests {
         let store = seeded_store("e2e", 40, 8);
         let spec = spec_for(&store, 4);
         let pool = ThreadPool::new(2);
-        let result = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
+        let result = run(&spec, &pool).unwrap();
         pool.shutdown();
         assert_eq!(result.image.dimensions(), (32, 32));
         assert_eq!(result.assignment.len(), 16);
@@ -257,13 +296,48 @@ mod tests {
         let store = seeded_store("deterministic", 30, 8);
         let spec = spec_for(&store, 4);
         let pool1 = ThreadPool::new(1);
-        let a = execute_library(&spec, &pool1, &Deadline::NONE).unwrap();
+        let a = run(&spec, &pool1).unwrap();
         pool1.shutdown();
         let pool4 = ThreadPool::new(4);
-        let b = execute_library(&spec, &pool4, &Deadline::NONE).unwrap();
+        let b = run(&spec, &pool4).unwrap();
         pool4.shutdown();
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.image, b.image);
+    }
+
+    #[test]
+    fn warm_store_kept_clustering_reproduces_the_cold_reply() {
+        let store = seeded_store("kept_clustering", 30, 8);
+        let snapshot = store.snapshot().unwrap();
+        let pool = ThreadPool::new(2);
+        for metric in [TileMetric::Sad, TileMetric::Ssd] {
+            let mut spec = spec_for(&store, 4);
+            spec.params.metric = metric;
+            let mut kept = None;
+            let cold = execute_library(
+                &spec,
+                &snapshot,
+                |compute| Arc::clone(kept.insert(Arc::new(compute()))),
+                &pool,
+                &Deadline::NONE,
+            )
+            .unwrap();
+            let kept = kept.expect("a cold run computes its clustering");
+            let warm = execute_library(
+                &spec,
+                &snapshot,
+                |_| Arc::clone(&kept),
+                &pool,
+                &Deadline::NONE,
+            )
+            .unwrap();
+            assert_eq!(warm.to_json().encode(), cold.to_json().encode());
+            assert_eq!(
+                warm.to_json().encode(),
+                run(&spec, &pool).unwrap().to_json().encode()
+            );
+        }
+        pool.shutdown();
     }
 
     #[test]
@@ -271,7 +345,7 @@ mod tests {
         let store = seeded_store("too_small", 5, 8);
         let spec = spec_for(&store, 4); // needs 16 tiles, has 5
         let pool = ThreadPool::new(1);
-        let err = execute_library(&spec, &pool, &Deadline::NONE).unwrap_err();
+        let err = run(&spec, &pool).unwrap_err();
         pool.shutdown();
         assert_eq!(
             err,
@@ -294,7 +368,7 @@ mod tests {
             params: LibraryParams::default(),
         };
         let pool = ThreadPool::new(1);
-        let err = execute_library(&spec, &pool, &Deadline::NONE).unwrap_err();
+        let err = run(&spec, &pool).unwrap_err();
         pool.shutdown();
         assert!(err.is_store(), "{err}");
     }
@@ -308,9 +382,9 @@ mod tests {
         let mut spec = spec_for(&store, 3);
         let pool = ThreadPool::new(2);
         spec.params.top_clusters = spec.params.clusters;
-        let exact = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
+        let exact = run(&spec, &pool).unwrap();
         spec.params.top_clusters = 1;
-        let pruned = execute_library(&spec, &pool, &Deadline::NONE).unwrap();
+        let pruned = run(&spec, &pool).unwrap();
         pool.shutdown();
         let exact_cost = exact.report.get("total_error").unwrap().as_u64().unwrap();
         let pruned_cost = pruned.report.get("total_error").unwrap().as_u64().unwrap();

@@ -95,7 +95,7 @@ passed_gate 3 "fleet fault tests" --test gateway_fleet fault_
 # `cargo test` above runs only the root package's test binaries, so
 # without this the tests of mosaic-gpu, mosaic-service, mosaic-gateway,
 # mosaic-cli, mosaic-lint and mosaic-telemetry would gate nothing.
-passed_gate 824 "workspace tests" --workspace
+passed_gate 839 "workspace tests" --workspace
 
 # Wire codec: the run-based JSON string codec, the table hex codec and
 # the block newline scan must match their per-character test oracles
@@ -166,7 +166,21 @@ passed_gate 1 "gang phase panic" -p mosaic-pool --test stress gang_panic
 # and rectangular sparse solve carry the `library` job kind end to end,
 # so both the crate's own tests and the thousand-tile acceptance
 # workload are gated.
-passed_gate 30 "tilelib tests" -p mosaic-tilelib
+passed_gate 47 "tilelib tests" -p mosaic-tilelib
+
+# Warm tile libraries: a server keeps each store generation's verified
+# tiles and clusterings, and a warm reply stays byte-identical to a cold
+# one; an insert, a corrupt object, a deadline and `--cache 0` all
+# behave as they do cold.
+passed_gate 7 "warm-store tests" --workspace warm_store
+
+# Store writes land whole (temporary file, then rename), so a racing
+# load never sees a torn object and a torn one is rewritten on re-insert.
+passed_gate 2 "atomic-write tests" -p mosaic-tilelib --lib atomic_write
+
+# Every synth scene's renders are pinned by hash, so a faster renderer
+# must stay pixel-identical.
+passed_gate 1 "golden render test" -p mosaic-image --lib golden_render
 
 passed_gate 1 "thousand-tile library acceptance tests" --test tilelib_library
 

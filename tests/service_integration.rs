@@ -817,3 +817,204 @@ fn graceful_shutdown_drains_and_joins() {
     // The listener is really gone once join returns.
     assert!(Client::connect(addr).is_err());
 }
+
+/// A store of `tiles` distinct 8×8 tiles, fresh under the test temp dir.
+fn warm_store(name: &str, tiles: usize) -> (std::path::PathBuf, TileStore) {
+    let root = std::env::temp_dir()
+        .join("mosaic_service_integration")
+        .join(format!("{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = TileStore::create(&root, 8).unwrap();
+    let mut seed = 0;
+    while store.len().unwrap() < tiles {
+        store.insert(&Scene::Drapery.render(8, seed)).unwrap();
+        seed += 1;
+    }
+    (root, store)
+}
+
+fn warm_spec(root: &std::path::Path, metric: TileMetric) -> LibraryJobSpec {
+    LibraryJobSpec {
+        target: ImageSource::Synth {
+            scene: Scene::Portrait,
+            size: 32,
+            seed: 5,
+        },
+        store: root.display().to_string(),
+        params: LibraryParams {
+            grid: 4,
+            clusters: 4,
+            top_clusters: 2,
+            metric,
+            ..LibraryParams::default()
+        },
+    }
+}
+
+/// A library reply on the wire, less the two report fields the server
+/// adds (`queue_wait_ms`, `cache_hit`): the bytes `execute_library`'s own
+/// result encodes to.
+fn library_reply(client: &mut Client, spec: &LibraryJobSpec) -> String {
+    let Response::Result {
+        result: Json::Obj(mut fields),
+    } = client.submit_library(spec).unwrap()
+    else {
+        panic!("expected a library result");
+    };
+    for (key, value) in &mut fields {
+        if let (true, Json::Obj(report)) = (key == "report", value) {
+            report.retain(|(key, _)| key != "queue_wait_ms" && key != "cache_hit");
+        }
+    }
+    Json::Obj(fields).encode()
+}
+
+/// One counter of the server's Prometheus exposition.
+fn prometheus_counter(client: &mut Client, name: &str) -> u64 {
+    let Response::Metrics { text } = client.metrics().unwrap() else {
+        panic!("expected metrics");
+    };
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("missing counter {name}"))
+}
+
+/// Store and clustering loads so far: (store misses, clustering misses).
+fn library_loads(client: &mut Client) -> (u64, u64) {
+    (
+        prometheus_counter(client, "service_store_cache_misses_total"),
+        prometheus_counter(client, "service_clustering_cache_misses_total"),
+    )
+}
+
+/// Warm replies are byte-identical to the cold reply and to a cold run
+/// in a fresh process, for both metrics, and the warm jobs load nothing.
+#[test]
+fn warm_store_reply_is_byte_identical_to_cold_and_direct() {
+    let (root, _store) = warm_store("warm_identical", 30);
+    let server = Server::start(ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for metric in [TileMetric::Sad, TileMetric::Ssd] {
+        let spec = warm_spec(&root, metric);
+        let cold = library_reply(&mut client, &spec);
+        let warm = library_reply(&mut client, &spec);
+        assert_eq!(warm, cold, "{metric:?}");
+
+        // A cold run on a fresh pool, as `mosaic generate --library`.
+        let pool = mosaic_pool::ThreadPool::new(1);
+        let snapshot = TileStore::open(&root).unwrap().snapshot().unwrap();
+        let direct = mosaic_tilelib::execute_library(
+            &spec,
+            &snapshot,
+            mosaic_tilelib::uncached_clustering,
+            &pool,
+            &photomosaic::Deadline::NONE,
+        )
+        .unwrap();
+        pool.shutdown();
+        assert_eq!(warm, direct.to_json().encode(), "{metric:?}");
+    }
+    // One store load for both metrics; one clustering, since neither
+    // metric nor top_clusters shapes it.
+    assert_eq!(library_loads(&mut client), (1, 1));
+    assert_eq!(
+        prometheus_counter(&mut client, "service_store_cache_hits_total"),
+        3
+    );
+    client.shutdown().unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+fn report_tiles(client: &mut Client, spec: &LibraryJobSpec) -> u64 {
+    let result = decode_result(client.submit_library(spec).unwrap());
+    result.report.get("tiles").and_then(Json::as_u64).unwrap()
+}
+
+/// An insert bumps the store generation, so the next job reloads and
+/// sees the new tile.
+#[test]
+fn warm_store_sees_a_tile_inserted_between_jobs() {
+    let (root, store) = warm_store("warm_insert", 20);
+    let server = Server::start(ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let spec = warm_spec(&root, TileMetric::Sad);
+    assert_eq!(report_tiles(&mut client, &spec), 20);
+    assert_eq!(report_tiles(&mut client, &spec), 20);
+    let (_, fresh) = store.insert(&Scene::Checker.render(8, 77)).unwrap();
+    assert!(fresh);
+    assert_eq!(report_tiles(&mut client, &spec), 21);
+    assert_eq!(library_loads(&mut client), (2, 2));
+    client.shutdown().unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The object file of the store's first tile in digest order.
+fn first_object(root: &std::path::Path, store: &TileStore) -> std::path::PathBuf {
+    let digest = store.digests().unwrap().remove(0);
+    root.join("objects").join(&digest[..2]).join(&digest[2..])
+}
+
+/// A corrupt object fails the first load with a typed `store_error`, and
+/// the failed load is not cached: once the object is whole again (the
+/// generation unchanged) the same store serves.
+#[test]
+fn warm_store_corrupt_object_is_a_store_error_and_not_cached() {
+    let (root, store) = warm_store("warm_corrupt", 20);
+    let object = first_object(&root, &store);
+    let whole = std::fs::read(&object).unwrap();
+    std::fs::write(&object, &whole[..whole.len() - 7]).unwrap();
+
+    let server = Server::start(ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let spec = warm_spec(&root, TileMetric::Sad);
+    for _ in 0..2 {
+        let Response::StoreError { message } = client.submit_library(&spec).unwrap() else {
+            panic!("a corrupt store must draw store_error");
+        };
+        assert!(message.contains("load"), "{message}");
+    }
+    std::fs::write(&object, &whole).unwrap();
+    assert_eq!(report_tiles(&mut client, &spec), 20);
+    assert_eq!(library_loads(&mut client), (3, 1));
+    client.shutdown().unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Objects are verified once per store generation: with caching on, a
+/// corruption after the first load goes unseen until the generation
+/// changes; with `--cache 0` every job loads, so the next job sees it.
+#[test]
+fn warm_store_cache_zero_loads_the_store_for_every_job() {
+    for (cache_capacity, loads) in [(8, 1), (0, 2)] {
+        let name = format!("warm_cache_{cache_capacity}");
+        let (root, store) = warm_store(&name, 20);
+        let server = Server::start(ServiceConfig {
+            cache_capacity,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let spec = warm_spec(&root, TileMetric::Sad);
+        assert_eq!(report_tiles(&mut client, &spec), 20);
+        let object = first_object(&root, &store);
+        let whole = std::fs::read(&object).unwrap();
+        std::fs::write(&object, &whole[..whole.len() - 7]).unwrap();
+        let second = client.submit_library(&spec).unwrap();
+        if cache_capacity == 0 {
+            assert!(matches!(second, Response::StoreError { .. }), "{second:?}");
+        } else {
+            decode_result(second);
+        }
+        assert_eq!(
+            library_loads(&mut client).0,
+            loads,
+            "cache {cache_capacity}"
+        );
+        client.shutdown().unwrap();
+        server.join();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
